@@ -1,16 +1,16 @@
 //! Fleet-scale PRACH load sweep: soft vs hard handover under contention.
-//! Usage: `fleet_load [--smoke] [--exact-contention] [--workers N] [--json PATH]
+//! Usage: `fleet_load [--smoke] [--workers N] [--json PATH]
 //!                    [--snapshot-s S] [--timeline PATH] [--explain-top N]
 //!                    [--causes PATH] [--record PATH | --replay PATH]
-//!                    [--ues N]... [--compare-ues N]... [--round-robin]
-//!                    [--interest-radius M] [POPULATIONS...]`
+//!                    [--ues N]... [--interest-radius M] [POPULATIONS...]`
 //!
 //! `--smoke` prints the deterministic aggregate summary of a small fixed
 //! fleet (CI compares two invocations byte-for-byte); otherwise the
 //! positional arguments are population sizes (default 100 300 1000).
-//! `--exact-contention` routes all RACH traffic through the shared
-//! cross-shard responder stage (exact global contention; the summary is
-//! then byte-identical across shard counts as well as worker counts).
+//! RACH contention is always exact (one shared responder stage per
+//! contention group), so the summary is byte-identical across shard
+//! counts as well as worker counts. `--workers N` runs on at most N
+//! threads.
 //!
 //! `--record PATH` arms per-UE protocol trace recording, saves the
 //! recorded [`st_net::FleetTrace`] to PATH, then immediately replays it
@@ -20,9 +20,8 @@
 //! also the dedicated `replay_eval` binary).
 //!
 //! Either mode also writes the `BENCH_fleet.json` perf artifact (per-run
-//! wall-clock, UE-seconds simulated per wall-second, contention mode and
-//! barrier overhead, the run-profiler counters/wall spans, plus the
-//! recorded pre-refactor baseline) to `--json PATH` (default
+//! wall-clock, UE-seconds simulated per wall-second, barrier overhead and
+//! the run-profiler counters/wall spans) to `--json PATH` (default
 //! `BENCH_fleet.json`); the artifact goes to a file so the smoke stdout
 //! stays byte-comparable.
 //!
@@ -41,18 +40,14 @@
 //! worker counts).
 //!
 //! `--ues N` (repeatable) runs the gapped-cluster *scale* deployment at
-//! population N under geographic tile sharding with a 150 m interest
-//! radius (`--interest-radius M` overrides; `0` keeps the full link
-//! set; `--round-robin` switches the assignment strategy — the A/B for
-//! the interest-management profiler deltas). `--compare-ues N`
-//! (repeatable) adds the round-robin/full-link-set twin of point N, so
-//! one invocation writes both sides of the comparison into the perf
-//! artifact. Scale arms print their deterministic aggregate summaries
-//! to stdout (no wall-clock), so CI byte-compares two worker counts the
-//! same way it compares `--smoke` runs.
+//! population N with a 150 m interest radius (`--interest-radius M`
+//! overrides; `0` keeps the full link set — the A/B for the
+//! interest-management profiler deltas). Scale arms print their
+//! deterministic aggregate summaries to stdout (no wall-clock), so CI
+//! byte-compares two worker counts the same way it compares `--smoke`
+//! runs.
 fn main() {
     let mut smoke = false;
-    let mut exact = false;
     let mut workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
@@ -65,25 +60,14 @@ fn main() {
     let mut causes_path: Option<String> = None;
     let mut populations: Vec<u64> = Vec::new();
     let mut scale_ues: Vec<u64> = Vec::new();
-    let mut compare_ues: Vec<u64> = Vec::new();
-    let mut round_robin = false;
     let mut interest_radius: Option<f64> = Some(150.0);
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--smoke" => smoke = true,
-            "--exact-contention" => exact = true,
             "--ues" => {
                 scale_ues.push(args.next().and_then(|v| v.parse().ok()).expect("--ues N"));
             }
-            "--compare-ues" => {
-                compare_ues.push(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--compare-ues N"),
-                );
-            }
-            "--round-robin" => round_robin = true,
             "--interest-radius" => {
                 let m: f64 = args
                     .next()
@@ -159,13 +143,6 @@ fn main() {
     }
 
     let record = record_path.is_some();
-    let mode_label = |base: &str| {
-        if exact {
-            format!("{base}-exact")
-        } else {
-            base.to_string()
-        }
-    };
     let save_trace = |load: &st_bench::fleet_load::FleetLoad| {
         if let Some(path) = &record_path {
             let trace = st_net::FleetTrace {
@@ -196,8 +173,7 @@ fn main() {
         }
     };
     if smoke {
-        let (summary, mut load) =
-            st_bench::fleet_load::smoke_timed_obs(workers, exact, record, snapshot_s);
+        let (summary, mut load) = st_bench::fleet_load::smoke_timed(workers, record, snapshot_s);
         print!("{summary}");
         if explain_top > 0 {
             print!("{}", st_bench::fleet_load::explain_top(&load, explain_top));
@@ -208,49 +184,20 @@ fn main() {
         if record {
             load.replay = st_bench::fleet_load::replay_arms(&load, workers);
         }
-        if let Err(e) =
-            st_bench::fleet_load::write_bench_json(&json_path, &load, &mode_label("smoke"))
-        {
+        if let Err(e) = st_bench::fleet_load::write_bench_json(&json_path, &load, "smoke") {
             eprintln!("warning: could not write {json_path}: {e}");
         }
         return;
     }
-    let scale_mode = !scale_ues.is_empty() || !compare_ues.is_empty();
-    if populations.is_empty() && !scale_mode {
+    if populations.is_empty() && scale_ues.is_empty() {
         populations = vec![100, 300, 1000];
     }
-    let mut r = if populations.is_empty() {
-        st_bench::fleet_load::FleetLoad {
-            arms: Vec::new(),
-            replay: Vec::new(),
-        }
-    } else {
-        st_bench::fleet_load::run_obs(&populations, 42, workers, exact, record, snapshot_s)
-    };
-    // Scale arms. The `--compare-ues` twins (round-robin, full link set
-    // — the pre-interest-management execution) run first so each
-    // baseline row sits above its tiles counterpart in the artifact.
-    for &ues in &compare_ues {
-        r.arms.push(st_bench::fleet_load::run_scale_point(
-            ues,
-            st_fleet::ShardStrategy::RoundRobin,
-            None,
-            exact,
-            workers,
-            42,
-        ));
-    }
-    let strategy = if round_robin {
-        st_fleet::ShardStrategy::RoundRobin
-    } else {
-        st_fleet::ShardStrategy::Tiles
-    };
+    // With only `--ues` points the sweep is empty.
+    let mut r = st_bench::fleet_load::run(&populations, 42, workers, record, snapshot_s);
     for &ues in &scale_ues {
         r.arms.push(st_bench::fleet_load::run_scale_point(
             ues,
-            strategy,
             interest_radius,
-            exact,
             workers,
             42,
         ));
@@ -274,11 +221,11 @@ fn main() {
         print!("{}", st_bench::fleet_load::explain_top(&r, explain_top));
     }
     let mode = if populations.is_empty() {
-        mode_label("scale")
+        "scale"
     } else {
-        mode_label("sweep")
+        "sweep"
     };
-    if let Err(e) = st_bench::fleet_load::write_bench_json(&json_path, &r, &mode) {
+    if let Err(e) = st_bench::fleet_load::write_bench_json(&json_path, &r, mode) {
         eprintln!("warning: could not write {json_path}: {e}");
     }
     if !populations.is_empty() {

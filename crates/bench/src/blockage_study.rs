@@ -69,7 +69,7 @@ fn deployment(density: u32, protocol: ProtocolKind, seed: u64, ues: u32) -> Flee
         )
         .duration_secs(2.0)
         .seed(seed)
-        .shards(4)
+        .shards(2)
         .build()
         .expect("valid blockage deployment")
 }

@@ -18,25 +18,15 @@ use std::time::Instant;
 
 use st_fleet::{
     format_worst, run_fleet_with_workers, Deployment, FleetConfig, FleetOutcome, MobilityKind,
-    ShardStrategy,
 };
 use st_metrics::Table;
 use st_net::{ProtocolKind, RunTrace};
-
-/// Wall-clock of the 1,000-UE / 4-cell sweep point (both arms) measured
-/// on the PR build machine *before* the zero-allocation measurement
-/// pipeline + indexed event queue refactor — the denominator of the
-/// recorded speedup in `BENCH_fleet.json` and the README.
-pub const PRE_REFACTOR_1000UE_WALL_S: f64 = 4.2;
 
 /// One load point, one protocol arm.
 #[derive(Debug, Clone)]
 pub struct Arm {
     pub ues: u64,
     pub protocol: ProtocolKind,
-    /// Shard-assignment label for the artifact: `"round-robin"` or
-    /// `"tiles"` (geographic cell-cluster sharding + interest radius).
-    pub sharding: &'static str,
     pub outcome: FleetOutcome,
     /// Wall-clock seconds this arm's fleet run took.
     pub wall_s: f64,
@@ -100,15 +90,12 @@ pub fn replay_arms(load: &FleetLoad, workers: usize) -> Vec<ReplayRow> {
 
 /// The shared deployment at a given population size: four cells down a
 /// street canyon, mostly walkers plus a vehicular slice, a deliberately
-/// small preamble pool so PRACH contention rises with population.
-/// `exact` routes all RACH traffic through the shared cross-shard
-/// responder stage (exact global contention) instead of the per-shard
-/// approximation.
+/// small preamble pool so PRACH contention rises with population. One
+/// spawn tile per cell.
 fn deployment(
     ues: u64,
     protocol: ProtocolKind,
     seed: u64,
-    exact: bool,
     record: bool,
     snapshot_s: Option<f64>,
 ) -> FleetConfig {
@@ -123,8 +110,7 @@ fn deployment(
         .population(vehicles, MobilityKind::Vehicular, protocol)
         .duration_secs(2.0)
         .seed(seed)
-        .shards(8)
-        .exact_contention(exact)
+        .shards(4)
         .record_traces(record);
     if let Some(s) = snapshot_s {
         d = d.snapshot_interval_secs(s);
@@ -155,26 +141,22 @@ fn take_trace(
     })
 }
 
-pub fn run(populations: &[u64], seed: u64, workers: usize, exact: bool, record: bool) -> FleetLoad {
-    run_obs(populations, seed, workers, exact, record, None)
-}
-
-/// [`run`] with the snapshot timeline armed: every fleet in the sweep
-/// pushes a telemetry slice each `snapshot_s` seconds of simulated
-/// time, and the merged rings land in the outcomes for
-/// [`timeline_json`] / [`write_timeline_json`].
-pub fn run_obs(
+/// Run the sweep: both arms at every population size. `record` arms
+/// trace recording; `snapshot_s` arms the snapshot timeline (every fleet
+/// pushes a telemetry slice each `snapshot_s` seconds of simulated time,
+/// and the merged rings land in the outcomes for [`timeline_json`] /
+/// [`write_timeline_json`]).
+pub fn run(
     populations: &[u64],
     seed: u64,
     workers: usize,
-    exact: bool,
     record: bool,
     snapshot_s: Option<f64>,
 ) -> FleetLoad {
     let mut arms = Vec::new();
     for &ues in populations {
         for protocol in [ProtocolKind::SilentTracker, ProtocolKind::Reactive] {
-            let cfg = deployment(ues, protocol, seed, exact, record, snapshot_s);
+            let cfg = deployment(ues, protocol, seed, record, snapshot_s);
             let start = Instant::now();
             let mut outcome = run_fleet_with_workers(&cfg, workers);
             let wall_s = start.elapsed().as_secs_f64();
@@ -187,7 +169,6 @@ pub fn run_obs(
             arms.push(Arm {
                 ues,
                 protocol,
-                sharding: sharding_label(&cfg),
                 outcome,
                 wall_s,
                 trace,
@@ -207,34 +188,19 @@ fn arm_label(p: ProtocolKind) -> &'static str {
     }
 }
 
-fn sharding_label(cfg: &FleetConfig) -> &'static str {
-    match cfg.shard_strategy {
-        ShardStrategy::RoundRobin => "round-robin",
-        ShardStrategy::Tiles => "tiles",
-    }
-}
-
 /// The scale-study street at population `ues`: gapped cell-cluster
 /// blocks (5 cells, 100 m pitch per block, 400 m of open street between
-/// blocks) so that under [`ShardStrategy::Tiles`] + interest radius the
-/// blocks are *independent* — disjoint reachable-cell sets, one exact
-/// contention group per block — while round-robin sharding forces every
-/// shard to carry links to every cell. One shard per block. An odd
-/// per-block cell count puts both gap-facing edge cells on the same
-/// street side, so the nearest-cell equidistance line at each gap
-/// midpoint is vertical and initial serving assignment never crosses a
-/// tile boundary (a single cross-serving UE would union two exact
-/// contention groups).
+/// blocks) so that with an interest radius the blocks are *independent*
+/// — disjoint reachable-cell sets, one contention group per block. One
+/// shard per block. An odd per-block cell count puts both gap-facing
+/// edge cells on the same street side, so the nearest-cell equidistance
+/// line at each gap midpoint is vertical and initial serving assignment
+/// never crosses a tile boundary (a single cross-serving UE would union
+/// two contention groups).
 ///
 /// `interest_radius` of `None` keeps the full per-UE link set (the
 /// pre-interest behaviour); the scale CLI defaults to 150 m.
-pub fn scale_deployment(
-    ues: u64,
-    strategy: ShardStrategy,
-    interest_radius: Option<f64>,
-    exact: bool,
-    seed: u64,
-) -> FleetConfig {
+pub fn scale_deployment(ues: u64, interest_radius: Option<f64>, seed: u64) -> FleetConfig {
     let blocks = (ues / 5_000).clamp(2, 8) as usize;
     let per_block = 5usize;
     let block_span = (per_block - 1) as f64 * 100.0;
@@ -254,10 +220,7 @@ pub fn scale_deployment(
         )
         .duration_secs(1.0)
         .seed(seed)
-        .shards(blocks)
-        .shard_strategy(strategy)
-        .migration_interval_secs(0.2)
-        .exact_contention(exact);
+        .shards(blocks);
     let x0 = -((blocks - 1) as f64) * pitch / 2.0 - block_span / 2.0;
     for b in 0..blocks {
         for c in 0..per_block {
@@ -274,22 +237,14 @@ pub fn scale_deployment(
 /// Run one scale point and package it as an [`Arm`]. Stdout-facing
 /// callers print the outcome's deterministic `summary()`; the wall
 /// clock and profiler counters land in the perf artifact.
-pub fn run_scale_point(
-    ues: u64,
-    strategy: ShardStrategy,
-    interest_radius: Option<f64>,
-    exact: bool,
-    workers: usize,
-    seed: u64,
-) -> Arm {
-    let cfg = scale_deployment(ues, strategy, interest_radius, exact, seed);
+pub fn run_scale_point(ues: u64, interest_radius: Option<f64>, workers: usize, seed: u64) -> Arm {
+    let cfg = scale_deployment(ues, interest_radius, seed);
     let start = Instant::now();
     let outcome = run_fleet_with_workers(&cfg, workers);
     let wall_s = start.elapsed().as_secs_f64();
     Arm {
         ues,
         protocol: ProtocolKind::SilentTracker,
-        sharding: sharding_label(&cfg),
         outcome,
         wall_s,
         trace: None,
@@ -297,58 +252,27 @@ pub fn run_scale_point(
 }
 
 /// Serialize the sweep into the `BENCH_fleet.json` perf artifact: per-arm
-/// wall-clock and UE-seconds-per-wall-second plus the recorded
-/// pre-refactor baseline, so the perf trajectory of the hot path is
-/// tracked run over run.
+/// wall-clock, barrier overhead and UE-seconds-per-wall-second, so the
+/// perf trajectory of the hot path is tracked run over run.
 pub fn bench_json(r: &FleetLoad, mode: &str) -> String {
     use std::fmt::Write as _;
     let mut s = String::new();
     writeln!(s, "{{").unwrap();
     writeln!(s, "  \"bench\": \"fleet_load\",").unwrap();
     writeln!(s, "  \"mode\": \"{mode}\",").unwrap();
-    writeln!(s, "  \"baseline\": {{").unwrap();
-    writeln!(
-        s,
-        "    \"scenario\": \"fleet_load 1000 (1,000 UEs, 4 cells, 2 s simulated, both arms)\","
-    )
-    .unwrap();
-    writeln!(
-        s,
-        "    \"pre_refactor_wall_s\": {PRE_REFACTOR_1000UE_WALL_S},"
-    )
-    .unwrap();
-    writeln!(
-        s,
-        "    \"note\": \"measured before the zero-allocation pipeline + indexed queue refactor\""
-    )
-    .unwrap();
-    writeln!(s, "  }},").unwrap();
     let total_wall: f64 = r.arms.iter().map(|a| a.wall_s).sum();
     writeln!(s, "  \"total_wall_s\": {total_wall:.3},").unwrap();
     writeln!(s, "  \"arms\": [").unwrap();
     for (i, a) in r.arms.iter().enumerate() {
         let sep = if i + 1 == r.arms.len() { "" } else { "," };
-        let contention = if a.outcome.exact_contention {
-            "exact"
-        } else {
-            "sharded"
-        };
-        // Legacy (sharded) runs have no barrier stage: the field is
-        // absent-as-null, not a fake 0.000 measurement.
-        let barrier_wait_s = a
-            .outcome
-            .stage
-            .map_or("null".to_string(), |st| format!("{:.3}", st.barrier_wait_s));
         writeln!(
             s,
-            "    {{\"ues\": {}, \"arm\": \"{}\", \"sharding\": \"{}\", \
-             \"contention\": \"{contention}\", \
-             \"wall_s\": {:.3}, \"barrier_wait_s\": {barrier_wait_s}, \
+            "    {{\"ues\": {}, \"arm\": \"{}\", \"wall_s\": {:.3}, \"barrier_wait_s\": {:.3}, \
              \"ue_seconds_per_wall_second\": {:.0}, \"handovers\": {}, \"events\": {}}}{sep}",
             a.ues,
             arm_label(a.protocol),
-            a.sharding,
             a.wall_s,
+            a.outcome.stage.unwrap_or_default().barrier_wait_s,
             a.ue_seconds_per_wall_second(),
             a.outcome.totals.handovers,
             a.outcome.totals.events,
@@ -624,25 +548,13 @@ pub fn render(r: &FleetLoad) -> String {
     out
 }
 
-/// The deterministic smoke fleet for the CI byte-identical check.
-/// `exact` arms the shared cross-shard responder stage — the CI
-/// exact-contention smoke compares two worker counts of that mode too.
-pub fn smoke_config(exact: bool) -> FleetConfig {
-    smoke_config_recorded(exact, false)
-}
-
-/// [`smoke_config`] with trace recording optionally armed (recording
-/// does not perturb the protocol fold, so the summary stays identical).
-pub fn smoke_config_recorded(exact: bool, record: bool) -> FleetConfig {
-    smoke_config_obs(exact, record, None)
-}
-
-/// [`smoke_config_recorded`] with the snapshot timeline optionally
-/// armed. Snapshot events consume no RNG draws, so arming them leaves
-/// the aggregate summary byte-identical; the CI telemetry smoke relies
-/// on both properties (same summary, `cmp`-equal timelines across
-/// worker counts).
-pub fn smoke_config_obs(exact: bool, record: bool, snapshot_s: Option<f64>) -> FleetConfig {
+/// The deterministic smoke fleet for the CI byte-identical check, with
+/// trace recording and the snapshot timeline optionally armed. Neither
+/// perturbs the simulation (recording is an observer, snapshot events
+/// consume no RNG draws), so the summary stays byte-identical either
+/// way; the CI smokes rely on that, and on the summary and timeline
+/// being `cmp`-equal across worker counts.
+pub fn smoke_config(record: bool, snapshot_s: Option<f64>) -> FleetConfig {
     let mut d = Deployment::new()
         .street(200.0, 30.0)
         .cell_row(2, 80.0)
@@ -653,8 +565,7 @@ pub fn smoke_config_obs(exact: bool, record: bool, snapshot_s: Option<f64>) -> F
         .population(16, MobilityKind::Vehicular, ProtocolKind::Reactive)
         .duration_secs(1.0)
         .seed(7)
-        .shards(4)
-        .exact_contention(exact)
+        .shards(2)
         .record_traces(record);
     if let Some(s) = snapshot_s {
         d = d.snapshot_interval_secs(s);
@@ -662,27 +573,17 @@ pub fn smoke_config_obs(exact: bool, record: bool, snapshot_s: Option<f64>) -> F
     d.build().expect("valid smoke fleet")
 }
 
-pub fn smoke(workers: usize, exact: bool) -> String {
-    run_fleet_with_workers(&smoke_config(exact), workers).summary()
+pub fn smoke(workers: usize) -> String {
+    run_fleet_with_workers(&smoke_config(false, None), workers).summary()
 }
 
 /// Smoke run with timing, packaged as a one-arm [`FleetLoad`] so the CI
 /// perf-smoke step can emit a `BENCH_fleet.json` artifact from the same
-/// code path as the full sweep. The returned summary string is identical
-/// to [`smoke`]'s (the byte-compare contract).
-pub fn smoke_timed(workers: usize, exact: bool, record: bool) -> (String, FleetLoad) {
-    smoke_timed_obs(workers, exact, record, None)
-}
-
-/// [`smoke_timed`] with the snapshot timeline optionally armed — the
-/// entry point behind `fleet_load --smoke --snapshot-s <dt>`.
-pub fn smoke_timed_obs(
-    workers: usize,
-    exact: bool,
-    record: bool,
-    snapshot_s: Option<f64>,
-) -> (String, FleetLoad) {
-    let cfg = smoke_config_obs(exact, record, snapshot_s);
+/// code path as the full sweep — the entry point behind `fleet_load
+/// --smoke`. The returned summary string is identical to [`smoke`]'s
+/// (the byte-compare contract).
+pub fn smoke_timed(workers: usize, record: bool, snapshot_s: Option<f64>) -> (String, FleetLoad) {
+    let cfg = smoke_config(record, snapshot_s);
     let ues = cfg.n_ues();
     let start = Instant::now();
     let mut outcome = run_fleet_with_workers(&cfg, workers);
@@ -693,7 +594,6 @@ pub fn smoke_timed_obs(
         arms: vec![Arm {
             ues,
             protocol: ProtocolKind::SilentTracker,
-            sharding: sharding_label(&cfg),
             outcome,
             wall_s,
             trace,
@@ -709,35 +609,41 @@ mod tests {
 
     #[test]
     fn smoke_is_worker_invariant() {
-        assert_eq!(smoke(1, false), smoke(4, false));
+        assert_eq!(smoke(1), smoke(4));
     }
 
+    /// Both of the smoke's tiles hold UEs, and they meet at one shared
+    /// stage whose PRACH occasions merge several UEs' attempts into one
+    /// resolution — identically on one thread and on two.
     #[test]
-    fn exact_smoke_is_worker_invariant_and_sees_more_contention() {
-        let sharded = smoke(2, false);
-        let exact = smoke(2, true);
-        assert_eq!(exact, smoke(1, true));
-        // Exact global contention can only add collisions relative to
-        // the per-shard approximation on the same traffic.
-        let collisions = |s: &str| -> u64 {
-            s.lines()
-                .filter_map(|l| l.split("collisions=").nth(1))
-                .filter_map(|t| t.split_whitespace().next())
-                .filter_map(|v| v.parse::<u64>().ok())
-                .sum()
-        };
+    fn smoke_populates_both_tiles_and_merges_occasions() {
+        let cfg = smoke_config(false, None);
+        assert!(cfg.shard_partition().iter().all(|p| !p.is_empty()));
+        let one = run_fleet_with_workers(&cfg, 1);
+        let two = run_fleet_with_workers(&cfg, 2);
+        assert_eq!(one.summary(), two.summary());
+        let stage = one.stage.expect("stage report");
+        assert!(stage.counters.resolved_preambles > 0, "{}", one.summary());
+        let peak = one
+            .totals
+            .per_cell
+            .iter()
+            .map(|c| c.responder.peak_merged_attempts)
+            .max()
+            .unwrap_or(0);
         assert!(
-            collisions(&exact) >= collisions(&sharded),
-            "exact {exact}\nsharded {sharded}"
+            peak >= 2,
+            "no occasion merged two attempts:\n{}",
+            one.summary()
         );
     }
 
     #[test]
     fn smoke_timeline_json_is_worker_invariant() {
-        let (sa, a) = smoke_timed_obs(1, false, false, Some(0.25));
-        let (sb, b) = smoke_timed_obs(4, false, false, Some(0.25));
+        let (sa, a) = smoke_timed(1, false, Some(0.25));
+        let (sb, b) = smoke_timed(4, false, Some(0.25));
         // Arming snapshots never perturbs the aggregate summary…
-        assert_eq!(sa, smoke(1, false));
+        assert_eq!(sa, smoke(1));
         assert_eq!(sa, sb);
         // …and the timeline artifact itself is byte-identical across
         // worker counts (it carries no wall-clock values).
@@ -745,13 +651,27 @@ mod tests {
         assert_eq!(ta, timeline_json(&b).expect("timeline armed"));
         assert!(!ta.contains("wall"), "timeline must carry no wall times");
         // Without --snapshot-s there is nothing to write.
-        assert!(timeline_json(&run(&[24], 3, 2, false, false)).is_none());
+        assert!(timeline_json(&run(&[24], 3, 2, false, None)).is_none());
+    }
+
+    /// The timeline's backhaul backlog gauge reads the shared stage's
+    /// pipes: on the smoke, a 0.2 s boundary falls inside a queued
+    /// context fetch.
+    #[test]
+    fn smoke_timeline_reads_the_stage_backlog() {
+        let (_, load) = smoke_timed(2, false, Some(0.2));
+        let ring = load.arms[0].outcome.timeline().expect("timeline armed");
+        assert!(
+            ring.slices().iter().any(|s| s.backhaul_backlog_us > 0),
+            "{}",
+            timeline_json(&load).unwrap_or_default()
+        );
     }
 
     #[test]
     fn bench_json_profile_counters_are_worker_invariant() {
-        let (_, a) = smoke_timed(1, false, false);
-        let (_, b) = smoke_timed(4, false, false);
+        let (_, a) = smoke_timed(1, false, None);
+        let (_, b) = smoke_timed(4, false, None);
         let counters = |l: &FleetLoad| l.arms[0].outcome.profile().counters_json();
         assert_eq!(counters(&a), counters(&b));
         let doc = bench_json(&a, "smoke");
@@ -761,8 +681,8 @@ mod tests {
 
     #[test]
     fn causes_json_and_explain_top_are_worker_invariant() {
-        let (_, a) = smoke_timed(1, false, false);
-        let (_, b) = smoke_timed(4, false, false);
+        let (_, a) = smoke_timed(1, false, None);
+        let (_, b) = smoke_timed(4, false, None);
         let ca = causes_json(&a);
         assert_eq!(ca, causes_json(&b));
         assert!(
@@ -780,11 +700,39 @@ mod tests {
 
     #[test]
     fn small_sweep_renders_both_arms() {
-        let r = run(&[24], 3, 4, false, false);
+        let r = run(&[24], 3, 4, false, None);
         assert_eq!(r.arms.len(), 2);
         let s = render(&r);
         assert!(s.contains("silent") && s.contains("reactive"), "{s}");
         // The silent arm's make-before-break handovers complete.
         assert!(r.arms[0].outcome.totals.handovers > 0, "{s}");
+    }
+
+    /// The `--ues 10000` scale point has one aggregate across shard
+    /// counts (one tile per block, per two cells and per cell) and
+    /// worker counts. Sized for `--release`
+    /// (`cargo test --release -p st_bench --lib -- --ignored scale_point`).
+    #[test]
+    #[ignore = "release-scale: six 10,000-UE fleets; run with --release -- --ignored"]
+    fn scale_point_is_shard_and_worker_invariant() {
+        let mut reference: Option<String> = None;
+        for shards in [2, 5, 10] {
+            let mut cfg = scale_deployment(10_000, Some(150.0), 42);
+            cfg.n_shards = shards;
+            for workers in [1, 2] {
+                let out = run_fleet_with_workers(&cfg, workers);
+                let summary = out.summary();
+                match &reference {
+                    None => {
+                        assert!(out.totals.handovers > 0, "{summary}");
+                        reference = Some(summary);
+                    }
+                    Some(r) => assert_eq!(
+                        r, &summary,
+                        "scale point diverged at {shards} shards / {workers} workers"
+                    ),
+                }
+            }
+        }
     }
 }

@@ -70,25 +70,9 @@ impl MobilityKind {
     }
 }
 
-/// How the population is partitioned into shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardStrategy {
-    /// Round-robin by global UE id: every shard sees a representative
-    /// mix, but also every cell — per-UE cost is O(cells).
-    #[default]
-    RoundRobin,
-    /// Geographic cell-cluster tiles: cells are clustered into
-    /// `n_shards` contiguous groups along the street axis and each UE
-    /// lives on the shard owning the tile its spawn position falls in,
-    /// migrating between shards as its trajectory crosses tile
-    /// boundaries. Pairs with [`FleetConfig::interest_radius_m`] so a
-    /// shard only ray-traces the cells its UEs can actually hear.
-    Tiles,
-}
-
-/// The geometric tile partition derived from a [`FleetConfig`] under
-/// [`ShardStrategy::Tiles`]: which cells each tile owns and where the
-/// tile boundaries sit on the street axis.
+/// The geometric tile partition derived from a [`FleetConfig`]: which
+/// cells each tile owns and where the tile boundaries sit on the street
+/// axis. Each tile is one simulation shard.
 #[derive(Debug, Clone)]
 pub struct TilePartition {
     /// Cell indices owned by each tile, ascending by street-axis
@@ -132,29 +116,16 @@ pub struct FleetConfig {
     /// tracker parameters, faults, duration, master seed.
     pub base: ScenarioConfig,
     pub populations: Vec<PopulationSpec>,
-    /// Number of independent simulation shards the population is split
-    /// into (fixed by config — results never depend on worker count).
+    /// Number of spawn tiles the street is split into, one simulation
+    /// shard each: a UE lives its whole run on the shard whose tile it
+    /// spawned in. Results depend on neither shard nor worker count.
     pub n_shards: usize,
-    /// How UEs are assigned to shards (see [`ShardStrategy`]).
-    pub shard_strategy: ShardStrategy,
     /// Interest-management radius, metres: each UE's link set is
     /// restricted to cells within this radius of its current position
     /// (its serving cell and any active RACH target are always kept).
     /// `None` (default) keeps the full link set — byte-identical to the
     /// pre-interest behaviour.
     pub interest_radius_m: Option<f64>,
-    /// How often (simulated time) tile shards pause to migrate UEs whose
-    /// trajectories crossed a tile boundary. Only meaningful under
-    /// [`ShardStrategy::Tiles`]; under exact contention the interval is
-    /// rounded up to a whole number of occasion epochs.
-    pub migration_interval: SimDuration,
-    /// Route all RACH traffic through the shared cross-shard responder
-    /// stage: shards synchronize at PRACH-occasion barriers and each
-    /// cell's occasion resolves over the globally merged attempt set, so
-    /// contention is exact (byte-identical to a 1-shard run) instead of
-    /// per-shard approximate. Costs barrier synchronization; off by
-    /// default.
-    pub exact_contention: bool,
     /// DES event budget per shard.
     pub event_budget: u64,
     /// UEs spawn uniformly over x ∈ [spawn_x.0, spawn_x.1].
@@ -199,30 +170,15 @@ impl FleetConfig {
         specs
     }
 
-    /// The whole population partitioned into its shards in one pass
+    /// The whole population partitioned into its spawn tiles in one pass
     /// (index = shard). Every shard's slice is ascending by global id.
     pub fn shard_partition(&self) -> Vec<Vec<UeSpec>> {
         let mut shards: Vec<Vec<UeSpec>> = vec![Vec::new(); self.n_shards];
-        match self.shard_strategy {
-            ShardStrategy::RoundRobin => {
-                for u in self.ue_specs() {
-                    shards[(u.id as usize) % self.n_shards].push(u);
-                }
-            }
-            ShardStrategy::Tiles => {
-                let tiles = self.tiles();
-                for u in self.ue_specs() {
-                    shards[tiles.tile_of_x(self.spawn_x_of(u.id))].push(u);
-                }
-            }
+        let tiles = self.tiles();
+        for u in self.ue_specs() {
+            shards[tiles.tile_of_x(self.spawn_x_of(u.id))].push(u);
         }
         shards
-    }
-
-    /// The UEs of shard `s`. Prefer [`Self::shard_partition`] when every
-    /// shard is needed — this rebuilds the whole partition per call.
-    pub fn shard_specs(&self, s: usize) -> Vec<UeSpec> {
-        self.shard_partition().swap_remove(s)
     }
 
     /// The street-axis spawn abscissa of UE `id`, re-derived from the
@@ -236,11 +192,10 @@ impl FleetConfig {
         self.spawn_x.0 + rng.random::<f64>() * (self.spawn_x.1 - self.spawn_x.0)
     }
 
-    /// The geometric tile partition under [`ShardStrategy::Tiles`]:
-    /// cells sorted along the street axis are chunked into `n_shards`
-    /// contiguous near-equal clusters, and tile boundaries sit at the
-    /// midpoints between adjacent clusters' facing cells. Pure config —
-    /// identical on every worker.
+    /// The geometric tile partition: cells sorted along the street axis
+    /// are chunked into `n_shards` contiguous near-equal clusters, and
+    /// tile boundaries sit at the midpoints between adjacent clusters'
+    /// facing cells. Pure config — identical on every worker.
     pub fn tiles(&self) -> TilePartition {
         let n_cells = self.base.cells.len();
         let n = self.n_shards;
@@ -275,8 +230,8 @@ impl FleetConfig {
 
     /// The worst-case distance a UE can travel over the whole run, plus
     /// slack for gait sway — the margin by which a tile's reachable-cell
-    /// set is expanded so deferred migrations and boundary-hugging UEs
-    /// never hear a cell outside it.
+    /// set is expanded so a UE that walks or drives out of its spawn tile
+    /// never hears a cell outside it.
     pub fn travel_margin_m(&self) -> f64 {
         let vmax = self
             .populations
@@ -337,13 +292,8 @@ impl FleetConfig {
         if self.n_ues() > u64::from(u32::MAX) {
             return Err("population exceeds u32 UE-id space".into());
         }
-        if self.shard_strategy == ShardStrategy::Tiles {
-            if self.n_shards > self.base.cells.len() {
-                return Err("tile sharding needs at least one cell per shard".into());
-            }
-            if self.migration_interval.as_nanos() == 0 {
-                return Err("migration interval must be positive".into());
-            }
+        if self.n_shards > self.base.cells.len() {
+            return Err("tile sharding needs at least one cell per shard".into());
         }
         if self.interest_radius_m.is_some_and(|r| r <= 0.0) {
             return Err("interest radius must be positive".into());
@@ -370,9 +320,7 @@ pub struct Deployment {
     blockers: Option<BlockerPopulation>,
     street_dims: (f64, f64),
     n_shards: usize,
-    shard_strategy: ShardStrategy,
     interest_radius_m: Option<f64>,
-    migration_interval: SimDuration,
     exact_contention: bool,
     event_budget: u64,
     spawn_x: Option<(f64, f64)>,
@@ -400,10 +348,8 @@ impl Deployment {
             blockers: None,
             street_dims: (200.0, 30.0),
             n_shards: 1,
-            shard_strategy: ShardStrategy::RoundRobin,
             interest_radius_m: None,
-            migration_interval: SimDuration::from_millis(100),
-            exact_contention: false,
+            exact_contention: true,
             event_budget: 200_000_000,
             spawn_x: None,
             spawn_y: (-3.0, 3.0),
@@ -502,16 +448,10 @@ impl Deployment {
         self
     }
 
-    /// Select the shard-assignment strategy (see [`ShardStrategy`]).
-    pub fn shard_strategy(mut self, s: ShardStrategy) -> Deployment {
-        self.shard_strategy = s;
-        self
-    }
-
-    /// Shard by geographic cell-cluster tiles
-    /// ([`ShardStrategy::Tiles`]).
+    /// Shard by geographic cell-cluster tiles. Spawn tiles are the only
+    /// partition, so this is a no-op kept for existing callers.
     pub fn tile_sharding(self) -> Deployment {
-        self.shard_strategy(ShardStrategy::Tiles)
+        self
     }
 
     /// Restrict each UE's link set to cells within `m` metres (see
@@ -521,15 +461,9 @@ impl Deployment {
         self
     }
 
-    /// How often tile shards pause to migrate boundary-crossing UEs
-    /// (see [`FleetConfig::migration_interval`]).
-    pub fn migration_interval_secs(mut self, s: f64) -> Deployment {
-        self.migration_interval = SimDuration::from_secs_f64(s);
-        self
-    }
-
-    /// Arm the shared cross-shard RACH responder stage (exact global
-    /// contention; see [`FleetConfig::exact_contention`]).
+    /// Exact cross-shard RACH contention is the only execution model:
+    /// `true` is accepted for existing callers, and `false` makes
+    /// [`Self::build`] fail rather than silently run exact anyway.
     pub fn exact_contention(mut self, on: bool) -> Deployment {
         self.exact_contention = on;
         self
@@ -581,6 +515,9 @@ impl Deployment {
     }
 
     pub fn build(self) -> Result<FleetConfig, String> {
+        if !self.exact_contention {
+            return Err("per-shard (non-exact) contention is no longer supported".into());
+        }
         let spawn_x = self.spawn_x.unwrap_or((-80.0, 80.0));
         let mut base = self.base;
         if let Some(pop) = self.blockers {
@@ -598,10 +535,7 @@ impl Deployment {
             base,
             populations: self.populations,
             n_shards: self.n_shards,
-            shard_strategy: self.shard_strategy,
             interest_radius_m: self.interest_radius_m,
-            migration_interval: self.migration_interval,
-            exact_contention: self.exact_contention,
             event_budget: self.event_budget,
             spawn_x,
             spawn_y: self.spawn_y,
@@ -666,19 +600,6 @@ mod tests {
     }
 
     #[test]
-    fn shards_partition_round_robin() {
-        let cfg = small();
-        let a = cfg.shard_specs(0);
-        let b = cfg.shard_specs(1);
-        assert_eq!(a.len() + b.len(), 8);
-        assert!(a.iter().all(|u| u.id % 2 == 0));
-        assert!(b.iter().all(|u| u.id % 2 == 1));
-        // Both shards see both populations.
-        assert!(a.iter().any(|u| u.mobility == MobilityKind::Vehicular));
-        assert!(b.iter().any(|u| u.mobility == MobilityKind::Vehicular));
-    }
-
-    #[test]
     fn validation_rejects_nonsense() {
         assert!(Deployment::new().build().is_err(), "no population");
         assert!(Deployment::new()
@@ -690,6 +611,27 @@ mod tests {
             .shards(0)
             .build()
             .is_err());
+    }
+
+    #[test]
+    fn build_rejects_per_shard_contention() {
+        let one_ue =
+            || Deployment::new().population(1, MobilityKind::Walk, ProtocolKind::SilentTracker);
+        assert!(one_ue().exact_contention(true).build().is_ok());
+        assert!(one_ue().exact_contention(false).build().is_err());
+    }
+
+    #[test]
+    fn build_rejects_more_shards_than_cells() {
+        // The default world has two cells: one spawn tile each at most.
+        let shards = |n: usize| {
+            Deployment::new()
+                .population(4, MobilityKind::Walk, ProtocolKind::SilentTracker)
+                .shards(n)
+                .build()
+        };
+        assert!(shards(2).is_ok());
+        assert!(shards(3).is_err());
     }
 
     #[test]
@@ -740,8 +682,7 @@ mod tests {
 
     #[test]
     fn tile_shard_partition_assigns_by_spawn_abscissa() {
-        let mut cfg = small();
-        cfg.shard_strategy = ShardStrategy::Tiles;
+        let cfg = small();
         let tiles = cfg.tiles();
         let shards = cfg.shard_partition();
         assert_eq!(shards.iter().map(Vec::len).sum::<usize>(), 8);

@@ -7,9 +7,11 @@
 //! occasions, preamble pools and backhaul pipes are *shared*, so the value
 //! of that claim under many contending UEs is a fleet-scale property.
 //!
-//! One fleet run is **one discrete-event simulation per shard** with N UEs
-//! sharing M cells: real preamble collisions (two UEs, same preamble, same
-//! occasion → one RAR, Msg4 contention resolution, loser backs off),
+//! One fleet run is **one discrete-event simulation per spawn tile**
+//! (shard) with N UEs sharing M cells, the shards stepped in lockstep
+//! between PRACH occasions so one shared stage resolves every UE's RACH
+//! attempts exactly: real preamble collisions (two UEs, same preamble,
+//! same occasion → one RAR, Msg4 contention resolution, loser backs off),
 //! admission-control rejections, and soft-handover context fetches
 //! serializing through each cell's backhaul queue.
 //!
@@ -17,14 +19,13 @@
 //!   and heterogeneous UE populations (mixed mobility and protocol arms).
 //! * [`sim`] — the multi-UE shard engine (reuses `st_des::Executive`,
 //!   `st_net::radio`, `st_net::proto`).
-//! * [`runner`] — sharded parallel execution over `std::thread::scope`
-//!   with per-shard seed splitting; aggregates are bit-identical
-//!   regardless of worker count.
-//! * [`stage`] — the shared cross-shard RACH resolution stage
-//!   ([`FleetConfig::exact_contention`]): shards synchronize at PRACH
-//!   occasion barriers and each occasion resolves over the globally
-//!   merged attempt set in canonical order, making contention exact and
-//!   the aggregate byte-identical across *shard* counts too.
+//! * [`runner`] — barrier-synchronized parallel execution over
+//!   `std::thread::scope` on at most `workers` threads; aggregates are
+//!   bit-identical regardless of worker *and* shard count.
+//! * [`stage`] — the shared cross-shard RACH resolution stage: shards
+//!   synchronize at PRACH occasion barriers and each occasion resolves
+//!   over the globally merged attempt set in canonical order, which is
+//!   what makes contention exact.
 //! * [`metrics`] — per-cell RACH collision rate / occasion occupancy and
 //!   fleet-wide interruption CDFs, flowing through `st_metrics`.
 //! * [`telemetry`] — streaming constant-memory observability: shard rings
@@ -63,7 +64,7 @@ pub mod telemetry;
 
 pub use attribution::{breakdowns_from_traces, format_breakdown, format_worst, marks_from_traces};
 pub use deployment::{
-    Deployment, FleetConfig, MobilityKind, PopulationSpec, ShardStrategy, TilePartition, UeSpec,
+    Deployment, FleetConfig, MobilityKind, PopulationSpec, TilePartition, UeSpec,
 };
 pub use metrics::{CellLoad, FleetOutcome, InterruptionStats, ShardOutcome, StageReport};
 pub use runner::{run_fleet, run_fleet_exact_with_order, run_fleet_with_workers, StageOrder};
@@ -75,9 +76,9 @@ mod tests {
     use super::*;
     use st_net::ProtocolKind;
 
-    /// A deliberately contended deployment: one shard (so every UE shares
-    /// one PRACH), few preambles, many simultaneous walkers funnelled
-    /// through the same cell boundary.
+    /// A deliberately contended deployment: one shard, few preambles,
+    /// many simultaneous walkers funnelled through the same cell
+    /// boundary.
     fn contended(seed: u64) -> FleetConfig {
         Deployment::new()
             .street(200.0, 30.0)

@@ -47,20 +47,19 @@ impl CellLoad {
         self.occasions_used as f64 / self.occasions_total as f64
     }
 
+    /// Fold another shard's view of this cell in: the UE-side counters
+    /// add, and the offered occasion total — derived from the shared
+    /// config, so every shard reports the same value — is kept once. The
+    /// responder counters and the used-occasion count are fleet-wide,
+    /// set once after the merge.
     pub fn merge(&mut self, other: &CellLoad) {
-        let r = &mut self.responder;
-        let o = other.responder;
-        r.preambles_heard += o.preambles_heard;
-        r.collisions += o.collisions;
-        r.rar_sent += o.rar_sent;
-        r.contention_losses += o.contention_losses;
-        r.rejected += o.rejected;
-        r.context_fetches += o.context_fetches;
-        r.backhaul_queue_wait = r.backhaul_queue_wait + o.backhaul_queue_wait;
         self.preambles_tx += other.preambles_tx;
-        self.occasions_used += other.occasions_used;
-        self.occasions_total += other.occasions_total;
         self.handovers_in += other.handovers_in;
+        assert!(
+            self.occasions_total == 0 || self.occasions_total == other.occasions_total,
+            "shards disagree on the offered PRACH occasion total"
+        );
+        self.occasions_total = other.occasions_total;
     }
 }
 
@@ -68,13 +67,9 @@ impl CellLoad {
 #[derive(Debug, Clone, Default)]
 pub struct ShardOutcome {
     pub per_cell: Vec<CellLoad>,
-    /// This shard ran under the shared cross-shard responder stage (its
-    /// own responders stayed idle; the merge must not sum them and must
-    /// union occasion instants instead of summing per-shard counts).
-    pub exact: bool,
     /// Raw instants (ns) of PRACH occasions this shard's UEs transmitted
-    /// on, per cell — unioned across shards by the exact-mode merge so a
-    /// globally shared occasion is counted once.
+    /// on, per cell — unioned across shards by the merge so a globally
+    /// shared occasion is counted once.
     pub occasion_instants: Vec<BTreeSet<u64>>,
     /// Soft-handover (make-before-break) interruptions, ms, in UE order.
     /// Populated only under [`FleetConfig::exact_ecdfs`] — the streaming
@@ -128,8 +123,8 @@ pub struct ShardOutcome {
     pub ue_traces: Vec<UeTrace>,
 }
 
-/// Nondeterministic execution-side observations of an exact-contention
-/// run (wall-clock barrier overhead) plus the stage's deterministic
+/// Nondeterministic execution-side observations of a fleet run
+/// (wall-clock barrier overhead) plus the stage's deterministic
 /// counters. Kept out of [`FleetOutcome::summary`]: wall time is not a
 /// property of (config, seed).
 #[derive(Debug, Clone, Copy, Default)]
@@ -149,11 +144,8 @@ pub struct FleetOutcome {
     pub seed: u64,
     pub n_shards: usize,
     pub duration: SimDuration,
-    /// The run resolved RACH contention through the shared cross-shard
-    /// stage (responder stats below are the stage's, reported once per
-    /// cell).
-    pub exact_contention: bool,
-    /// Barrier/stage execution report (exact-contention runs only).
+    /// Barrier/stage execution report. Every fleet run sets it; only an
+    /// outcome assembled directly with [`FleetOutcome::merge`] has none.
     pub stage: Option<StageReport>,
     pub totals: ShardOutcome,
 }
@@ -162,6 +154,12 @@ impl FleetOutcome {
     /// Merge shard results *in shard order* — the only order-sensitive
     /// step is concatenating the interruption sample vectors, and shard
     /// order is a property of the config, not of thread scheduling.
+    ///
+    /// The shards model one set of *global* PRACH occasions: the merge
+    /// unions the used instants (a shared occasion is one occasion) and
+    /// keeps the config-derived offered total once instead of once per
+    /// shard. Responder counters come from the shared stage afterwards
+    /// ([`FleetOutcome::apply_shared_responders`]).
     pub fn merge(
         seed: u64,
         duration: SimDuration,
@@ -169,16 +167,10 @@ impl FleetOutcome {
     ) -> FleetOutcome {
         let mut totals = ShardOutcome::default();
         let mut n_shards: usize = 0;
-        let mut exact = false;
-        // Every shard derives the same offered-occasion totals from the
-        // shared config; the exact-mode fixup below relies on that, so
-        // capture the first shard's values to assert it.
-        let mut first_occasions_total: Vec<u64> = Vec::new();
         let mut timeline: Option<SnapshotRing> = None;
         let mut timeline_ok = true;
         for mut s in shards {
             n_shards += 1;
-            exact |= s.exact;
             totals.soft_sketch.merge(&s.soft_sketch);
             totals.hard_sketch.merge(&s.hard_sketch);
             totals.soft_causes.merge(&s.soft_causes);
@@ -200,26 +192,19 @@ impl FleetOutcome {
             }
             if totals.per_cell.is_empty() {
                 totals.per_cell = vec![CellLoad::default(); s.per_cell.len()];
-                first_occasions_total = s.per_cell.iter().map(|c| c.occasions_total).collect();
             }
             for (t, c) in totals.per_cell.iter_mut().zip(s.per_cell.iter()) {
                 t.merge(c);
             }
-            if s.exact {
-                // Under the shared stage the shards still model one set
-                // of *global* PRACH occasions: union the used instants
-                // (a shared occasion is one occasion) and keep the
-                // offered total once instead of once per shard.
-                if totals.occasion_instants.is_empty() {
-                    totals.occasion_instants = vec![BTreeSet::new(); s.occasion_instants.len()];
-                }
-                for (t, c) in totals
-                    .occasion_instants
-                    .iter_mut()
-                    .zip(s.occasion_instants.iter_mut())
-                {
-                    t.append(c);
-                }
+            if totals.occasion_instants.is_empty() {
+                totals.occasion_instants = vec![BTreeSet::new(); s.occasion_instants.len()];
+            }
+            for (t, c) in totals
+                .occasion_instants
+                .iter_mut()
+                .zip(s.occasion_instants.iter_mut())
+            {
+                t.append(c);
             }
             totals.soft_interruptions_ms.extend(s.soft_interruptions_ms);
             totals.hard_interruptions_ms.extend(s.hard_interruptions_ms);
@@ -233,45 +218,28 @@ impl FleetOutcome {
             totals.budget_exhausted_shards += s.budget_exhausted_shards;
             totals.ue_traces.append(&mut s.ue_traces);
         }
-        // Shards interleave UEs round-robin; restore global id order so
-        // the trace set is identical for every shard/worker split.
+        // Tiles own interleaved global ids; restore global id order so the
+        // trace set is identical for every shard/worker split.
         totals.ue_traces.sort_by_key(|u| u.id);
         totals.timeline = if timeline_ok { timeline } else { None };
-        if exact {
-            totals.exact = true;
-            for (cell, t) in totals.per_cell.iter_mut().enumerate() {
-                t.occasions_used = totals
-                    .occasion_instants
-                    .get(cell)
-                    .map_or(0, |s| s.len() as u64);
-                // The shards model one shared cell: each reported the
-                // same config-derived offered total, so the cell's total
-                // is that value once — not once per shard.
-                let per_shard = first_occasions_total.get(cell).copied().unwrap_or(0);
-                assert_eq!(
-                    t.occasions_total,
-                    per_shard * n_shards as u64,
-                    "cell {cell}: shards disagree on the offered PRACH occasion total"
-                );
-                t.occasions_total = per_shard;
-            }
+        for (t, used) in totals.per_cell.iter_mut().zip(&totals.occasion_instants) {
+            t.occasions_used = used.len() as u64;
         }
         FleetOutcome {
             seed,
             n_shards,
             duration,
-            exact_contention: exact,
             stage: None,
             totals,
         }
     }
 
     /// Install the shared stage's per-cell responder statistics —
-    /// reported **once** per cell. In exact-contention mode every
-    /// per-shard responder is idle (all RACH traffic resolves at the
-    /// stage), so the summed per-shard counters this replaces are zero;
-    /// summing the stage's counters per shard would double-, quadruple-,
-    /// N-count them (the regression `metrics::tests` pins).
+    /// reported **once** per cell. Shards carry no responders (all RACH
+    /// traffic resolves at the stage), so the summed per-shard counters
+    /// this replaces are zero; summing the stage's counters per shard
+    /// would double-, quadruple-, N-count them (the regression
+    /// `metrics::tests` pins).
     pub fn apply_shared_responders(&mut self, per_cell: Vec<ResponderStats>) {
         assert_eq!(
             per_cell.len(),
@@ -282,7 +250,7 @@ impl FleetOutcome {
             debug_assert_eq!(
                 cell.responder,
                 ResponderStats::default(),
-                "per-shard responders must stay idle under the shared stage"
+                "shards must not report responder counters of their own"
             );
             cell.responder = stats;
         }
@@ -310,11 +278,10 @@ impl FleetOutcome {
     }
 
     /// Deterministic one-blob textual aggregate: byte-identical for
-    /// identical (config, seed) regardless of worker count — the artifact
-    /// the CI fleet-smoke step compares across invocations. In
-    /// exact-contention mode it is additionally byte-identical across
-    /// *shard* counts, so it deliberately reports no shard-structure
-    /// artifacts (shard count, per-shard DES event sums — those live on
+    /// identical (config, seed) regardless of worker *and* shard count —
+    /// the artifact the CI fleet-smoke step compares across invocations.
+    /// It therefore reports no shard-structure artifacts (shard count,
+    /// per-shard DES event sums — those live on
     /// [`FleetOutcome::n_shards`] / [`ShardOutcome::events`]).
     pub fn summary(&self) -> String {
         use std::fmt::Write as _;
@@ -322,15 +289,10 @@ impl FleetOutcome {
         let t = &self.totals;
         writeln!(
             s,
-            "fleet seed={} ues={} duration_ms={:.3} contention={}",
+            "fleet seed={} ues={} duration_ms={:.3} contention=exact",
             self.seed,
             t.ues,
             self.duration.as_millis_f64(),
-            if self.exact_contention {
-                "exact"
-            } else {
-                "sharded"
-            },
         )
         .unwrap();
         for (i, c) in t.per_cell.iter().enumerate() {
@@ -709,16 +671,16 @@ mod tests {
     use super::*;
 
     fn shard(cells: usize, soft: &[f64]) -> ShardOutcome {
+        let mut occasions = vec![BTreeSet::new(); cells];
+        occasions[0] = (1..=5).collect();
         let mut s = ShardOutcome {
             per_cell: vec![CellLoad::default(); cells],
+            occasion_instants: occasions,
             soft_interruptions_ms: soft.to_vec(),
             ues: 2,
             handovers: soft.len() as u64,
             ..ShardOutcome::default()
         };
-        s.per_cell[0].responder.preambles_heard = 10;
-        s.per_cell[0].responder.collisions = 2;
-        s.per_cell[0].occasions_used = 5;
         s.per_cell[0].occasions_total = 50;
         s.per_cell[0].preambles_tx = 12;
         s
@@ -731,13 +693,21 @@ mod tests {
         let m = FleetOutcome::merge(1, SimDuration::from_secs(1), [a, b]);
         assert_eq!(m.totals.ues, 4);
         assert_eq!(m.totals.soft_interruptions_ms, vec![10.0, 20.0, 30.0]);
-        assert_eq!(m.totals.per_cell[0].responder.preambles_heard, 20);
-        assert_eq!(m.totals.per_cell[0].responder.collisions, 4);
+        // UE-side offered load adds; the shards' identical occasion
+        // instants count once.
+        assert_eq!(m.totals.per_cell[0].preambles_tx, 24);
+        assert_eq!(m.totals.per_cell[0].occasions_used, 5);
     }
 
     #[test]
     fn rates_handle_empty_and_loaded_cells() {
-        let m = FleetOutcome::merge(1, SimDuration::from_secs(1), [shard(2, &[15.0])]);
+        let mut m = FleetOutcome::merge(1, SimDuration::from_secs(1), [shard(2, &[15.0])]);
+        let heard = ResponderStats {
+            preambles_heard: 10,
+            collisions: 2,
+            ..ResponderStats::default()
+        };
+        m.apply_shared_responders(vec![heard, ResponderStats::default()]);
         let c0 = &m.totals.per_cell[0];
         assert!((c0.collision_rate() - 0.4).abs() < 1e-12);
         assert!((c0.occupancy() - 0.1).abs() < 1e-12);
@@ -756,23 +726,21 @@ mod tests {
         assert!(m1.render_cells().contains("Per-cell RACH load"));
     }
 
-    /// Satellite regression: with the shared stage, responder counters
-    /// are *global* — the merge must report them once per cell, not once
-    /// per shard, and occasion accounting must union instants instead of
-    /// summing per-shard distinct counts.
+    /// With the shared stage, responder counters are *global* — the merge
+    /// must report them once per cell, not once per shard, and occasion
+    /// accounting must union instants instead of summing per-shard
+    /// distinct counts.
     #[test]
     fn exact_merge_reports_shared_responders_once_per_cell() {
         let exact_shard = |instants: &[u64]| {
             let mut s = ShardOutcome {
                 per_cell: vec![CellLoad::default(); 2],
-                exact: true,
                 occasion_instants: vec![instants.iter().copied().collect(), BTreeSet::new()],
                 ues: 3,
                 ..ShardOutcome::default()
             };
             // UE-side offered load is still per-shard additive…
             s.per_cell[0].preambles_tx = 5;
-            s.per_cell[0].occasions_used = instants.len() as u64;
             s.per_cell[0].occasions_total = 50;
             s.per_cell[1].occasions_total = 50;
             s
@@ -782,7 +750,6 @@ mod tests {
         let a = exact_shard(&[10, 20, 30]);
         let b = exact_shard(&[20, 30, 40]);
         let mut m = FleetOutcome::merge(1, SimDuration::from_secs(1), [a, b]);
-        assert!(m.exact_contention);
         assert_eq!(m.totals.per_cell[0].occasions_used, 4);
         // …and the offered total is the one set of global occasions the
         // cell actually transmitted, not once per shard.

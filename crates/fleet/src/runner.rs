@@ -1,55 +1,46 @@
-//! Sharded parallel fleet execution.
+//! Fleet execution: exact RACH contention over static spawn tiles.
 //!
-//! The population is split into `FleetConfig::n_shards` independent
-//! simulations *by config* — round-robin on global UE id, or by
-//! geographic tile under [`ShardStrategy::Tiles`] — and worker threads
-//! are merely the labour that runs them. Each shard derives every RNG
-//! stream from the fleet master seed and global UE ids, and the shard
-//! results are merged in shard order — so the aggregate is bit-identical
-//! for a given (config, seed) no matter how many workers ran it, which is
-//! exactly what the CI fleet-smoke step asserts.
+//! The street is split into `FleetConfig::n_shards` spawn tiles *by
+//! config*: a shard owns a contiguous x-interval of the street and the
+//! cells clustered inside it, and every UE lives its whole run on the
+//! shard whose tile it spawned in. Worker threads are merely the labour
+//! that steps the shards. Each shard derives every RNG stream from the
+//! fleet master seed and global UE ids, and shard results merge in shard
+//! order.
 //!
-//! ## Tile sharding and migration
+//! ## Occasion barriers
 //!
-//! Under [`ShardStrategy::Tiles`] a shard owns a contiguous x-interval of
-//! the street and the cells clustered inside it. UEs whose trajectories
-//! cross a tile boundary **migrate**: at fixed migration boundaries
-//! (multiples of `FleetConfig::migration_interval`, rounded up to whole
-//! occasion epochs in exact mode) a single worker extracts every
-//! quiescent out-of-tile UE from every shard in canonical order (shards
-//! ascending, global ids ascending) and re-inserts it, RNG streams,
-//! fading processes and protocol state intact, into its destination
-//! shard. Because the boundaries are global constants of the config and
-//! the pass is single-threaded and canonically ordered, migration is
-//! invisible to the aggregate: byte-identical across worker counts.
+//! Shards advance one occasion epoch at a time (the epoch is the minimum
+//! BS response delay, so replies always land in the shards' future). At
+//! each barrier the attempts the shards published meet in a shared
+//! [`SharedRachStage`], which resolves the globally merged, canonically
+//! ordered attempt set and fans the replies back before the next epoch
+//! starts. Contention is therefore exact, and the aggregate is
+//! byte-identical across worker counts *and* shard counts — sharding is
+//! pure parallelism.
 //!
-//! ## Exact contention ([`FleetConfig::exact_contention`])
+//! ## Contention groups
 //!
-//! The legacy path above is embarrassingly parallel *and biased*: PRACH
-//! contention only resolves within a shard. With the flag set the runner
-//! switches to barrier-synchronized execution: every worker steps its
-//! shards one occasion epoch at a time (the epoch is the minimum BS
-//! response delay, so replies always land in the shards' future), the
-//! published attempts meet at a barrier, one resolution pass runs a
-//! shared [`SharedRachStage`] over the globally merged, canonically
-//! ordered attempt set, and the replies fan back before the next epoch
-//! starts. The aggregate is then byte-identical not only across worker
-//! counts but across **shard counts** — sharding stops being an
-//! approximation and becomes pure parallelism.
+//! With an interest radius the barrier narrows from global to
+//! *neighbor-set*: shards are grouped into the connected components of
+//! the "reachable cell sets intersect" relation (tile interval ± interest
+//! radius ± whole-run travel margin, plus the tile's own cluster and any
+//! out-of-set initial serving attachments). Two shards in different
+//! groups can never publish an attempt to the same cell, so each group
+//! gets its own [`SharedRachStage`] and its own barrier, and widely
+//! separated cell clusters never synchronize with each other. With one
+//! group the behaviour degenerates to the single global stage.
 //!
-//! ## Neighbor-set barriers (contention groups)
+//! ## Worker plan
 //!
-//! With tiles and an interest radius the occasion barrier narrows from
-//! global to *neighbor-set*: shards are grouped into the connected
-//! components of the "reachable cell sets intersect" relation (tile
-//! interval ± interest radius ± whole-run travel margin, plus the tile's
-//! own cluster and any out-of-set initial serving attachments). Two
-//! shards in different components can never publish an attempt to the
-//! same cell, so each component gets its own [`SharedRachStage`] and its
-//! own barrier — widely separated cell clusters stop synchronizing with
-//! each other at every epoch and only meet at the (much rarer) global
-//! migration boundaries. With one component the behaviour degenerates to
-//! the single global stage.
+//! `workers` caps the thread count: the runner spawns
+//! `min(workers, n_shards)` threads and deals the shards, sorted by
+//! (group, shard), into contiguous chunks. Every epoch each thread visits
+//! its groups in ascending order, stepping that group's shards and then
+//! meeting the group's other threads at the group's barrier. A group's
+//! barrier counts only the threads that hold its shards, and because
+//! every thread takes its groups in the same order, no wait cycle can
+//! form.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,17 +50,18 @@ use std::time::Instant;
 use st_des::SimTime;
 use st_mac::responder::ResponderStats;
 
-use crate::deployment::{FleetConfig, ShardStrategy, TilePartition};
-use crate::metrics::{FleetOutcome, ShardOutcome, StageReport};
-use crate::sim::{build_world, responder_config, run_shard_specs, ShardSim};
-use crate::stage::{RachAttemptMsg, RachReply, SharedRachStage, StageCounters, StageSliceDelta};
+use crate::deployment::FleetConfig;
+use crate::metrics::{FleetOutcome, StageReport};
+use crate::sim::{build_world, responder_config, ShardSim};
+use crate::stage::{SharedRachStage, StageCounters};
 use crate::telemetry::{SnapshotRing, SnapshotSlice};
 
-/// Deterministic-interleaving harness knob: the order a worker steps its
-/// shards and the order the resolution pass drains worker mailboxes.
-/// Canonical resolution ordering makes all of these byte-identical — the
-/// adversarial variants exist so tests can *prove* that, instead of
-/// letting real-thread nondeterminism hide in a lucky merge order.
+/// Deterministic-interleaving harness knob: the order a thread steps a
+/// group's shards and the order the resolution pass drains the group's
+/// outboxes. Canonical resolution ordering makes all of these
+/// byte-identical — the adversarial variants exist so tests can *prove*
+/// that, instead of letting real-thread nondeterminism hide in a lucky
+/// merge order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StageOrder {
     /// Natural order (production).
@@ -101,185 +93,16 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetOutcome {
     run_fleet_with_workers(cfg, workers)
 }
 
-/// Run every shard of the fleet on exactly `workers` threads. The result
+/// Run every shard of the fleet on at most `workers` threads. The result
 /// is identical to [`run_fleet`]'s for the same config and seed.
 pub fn run_fleet_with_workers(cfg: &FleetConfig, workers: usize) -> FleetOutcome {
-    cfg.validate().expect("invalid fleet config");
-    if cfg.exact_contention {
-        return run_fleet_exact_with_order(cfg, workers, StageOrder::Forward);
-    }
-    if cfg.shard_strategy == ShardStrategy::Tiles {
-        return run_fleet_tiles_stepped(cfg, workers);
-    }
-    let n_shards = cfg.n_shards;
-    let workers = workers.clamp(1, n_shards);
-    // The static world (cells, codebooks, environment) is built once and
-    // shared by every shard and every UE via `Arc` — workers reference it,
-    // they do not clone it.
-    let (sites, ue_codebook) = build_world(cfg);
-    // The whole population is partitioned once; each worker takes its
-    // shards' spec vectors out of the shared partition (O(N) total, not
-    // O(N·S)).
-    let mut parts = cfg.shard_partition();
-    let mut results: Vec<Option<ShardOutcome>> = (0..n_shards).map(|_| None).collect();
-    let chunk = n_shards.div_ceil(workers);
-    // Wall-time spans are execution-side observations: summed across
-    // workers, kept out of every determinism-checked artifact.
-    let shard_run_ns = AtomicU64::new(0);
-
-    std::thread::scope(|scope| {
-        for (w, (slots, specs)) in results
-            .chunks_mut(chunk)
-            .zip(parts.chunks_mut(chunk))
-            .enumerate()
-        {
-            let (sites, ue_codebook, shard_run_ns) = (&sites, &ue_codebook, &shard_run_ns);
-            scope.spawn(move || {
-                let t0 = Instant::now();
-                for (j, (slot, sp)) in slots.iter_mut().zip(specs.iter_mut()).enumerate() {
-                    *slot = Some(run_shard_specs(
-                        cfg,
-                        w * chunk + j,
-                        std::mem::take(sp),
-                        sites,
-                        ue_codebook,
-                    ));
-                }
-                shard_run_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            });
-        }
-    });
-
-    let t_merge = Instant::now();
-    let mut out = FleetOutcome::merge(
-        cfg.base.seed,
-        cfg.base.duration,
-        results.into_iter().map(|r| r.expect("shard missing")),
-    );
-    out.totals.profile.record_span_nanos(
-        "shard.run",
-        u128::from(shard_run_ns.load(Ordering::Relaxed)),
-        n_shards as u64,
-    );
-    out.totals
-        .profile
-        .record_span_nanos("fleet.merge", t_merge.elapsed().as_nanos(), 1);
-    out
+    run_fleet_exact_with_order(cfg, workers, StageOrder::Forward)
 }
 
-/// One migration pass over every shard, run by a single thread while all
-/// workers hold at a global barrier: extract in canonical order (shards
-/// ascending, global ids ascending within a shard), then admit — so the
-/// outcome is a pure function of the simulated state at `boundary`,
-/// independent of worker count or scheduling.
-fn migrate_all(
-    sims: &[Mutex<ShardSim>],
-    boundary: SimTime,
-    tiles: &TilePartition,
-    group_of: &[u32],
-    resolved_to: SimTime,
-) {
-    let mut moving = Vec::new();
-    for sim in sims {
-        moving.extend(
-            sim.lock()
-                .unwrap()
-                .extract_migrants(boundary, tiles, group_of, resolved_to),
-        );
-    }
-    for (dest, m) in moving {
-        sims[dest].lock().unwrap().admit(m);
-    }
-}
-
-/// Legacy-contention execution under [`ShardStrategy::Tiles`]: shards
-/// advance in lockstep between migration boundaries (contention stays
-/// tile-local — the same per-partition approximation round-robin
-/// sharding makes, now aligned with geography so it is *less* wrong),
-/// and a single worker migrates boundary-crossing UEs at each one.
-fn run_fleet_tiles_stepped(cfg: &FleetConfig, workers: usize) -> FleetOutcome {
-    let n_shards = cfg.n_shards;
-    let workers = workers.clamp(1, n_shards);
-    let (sites, ue_codebook) = build_world(cfg);
-    let sims: Vec<Mutex<ShardSim>> = cfg
-        .shard_partition()
-        .into_iter()
-        .enumerate()
-        .map(|(s, specs)| Mutex::new(ShardSim::new(cfg, s, specs, &sites, &ue_codebook)))
-        .collect();
-    let tiles = cfg.tiles();
-    // Legacy mode has no cross-shard stage, so there is nothing a
-    // cross-group migration could desynchronize: all shards form one
-    // migration domain.
-    let group_of = vec![0u32; n_shards];
-
-    let deadline = SimTime::ZERO + cfg.base.duration;
-    let mig = cfg.migration_interval;
-    let n_steps = cfg
-        .base
-        .duration
-        .as_nanos()
-        .div_ceil(mig.as_nanos().max(1))
-        .max(1);
-    let chunk = n_shards.div_ceil(workers);
-    let n_workers = n_shards.div_ceil(chunk);
-    let barrier = Barrier::new(n_workers);
-    let shard_run_ns = AtomicU64::new(0);
-    let barrier_wait_ns = AtomicU64::new(0);
-
-    std::thread::scope(|scope| {
-        for w in 0..n_workers {
-            let (sims, tiles, group_of, barrier) = (&sims, &tiles, &group_of, &barrier);
-            let (shard_run_ns, barrier_wait_ns) = (&shard_run_ns, &barrier_wait_ns);
-            let my_shards: Vec<usize> = (w * chunk..((w + 1) * chunk).min(n_shards)).collect();
-            scope.spawn(move || {
-                for k in 1..=n_steps {
-                    let boundary = (SimTime::ZERO + mig * k).min(deadline);
-                    let t_step = Instant::now();
-                    for &s in &my_shards {
-                        sims[s].lock().unwrap().run_until(boundary);
-                    }
-                    shard_run_ns.fetch_add(t_step.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    let entry = Instant::now();
-                    barrier.wait();
-                    if w == 0 && k != n_steps {
-                        migrate_all(sims, boundary, tiles, group_of, boundary);
-                    }
-                    barrier.wait();
-                    barrier_wait_ns.fetch_add(entry.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                }
-            });
-        }
-    });
-
-    let t_merge = Instant::now();
-    let mut out = FleetOutcome::merge(
-        cfg.base.seed,
-        cfg.base.duration,
-        sims.into_iter()
-            .map(|m| m.into_inner().unwrap())
-            .map(ShardSim::finish),
-    );
-    let p = &mut out.totals.profile;
-    p.record_span_nanos(
-        "shard.run",
-        u128::from(shard_run_ns.load(Ordering::Relaxed)),
-        n_shards as u64,
-    );
-    p.record_span_nanos(
-        "stage.barrier_wait",
-        u128::from(barrier_wait_ns.load(Ordering::Relaxed)),
-        n_steps * n_workers as u64,
-    );
-    p.record_span_nanos("fleet.merge", t_merge.elapsed().as_nanos(), 1);
-    out
-}
-
-/// The contention-group partition for exact-contention tile runs: shard
-/// "touch sets" (reachable cells ∪ initial serving cells) are closed
-/// under intersection into connected components. Returns
-/// `(group_of_shard, groups, touch_set_per_shard)`; groups and their
-/// member lists ascend.
+/// The contention-group partition: shard "touch sets" (reachable cells ∪
+/// initial serving cells) are closed under intersection into connected
+/// components. Returns `(group_of_shard, groups, touch_set_per_shard)`;
+/// groups and their member lists ascend.
 fn contention_groups(
     cfg: &FleetConfig,
     sims: &[Mutex<ShardSim>],
@@ -339,8 +162,20 @@ fn contention_groups(
     (group_of, groups, touch)
 }
 
-/// Barrier-synchronized exact-contention execution, with an explicit
-/// shard-visit/mailbox-drain order for the determinism stress tests.
+/// A poisoned shard or stage lock means another worker panicked
+/// mid-epoch; the scope re-raises that panic, so this one just stops.
+const POISONED: &str = "another fleet worker panicked";
+
+/// One thread's share of an epoch: a run of one group's shards.
+struct Segment {
+    group: usize,
+    shards: Vec<usize>,
+    /// The order this thread steps `shards` in.
+    step_order: Vec<usize>,
+}
+
+/// Barrier-synchronized fleet execution, with an explicit
+/// shard-visit/outbox-drain order for the determinism stress tests.
 /// Production entry points always pass [`StageOrder::Forward`]; any
 /// order must produce byte-identical aggregates.
 pub fn run_fleet_exact_with_order(
@@ -351,18 +186,6 @@ pub fn run_fleet_exact_with_order(
     cfg.validate().expect("invalid fleet config");
     let n_shards = cfg.n_shards;
     let n_cells = cfg.base.cells.len();
-    let workers = workers.clamp(1, n_shards);
-    let tiles_on = cfg.shard_strategy == ShardStrategy::Tiles;
-    // Round-robin shardings can exceed the cell count, where no tile
-    // partition exists (and none is needed — migration never runs).
-    let tiles = if tiles_on {
-        cfg.tiles()
-    } else {
-        TilePartition {
-            clusters: Vec::new(),
-            boundaries: Vec::new(),
-        }
-    };
 
     let (sites, ue_codebook) = build_world(cfg);
     let parts = cfg.shard_partition();
@@ -372,151 +195,106 @@ pub fn run_fleet_exact_with_order(
         .enumerate()
         .map(|(s, specs)| Mutex::new(ShardSim::new(cfg, s, specs, &sites, &ue_codebook)))
         .collect();
-
-    // Contention groups: round-robin shards all reach every cell, so the
-    // partition is only computed (and only narrows anything) for tiles.
-    let (group_of, groups, touch) = if tiles_on {
-        contention_groups(cfg, &sims)
-    } else {
-        (
-            vec![0u32; n_shards],
-            vec![(0..n_shards).collect()],
-            vec![(0..n_cells).collect(); n_shards],
-        )
-    };
+    let (group_of, groups, touch) = contention_groups(cfg, &sims);
     let n_groups = groups.len();
 
+    let rc = responder_config(&cfg.base);
+    // The barrier spacing the stage is safe under: no longer than the
+    // minimum BS response delay (see the `stage` module docs).
+    let epoch = rc.rar_delay.min(rc.msg4_delay);
+    let deadline = SimTime::ZERO + cfg.base.duration;
+    let n_epochs = cfg.base.duration.as_nanos().div_ceil(epoch.as_nanos());
     let stages: Vec<Mutex<SharedRachStage>> = groups
         .iter()
         .map(|g| {
             let inflight: usize = g.iter().map(|&s| part_lens[s]).sum();
-            let mut st = SharedRachStage::new(n_cells, responder_config(&cfg.base), inflight);
+            let mut st = SharedRachStage::new(n_cells, rc, inflight);
             if let Some(dt) = cfg.snapshot_interval {
-                // The per-shard responders are idle under the stage, so
-                // the timeline's responder-side fields come from the
-                // stages' own per-interval attribution.
-                st.arm_slices(dt);
+                // Shards carry no responders, so the timeline's
+                // responder-side fields come from the stages' own
+                // per-interval attribution.
+                st.arm_slices(dt, deadline);
             }
             Mutex::new(st)
         })
         .collect();
-    let rc = responder_config(&cfg.base);
-    let epoch = rc.rar_delay.min(rc.msg4_delay);
-    let deadline = SimTime::ZERO + cfg.base.duration;
-    let n_epochs = cfg.base.duration.as_nanos().div_ceil(epoch.as_nanos());
-    // Migration boundaries snap up to whole occasion epochs so every
-    // group reaches the global barrier at the same epoch index.
-    let mig_every = if tiles_on {
-        cfg.migration_interval
-            .as_nanos()
-            .div_ceil(epoch.as_nanos())
-            .max(1)
-    } else {
-        0
-    };
 
-    // Worker plan: each worker serves a contiguous run of one group's
-    // shards (a worker never straddles groups — its epoch loop waits on
-    // exactly one group barrier). Workers are apportioned to groups by
-    // population share, at least one each.
-    struct WorkerPlan {
-        group: usize,
-        slot: usize,
-        shards: Vec<usize>,
-    }
-    let mut plans: Vec<WorkerPlan> = Vec::new();
-    let mut group_workers: Vec<Vec<usize>> = vec![Vec::new(); n_groups];
-    for (gi, g) in groups.iter().enumerate() {
-        let share = (workers * g.len() / n_shards).clamp(1, g.len());
-        let chunk = g.len().div_ceil(share);
-        for (slot, sh) in g.chunks(chunk).enumerate() {
-            group_workers[gi].push(plans.len());
-            plans.push(WorkerPlan {
-                group: gi,
-                slot,
-                shards: sh.to_vec(),
+    // Worker plan (see the module docs): deal the (group, shard)-sorted
+    // shards into contiguous chunks, one per thread, and cut each chunk
+    // into per-group segments.
+    let n_threads = workers.clamp(1, n_shards);
+    let mut dealt: Vec<usize> = (0..n_shards).collect();
+    dealt.sort_by_key(|&s| (group_of[s], s));
+    let mut plans: Vec<Vec<Segment>> = Vec::with_capacity(n_threads);
+    let mut group_threads: Vec<Vec<usize>> = vec![Vec::new(); n_groups];
+    let mut rest = dealt.as_slice();
+    for t in 0..n_threads {
+        let (chunk, tail) =
+            rest.split_at(n_shards / n_threads + usize::from(t < n_shards % n_threads));
+        rest = tail;
+        let mut segments: Vec<Segment> = Vec::new();
+        for shards in chunk.chunk_by(|&a, &b| group_of[a] == group_of[b]) {
+            let group = group_of[shards[0]] as usize;
+            group_threads[group].push(t);
+            segments.push(Segment {
+                group,
+                step_order: order.permutation(shards.len()),
+                shards: shards.to_vec(),
             });
         }
+        plans.push(segments);
     }
-    let group_barriers: Vec<Barrier> = group_workers
+    let barriers: Vec<Barrier> = group_threads
         .iter()
-        .map(|w| Barrier::new(w.len()))
+        .map(|t| Barrier::new(t.len()))
         .collect();
-    let global_barrier = Barrier::new(plans.len());
-
-    // Sharded mailboxes: one per worker, written lock-free-in-practice
-    // (each worker locks only its own, once per epoch) and merged by its
-    // group's resolution pass between the barriers.
-    let mailboxes: Vec<Mutex<Vec<RachAttemptMsg>>> =
-        plans.iter().map(|_| Mutex::new(Vec::new())).collect();
-    let shard_replies: Vec<Mutex<Vec<RachReply>>> =
-        (0..n_shards).map(|_| Mutex::new(Vec::new())).collect();
+    let drain_orders: Vec<Vec<usize>> = groups.iter().map(|g| order.permutation(g.len())).collect();
     let barrier_wait_ns = AtomicU64::new(0);
     let shard_run_ns = AtomicU64::new(0);
 
     std::thread::scope(|scope| {
-        for (widx, plan) in plans.iter().enumerate() {
-            let (sims, stages, mailboxes, shard_replies) =
-                (&sims, &stages, &mailboxes, &shard_replies);
-            let (group_barriers, global_barrier, group_workers) =
-                (&group_barriers, &global_barrier, &group_workers);
-            let (tiles, group_of) = (&tiles, &group_of);
+        for (t, plan) in plans.iter().enumerate() {
+            let (sims, stages, groups, barriers) = (&sims, &stages, &groups, &barriers);
+            let (group_threads, drain_orders) = (&group_threads, &drain_orders);
             let (barrier_wait_ns, shard_run_ns) = (&barrier_wait_ns, &shard_run_ns);
-            let step_order = order.permutation(plan.shards.len());
-            let drain_order = order.permutation(group_workers[plan.group].len());
             scope.spawn(move || {
-                let my_barrier = &group_barriers[plan.group];
-                let mut local: Vec<RachAttemptMsg> = Vec::new();
                 for k in 1..=n_epochs {
                     let horizon = (SimTime::ZERO + epoch * k).min(deadline);
-                    let t_step = Instant::now();
-                    for &j in &step_order {
-                        let mut sim = sims[plan.shards[j]].lock().unwrap();
-                        sim.run_until(horizon);
-                        sim.take_outbox(&mut local);
-                    }
-                    shard_run_ns.fetch_add(t_step.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    if !local.is_empty() {
-                        mailboxes[widx].lock().unwrap().append(&mut local);
-                    }
-                    // Time the two waits separately so the resolver's
-                    // own merge work never counts as "barrier waiting" —
-                    // the overhead figure must separate idling from work.
-                    let entry = Instant::now();
-                    my_barrier.wait();
-                    let mut wait_ns = entry.elapsed().as_nanos() as u64;
-                    if plan.slot == 0 {
-                        let mut stage = stages[plan.group].lock().unwrap();
-                        for &m in &drain_order {
-                            let mb = group_workers[plan.group][m];
-                            stage.ingest(&mut mailboxes[mb].lock().unwrap());
+                    let mut wait_ns = 0u64;
+                    for seg in plan {
+                        let t_step = Instant::now();
+                        for &j in &seg.step_order {
+                            sims[seg.shards[j]]
+                                .lock()
+                                .expect(POISONED)
+                                .run_until(horizon);
                         }
-                        stage.resolve_up_to(horizon, |shard, reply| {
-                            shard_replies[shard as usize].lock().unwrap().push(reply);
-                        });
-                    }
-                    let fanback = Instant::now();
-                    my_barrier.wait();
-                    wait_ns += fanback.elapsed().as_nanos() as u64;
-                    for &s in &plan.shards {
-                        let mut sim = sims[s].lock().unwrap();
-                        let mut replies = shard_replies[s].lock().unwrap();
-                        for r in replies.drain(..) {
-                            sim.deliver(&r);
-                        }
-                    }
-                    // Migration boundary: the only instant different
-                    // groups synchronize. Every stage has resolved up to
-                    // `horizon`, every reply is delivered, so the
-                    // quiescence guard sees the truth.
-                    if mig_every != 0 && k % mig_every == 0 && k != n_epochs {
+                        shard_run_ns
+                            .fetch_add(t_step.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                        // Time the two waits separately so the resolver's
+                        // own merge work never counts as "barrier waiting"
+                        // — the overhead figure must separate idling from
+                        // work.
+                        let barrier = &barriers[seg.group];
                         let entry = Instant::now();
-                        global_barrier.wait();
-                        if widx == 0 {
-                            migrate_all(sims, horizon, tiles, group_of, horizon);
-                        }
-                        global_barrier.wait();
+                        barrier.wait();
                         wait_ns += entry.elapsed().as_nanos() as u64;
+                        if group_threads[seg.group][0] == t {
+                            // Between the waits no thread touches this
+                            // group's shards, so the resolver drains and
+                            // answers them directly.
+                            let members = &groups[seg.group];
+                            let mut stage = stages[seg.group].lock().expect(POISONED);
+                            for &m in &drain_orders[seg.group] {
+                                stage.ingest(sims[members[m]].lock().expect(POISONED).outbox());
+                            }
+                            stage.resolve_up_to(horizon, |shard, reply| {
+                                sims[shard as usize].lock().expect(POISONED).deliver(&reply);
+                            });
+                        }
+                        let fanback = Instant::now();
+                        barrier.wait();
+                        wait_ns += fanback.elapsed().as_nanos() as u64;
                     }
                     barrier_wait_ns.fetch_add(wait_ns, Ordering::Relaxed);
                 }
@@ -540,21 +318,14 @@ pub fn run_fleet_exact_with_order(
     // disjoint touch sets, so at most one stage's responder for a given
     // cell ever heard anything. `touch` drives an explicit ownership map
     // rather than sniffing for non-default stats.
-    let mut cell_group: Vec<Option<usize>> = vec![None; n_cells];
+    let per_stage: Vec<Vec<ResponderStats>> = stages.iter().map(|s| s.responder_stats()).collect();
+    let mut per_cell = vec![ResponderStats::default(); n_cells];
     for (s, cells) in touch.iter().enumerate() {
         for &c in cells {
-            cell_group[c] = Some(group_of[s] as usize);
+            per_cell[c] = per_stage[group_of[s] as usize][c];
         }
     }
-    let per_stage: Vec<Vec<ResponderStats>> = stages.iter().map(|s| s.responder_stats()).collect();
-    out.apply_shared_responders(
-        (0..n_cells)
-            .map(|c| match cell_group[c] {
-                Some(g) => per_stage[g][c],
-                None => ResponderStats::default(),
-            })
-            .collect(),
-    );
+    out.apply_shared_responders(per_cell);
     merge_stage_timeline(&mut out, &stages);
     let mut counters = StageCounters::default();
     for st in &stages {
@@ -581,55 +352,36 @@ pub fn run_fleet_exact_with_order(
         u128::from(shard_run_ns.load(Ordering::Relaxed)),
         n_shards as u64,
     );
+    // One call per thread per epoch, however many groups the thread
+    // visits: the call count divided by the epochs is the thread count.
     p.record_span_nanos(
         "stage.barrier_wait",
         u128::from(barrier_wait_ns.load(Ordering::Relaxed)),
-        n_epochs * plans.len() as u64,
+        n_epochs * n_threads as u64,
     );
     p.record_span_nanos("fleet.merge", t_merge.elapsed().as_nanos(), 1);
     out
 }
 
-/// Fold the stages' per-interval responder deltas into the merged shard
-/// timeline as a pseudo-shard: a ring with the same shape (same base
-/// interval, capacity and push count compacts identically), whose slices
-/// carry only the responder-side fields the idle per-shard responders
-/// left at zero. Group stages attribute disjoint cells, so their deltas
-/// sum without double counting.
+/// Fold the stages' per-interval slices into the merged shard timeline
+/// as a pseudo-shard: a ring with the same shape (same base interval,
+/// capacity and push count compacts identically), whose slices carry
+/// only the responder-side fields the shards leave at zero. Group stages
+/// attribute disjoint cells, so their counters and gauges sum without
+/// double counting.
 fn merge_stage_timeline(out: &mut FleetOutcome, stages: &[SharedRachStage]) {
     let Some(mut ring) = out.totals.timeline.take() else {
         return;
     };
-    let mut deltas: BTreeMap<u64, StageSliceDelta> = BTreeMap::new();
-    for st in stages {
-        for (&k, d) in st.slice_deltas() {
-            let e = deltas.entry(k).or_default();
-            e.preambles_heard += d.preambles_heard;
-            e.collisions += d.collisions;
-            e.contention_losses += d.contention_losses;
-            e.backhaul_wait_us += d.backhaul_wait_us;
-        }
-    }
-    fn fold(sl: &mut SnapshotSlice, d: &StageSliceDelta) {
-        sl.preambles_heard += d.preambles_heard;
-        sl.collisions += d.collisions;
-        sl.contention_losses += d.contention_losses;
-        sl.backhaul_wait_us += d.backhaul_wait_us;
-    }
-    let pushed = ring.pushed();
     let mut sr = SnapshotRing::new(ring.base_interval(), ring.cap());
-    for k in 0..pushed {
+    for k in 0..ring.pushed() as usize {
         let mut sl = SnapshotSlice::new();
-        if let Some(d) = deltas.get(&k) {
-            fold(&mut sl, d);
-        }
-        if k + 1 == pushed {
-            // Attempts arrive one air delay after the sending event, so
-            // the last few can land past the final boundary; fold any
-            // overflow indices into the final slice.
-            for d in deltas.range(pushed..).map(|(_, d)| d) {
-                fold(&mut sl, d);
-            }
+        for d in stages.iter().filter_map(|st| st.slices().get(k)) {
+            sl.preambles_heard += d.preambles_heard;
+            sl.collisions += d.collisions;
+            sl.contention_losses += d.contention_losses;
+            sl.backhaul_wait_us += d.backhaul_wait_us;
+            sl.backhaul_backlog_us += d.backhaul_backlog_us;
         }
         sr.push(sl);
     }
@@ -646,7 +398,8 @@ fn merge_stage_timeline(out: &mut FleetOutcome, stages: &[SharedRachStage]) {
 mod tests {
     use super::*;
     use crate::deployment::{Deployment, MobilityKind};
-    use st_des::SimDuration;
+    use crate::sim::build_mobility;
+    use st_des::RngStreams;
     use st_net::ProtocolKind;
 
     fn tiny(seed: u64, shards: usize) -> FleetConfig {
@@ -683,29 +436,30 @@ mod tests {
         assert_ne!(a.summary(), c.summary());
     }
 
-    /// A deliberately contended exact-mode deployment: few preambles,
-    /// a tight spawn funnel, enough UEs that occasions merge attempts
-    /// from several shards.
+    /// A deliberately contended deployment: few preambles, a tight
+    /// spawn funnel across the street's centre line, enough UEs that
+    /// occasions merge attempts from several shards. Eight cells at
+    /// 25 m pitch give every shard count up to 8 a tile, and the funnel
+    /// straddles the centre tile boundary at 2, 4 and 8 shards alike.
     fn contended_exact(seed: u64, shards: usize) -> FleetConfig {
         Deployment::new()
             .street(200.0, 30.0)
-            .cell_row(2, 80.0)
+            .cell_row(8, 25.0)
             .tx_beams(8)
             .prach_preambles(2)
-            .spawn_region((-12.0, 0.0), (-3.0, 3.0))
+            .spawn_region((-6.0, 6.0), (-3.0, 3.0))
             .population(18, MobilityKind::Walk, ProtocolKind::SilentTracker)
             .population(6, MobilityKind::Vehicular, ProtocolKind::Reactive)
             .duration_secs(0.8)
             .seed(seed)
             .shards(shards)
-            .exact_contention(true)
             .build()
             .unwrap()
     }
 
-    /// The tentpole contract: with the shared stage armed the aggregate
-    /// is byte-identical across *shard* counts, not just worker counts —
-    /// sharding is pure parallelism, no longer an approximation.
+    /// The tentpole contract: the aggregate is byte-identical across
+    /// *shard* counts, not just worker counts — sharding is pure
+    /// parallelism, not an approximation.
     #[test]
     fn exact_contention_is_shard_and_worker_invariant() {
         let exact1 = run_fleet_with_workers(&contended_exact(11, 1), 1);
@@ -715,14 +469,20 @@ mod tests {
         assert_eq!(exact1.summary(), exact4_w2.summary());
         assert_eq!(exact1.summary(), exact4_w4.summary());
         assert_eq!(exact1.summary(), exact8_w3.summary());
-        // The run exercised the shared stage for real.
+        // The run exercised the shared stage for real, with UEs of
+        // several shards contending.
         assert!(exact1.totals.handovers > 0, "{}", exact1.summary());
         let stage = exact4_w2.stage.expect("stage report");
         assert!(stage.counters.resolved_preambles > 0);
-        assert!(exact4_w2.exact_contention);
+        let populated = contended_exact(11, 4)
+            .shard_partition()
+            .iter()
+            .filter(|p| !p.is_empty())
+            .count();
+        assert!(populated >= 2, "the funnel must straddle a tile boundary");
     }
 
-    /// Adversarial shard-step and mailbox-drain orders must vanish under
+    /// Adversarial shard-step and outbox-drain orders must vanish under
     /// the canonical resolution sort.
     #[test]
     fn exact_contention_ignores_adversarial_interleaving() {
@@ -742,43 +502,107 @@ mod tests {
         assert_ne!(a.summary(), b.summary());
     }
 
-    /// Tile-sharded exact runs with an interest radius wide enough to
-    /// cover every site must reproduce the round-robin exact baseline
-    /// byte-for-byte: every link process activates eagerly at t=0, the
-    /// contention groups collapse to one, and migration merely relabels
-    /// which shard runs a UE — none of which the aggregate may see.
+    /// UEs never migrate: one that walks or drives out of its spawn tile
+    /// stays on its spawn shard, whose reachable-cell set covers its
+    /// whole run. Vehicles spawned within a few metres of the tile
+    /// boundary cross it mid-run, and the 2-tile run must still match
+    /// the 1-tile run byte for byte.
     #[test]
-    fn tile_sharding_with_covering_radius_matches_round_robin() {
-        let rr = run_fleet_with_workers(&contended_exact(11, 2), 2);
-        let tiled = |shards: usize, workers: usize| {
-            let mut cfg = contended_exact(11, shards);
-            cfg.shard_strategy = ShardStrategy::Tiles;
-            cfg.migration_interval = SimDuration::from_millis(50);
-            run_fleet_with_workers(&cfg, workers)
+    fn boundary_crossing_ues_match_the_single_shard_run() {
+        let straddling = |shards: usize| {
+            Deployment::new()
+                .street(200.0, 30.0)
+                .cell_row(2, 80.0)
+                .tx_beams(8)
+                .prach_preambles(2)
+                .spawn_region((-4.0, 4.0), (-3.0, 3.0))
+                .population(12, MobilityKind::Walk, ProtocolKind::SilentTracker)
+                .population(12, MobilityKind::Vehicular, ProtocolKind::SilentTracker)
+                .population(6, MobilityKind::Vehicular, ProtocolKind::Reactive)
+                .interest_radius(60.0)
+                .duration_secs(0.8)
+                .seed(11)
+                .shards(shards)
+                .build()
+                .unwrap()
         };
-        let t2 = tiled(2, 2);
-        let t2w1 = tiled(2, 1);
-        assert_eq!(rr.summary(), t2.summary());
-        assert_eq!(rr.summary(), t2w1.summary());
+        let two = straddling(2);
+        // The tile boundary sits at x = 0 between the cells at ±40 m:
+        // both tiles are populated and some UEs cross from one to the
+        // other during the run.
+        assert_eq!(two.tiles().boundaries, vec![0.0]);
+        assert!(two.shard_partition().iter().all(|p| !p.is_empty()));
+        let streams = RngStreams::new(two.base.seed);
+        let crossers = two
+            .ue_specs()
+            .iter()
+            .filter(|u| {
+                let mut rng = streams.stream_indexed("fleet-spawn", u.id);
+                let (mobility, spawn) = build_mobility(u, &mut rng, &two);
+                let end = mobility.pose_at(two.base.duration.as_secs_f64()).position;
+                (spawn.x <= 0.0) != (end.x <= 0.0)
+            })
+            .count();
+        assert!(crossers > 0, "no UE crossed the tile boundary");
+
+        let one = run_fleet_with_workers(&straddling(1), 1);
+        assert!(one.totals.handovers > 0, "{}", one.summary());
+        for workers in [1, 2] {
+            let out = run_fleet_with_workers(&two, workers);
+            assert_eq!(one.summary(), out.summary());
+            assert_eq!(one.causes_json(), out.causes_json());
+        }
     }
 
-    /// A UE migrating between tiles keeps its protocol state and RNG
-    /// streams bit-exact: the 2-tile run must agree with the 1-tile run
-    /// (where no migration is possible), *and* migrations must actually
-    /// have happened for the comparison to mean anything.
+    /// `workers` caps the thread count even when there are more
+    /// contention groups than workers: the barrier span records one call
+    /// per thread per epoch, so one worker shows exactly `epochs` calls —
+    /// and the aggregate still matches two workers and one shard.
     #[test]
-    fn migration_preserves_protocol_state_and_rng_streams() {
-        let tiled = |shards: usize| {
-            let mut cfg = contended_exact(11, shards);
-            cfg.shard_strategy = ShardStrategy::Tiles;
-            cfg.migration_interval = SimDuration::from_millis(20);
-            run_fleet_with_workers(&cfg, 2)
+    fn one_worker_steps_every_contention_group_on_one_thread() {
+        // Two 2-cell blocks 140 m apart: with a 40 m interest radius the
+        // blocks' reachable-cell sets are disjoint, so two shards form two
+        // contention groups. The gap-facing cells share a street side, so
+        // no UE is first served across the tile boundary at x = 0.
+        let gapped = |shards: usize| {
+            Deployment::new()
+                .street(400.0, 30.0)
+                .cell_at(-130.0, -10.0)
+                .cell_at(-70.0, 10.0)
+                .cell_at(70.0, 10.0)
+                .cell_at(130.0, -10.0)
+                .tx_beams(8)
+                .prach_preambles(2)
+                .spawn_region((-150.0, 150.0), (-3.0, 3.0))
+                .population(32, MobilityKind::Walk, ProtocolKind::SilentTracker)
+                .population(16, MobilityKind::Vehicular, ProtocolKind::SilentTracker)
+                .interest_radius(40.0)
+                .duration_secs(1.0)
+                .seed(5)
+                .shards(shards)
+                .build()
+                .unwrap()
         };
-        let one = tiled(1);
-        let two = tiled(2);
-        assert_eq!(one.summary(), two.summary());
-        assert!(two.totals.handovers > 0, "{}", two.summary());
-        let migrations = two.totals.profile.counters.get("fleet.migrations_in");
-        assert!(migrations > 0, "no migrations\n{}", two.summary());
+        let cfg = gapped(2);
+        let w1 = run_fleet_with_workers(&cfg, 1);
+        assert_eq!(w1.profile().counters.get("stage.groups"), 2);
+        let epochs = w1.stage.expect("stage report").epochs;
+        let calls = w1
+            .profile()
+            .span("stage.barrier_wait")
+            .expect("barrier span")
+            .calls;
+        assert_eq!(calls, epochs, "one worker must mean one thread");
+        let w2 = run_fleet_with_workers(&cfg, 2);
+        let w2_calls = w2
+            .profile()
+            .span("stage.barrier_wait")
+            .expect("barrier span")
+            .calls;
+        assert_eq!(w2_calls, 2 * epochs);
+        let one_shard = run_fleet_with_workers(&gapped(1), 1);
+        assert_eq!(w1.summary(), w2.summary());
+        assert_eq!(w1.summary(), one_shard.summary());
+        assert!(w1.totals.handovers > 0, "{}", w1.summary());
     }
 }

@@ -9,10 +9,13 @@
 //! * all UEs share each cell's PRACH occasions — two UEs picking the same
 //!   preamble on the same occasion collide, both accept the one RAR, and
 //!   Msg4 contention resolution picks a winner while the loser backs off
-//!   and retries (driven by the extended [`RachResponder`]);
+//!   and retries. A shard does not answer its own RACH traffic: it
+//!   publishes every Msg1/Msg3 to the fleet's shared responder stage
+//!   ([`crate::stage`]), which resolves all shards' attempts together, so
+//!   UEs on different shards contend exactly as if they shared one;
 //! * soft-handover context fetches serialize through each cell's FIFO
-//!   backhaul pipe, so Msg4 latency — and therefore interruption — grows
-//!   with handover load;
+//!   backhaul pipe (at the stage), so Msg4 latency — and therefore
+//!   interruption — grows with handover load;
 //! * unlike a single trial, the run never halts at the first handover:
 //!   after completion the protocol is re-anchored on the new serving cell
 //!   and keeps going, so one UE can hand over repeatedly.
@@ -33,7 +36,7 @@ use silent_tracker::HandoverReason;
 use st_des::{Control, Executive, RngStreams, SimDuration, SimTime, StopReason};
 use st_mac::pdu::{CellId, Pdu, UeId};
 use st_mac::rach::{RachProcedure, RachState};
-use st_mac::responder::{RachResponder, ResponderConfig};
+use st_mac::responder::ResponderConfig;
 use st_mac::timing::TxBeamIndex;
 use st_mobility::{BoxedModel, Composite, DeviceRotation, HumanWalk, TurnAt, Vehicular};
 use st_net::config::ProtocolKind;
@@ -63,10 +66,8 @@ const CONTEXT_TOKEN_BASE: u64 = 0x511E_27AC_0000_0000;
 /// Simulation events. Periodic drivers (`Burst`, `DwellEnd`,
 /// `ServingMeas`, `Tick`) are shared — one event iterates every UE in
 /// global-id order, which keeps the pending set small and the dispatch
-/// order deterministic. Targeted events carry the *global* UE id
-/// (resolved by binary search over the shard's id-sorted UE vector), so
-/// they survive UEs migrating in and out of the shard between tile
-/// boundaries — no index is ever invalidated.
+/// order deterministic. Targeted events carry the UE's index in the
+/// shard's UE vector, which is fixed for the whole run.
 #[derive(Debug, Clone)]
 enum Ev {
     Burst {
@@ -142,14 +143,6 @@ struct Ue {
     handover_reason: Option<HandoverReason>,
     trigger_at: Option<SimTime>,
     rlf_at: Option<SimTime>,
-    /// Targeted events (`UeRx`/`BsRx`/`AssistApply`/`RachTry`) currently
-    /// in this shard's queue for this UE. A UE may only migrate between
-    /// tiles when this is zero — nothing in flight references it.
-    pending_events: u32,
-    /// When this UE last published an attempt to the exact-contention
-    /// stage; migration additionally waits until the stage has resolved
-    /// past `last_publish + AIR_DELAY` so no reply can still be holding.
-    last_publish: SimTime,
     // Banked accounting (survives protocol re-anchoring).
     handovers: u64,
     rlfs: u64,
@@ -197,8 +190,7 @@ struct FleetWorld {
     /// UEs ascending by global id, with their hot per-instant state
     /// split struct-of-arrays alongside: `poses[i]` memoizes UE `i`'s
     /// pose per instant (mobility models are trigonometry-heavy) and
-    /// `links[i]` is its link scratch. The three vectors move in
-    /// lockstep on migration.
+    /// `links[i]` is its link scratch.
     ues: Vec<Ue>,
     poses: Vec<(SimTime, Pose)>,
     links: Vec<LinkSet>,
@@ -207,21 +199,14 @@ struct FleetWorld {
     cells_by_x: Vec<(f64, u16)>,
     /// Reusable scratch for one UE's freshly computed interest set.
     interest_scratch: Vec<u16>,
-    /// UEs admitted from / handed to other tiles at migration barriers.
-    migrations_in: u64,
-    migrations_out: u64,
-    responders: Vec<RachResponder>,
     /// Distinct PRACH occasions (by instant) with ≥ 1 transmission, per cell.
     occasions_used: Vec<BTreeSet<u64>>,
     preambles_tx: Vec<u64>,
     handovers_in: Vec<u64>,
     burst_period: SimDuration,
-    /// Exact-contention mode: BS-bound RACH PDUs are published to the
-    /// shared cross-shard stage instead of the per-shard `responders`
-    /// (which then stay idle for the whole run).
-    exact: bool,
     shard_idx: u32,
-    /// Attempts published this epoch, drained at each barrier.
+    /// RACH attempts published to the shared stage this epoch, drained
+    /// at each barrier.
     outbox: Vec<RachAttemptMsg>,
     telemetry: Telemetry,
 }
@@ -255,31 +240,12 @@ struct Telemetry {
     ring: Option<SnapshotRing>,
     /// The slice accumulating since the last sealed boundary.
     cur: SnapshotSlice,
-    /// Responder-counter baseline at the last sealed boundary:
-    /// (preambles heard, collisions, contention losses, backhaul wait ns).
-    /// Sealing records the delta, so slices stay differences not totals.
-    last_resp: (u64, u64, u64, u64),
     /// Steady-state allocation violations: how often a reused scratch
-    /// buffer (sweep scratch, exact-mode outbox) actually had to grow.
+    /// buffer (sweep scratch, stage outbox) actually had to grow.
     scratch_growth: u64,
 }
 
-/// Sum the per-cell responder counters that feed snapshot slices.
-fn responder_sum(responders: &[RachResponder]) -> (u64, u64, u64, u64) {
-    let mut s = (0u64, 0u64, 0u64, 0u64);
-    for r in responders {
-        let st = r.stats();
-        s.0 += st.preambles_heard;
-        s.1 += st.collisions;
-        s.2 += st.contention_losses;
-        s.3 += st.backhaul_queue_wait.as_nanos();
-    }
-    s
-}
-
-/// The BS responder timing shared by the per-shard responders (legacy
-/// mode) and the cross-shard stage (exact mode) — one source of truth so
-/// the two paths model the same base station.
+/// The BS responder timing the shared stage models.
 pub(crate) fn responder_config(base: &ScenarioConfig) -> ResponderConfig {
     ResponderConfig {
         rar_delay: MSG2_DELAY,
@@ -290,7 +256,11 @@ pub(crate) fn responder_config(base: &ScenarioConfig) -> ResponderConfig {
 }
 
 /// Build the mobility model of one UE from its per-UE spawn stream.
-fn build_mobility(spec: &UeSpec, rng: &mut StdRng, cfg: &FleetConfig) -> (BoxedModel, Vec2) {
+pub(crate) fn build_mobility(
+    spec: &UeSpec,
+    rng: &mut StdRng,
+    cfg: &FleetConfig,
+) -> (BoxedModel, Vec2) {
     let x = cfg.spawn_x.0 + rng.random::<f64>() * (cfg.spawn_x.1 - cfg.spawn_x.0);
     let y = cfg.spawn_y.0 + rng.random::<f64>() * (cfg.spawn_y.1 - cfg.spawn_y.0);
     let pos = Vec2::new(x, y);
@@ -376,55 +346,15 @@ pub fn build_world(cfg: &FleetConfig) -> (Arc<Sites>, Arc<Codebook>) {
     (sites, ue_codebook)
 }
 
-/// Run shard `shard_idx` of the fleet to completion against the shared
-/// static world from [`build_world`] — the legacy (per-shard contention)
-/// path: one uninterrupted run to the deadline.
-pub fn run_shard(
-    cfg: &FleetConfig,
-    shard_idx: usize,
-    sites: &Arc<Sites>,
-    ue_codebook: &Arc<Codebook>,
-) -> ShardOutcome {
-    let specs = cfg.shard_specs(shard_idx);
-    run_shard_specs(cfg, shard_idx, specs, sites, ue_codebook)
-}
-
-/// [`run_shard`] with the shard's population already partitioned out
-/// (the runner partitions the whole fleet once instead of rebuilding
-/// and filtering the full spec vector per shard).
-pub fn run_shard_specs(
-    cfg: &FleetConfig,
-    shard_idx: usize,
-    specs: Vec<UeSpec>,
-    sites: &Arc<Sites>,
-    ue_codebook: &Arc<Codebook>,
-) -> ShardOutcome {
-    let mut sim = ShardSim::new(cfg, shard_idx, specs, sites, ue_codebook);
-    sim.run_until(SimTime::ZERO + cfg.base.duration);
-    sim.finish()
-}
-
-/// One shard packaged for stepped execution. The legacy path drives it
-/// to the deadline in a single [`ShardSim::run_until`]; the
-/// exact-contention runner advances all shards in epoch steps, draining
-/// each shard's published RACH attempts ([`ShardSim::take_outbox`]) at
-/// every occasion barrier and fanning resolved replies back in
-/// ([`ShardSim::deliver`]).
+/// One shard packaged for stepped execution: the runner advances every
+/// shard in occasion-epoch steps, draining its published RACH attempts
+/// ([`ShardSim::outbox`]) at each barrier and fanning resolved replies
+/// back in ([`ShardSim::deliver`]).
 pub(crate) struct ShardSim {
     world: FleetWorld,
     ex: Executive<Ev>,
     budget_left: u64,
     budget_exhausted: bool,
-}
-
-/// One UE in transit between tile shards: the cold state plus its
-/// struct-of-arrays companions, moved as a unit so every RNG stream,
-/// fading process and protocol machine continues bit-exactly on the
-/// destination shard.
-pub(crate) struct Migrant {
-    ue: Ue,
-    pose: (SimTime, Pose),
-    links: LinkSet,
 }
 
 impl ShardSim {
@@ -508,8 +438,6 @@ impl ShardSim {
                     handover_reason: None,
                     trigger_at: None,
                     rlf_at: None,
-                    pending_events: 0,
-                    last_publish: SimTime::ZERO,
                     handovers: 0,
                     rlfs: 0,
                     rach_attempts: 0,
@@ -538,16 +466,10 @@ impl ShardSim {
             links,
             cells_by_x,
             interest_scratch: Vec::new(),
-            migrations_in: 0,
-            migrations_out: 0,
-            responders: (0..n_cells)
-                .map(|_| RachResponder::new(responder_config(base)))
-                .collect(),
             occasions_used: vec![BTreeSet::new(); n_cells],
             preambles_tx: vec![0; n_cells],
             handovers_in: vec![0; n_cells],
             burst_period,
-            exact: cfg.exact_contention,
             shard_idx: shard_idx as u32,
             outbox: Vec::new(),
             telemetry: Telemetry {
@@ -563,7 +485,6 @@ impl ShardSim {
                     .snapshot_interval
                     .map(|dt| SnapshotRing::new(dt, SnapshotRing::DEFAULT_CAP)),
                 cur: SnapshotSlice::new(),
-                last_resp: (0, 0, 0, 0),
                 scratch_growth: 0,
             },
             cfg: cfg.clone(),
@@ -613,17 +534,21 @@ impl ShardSim {
         }
     }
 
-    /// Drain the attempts published since the last barrier into the
-    /// caller's mailbox (capacity of both vectors is retained).
-    pub(crate) fn take_outbox(&mut self, into: &mut Vec<RachAttemptMsg>) {
-        into.append(&mut self.world.outbox);
+    /// The attempts published since the last barrier; the stage drains
+    /// them with `Vec::append`, so the buffer keeps its capacity.
+    pub(crate) fn outbox(&mut self) -> &mut Vec<RachAttemptMsg> {
+        &mut self.world.outbox
     }
 
     /// Schedule one resolved reply as a receive event. The stage
     /// guarantees `deliver_at` lies strictly beyond the barrier horizon,
     /// i.e. in this shard's future.
     pub(crate) fn deliver(&mut self, r: &RachReply) {
-        let Some(i) = self.world.idx_of(r.ue_global as u32) else {
+        let Ok(i) = self
+            .world
+            .ues
+            .binary_search_by_key(&r.ue_global, |u| u.spec.id)
+        else {
             debug_assert!(
                 false,
                 "reply routed to a shard not owning UE {}",
@@ -631,92 +556,25 @@ impl ShardSim {
             );
             return;
         };
-        // Exact mode resolves Msg3 at the shared stage, so the backhaul
-        // span embedded in the Msg4 delay arrives with the reply; stamp
-        // it on the in-flight procedure for causal attribution. Last
-        // write wins — a UE has at most one Msg3 outstanding, so a
-        // dropped Msg4's retry simply restamps.
+        // The stage resolves Msg3, so the backhaul span embedded in the
+        // Msg4 delay arrives with the reply; stamp it on the in-flight
+        // procedure for causal attribution. Last write wins — a UE has
+        // at most one Msg3 outstanding, so a dropped Msg4's retry simply
+        // restamps.
         if matches!(r.pdu, Pdu::ContentionResolution { .. }) {
             if let Some(rach) = self.world.ues[i].rach.as_mut() {
                 rach.backhaul_ns = r.backhaul_ns;
             }
         }
-        self.world.ues[i].pending_events += 1;
         self.ex.schedule_at(
             r.deliver_at,
             Ev::UeRx {
-                ue: r.ue_global as u32,
+                ue: i as u32,
                 cell: r.cell,
                 tx_beam: r.tx_beam,
                 pdu: r.pdu.clone(),
             },
         );
-    }
-
-    /// Pull out every UE whose trajectory has crossed into another tile
-    /// and which is *quiescent* — no in-flight RACH procedure, no
-    /// targeted event in the queue, and (exact mode) every published
-    /// attempt already resolved by the stage (`resolved_to` is the
-    /// horizon the stage has resolved up to; pass `boundary` in legacy
-    /// mode). Returns `(destination shard, migrant)` pairs ascending by
-    /// global id. `group_of[shard]` is each shard's contention group: a
-    /// UE whose destination lies in a different group is deferred (the
-    /// reachable-cell travel margin keeps its links covered until the
-    /// next boundary).
-    pub(crate) fn extract_migrants(
-        &mut self,
-        boundary: SimTime,
-        tiles: &crate::deployment::TilePartition,
-        group_of: &[u32],
-        resolved_to: SimTime,
-    ) -> Vec<(usize, Migrant)> {
-        let world = &mut self.world;
-        let here = world.shard_idx as usize;
-        let mut picked: Vec<(usize, usize)> = Vec::new(); // (index, dest)
-        for i in 0..world.ues.len() {
-            let pose = world.pose(i, boundary);
-            let dest = tiles.tile_of_x(pose.position.x);
-            if dest == here {
-                continue;
-            }
-            let ue = &world.ues[i];
-            let quiescent = ue.rach.is_none()
-                && ue.pending_events == 0
-                && (!world.exact || ue.last_publish + AIR_DELAY <= resolved_to);
-            if quiescent && group_of[dest] == group_of[here] {
-                picked.push((i, dest));
-            }
-        }
-        let mut out = Vec::with_capacity(picked.len());
-        for &(i, dest) in picked.iter().rev() {
-            out.push((
-                dest,
-                Migrant {
-                    ue: world.ues.remove(i),
-                    pose: world.poses.remove(i),
-                    links: world.links.remove(i),
-                },
-            ));
-        }
-        out.reverse();
-        world.migrations_out += out.len() as u64;
-        out
-    }
-
-    /// Admit a migrant extracted from another tile, keeping the UE
-    /// vector (and its struct-of-arrays companions) ascending by global
-    /// id. The UE's RNG streams, protocol state and link processes
-    /// arrive intact — nothing is re-derived.
-    pub(crate) fn admit(&mut self, m: Migrant) {
-        let world = &mut self.world;
-        let at = world
-            .ues
-            .binary_search_by_key(&m.ue.spec.id, |u| u.spec.id)
-            .expect_err("admitting a UE the shard already owns");
-        world.ues.insert(at, m.ue);
-        world.poses.insert(at, m.pose);
-        world.links.insert(at, m.links);
-        world.migrations_in += 1;
     }
 
     /// Distinct serving cells of this shard's UEs (sorted). Used by the
@@ -744,18 +602,6 @@ impl ShardSim {
 }
 
 impl FleetWorld {
-    /// Local index of the UE with global id `gid` (the UE vector is
-    /// always ascending by global id, across migrations).
-    fn idx_of(&self, gid: u32) -> Option<usize> {
-        self.ues
-            .binary_search_by_key(&u64::from(gid), |u| u.spec.id)
-            .ok()
-    }
-
-    fn gid(&self, i: usize) -> u32 {
-        self.ues[i].spec.id as u32
-    }
-
     /// UE `i`'s pose at `now`, memoized per instant in the
     /// struct-of-arrays pose memo.
     fn pose(&mut self, i: usize, now: SimTime) -> Pose {
@@ -764,20 +610,6 @@ impl FleetWorld {
             *memo = (now, self.ues[i].mobility.pose_at(now.as_secs_f64()));
         }
         memo.1
-    }
-
-    /// Resolve a targeted event's global id and settle its pending-event
-    /// account. `None` only if the UE migrated with an event in flight —
-    /// which the quiescence guard forbids, hence the debug assert.
-    fn target(&mut self, gid: u32) -> Option<usize> {
-        let i = self.idx_of(gid);
-        debug_assert!(i.is_some(), "targeted event for absent UE {gid}");
-        if let Some(i) = i {
-            let ue = &mut self.ues[i];
-            debug_assert!(ue.pending_events > 0, "pending-event underflow");
-            ue.pending_events = ue.pending_events.saturating_sub(1);
-        }
-        i
     }
 
     fn dispatch(&mut self, ex: &mut Executive<Ev>, now: SimTime, ev: Ev) {
@@ -819,45 +651,29 @@ impl FleetWorld {
                 cell,
                 tx_beam,
                 pdu,
-            } => {
-                if let Some(i) = self.target(ue) {
-                    self.on_ue_rx(ex, now, i, cell as usize, tx_beam, pdu);
-                }
-            }
-            Ev::BsRx { ue, cell, pdu } => {
-                if let Some(i) = self.target(ue) {
-                    self.on_bs_rx(ex, now, i, cell as usize, pdu);
-                }
-            }
+            } => self.on_ue_rx(ex, now, ue as usize, cell as usize, tx_beam, pdu),
+            Ev::BsRx { ue, cell, pdu } => self.on_bs_rx(ex, now, ue as usize, cell as usize, pdu),
             Ev::AssistApply { ue, cell, tx_beam } => {
-                if let Some(i) = self.target(ue) {
-                    let cell = cell as usize;
-                    self.ues[i].bs_tx_beam[cell] = tx_beam;
-                    self.ues[i].pending_events += 1;
-                    ex.schedule_in(
-                        AIR_DELAY,
-                        Ev::UeRx {
-                            ue,
-                            cell: cell as u16,
+                self.ues[ue as usize].bs_tx_beam[cell as usize] = tx_beam;
+                ex.schedule_in(
+                    AIR_DELAY,
+                    Ev::UeRx {
+                        ue,
+                        cell,
+                        tx_beam,
+                        pdu: Pdu::BeamSwitchCommand {
+                            cell: CellId(cell),
                             tx_beam,
-                            pdu: Pdu::BeamSwitchCommand {
-                                cell: CellId(cell as u16),
-                                tx_beam,
-                            },
                         },
-                    );
-                }
+                    },
+                );
             }
-            Ev::RachTry { ue } => {
-                if let Some(i) = self.target(ue) {
-                    self.on_rach_try(ex, now, i);
-                }
-            }
+            Ev::RachTry { ue } => self.on_rach_try(ex, now, ue as usize),
             Ev::Snapshot { k } => {
                 // Depth sampled before the next boundary is armed, so the
                 // chain itself never inflates the gauge.
                 let depth = ex.pending() as u64;
-                self.seal_slice(now, depth);
+                self.seal_slice(depth);
                 let dt = self
                     .cfg
                     .snapshot_interval
@@ -870,31 +686,18 @@ impl FleetWorld {
     }
 
     /// Seal the accumulating slice at a snapshot boundary (or at the end
-    /// of the run, for a partial tail): fold in the delta of the
-    /// responder counters since the previous boundary, sample the two
-    /// gauges, and push the slice into the ring. In exact-contention
-    /// mode the per-shard responders are idle, so the responder-side
-    /// fields stay zero here and the shared stage's slice ring supplies
-    /// them at merge time.
-    fn seal_slice(&mut self, now: SimTime, event_queue_depth: u64) {
-        if self.telemetry.ring.is_none() {
+    /// of the run, for a partial tail): sample the event-queue gauge and
+    /// push the slice into the ring. The responder-side fields (heard,
+    /// collisions, losses, backhaul wait and backlog) stay zero here —
+    /// the shared stage answers all RACH traffic, and its own per-slice
+    /// attribution supplies them at merge time.
+    fn seal_slice(&mut self, event_queue_depth: u64) {
+        let Some(ring) = self.telemetry.ring.as_mut() else {
             return;
-        }
+        };
         let mut slice = std::mem::take(&mut self.telemetry.cur);
-        let sum = responder_sum(&self.responders);
-        let last = self.telemetry.last_resp;
-        slice.preambles_heard = sum.0 - last.0;
-        slice.collisions = sum.1 - last.1;
-        slice.contention_losses = sum.2 - last.2;
-        slice.backhaul_wait_us = (sum.3 - last.3) / 1_000;
-        self.telemetry.last_resp = sum;
-        slice.backhaul_backlog_us = self
-            .responders
-            .iter()
-            .map(|r| r.backhaul_backlog(now).as_nanos() / 1_000)
-            .sum();
         slice.event_queue_depth = event_queue_depth;
-        self.telemetry.ring.as_mut().unwrap().push(slice);
+        ring.push(slice);
     }
 
     // ----- physics ----------------------------------------------------------
@@ -1123,74 +926,26 @@ impl FleetWorld {
         self.apply_actions(ex, now, i, actions);
     }
 
+    /// BS-side handling of the traffic the stage does not own: the
+    /// beam-switch assist. RACH PDUs never arrive here — they are
+    /// published to the shared stage instead (see [`Self::send_to_bs`]).
     fn on_bs_rx(&mut self, ex: &mut Executive<Ev>, now: SimTime, i: usize, cell: usize, pdu: Pdu) {
-        match pdu {
-            Pdu::BeamSwitchRequest { .. } => {
-                if self.ues[i].fault_rng.random::<f64>()
-                    < self.cfg.base.fault.drop_assist_probability
-                {
-                    return;
-                }
-                let pose = self.pose(i, now);
-                let best = self.sites.best_tx_beam_towards(cell, pose.position);
-                let delay =
-                    self.cfg.base.assist_processing + self.cfg.base.fault.assist_extra_delay;
-                self.ues[i].pending_events += 1;
-                ex.schedule_in(
-                    delay,
-                    Ev::AssistApply {
-                        ue: self.gid(i),
-                        cell: cell as u16,
-                        tx_beam: best,
-                    },
-                );
-            }
-            Pdu::RachPreamble { preamble, ssb_beam } => {
-                let distance = self
-                    .pose(i, now)
-                    .position
-                    .distance(self.cfg.base.cells[cell].position);
-                if let Some(plan) =
-                    self.responders[cell].on_preamble(now, preamble, ssb_beam, distance)
-                {
-                    self.ues[i].pending_events += 1;
-                    ex.schedule_in(
-                        plan.delay,
-                        Ev::UeRx {
-                            ue: self.gid(i),
-                            cell: cell as u16,
-                            tx_beam: plan.tx_beam,
-                            pdu: plan.pdu,
-                        },
-                    );
-                }
-            }
-            Pdu::ConnectionRequest { ue, context_token } => {
-                let temp = self.ues[i].rach.as_ref().and_then(|r| r.proc.temp_ue());
-                // First Msg3 per temporary id wins contention; a loser's
-                // Msg3 goes unanswered and its timer drives the retry.
-                if let Some(plan) = self.responders[cell].on_msg3(now, temp, ue, context_token) {
-                    // The backhaul span embedded in the Msg4 delay is the
-                    // quantity causal attribution charges to the backhaul
-                    // phase of this UE's interruption.
-                    if let Some(r) = self.ues[i].rach.as_mut() {
-                        r.backhaul_ns = (plan.queue_wait + plan.fetch).as_nanos();
-                    }
-                    let tx_beam = self.ues[i].rach.as_ref().map(|r| r.ssb_beam).unwrap_or(0);
-                    self.ues[i].pending_events += 1;
-                    ex.schedule_in(
-                        plan.delay,
-                        Ev::UeRx {
-                            ue: self.gid(i),
-                            cell: cell as u16,
-                            tx_beam,
-                            pdu: plan.pdu,
-                        },
-                    );
-                }
-            }
-            _ => {}
+        if !matches!(pdu, Pdu::BeamSwitchRequest { .. })
+            || self.ues[i].fault_rng.random::<f64>() < self.cfg.base.fault.drop_assist_probability
+        {
+            return;
         }
+        let pose = self.pose(i, now);
+        let best = self.sites.best_tx_beam_towards(cell, pose.position);
+        let delay = self.cfg.base.assist_processing + self.cfg.base.fault.assist_extra_delay;
+        ex.schedule_in(
+            delay,
+            Ev::AssistApply {
+                ue: i as u32,
+                cell: cell as u16,
+                tx_beam: best,
+            },
+        );
     }
 
     fn send_to_bs(
@@ -1226,27 +981,19 @@ impl FleetWorld {
                 Pdu::RachPreamble { .. } | Pdu::ConnectionRequest { .. }
             );
         if self.delivery_ok(i, r) && !faulted {
-            if self.exact {
-                if let Some(req) = self.exact_request(now, i, cell, &pdu) {
-                    // Published to the shared cross-shard stage instead of
-                    // this shard's responder; the resolved reply fans back
-                    // as a plain `UeRx` after the next occasion barrier.
-                    // The publish instant also pins the UE to this shard
-                    // until the stage has resolved past the arrival — the
-                    // migration quiescence guard reads it.
-                    self.ues[i].last_publish = now;
-                    if self.outbox.len() == self.outbox.capacity() {
-                        self.telemetry.scratch_growth += 1;
-                    }
-                    self.outbox.push(req);
-                    return;
+            if let Some(req) = self.rach_request(now, i, cell, &pdu) {
+                // Published to the shared stage; the resolved reply fans
+                // back as a plain `UeRx` after the next occasion barrier.
+                if self.outbox.len() == self.outbox.capacity() {
+                    self.telemetry.scratch_growth += 1;
                 }
+                self.outbox.push(req);
+                return;
             }
-            self.ues[i].pending_events += 1;
             ex.schedule_in(
                 AIR_DELAY,
                 Ev::BsRx {
-                    ue: self.gid(i),
+                    ue: i as u32,
                     cell: cell as u16,
                     pdu,
                 },
@@ -1254,12 +1001,12 @@ impl FleetWorld {
         }
     }
 
-    /// Exact-contention publication: capture everything the shared stage
-    /// needs to act as this cell's BS at the arrival instant, so the
-    /// cross-shard resolution pass never reaches back into shard state.
-    /// Returns `None` for PDUs the stage does not own (assist traffic
-    /// stays on the local path).
-    fn exact_request(
+    /// Stage publication: capture everything the shared stage needs to
+    /// act as this cell's BS at the arrival instant, so the cross-shard
+    /// resolution pass never reaches back into shard state. Returns
+    /// `None` for PDUs the stage does not own (assist traffic stays on
+    /// the local path).
+    fn rach_request(
         &self,
         now: SimTime,
         i: usize,
@@ -1270,8 +1017,7 @@ impl FleetWorld {
         let req = match *pdu {
             Pdu::RachPreamble { preamble, ssb_beam } => {
                 // Pose at the arrival instant, computed purely (mobility
-                // models are functions of time): the same BS-side distance
-                // sample the legacy path takes, without the pose cache.
+                // models are functions of time), without the pose cache.
                 let pos = self.ues[i].mobility.pose_at(at.as_secs_f64()).position;
                 RachReq::Preamble {
                     preamble,
@@ -1342,8 +1088,7 @@ impl FleetWorld {
                 let ssb = self.cfg.base.ssb(rach.target);
                 let at = base_prach.next_occasion(&ssb, now, rach.ssb_beam);
                 rach.try_pending = true;
-                self.ues[i].pending_events += 1;
-                ex.schedule_at(at, Ev::RachTry { ue: self.gid(i) });
+                ex.schedule_at(at, Ev::RachTry { ue: i as u32 });
             }
             RachState::Failed => self.abort_rach(ex, now, i),
             _ => {}
@@ -1509,8 +1254,7 @@ impl FleetWorld {
             msg3_at: None,
             backhaul_ns: 0,
         });
-        ue.pending_events += 1;
-        ex.schedule_at(at, Ev::RachTry { ue: self.gid(i) });
+        ex.schedule_at(at, Ev::RachTry { ue: i as u32 });
     }
 
     // ----- result collection ------------------------------------------------
@@ -1527,8 +1271,7 @@ impl FleetWorld {
         // the timeline covers the full run.
         if let Some(dt) = self.cfg.snapshot_interval {
             if self.cfg.base.duration.as_nanos() % dt.as_nanos() != 0 {
-                let end = SimTime::ZERO + self.cfg.base.duration;
-                self.seal_slice(end, pending);
+                self.seal_slice(pending);
             }
         }
         if let Some(ring) = self.telemetry.ring.as_mut() {
@@ -1539,13 +1282,14 @@ impl FleetWorld {
             (self.cfg.base.duration.as_nanos() / ssb.burst_period.as_nanos())
                 * ssb.n_tx_beams as u64
         };
+        // The responder fields and the used-occasion count stay default:
+        // the merge derives them fleet-wide.
         let per_cell = (0..self.sites.len())
             .map(|c| CellLoad {
-                responder: self.responders[c].stats(),
                 preambles_tx: self.preambles_tx[c],
-                occasions_used: self.occasions_used[c].len() as u64,
                 occasions_total: occasions_per_cell(c),
                 handovers_in: self.handovers_in[c],
+                ..CellLoad::default()
             })
             .collect();
         let mut out = ShardOutcome {
@@ -1553,11 +1297,9 @@ impl FleetWorld {
             ues: self.ues.len() as u64,
             events,
             budget_exhausted_shards: u64::from(budget_exhausted),
-            exact: self.exact,
             // The raw occasion instants travel with the shard result so
-            // the exact-mode merge can count each *global* occasion once
-            // (two shards using the same occasion is one occasion, not
-            // two); the legacy merge keeps summing per-shard counts.
+            // the merge can count each *global* occasion once (two shards
+            // using the same occasion is one occasion, not two).
             occasion_instants: std::mem::take(&mut self.occasions_used),
             ..ShardOutcome::default()
         };
@@ -1602,15 +1344,6 @@ impl FleetWorld {
         profile
             .counters
             .add("fleet.scratch_growth", self.telemetry.scratch_growth);
-        // Migration traffic: counted once per move on each side, so the
-        // fleet-wide in/out totals agree and the merged counter is a
-        // deterministic function of the run (not of worker count).
-        profile
-            .counters
-            .add("fleet.migrations_in", self.migrations_in);
-        profile
-            .counters
-            .add("fleet.migrations_out", self.migrations_out);
         if let Some(ring) = &self.telemetry.ring {
             profile.counters.add("obs.snapshot_slices", ring.pushed());
         }

@@ -1,32 +1,31 @@
 //! The shared, deterministic, cross-shard RACH resolution stage.
 //!
-//! PR 3's `tests/shard_approximation.rs` measured the cost of resolving
-//! PRACH contention per shard: 8-shard collision rates read ≈ 0 where the
-//! exact 1-shard run reads ≈ 8%, because two UEs in different shards can
-//! never collide. Contention at a shared resource cannot be sampled
-//! per-partition — it has to be resolved globally. This module is that
-//! global resolution point.
+//! Resolving PRACH contention per shard is biased: 8-shard collision
+//! rates once read ≈ 0 where the 1-shard run read ≈ 8%, because two UEs
+//! in different shards can never collide. Contention at a shared
+//! resource cannot be sampled per-partition — it has to be resolved
+//! globally. This module is that global resolution point, and the only
+//! BS-side RACH path the fleet has.
 //!
 //! ## Execution model
 //!
-//! Shards advance independently between PRACH occasions; every
-//! [`epoch`](SharedRachStage::epoch) (the minimum BS response delay) is a
-//! synchronization barrier. During an epoch a shard does not feed
-//! BS-bound RACH PDUs to a local responder — it publishes them as
-//! [`RachAttemptMsg`]s into its worker's mailbox. At the barrier the
-//! mailboxes are merged into the stage's holding buffer and every attempt
-//! whose arrival instant lies at or before the barrier horizon is
-//! resolved, in **canonical order** — arrival instant, then global UE id
-//! — against one [`RachResponder`] per cell. Replies fan back to the
-//! owning shards as [`RachReply`]s, timestamped strictly beyond the
-//! horizon (the epoch length is chosen to guarantee it), so delivery
-//! never has to rewind a shard.
+//! Shards advance independently between PRACH occasions; every epoch
+//! (the minimum BS response delay, `min(rar_delay, msg4_delay)`) is a
+//! synchronization barrier. During an epoch a shard publishes its
+//! BS-bound RACH PDUs as [`RachAttemptMsg`]s into its outbox. At the
+//! barrier the outboxes are merged into the stage's holding buffer and
+//! every attempt whose arrival instant lies at or before the barrier
+//! horizon is resolved, in **canonical order** — arrival instant, then
+//! global UE id — against one [`RachResponder`] per cell. Replies fan
+//! back to the owning shards as [`RachReply`]s, timestamped strictly
+//! beyond the horizon (the epoch length is chosen to guarantee it), so
+//! delivery never has to rewind a shard.
 //!
 //! Because the barrier instants are global constants of the config and
 //! the resolution order is canonical, the outcome is byte-identical
-//! regardless of shard count, worker count, worker scheduling or mailbox
-//! arrival interleaving — `tests/shard_approximation.rs` now asserts the
-//! 1-shard/8-shard *equality* this buys, not a bias bound.
+//! regardless of shard count, worker count, worker scheduling or outbox
+//! arrival interleaving — `tests/shard_approximation.rs` asserts the
+//! 1-shard/8-shard *equality* this buys.
 //!
 //! ## Why the epoch length is safe
 //!
@@ -45,8 +44,6 @@
 //! `sort_unstable`), pre-sized by [`SharedRachStage::new`] — resolving
 //! occasions allocates nothing once warm (asserted by
 //! `tests/zero_alloc.rs`).
-
-use std::collections::BTreeMap;
 
 use st_des::{SimDuration, SimTime};
 use st_mac::pdu::{Pdu, UeId};
@@ -92,9 +89,7 @@ pub struct RachAttemptMsg {
     pub at: SimTime,
     /// Global UE id — the canonical tie-break, stable across shardings.
     pub ue_global: u64,
-    /// Owning shard at publish time, for reply routing. Replies carry the
-    /// global UE id, not a local index — local indices shift when *other*
-    /// UEs migrate between publish and delivery.
+    /// Owning shard, for reply routing.
     pub shard: u32,
     pub cell: u16,
     pub req: RachReq,
@@ -107,8 +102,7 @@ pub struct RachAttemptMsg {
 pub struct RachReply {
     pub deliver_at: SimTime,
     /// Global UE id — the shard resolves it to a local index at delivery
-    /// time (binary search on its id-sorted UE vector), so replies stay
-    /// valid across migrations that reshuffle local indices.
+    /// time (binary search on its id-sorted UE vector).
     pub ue_global: u64,
     pub cell: u16,
     pub tx_beam: TxBeamIndex,
@@ -131,18 +125,21 @@ pub struct StageCounters {
     pub busy_barriers: u64,
 }
 
-/// Responder-side counter deltas the stage attributes to one base
-/// snapshot interval (exact-contention runs only): in exact mode the
-/// per-shard responders are idle, so the timeline's responder-side
-/// fields have to come from here. The attribution is canonical —
-/// interval index = attempt instant ÷ base interval — so it is
-/// identical across worker and shard counts.
+/// Responder-side observations the stage attributes to one base
+/// snapshot interval: shards carry no responders, so the timeline's
+/// responder-side fields have to come from here. Counter deltas are
+/// attributed canonically — interval index = attempt instant ÷ base
+/// interval — and the gauge is read at the interval's closing boundary,
+/// so both are identical across worker and shard counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageSliceDelta {
+pub struct StageSlice {
     pub preambles_heard: u64,
     pub collisions: u64,
     pub contention_losses: u64,
     pub backhaul_wait_us: u64,
+    /// Gauge: backhaul backlog at the closing boundary — how far into
+    /// the future each cell's pipe is committed, summed over cells (µs).
+    pub backhaul_backlog_us: u64,
 }
 
 /// The shared cross-shard responder stage: one [`RachResponder`] per
@@ -158,12 +155,14 @@ pub struct SharedRachStage {
     batch_dst: Vec<(u32, u64)>,
     rar_out: Vec<Option<RarPlan>>,
     counters: StageCounters,
-    min_reply_delay: SimDuration,
     /// Snapshot-slice attribution ([`SharedRachStage::arm_slices`]):
-    /// base interval and per-interval counter deltas, keyed by interval
-    /// index.
+    /// base interval, the run's end (where the last, possibly partial,
+    /// slice closes), one entry per slice, and how many slice boundaries
+    /// have had their backlog gauge sampled.
     slice_dt: Option<SimDuration>,
-    slice_deltas: BTreeMap<u64, StageSliceDelta>,
+    slice_end: SimTime,
+    slices: Vec<StageSlice>,
+    sampled: usize,
 }
 
 impl SharedRachStage {
@@ -182,26 +181,56 @@ impl SharedRachStage {
             batch_dst: Vec::with_capacity(cap),
             rar_out: Vec::with_capacity(cap),
             counters: StageCounters::default(),
-            min_reply_delay: config.rar_delay.min(config.msg4_delay),
             slice_dt: None,
-            slice_deltas: BTreeMap::new(),
+            slice_end: SimTime::ZERO,
+            slices: Vec::new(),
+            sampled: 0,
         }
     }
 
     /// Attribute responder-side counter changes to snapshot intervals of
-    /// width `dt` (the fleet's base snapshot interval). Call before the
-    /// first barrier; the per-interval deltas are read back with
-    /// [`SharedRachStage::slice_deltas`] and merged into the shard
-    /// timeline as a pseudo-shard.
-    pub fn arm_slices(&mut self, dt: SimDuration) {
+    /// width `dt` (the fleet's base snapshot interval) over a run ending
+    /// at `end`, and sample the backhaul backlog gauge at every slice
+    /// boundary (`k·dt`, and `end` for a partial last slice). Call
+    /// before the first barrier; the slices are read back with
+    /// [`SharedRachStage::slices`] and merged into the shard timeline as
+    /// a pseudo-shard. All slices are allocated here, so resolution
+    /// allocates nothing for them.
+    pub fn arm_slices(&mut self, dt: SimDuration, end: SimTime) {
         assert!(dt.as_nanos() > 0, "snapshot interval must be positive");
         self.slice_dt = Some(dt);
+        self.slice_end = end;
+        let n = end.as_nanos().div_ceil(dt.as_nanos()) as usize;
+        self.slices = vec![StageSlice::default(); n];
+        self.sampled = 0;
     }
 
-    /// Per-interval responder counter deltas accumulated since
-    /// [`SharedRachStage::arm_slices`], keyed by interval index.
-    pub fn slice_deltas(&self) -> &BTreeMap<u64, StageSliceDelta> {
-        &self.slice_deltas
+    /// The per-interval observations since [`SharedRachStage::arm_slices`],
+    /// one entry per slice; a gauge reads zero until its boundary is
+    /// resolved.
+    pub fn slices(&self) -> &[StageSlice] {
+        &self.slices
+    }
+
+    /// Sample the backlog gauge at every unsampled slice boundary
+    /// strictly before `bound_ns`. Callers guarantee every instant at or
+    /// before those boundaries is resolved and none after them is, so
+    /// each sample reads the pipes exactly as they stood at the boundary.
+    fn sample_backlog_before(&mut self, bound_ns: u64) {
+        let Some(dt) = self.slice_dt else { return };
+        while self.sampled < self.slices.len() {
+            let k = self.sampled as u64 + 1;
+            let boundary = (SimTime::ZERO + dt * k).min(self.slice_end);
+            if boundary.as_nanos() >= bound_ns {
+                return;
+            }
+            self.slices[self.sampled].backhaul_backlog_us = self
+                .responders
+                .iter()
+                .map(|r| r.backhaul_backlog(boundary).as_nanos() / 1_000)
+                .sum();
+            self.sampled += 1;
+        }
     }
 
     /// Sum of the per-cell responder counters that feed slice deltas:
@@ -218,26 +247,18 @@ impl SharedRachStage {
         s
     }
 
-    /// The barrier spacing this stage is safe under: replies to attempts
-    /// resolved at one barrier must land strictly beyond it, which holds
-    /// for any epoch no longer than the minimum BS response delay (see
-    /// module docs for the proof sketch).
-    pub fn epoch(&self) -> SimDuration {
-        self.min_reply_delay
-    }
-
     /// Deterministic stage counters.
     pub fn counters(&self) -> StageCounters {
         self.counters
     }
 
     /// Per-cell responder statistics — reported **once** per cell by the
-    /// fleet outcome (the per-shard responders are idle in exact mode).
+    /// fleet outcome.
     pub fn responder_stats(&self) -> Vec<ResponderStats> {
         self.responders.iter().map(|r| r.stats()).collect()
     }
 
-    /// Move one mailbox's published attempts into the holding buffer.
+    /// Move one outbox's published attempts into the holding buffer.
     /// Order is irrelevant: resolution sorts canonically.
     pub fn ingest(&mut self, mailbox: &mut Vec<RachAttemptMsg>) {
         self.holding.append(mailbox);
@@ -245,17 +266,18 @@ impl SharedRachStage {
 
     /// Resolve every held attempt with `at ≤ horizon` in canonical
     /// order, emitting replies through `deliver(shard, reply)`. Attempts
-    /// beyond the horizon stay held for a later barrier.
+    /// beyond the horizon stay held for a later barrier. With slices
+    /// armed, every slice boundary up to `horizon` has its backlog
+    /// sampled on return.
     pub fn resolve_up_to(&mut self, horizon: SimTime, mut deliver: impl FnMut(u32, RachReply)) {
         self.holding
             .sort_unstable_by_key(|m| (m.at.as_nanos(), m.ue_global, m.req.kind_rank(), m.cell));
         let due = self
             .holding
             .partition_point(|m| m.at.as_nanos() <= horizon.as_nanos());
-        if due == 0 {
-            return;
+        if due > 0 {
+            self.counters.busy_barriers += 1;
         }
-        self.counters.busy_barriers += 1;
 
         let mut i = 0;
         while i < due {
@@ -266,6 +288,9 @@ impl SharedRachStage {
             while j < due && self.holding[j].at == at {
                 j += 1;
             }
+            // Boundaries before this instant close with what is resolved
+            // so far; one at this very instant waits for it.
+            self.sample_backlog_before(at.as_nanos());
             // Snapshot-slice attribution brackets this instant's work.
             let before = self.slice_dt.map(|_| self.stats_snapshot());
 
@@ -349,10 +374,10 @@ impl SharedRachStage {
             }
             if let (Some(dt), Some(b)) = (self.slice_dt, before) {
                 let a = self.stats_snapshot();
-                let d = self
-                    .slice_deltas
-                    .entry(at.as_nanos() / dt.as_nanos())
-                    .or_default();
+                // An attempt arriving exactly at the run's end indexes one
+                // past the last slice; it belongs to the last.
+                let k = ((at.as_nanos() / dt.as_nanos()) as usize).min(self.slices.len() - 1);
+                let d = &mut self.slices[k];
                 d.preambles_heard += a.0 - b.0;
                 d.collisions += a.1 - b.1;
                 d.contention_losses += a.2 - b.2;
@@ -361,6 +386,7 @@ impl SharedRachStage {
             i = j;
         }
         self.holding.drain(..due);
+        self.sample_backlog_before(horizon.as_nanos() + 1);
     }
 }
 
@@ -446,6 +472,57 @@ mod tests {
         let c = run(&[2, 0, 3, 1]);
         assert_eq!(a, b);
         assert_eq!(a, c);
+    }
+
+    fn msg3(at: SimTime, ue: u64) -> RachAttemptMsg {
+        RachAttemptMsg {
+            at,
+            ue_global: ue,
+            shard: 0,
+            cell: 0,
+            req: RachReq::Msg3 {
+                temp: None,
+                ue: UeId(ue as u32 + 1),
+                context_token: 1,
+                reply_tx_beam: 0,
+            },
+        }
+    }
+
+    /// The backlog gauge reads each boundary after every instant at or
+    /// before it resolved and before any later instant did: a context
+    /// fetch still queued at a boundary shows as busy-until − boundary.
+    #[test]
+    fn backlog_gauge_samples_queued_fetches_at_slice_boundaries() {
+        let mut s = stage();
+        // 1 ms slices over a 3.5 ms run: boundaries 1, 2, 3 and 3.5 ms.
+        s.arm_slices(SimDuration::from_millis(1), t(3500));
+        let rtt = ResponderConfig::nr_default().backhaul_latency * 2;
+        // UE 0's fetch starts at 0.5 ms; UE 1's (at 1 ms, the boundary
+        // itself) queues behind it; UE 2's arrives after the boundary.
+        let mut mb = vec![msg3(t(500), 0), msg3(t(1000), 1), msg3(t(1500), 2)];
+        s.ingest(&mut mb);
+        s.resolve_up_to(t(1500), |_, _| {});
+        let backlog = |s: &SharedRachStage| -> Vec<u64> {
+            s.slices().iter().map(|d| d.backhaul_backlog_us).collect()
+        };
+        let busy_after_ue1 = t(500) + rtt * 2;
+        assert_eq!(
+            backlog(&s),
+            [busy_after_ue1.since(t(1000)).as_nanos() / 1_000, 0, 0, 0],
+            "the 1 ms boundary counts UE 1's queued fetch, not UE 2's; \
+             later boundaries wait for their instants to resolve"
+        );
+        // Quiet barriers still close their boundaries.
+        s.resolve_up_to(t(3500), |_, _| {});
+        let busy_after_ue2 = busy_after_ue1 + rtt;
+        let at = |b: u64| busy_after_ue2.since(t(b)).as_nanos() / 1_000;
+        assert_eq!(backlog(&s), [11_500, at(2000), at(3000), at(3500)]);
+        assert_eq!(at(2000), 16_500);
+        // The counter side of the same slices: UE 1 (at 1 ms) queued
+        // 5.5 ms and UE 2 (at 1.5 ms) 11 ms, both attributed to slice 1.
+        let waits: Vec<u64> = s.slices().iter().map(|d| d.backhaul_wait_us).collect();
+        assert_eq!(waits, [0, 5_500 + 11_000, 0, 0]);
     }
 
     #[test]

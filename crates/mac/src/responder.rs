@@ -164,8 +164,8 @@ pub struct ResponderStats {
     /// Total time fetches spent queued behind the per-cell backhaul.
     pub backhaul_queue_wait: SimDuration,
     /// Merged occasions resolved through [`RachResponder::resolve`]
-    /// (zero on the per-shard legacy path, which hears preambles one at
-    /// a time).
+    /// (zero on the single-trial path, which hears preambles one at a
+    /// time).
     pub merged_occasions: u64,
     /// Largest single merged-occasion attempt set seen by `resolve` —
     /// how much cross-shard traffic one resolution pass had to order.

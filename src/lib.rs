@@ -12,8 +12,8 @@
 //! * [`st_mac`] — SSB sweeps, RACH, control PDUs, gap schedules.
 //! * [`st_mobility`] — walk / rotation / vehicular mobility models.
 //! * [`st_net`] — event-driven single-UE scenarios tying it all together.
-//! * [`st_fleet`] — multi-UE, multi-cell fleet simulation with real RACH
-//!   contention and sharded parallel execution.
+//! * [`st_fleet`] — multi-UE, multi-cell fleet simulation with exact RACH
+//!   contention across spawn-tile shards run in parallel.
 //! * [`st_des`] — the deterministic discrete-event engine.
 //! * [`st_metrics`] — CDFs, histograms, summary statistics.
 //! * [`st_bench`] — the figure-regeneration experiment harness.

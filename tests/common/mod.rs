@@ -6,22 +6,18 @@
 use silent_tracker_repro::st_fleet::{Deployment, FleetConfig, MobilityKind};
 use silent_tracker_repro::st_net::ProtocolKind;
 
-/// The `fleet_load` acceptance street at a configurable contention
-/// level: 400 m canyon, 4 cells / 8 beams, a 4:1 walker:vehicular
-/// all-Silent-Tracker population, seed 42. Moderate load is
-/// (600 UEs, 8 preambles); heavy load — the shard-approximation
-/// measurement point — is (2,400 UEs, 2 preambles).
-pub fn contended_street(
-    ues: u32,
-    preambles: u8,
-    shards: usize,
-    exact: bool,
-    duration_s: f64,
-) -> FleetConfig {
+/// The acceptance street at a configurable contention level: 800 m
+/// canyon, 8 cells at 100 m pitch / 8 beams (one spawn tile per cell at
+/// up to 8 shards), a 4:1 walker:vehicular all-Silent-Tracker
+/// population, seed 42. It is the `fleet_load` street (4 cells on
+/// 400 m) doubled in length, so doubled populations keep its per-cell
+/// load: moderate load is (1,200 UEs, 8 preambles); heavy load is
+/// (4,800 UEs, 2 preambles).
+pub fn contended_street(ues: u32, preambles: u8, shards: usize, duration_s: f64) -> FleetConfig {
     let walkers = ues * 4 / 5;
     Deployment::new()
-        .street(400.0, 30.0)
-        .cell_row(4, 100.0)
+        .street(800.0, 30.0)
+        .cell_row(8, 100.0)
         .tx_beams(8)
         .prach_preambles(preambles)
         .population(walkers, MobilityKind::Walk, ProtocolKind::SilentTracker)
@@ -33,7 +29,6 @@ pub fn contended_street(
         .duration_secs(duration_s)
         .seed(42)
         .shards(shards)
-        .exact_contention(exact)
         .build()
         .expect("valid deployment")
 }

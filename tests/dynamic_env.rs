@@ -32,7 +32,7 @@ fn blocked_fleet_seeds(seed: u64, blocker_seed: u64, blockers: u32) -> FleetConf
         )
         .duration_secs(0.8)
         .seed(seed)
-        .shards(4)
+        .shards(2)
         .build()
         .unwrap()
 }
@@ -76,7 +76,7 @@ fn blocker_field_changes_outcomes_but_not_the_clear_baseline() {
         .population(4, MobilityKind::Vehicular, ProtocolKind::Reactive)
         .duration_secs(0.8)
         .seed(13)
-        .shards(4)
+        .shards(2)
         .build()
         .unwrap();
     assert!(clear.base.dynamics.is_none());

@@ -1,5 +1,5 @@
-//! Deterministic-interleaving stress for the barrier-synchronized
-//! exact-contention path.
+//! Deterministic-interleaving stress for the barrier-synchronized fleet
+//! runner.
 //!
 //! The shared responder stage claims its outcome is independent of
 //! worker count, worker scheduling and merge order. Real threads are
@@ -7,7 +7,7 @@
 //! harness makes the scheduling *adversarial on purpose*: the
 //! `StageOrder` knob reverses / rotates both the order each worker steps
 //! its shards per epoch and the order the resolution pass drains the
-//! worker mailboxes. Every combination must produce byte-identical
+//! shard outboxes. Every combination must produce byte-identical
 //! aggregates — any divergence means merge order leaked through the
 //! canonical resolution sort.
 
@@ -15,21 +15,24 @@ mod common;
 
 use common::contended_street;
 use silent_tracker_repro::st_fleet::{
-    run_fleet_exact_with_order, run_fleet_with_workers, FleetConfig, StageOrder,
+    run_fleet_exact_with_order, run_fleet_with_workers, StageOrder,
 };
-
-/// The shared acceptance street with the stage armed.
-fn contended(ues: u32, preambles: u8, shards: usize, duration_s: f64) -> FleetConfig {
-    contended_street(ues, preambles, shards, true, duration_s)
-}
 
 /// Fast always-on version: a small contended fleet across worker counts
 /// and adversarial orders (the release-scale sweep below does the same
 /// at the heavy-load acceptance point).
 #[test]
 fn adversarial_interleaving_is_invisible_small() {
-    let cfg = contended(48, 2, 8, 0.8);
-    let reference = run_fleet_with_workers(&cfg, 1).summary();
+    let cfg = contended_street(96, 2, 8, 0.8);
+    let reference = run_fleet_with_workers(&cfg, 1);
+    // Contention ran: the stage resolved preambles.
+    let stage = reference.stage.expect("stage report");
+    assert!(
+        stage.counters.resolved_preambles > 0,
+        "{}",
+        reference.summary()
+    );
+    let reference = reference.summary();
     for workers in [2, 4, 8] {
         for order in [
             StageOrder::Forward,
@@ -45,14 +48,14 @@ fn adversarial_interleaving_is_invisible_small() {
     }
 }
 
-/// The satellite acceptance run: the 2,400-UE / 2-preamble heavy-load
+/// The satellite acceptance run: the 4,800-UE / 2-preamble heavy-load
 /// deployment at 1, 2, 4 and 8 workers under reversed and rotated
 /// shard-completion orders — all aggregates `assert_eq!`. Sized for
 /// `--release` (`cargo test --release --test exact_contention -- --ignored`).
 #[test]
-#[ignore = "release-scale: repeated 2,400-UE fleets; run with --release -- --ignored"]
+#[ignore = "release-scale: repeated 4,800-UE fleets; run with --release -- --ignored"]
 fn adversarial_interleaving_is_invisible_at_heavy_load() {
-    let cfg = contended(2400, 2, 8, 2.0);
+    let cfg = contended_street(4800, 2, 8, 2.0);
     let reference = run_fleet_with_workers(&cfg, 1);
     assert!(reference.totals.handovers > 0, "{}", reference.summary());
     let reference = reference.summary();

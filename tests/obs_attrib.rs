@@ -3,8 +3,7 @@
 //!
 //! * **Worker invariance** — the per-cause attribution document
 //!   (`causes_json`: cause-keyed quantile ledgers + worst-k exemplars)
-//!   and the summaries are byte-identical at 1/2/4/8 workers, in both
-//!   contention modes.
+//!   and the summaries are byte-identical at 1/2/4/8 workers.
 //! * **Exact decomposition** — every breakdown's phases sum *bit-equal*
 //!   (`f64::to_bits`) to the recorded interruption total, on the small
 //!   sweep point and (`--ignored`) at the 1,000-UE point.
@@ -36,28 +35,25 @@ fn attrib_blob(r: &FleetLoad) -> String {
 
 #[test]
 fn breakdowns_are_worker_invariant_in_both_contention_modes() {
-    for exact_contention in [false, true] {
-        let base = fleet_load::run(&[28], 42, 1, exact_contention, false);
-        let base_blob = attrib_blob(&base);
-        for workers in [2, 4, 8] {
-            let other = fleet_load::run(&[28], 42, workers, exact_contention, false);
-            assert_eq!(
-                base_blob,
-                attrib_blob(&other),
-                "attribution diverged at {workers} workers \
-                 (exact_contention={exact_contention})"
-            );
-            for (a, b) in base.arms.iter().zip(&other.arms) {
-                assert_eq!(a.outcome.totals.worst, b.outcome.totals.worst);
-            }
+    let base = fleet_load::run(&[28], 42, 1, false, None);
+    let base_blob = attrib_blob(&base);
+    for workers in [2, 4, 8] {
+        let other = fleet_load::run(&[28], 42, workers, false, None);
+        assert_eq!(
+            base_blob,
+            attrib_blob(&other),
+            "attribution diverged at {workers} workers"
+        );
+        for (a, b) in base.arms.iter().zip(&other.arms) {
+            assert_eq!(a.outcome.totals.worst, b.outcome.totals.worst);
         }
-        // Both arms actually attributed interruptions: the silent arm
-        // into the soft ledger, the reactive arm into the hard ledger.
-        let (silent, reactive) = (&base.arms[0].outcome.totals, &base.arms[1].outcome.totals);
-        assert!(silent.soft_causes.total_count() > 0, "{base_blob}");
-        assert!(reactive.hard_causes.total_count() > 0, "{base_blob}");
-        assert!(!silent.worst.is_empty() && !reactive.worst.is_empty());
     }
+    // Both arms actually attributed interruptions: the silent arm into
+    // the soft ledger, the reactive arm into the hard ledger.
+    let (silent, reactive) = (&base.arms[0].outcome.totals, &base.arms[1].outcome.totals);
+    assert!(silent.soft_causes.total_count() > 0, "{base_blob}");
+    assert!(reactive.hard_causes.total_count() > 0, "{base_blob}");
+    assert!(!silent.worst.is_empty() && !reactive.worst.is_empty());
 }
 
 /// Phases must sum bit-equal to the recorded interruption — both for
@@ -97,22 +93,20 @@ fn assert_exact_decomposition(r: &FleetLoad) {
 
 #[test]
 fn phase_sums_equal_recorded_totals_bit_exactly() {
-    for exact_contention in [false, true] {
-        let r = fleet_load::run(&[28], 42, 4, exact_contention, true);
-        assert_exact_decomposition(&r);
-    }
+    let r = fleet_load::run(&[28], 42, 4, true, None);
+    assert_exact_decomposition(&r);
 }
 
 #[test]
 #[ignore] // 1,000-UE sweep point; minutes in debug builds. Run with --ignored.
 fn phase_sums_equal_recorded_totals_at_thousand_ues() {
-    let r = fleet_load::run(&[1000], 42, 8, false, true);
+    let r = fleet_load::run(&[1000], 42, 8, true, None);
     assert_exact_decomposition(&r);
 }
 
 #[test]
 fn replayed_trace_breakdowns_match_live() {
-    let r = fleet_load::run(&[28], 42, 4, false, true);
+    let r = fleet_load::run(&[28], 42, 4, true, None);
     for a in &r.arms {
         let t = &a.outcome.totals;
         let run = a.trace.as_ref().expect("recording was armed");

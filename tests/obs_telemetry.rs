@@ -3,8 +3,8 @@
 //!
 //! * **Worker invariance** — the merged interruption sketches, the
 //!   timeline JSON and the profiler's work counters are byte-identical
-//!   at 1/2/4/8 workers, in both contention modes. Worker threads are an
-//!   execution detail; only shard count is a config property.
+//!   at 1/2/4/8 workers. Worker threads are an execution detail; only
+//!   shard count is a config property.
 //! * **Constant memory** — the default mode retains no raw sample
 //!   vectors; quantiles flow through the fixed-size log-bucketed sketch.
 //! * **Exact opt-in** — `FleetConfig::exact_ecdfs` restores the raw
@@ -17,11 +17,12 @@ use silent_tracker_repro::st_fleet::{
 use silent_tracker_repro::st_net::ProtocolKind;
 
 /// A small mixed fleet with snapshots armed: enough contention to light
-/// every telemetry field, small enough for debug-build CI.
-fn obs_fleet(seed: u64, exact_contention: bool, exact_ecdfs: bool) -> FleetConfig {
+/// every telemetry field, small enough for debug-build CI. Four cells
+/// give each of the four shards a spawn tile.
+fn obs_fleet(seed: u64, exact_ecdfs: bool) -> FleetConfig {
     Deployment::new()
         .street(200.0, 30.0)
-        .cell_row(2, 80.0)
+        .cell_row(4, 40.0)
         .tx_beams(8)
         .prach_preambles(4)
         .spawn_region((-25.0, 15.0), (-3.0, 3.0))
@@ -31,7 +32,6 @@ fn obs_fleet(seed: u64, exact_contention: bool, exact_ecdfs: bool) -> FleetConfi
         .seed(seed)
         .shards(4)
         .snapshot_interval_secs(0.2)
-        .exact_contention(exact_contention)
         .exact_ecdfs(exact_ecdfs)
         .build()
         .unwrap()
@@ -49,28 +49,21 @@ fn deterministic_blob(out: &FleetOutcome) -> String {
 
 #[test]
 fn telemetry_is_worker_invariant_in_both_contention_modes() {
-    for exact_contention in [false, true] {
-        let cfg = obs_fleet(7, exact_contention, false);
-        let base = deterministic_blob(&run_fleet_with_workers(&cfg, 1));
-        for workers in [2, 4, 8] {
-            let other = deterministic_blob(&run_fleet_with_workers(&cfg, workers));
-            assert_eq!(
-                base, other,
-                "telemetry diverged at {workers} workers (exact_contention={exact_contention})"
-            );
-        }
-        // The blob actually carried a timeline and non-trivial counters.
-        assert!(!base.contains("timeline:none"), "{base}");
-        assert!(base.contains("des.events_popped"), "{base}");
-        if exact_contention {
-            assert!(base.contains("stage.resolved_preambles"), "{base}");
-        }
+    let cfg = obs_fleet(7, false);
+    let base = deterministic_blob(&run_fleet_with_workers(&cfg, 1));
+    for workers in [2, 4, 8] {
+        let other = deterministic_blob(&run_fleet_with_workers(&cfg, workers));
+        assert_eq!(base, other, "telemetry diverged at {workers} workers");
     }
+    // The blob actually carried a timeline and non-trivial counters.
+    assert!(!base.contains("timeline:none"), "{base}");
+    assert!(base.contains("des.events_popped"), "{base}");
+    assert!(base.contains("stage.resolved_preambles"), "{base}");
 }
 
 #[test]
 fn default_mode_retains_no_raw_samples() {
-    let cfg = obs_fleet(7, false, false);
+    let cfg = obs_fleet(7, false);
     let out = run_fleet_with_workers(&cfg, 4);
     // Quantiles are served from the sketch…
     let soft = out.soft_stats().expect("soft interruptions recorded");
@@ -88,7 +81,7 @@ fn default_mode_retains_no_raw_samples() {
 
 #[test]
 fn exact_ecdfs_opt_in_restores_raw_vectors_and_stays_invariant() {
-    let cfg = obs_fleet(7, false, true);
+    let cfg = obs_fleet(7, true);
     let one = run_fleet_with_workers(&cfg, 1);
     let four = run_fleet_with_workers(&cfg, 4);
     assert_eq!(one.summary(), four.summary());
@@ -106,8 +99,8 @@ fn exact_ecdfs_opt_in_restores_raw_vectors_and_stays_invariant() {
 fn exact_ecdfs_off_matches_exact_on_counts() {
     // Dropping the raw vectors must not change what was *measured* —
     // only how it is summarized. Same config either way, same sketch.
-    let lean = run_fleet_with_workers(&obs_fleet(7, false, false), 2);
-    let full = run_fleet_with_workers(&obs_fleet(7, false, true), 2);
+    let lean = run_fleet_with_workers(&obs_fleet(7, false), 2);
+    let full = run_fleet_with_workers(&obs_fleet(7, true), 2);
     assert_eq!(lean.totals.handovers, full.totals.handovers);
     assert_eq!(
         lean.totals.soft_sketch.count(),
@@ -122,7 +115,7 @@ fn exact_ecdfs_off_matches_exact_on_counts() {
 
 #[test]
 fn timeline_slices_cover_the_run_and_sum_to_totals() {
-    let cfg = obs_fleet(7, false, false);
+    let cfg = obs_fleet(7, false);
     let out = run_fleet_with_workers(&cfg, 4);
     let ring = out.timeline().expect("snapshots armed");
     // 0.9 s at 0.2 s slices: four full boundaries + the sealed tail.
@@ -144,10 +137,10 @@ fn timeline_slices_cover_the_run_and_sum_to_totals() {
 
 #[test]
 fn exact_contention_timeline_sees_responder_traffic() {
-    // In exact mode the responder counters flow through the shared
-    // stage's per-interval deltas rather than per-shard responders; the
-    // merged timeline must still attribute them to slices.
-    let out = run_fleet_with_workers(&obs_fleet(7, true, false), 2);
+    // The responder counters flow through the shared stage's
+    // per-interval deltas (shards carry no responders); the merged
+    // timeline must still attribute them to slices.
+    let out = run_fleet_with_workers(&obs_fleet(7, false), 2);
     let ring = out.timeline().expect("snapshots armed");
     let heard: u64 = ring.slices().iter().map(|s| s.preambles_heard).sum();
     let total: u64 = out
@@ -162,7 +155,7 @@ fn exact_contention_timeline_sees_responder_traffic() {
 
 #[test]
 fn profiler_separates_deterministic_counters_from_wall_spans() {
-    let out = run_fleet_with_workers(&obs_fleet(7, false, false), 2);
+    let out = run_fleet_with_workers(&obs_fleet(7, false), 2);
     let p = out.profile();
     // Work counters present and plausible.
     assert!(p.counters.get("des.events_popped") > 0);

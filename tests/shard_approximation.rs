@@ -1,19 +1,14 @@
 //! From shard-approximation *measurement* to exact-contention *equality*.
 //!
-//! PR 3 used this file to quantify the bias of per-shard PRACH
-//! contention: at moderate load the 8-shard collision rate read ≈ 0
-//! against ≈ 8% exact, and at heavy load it under-counted by ≈ 76%
-//! relative. The shared cross-shard responder stage
-//! (`st_fleet::stage`, `FleetConfig::exact_contention`) removes the bias
-//! — so the measurement is now an **equality regression**: with the
-//! stage armed, a 1-shard run and an 8-shard run must produce
-//! byte-identical `FleetOutcome::summary()` blobs at both load points,
-//! and the measured collision rate must sit on the exact 1-shard
-//! baseline instead of reading ≈ 0.
-//!
-//! One `#[ignore]`d legacy-mode run is kept at the bottom, documenting
-//! the old bias for comparison (and as a tripwire: if legacy sharding
-//! ever *stops* being biased, something else changed).
+//! This file once quantified the bias of per-shard PRACH contention: at
+//! moderate load the 8-shard collision rate read ≈ 0 against ≈ 8% for
+//! one shard, and at heavy load it under-counted by ≈ 76% relative. The
+//! shared cross-shard responder stage (`st_fleet::stage`) removed the
+//! bias and is now the fleet's only contention model — so the
+//! measurement is an **equality regression**: a 1-shard run and an
+//! 8-shard run must produce byte-identical `FleetOutcome::summary()`
+//! blobs at both load points, and the measured collision rate must stay
+//! above a floor instead of reading ≈ 0.
 //!
 //! All `#[ignore]`d: sized for `--release`
 //! (`cargo test --release --test shard_approximation -- --ignored`).
@@ -24,11 +19,11 @@ use common::contended_street;
 use silent_tracker_repro::st_fleet::{run_fleet_with_workers, FleetConfig, FleetOutcome};
 
 /// The shared acceptance street at this file's 2-second horizon.
-/// Moderate load (600 UEs, 8 preambles) is where per-shard contention
-/// essentially vanished; heavy load (2,400 UEs, 2 preambles) is where
+/// Moderate load (1,200 UEs, 8 preambles) is where per-shard contention
+/// essentially vanished; heavy load (4,800 UEs, 2 preambles) is where
 /// it under-counted by ≈ 76% relative.
-fn deployment(ues: u32, preambles: u8, shards: usize, exact: bool) -> FleetConfig {
-    contended_street(ues, preambles, shards, exact, 2.0)
+fn deployment(ues: u32, preambles: u8, shards: usize) -> FleetConfig {
+    contended_street(ues, preambles, shards, 2.0)
 }
 
 /// Fleet-wide PRACH collision rate: collided preambles / heard preambles.
@@ -50,99 +45,42 @@ fn collision_rate(out: &FleetOutcome) -> f64 {
 }
 
 /// The equality the shared stage buys, plus the accuracy it restores, at
-/// one load point. The sharded run must (a) be byte-identical to the
-/// 1-shard exact-contention run and (b) read a collision rate on the
-/// legacy exact (1-shard, per-shard-responder) baseline — tolerance
-/// covers only the canonical-order vs insertion-order tie-breaks and the
-/// Msg3-capture instant, the two deliberate, documented deltas between
-/// the stage and the legacy BS path.
+/// one load point: the 8-shard run must (a) be byte-identical to the
+/// 1-shard run and (b) read a collision rate above `floor` — no ≈ 0
+/// readings.
 fn assert_exact_at(ues: u32, preambles: u8, floor: f64) {
-    let one = run_fleet_with_workers(&deployment(ues, preambles, 1, true), 1);
-    let eight = run_fleet_with_workers(&deployment(ues, preambles, 8, true), 8);
+    let one = run_fleet_with_workers(&deployment(ues, preambles, 1), 1);
+    let eight = run_fleet_with_workers(&deployment(ues, preambles, 8), 8);
     assert_eq!(
         one.summary(),
         eight.summary(),
         "exact contention must be shard-count invariant at {ues} UEs / {preambles} preambles"
     );
 
-    let legacy_exact = run_fleet_with_workers(&deployment(ues, preambles, 1, false), 1);
     let rate = collision_rate(&eight);
-    let rate_legacy = collision_rate(&legacy_exact);
     eprintln!(
-        "{ues} UEs / {preambles} preambles: exact-stage rate={rate:.4} \
-         legacy 1-shard rate={rate_legacy:.4} handovers exact={} legacy={}",
-        eight.totals.handovers, legacy_exact.totals.handovers
+        "{ues} UEs / {preambles} preambles: collision rate={rate:.4} handovers={}",
+        eight.totals.handovers
     );
-    // No ≈0 readings: the sharded configuration now *sees* the contention.
+    // No ≈0 readings: the sharded configuration *sees* the contention.
     assert!(
         rate > floor,
-        "exact-contention sharded run reads ≈0 collisions again: \
-         rate={rate:.4} (floor {floor})"
-    );
-    // On the exact baseline, not merely nonzero.
-    let rel = (rate - rate_legacy).abs() / rate_legacy.max(1e-9);
-    assert!(
-        rel < 0.25,
-        "exact-stage collision rate drifted off the 1-shard baseline: \
-         stage={rate:.4} legacy={rate_legacy:.4} rel={rel:.3}"
+        "sharded run reads ≈0 collisions again: rate={rate:.4} (floor {floor})"
     );
 }
 
-/// Moderate load — where the legacy 8-shard run read ≈ 0 (~100%
-/// relative error). The legacy exact baseline here is ≈ 8%.
+/// Moderate load — where per-shard resolution once read ≈ 0 at 8 shards
+/// (~100% relative error).
 #[test]
-#[ignore = "release-scale: 600-UE fleets; run with --release -- --ignored"]
+#[ignore = "release-scale: 1,200-UE fleets; run with --release -- --ignored"]
 fn moderate_load_sharding_is_exact_with_shared_stage() {
-    assert_exact_at(600, 8, 0.03);
+    assert_exact_at(1200, 8, 0.03);
 }
 
-/// Heavy load — where the legacy 8-shard run under-counted by ≈ 76%
-/// relative (legacy exact baseline ≈ 0.47).
+/// Heavy load — where per-shard resolution once under-counted by ≈ 76%
+/// relative at 8 shards.
 #[test]
-#[ignore = "release-scale: 2,400-UE fleets; run with --release -- --ignored"]
+#[ignore = "release-scale: 4,800-UE fleets; run with --release -- --ignored"]
 fn heavy_load_sharding_is_exact_with_shared_stage() {
-    assert_exact_at(2400, 2, 0.20);
-}
-
-/// The documented legacy bias, kept for comparison: per-shard contention
-/// under-counts heavy-load collisions and completes more handovers. If
-/// this ever *passes as equal*, the legacy path changed out from under
-/// its documentation.
-#[test]
-#[ignore = "release-scale: 2 × 2,400-UE fleets; run with --release -- --ignored"]
-fn legacy_sharded_collision_rate_still_documents_the_bias() {
-    let exact = run_fleet_with_workers(&deployment(2400, 2, 1, false), 1);
-    let sharded = run_fleet_with_workers(&deployment(2400, 2, 8, false), 8);
-
-    let rate_exact = collision_rate(&exact);
-    let rate_sharded = collision_rate(&sharded);
-    let rel_err = (rate_exact - rate_sharded).abs() / rate_exact.max(1e-9);
-    eprintln!(
-        "legacy: exact(1-shard) rate={rate_exact:.4} sharded(8) rate={rate_sharded:.4} \
-         rel_err={rel_err:.3} handovers exact={} sharded={}",
-        exact.totals.handovers, sharded.totals.handovers
-    );
-    // Heavy contention reaches both configurations at all.
-    assert!(
-        rate_exact > 0.05 && rate_sharded > 0.02,
-        "load no longer contended enough to measure the approximation: \
-         exact={rate_exact:.4} sharded={rate_sharded:.4}"
-    );
-    // The bias is real (the sharded run under-counts) and bounded.
-    assert!(
-        rate_sharded < rate_exact && rel_err <= 0.85,
-        "legacy shard approximation no longer shows its documented bias: \
-         exact={rate_exact:.4} sharded={rate_sharded:.4} rel_err={rel_err:.3}"
-    );
-    // The documented feedback: fewer contention losses, more completed
-    // handovers, bounded at 2×.
-    let (h_exact, h_sharded) = (
-        exact.totals.handovers as f64,
-        sharded.totals.handovers as f64,
-    );
-    assert!(
-        h_sharded >= h_exact && h_sharded <= 2.0 * h_exact,
-        "handover-volume bias outside the documented envelope: \
-         {h_exact} exact vs {h_sharded} sharded"
-    );
+    assert_exact_at(4800, 2, 0.20);
 }

@@ -27,7 +27,7 @@ fn arm_fleet(ues: u64, protocol: ProtocolKind) -> FleetConfig {
         .population(vehicles, MobilityKind::Vehicular, protocol)
         .duration_secs(2.0)
         .seed(42)
-        .shards(8)
+        .shards(4)
         .exact_ecdfs(true)
         .build()
         .unwrap()

@@ -27,7 +27,7 @@ fn smoke_fleet(seed: u64, record: bool, warm: bool) -> FleetConfig {
         .population(8, MobilityKind::Vehicular, ProtocolKind::Reactive)
         .duration_secs(0.8)
         .seed(seed)
-        .shards(4)
+        .shards(2)
         .record_traces(record)
         .build()
         .unwrap();

@@ -190,16 +190,21 @@ fn occluded_sweep_path_allocates_nothing() {
     );
 }
 
-/// The shared cross-shard RACH stage armed: ingesting mailboxes, sorting
-/// the holding buffer canonically, resolving merged occasions (with
-/// collisions, admission rejections and soft-handover backhaul fetches)
-/// and routing replies must allocate **nothing** once the pre-sized
-/// occasion buffers are warm — the exact-contention path adds barriers,
-/// not per-occasion `Vec` churn.
+/// The shared cross-shard RACH stage: ingesting outboxes, sorting the
+/// holding buffer canonically, resolving merged occasions (with
+/// collisions, admission rejections and soft-handover backhaul fetches),
+/// routing replies and attributing the timeline's slice counters and
+/// backlog gauge must allocate **nothing** once the pre-sized occasion
+/// buffers are warm — the stage adds barriers, not per-occasion `Vec`
+/// churn.
 #[test]
 fn shared_rach_stage_steady_state_allocates_nothing() {
     let epoch_ns = 2_000_000u64;
     let mut stage = SharedRachStage::new(4, ResponderConfig::nr_default(), 64);
+    stage.arm_slices(
+        SimDuration::from_millis(20),
+        SimTime::from_nanos(1032 * epoch_ns),
+    );
     let mut mailbox: Vec<RachAttemptMsg> = Vec::with_capacity(256);
     let mut replies: Vec<RachReply> = Vec::with_capacity(256);
 
