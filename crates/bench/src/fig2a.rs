@@ -51,7 +51,6 @@ pub fn config(class: BeamwidthClass) -> ScenarioConfig {
     // dwell positions), after which the pass counts as failed.
     cfg.tracker.max_search_dwells = 25;
     cfg.duration = st_des::SimDuration::from_secs(8);
-    cfg.stop_at_handover = false;
     cfg
 }
 

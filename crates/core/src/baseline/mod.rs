@@ -4,16 +4,11 @@
 //!   neighbor activity until the serving link fails, then a cold full
 //!   search and context-free access (what the paper's §2 argues is not
 //!   viable at mm-wave).
-//! * [`oracle::OracleTracker`] — genie-aided upper bound with perfect
-//!   angle-of-arrival knowledge (what out-of-band/side-channel schemes
-//!   approximate).
 //!
 //! The omni "baseline" of Fig. 2a needs no protocol of its own — it is
 //! [`SilentTracker`](crate::tracker::SilentTracker) run with the
 //! single-beam omni codebook.
 
-pub mod oracle;
 pub mod reactive;
 
-pub use oracle::{CellTruth, OracleDecision, OracleTracker};
 pub use reactive::ReactiveHandover;

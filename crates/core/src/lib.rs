@@ -30,8 +30,7 @@
 //!   and dwell accounting (the Fig. 2a metrics).
 //! * [`tracker`] — [`tracker::SilentTracker`], the sans-IO protocol
 //!   engine (an adapter over [`machine`]).
-//! * [`baseline`] — the reactive hard-handover strawman and the
-//!   genie-aided oracle.
+//! * [`baseline`] — the reactive hard-handover strawman.
 //!
 //! ## Example
 //!
@@ -70,7 +69,7 @@ pub mod wire;
 mod tracker_tests;
 
 pub use attribution::{Cause, InterruptionBreakdown, InterruptionMarks, Phase};
-pub use baseline::{OracleTracker, ReactiveHandover};
+pub use baseline::ReactiveHandover;
 pub use config::TrackerConfig;
 pub use machine::{
     step, step_mut, ProtocolCtx, ProtocolEvent, ProtocolState, ReactiveState, SilentState,

@@ -30,8 +30,9 @@
 //!
 //! The familiar [`SilentTracker`](crate::tracker::SilentTracker) and
 //! [`ReactiveHandover`](crate::baseline::ReactiveHandover) types are thin
-//! adapters over this module: they own a `(ctx, state)` pair and forward
-//! `handle` into [`step_mut`].
+//! sans-IO adapters over this module: they own a `(ctx, state)` pair and
+//! forward `handle` into the fold. The simulators skip them and fold a
+//! [`ProtocolState`] directly through [`step_mut`].
 //!
 //! # Timer compression
 //!
@@ -1658,6 +1659,73 @@ impl ProtocolState {
         match self {
             ProtocolState::Silent(s) => s.handover(),
             ProtocolState::Reactive(r) => r.handover(),
+        }
+    }
+
+    pub fn serving_rx_beam(&self) -> BeamId {
+        match self {
+            ProtocolState::Silent(s) => s.serving_rx_beam(),
+            ProtocolState::Reactive(r) => r.serving_rx_beam(),
+        }
+    }
+
+    /// The receive beam the mobile should use during measurement gaps.
+    pub fn gap_rx_beam(&self, codebook: &Codebook) -> BeamId {
+        match self {
+            ProtocolState::Silent(s) => s.gap_rx_beam(codebook),
+            ProtocolState::Reactive(r) => r.gap_rx_beam(),
+        }
+    }
+
+    /// Receive-beam dwells spent searching, over all passes.
+    pub fn search_dwells(&self) -> u64 {
+        match self {
+            ProtocolState::Silent(s) => s.stats().search_dwells,
+            ProtocolState::Reactive(r) => r.search_dwells(),
+        }
+    }
+
+    /// The tracked neighbor beam (Silent Tracker only): (cell, tx beam,
+    /// rx beam).
+    pub fn tracked(&self) -> Option<(CellId, TxBeamIndex, BeamId)> {
+        match self {
+            ProtocolState::Silent(s) => s.tracked(),
+            ProtocolState::Reactive(_) => None,
+        }
+    }
+
+    /// Smoothed RSS of the tracked neighbor beam (Silent Tracker only).
+    pub fn neighbor_level(&self) -> Option<Dbm> {
+        match self {
+            ProtocolState::Silent(s) => s.neighbor_level(),
+            ProtocolState::Reactive(_) => None,
+        }
+    }
+
+    /// Protocol counters (Silent Tracker only).
+    pub fn stats(&self) -> Option<TrackerStats> {
+        match self {
+            ProtocolState::Silent(s) => Some(s.stats()),
+            ProtocolState::Reactive(_) => None,
+        }
+    }
+
+    /// The monitor of the tracked neighbor beam (Silent Tracker only) —
+    /// the warm-start seed a driver banks right before completing a
+    /// handover.
+    pub fn tracked_monitor(&self) -> Option<LinkMonitor> {
+        match self {
+            ProtocolState::Silent(s) => s.tracked_monitor(),
+            ProtocolState::Reactive(_) => None,
+        }
+    }
+
+    /// Warm-start re-anchoring (Silent Tracker only; a no-op for the
+    /// reactive arm): seed the serving monitor from the monitor that
+    /// tracked this link before the handover.
+    pub fn warm_start(&mut self, monitor: &LinkMonitor) {
+        if let ProtocolState::Silent(s) = self {
+            s.warm_start(monitor);
         }
     }
 }

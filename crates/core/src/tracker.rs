@@ -13,8 +13,6 @@
 //! handover directive.
 //!
 //! Everything it consumes is in-band RSS, which is the paper's thesis.
-//! The one deliberate exception, the oracle baseline, lives in
-//! [`crate::baseline`] and is clearly labelled.
 //!
 //! Internally the Fig. 2b machine decomposes into two concerns that share
 //! the radio through the measurement-gap schedule (see [`crate::machine`]

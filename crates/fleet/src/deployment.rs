@@ -107,9 +107,9 @@ impl TilePartition {
 }
 
 /// Full fleet description: the shared radio/world parameters (reusing the
-/// single-trial [`ScenarioConfig`] — its `protocol`, `initial_serving` and
-/// `stop_at_handover` fields are per-UE concerns here and ignored) plus
-/// the population mix and execution shape.
+/// single-trial [`ScenarioConfig`] — its `protocol` and `initial_serving`
+/// fields are per-UE concerns here and ignored) plus the population mix
+/// and execution shape.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Shared world: cells, environment, radio, channel, MAC timing,
@@ -340,7 +340,6 @@ impl Deployment {
     pub fn new() -> Deployment {
         let mut base = ScenarioConfig::two_cell_edge();
         base.duration = SimDuration::from_secs(1);
-        base.stop_at_handover = false;
         Deployment {
             base,
             cells_set: false,

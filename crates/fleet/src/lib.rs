@@ -17,15 +17,16 @@
 //!
 //! * [`deployment`] — declarative [`Deployment`] builder for cell layouts
 //!   and heterogeneous UE populations (mixed mobility and protocol arms).
-//! * [`sim`] — the multi-UE shard engine (reuses `st_des::Executive`,
-//!   `st_net::radio`, `st_net::proto`).
+//! * [`sim`] — one shard: the fleet's loop over the shared UE driver
+//!   (`st_net::driver`, the same handlers the single trial runs), with
+//!   the fleet's telemetry, attribution and per-cell ledgers as its
+//!   observer.
 //! * [`runner`] — barrier-synchronized parallel execution over
-//!   `std::thread::scope` on at most `workers` threads; aggregates are
-//!   bit-identical regardless of worker *and* shard count.
-//! * [`stage`] — the shared cross-shard RACH resolution stage: shards
-//!   synchronize at PRACH occasion barriers and each occasion resolves
-//!   over the globally merged attempt set in canonical order, which is
-//!   what makes contention exact.
+//!   `std::thread::scope` on at most `workers` threads: shards
+//!   synchronize at PRACH occasion barriers, where `st_net::stage`
+//!   resolves each occasion over the globally merged attempt set in
+//!   canonical order, which is what makes contention exact. Aggregates
+//!   are bit-identical regardless of worker *and* shard count.
 //! * [`metrics`] — per-cell RACH collision rate / occasion occupancy and
 //!   fleet-wide interruption CDFs, flowing through `st_metrics`.
 //! * [`telemetry`] — streaming constant-memory observability: shard rings
@@ -59,7 +60,6 @@ pub mod deployment;
 pub mod metrics;
 pub mod runner;
 pub mod sim;
-pub mod stage;
 pub mod telemetry;
 
 pub use attribution::{breakdowns_from_traces, format_breakdown, format_worst, marks_from_traces};
@@ -68,7 +68,6 @@ pub use deployment::{
 };
 pub use metrics::{CellLoad, FleetOutcome, InterruptionStats, ShardOutcome, StageReport};
 pub use runner::{run_fleet, run_fleet_exact_with_order, run_fleet_with_workers, StageOrder};
-pub use stage::{RachAttemptMsg, RachReply, RachReq, SharedRachStage, StageCounters};
 pub use telemetry::{SnapshotRing, SnapshotSlice};
 
 #[cfg(test)]

@@ -8,9 +8,9 @@ use silent_tracker::attribution::{Cause, InterruptionBreakdown, Phase};
 use st_des::SimDuration;
 use st_mac::responder::ResponderStats;
 use st_metrics::{Accumulator, Ecdf, Profiler, QuantileSketch, SketchMap, Table};
+use st_net::stage::StageCounters;
 use st_net::UeTrace;
 
-use crate::stage::StageCounters;
 use crate::telemetry::SnapshotRing;
 
 /// RACH and backhaul load observed at one cell.

@@ -3,7 +3,8 @@
 //! The street is split into `FleetConfig::n_shards` spawn tiles *by
 //! config*: a shard owns a contiguous x-interval of the street and the
 //! cells clustered inside it, and every UE lives its whole run on the
-//! shard whose tile it spawned in. Worker threads are merely the labour
+//! shard whose tile it spawned in. Each shard runs the shared UE driver
+//! (`st_net::driver`) over its UEs; worker threads are merely the labour
 //! that steps the shards. Each shard derives every RNG stream from the
 //! fleet master seed and global UE ids, and shard results merge in shard
 //! order.
@@ -12,7 +13,8 @@
 //!
 //! Shards advance one occasion epoch at a time (the epoch is the minimum
 //! BS response delay, so replies always land in the shards' future). At
-//! each barrier the attempts the shards published meet in a shared
+//! each barrier the RACH attempts that arrived at base stations during
+//! the epoch leave the shards' outboxes and meet in a shared
 //! [`SharedRachStage`], which resolves the globally merged, canonically
 //! ordered attempt set and fans the replies back before the next epoch
 //! starts. Contention is therefore exact, and the aggregate is
@@ -49,11 +51,13 @@ use std::time::Instant;
 
 use st_des::SimTime;
 use st_mac::responder::ResponderStats;
+use st_net::driver::responder_config;
+use st_net::radio::build_world;
+use st_net::stage::{SharedRachStage, StageCounters};
 
 use crate::deployment::FleetConfig;
 use crate::metrics::{FleetOutcome, StageReport};
-use crate::sim::{build_world, responder_config, ShardSim};
-use crate::stage::{SharedRachStage, StageCounters};
+use crate::sim::ShardSim;
 use crate::telemetry::{SnapshotRing, SnapshotSlice};
 
 /// Deterministic-interleaving harness knob: the order a thread steps a
@@ -187,7 +191,7 @@ pub fn run_fleet_exact_with_order(
     let n_shards = cfg.n_shards;
     let n_cells = cfg.base.cells.len();
 
-    let (sites, ue_codebook) = build_world(cfg);
+    let (sites, ue_codebook) = build_world(&cfg.base);
     let parts = cfg.shard_partition();
     let part_lens: Vec<usize> = parts.iter().map(Vec::len).collect();
     let sims: Vec<Mutex<ShardSim>> = parts

@@ -4,7 +4,6 @@
 //! regenerate the paper's figures:
 //!
 //! * [`cdf::Ecdf`] — empirical CDFs (Fig. 2c is a CDF over time).
-//! * [`histogram::Histogram`] — latency histograms (Fig. 2a left).
 //! * [`summary`] — Welford accumulators with 95% CIs and Wilson-interval
 //!   success rates (Fig. 2a right).
 //! * [`series::TimeSeries`] — time-stamped RSS/alignment traces.
@@ -22,7 +21,6 @@
 //!   separately so determinism tests can mask them).
 
 pub mod cdf;
-pub mod histogram;
 pub mod obs;
 pub mod series;
 pub mod sketch;
@@ -31,7 +29,6 @@ pub mod summary;
 pub mod table;
 
 pub use cdf::Ecdf;
-pub use histogram::Histogram;
 pub use obs::{Counters, Profiler, Scope, SpanStat};
 pub use series::TimeSeries;
 pub use sketch::QuantileSketch;

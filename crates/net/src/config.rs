@@ -108,8 +108,6 @@ pub struct ScenarioConfig {
     pub duration: SimDuration,
     /// Master seed; trials use seed + trial index.
     pub seed: u64,
-    /// Stop the run as soon as the handover completes.
-    pub stop_at_handover: bool,
 }
 
 impl ScenarioConfig {
@@ -137,7 +135,6 @@ impl ScenarioConfig {
             fault: FaultConfig::none(),
             duration: SimDuration::from_secs(20),
             seed: 1,
-            stop_at_handover: true,
         }
     }
 

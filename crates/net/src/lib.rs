@@ -1,19 +1,25 @@
 //! # st-net — event-driven mm-wave network scenarios
 //!
-//! The top of the substrate stack: base stations sweeping SSB beams, one
-//! mobile running a protocol from the `silent-tracker` crate, a radio in
+//! The top of the substrate stack: base stations sweeping SSB beams,
+//! mobiles running a protocol from the `silent-tracker` crate, a radio in
 //! between built from `st-phy` channels, all driven by the `st-des`
 //! executive.
 //!
 //! * [`config`] — scenario description (cells, radio, faults, protocol
 //!   arm) with validation.
-//! * [`radio`] — shared radio plumbing: static cell [`radio::Sites`] and a
-//!   per-UE [`radio::LinkSet`] of stochastic channels (also used by the
-//!   `st_fleet` multi-UE engine).
-//! * [`proto`] — the protocol arms behind one dispatch surface (and the
-//!   attachment point for trace recording).
-//! * [`scenario`] — the executor translating between physics and the
-//!   sans-IO protocol engines; one seeded trial per run.
+//! * [`radio`] — radio plumbing: static cell [`radio::Sites`] and a
+//!   per-UE [`radio::LinkSet`] of stochastic channels.
+//! * [`proto`] — the protocol under test behind one dispatch path over
+//!   the pure `step_mut` fold (and the attachment point for trace
+//!   recording).
+//! * [`driver`] — the one UE driver: every per-UE handler, translating
+//!   between physics and the sans-IO protocol, with an [`Observer`] hook
+//!   for whatever the running loop records. The single trial and the
+//!   `st_fleet` engine are two loops over it.
+//! * [`stage`] — the base stations' side of random access: a
+//!   deterministic RACH resolution stage fed by the drivers' outboxes.
+//! * [`scenario`] — the single trial: a one-UE run of the driver that
+//!   halts at the first completed handover.
 //! * [`scenarios`] — the paper's three mobility cases (walk, rotation,
 //!   vehicular) pre-wired.
 //! * [`outcome`] — per-run results the benches aggregate into the
@@ -25,20 +31,24 @@
 //!   byte-identical to live for the recorded config.
 
 pub mod config;
+pub mod driver;
 pub mod outcome;
 pub mod proto;
 pub mod radio;
 pub mod replay;
 pub mod scenario;
 pub mod scenarios;
+pub mod stage;
 pub mod trace;
 
 pub use config::{CellConfig, FaultConfig, ProtocolKind, ScenarioConfig};
+pub use driver::{Driver, Observer};
 pub use outcome::{RunOutcome, SearchPass};
 pub use proto::Proto;
 pub use radio::{LinkSet, LinkStats, Sites};
 pub use replay::{replay_run, replay_run_timed, replay_run_with_config, ReplayReport};
 pub use scenario::Scenario;
+pub use stage::{RachAttemptMsg, RachReply, RachReq, SharedRachStage, StageCounters};
 pub use trace::{FleetTrace, RunTrace, SegmentTrace, UeRecorder, UeTrace};
 
 #[cfg(test)]

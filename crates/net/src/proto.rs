@@ -1,19 +1,23 @@
-//! The protocol under test behind one dispatch surface, shared by the
-//! single-UE executor and the fleet engine.
+//! The protocol under test behind one dispatch path, shared by the
+//! single-trial loop, the fleet and trace replay.
 //!
-//! Both arms are sans-IO state machines from the `silent-tracker` crate;
-//! [`Proto`] erases which one a given UE runs so the executors can drive
-//! heterogeneous populations through one code path. It is also the
+//! A [`Proto`] is a protocol context, the complete protocol state and one
+//! reused action buffer. Every event is folded in place with
+//! [`step_mut`] — the same pure fold trace replay drives — so the two
+//! protocol arms differ only in the [`ProtocolState`] variant, and
+//! folding allocates nothing once the buffer is warm. It is also the
 //! attachment point for trace recording ([`crate::trace`]): with a
 //! [`UeRecorder`] attached, every event folded and every action emitted
-//! is captured on the way through [`Proto::handle`] — the executors need
-//! no per-event recording code of their own.
+//! is captured on the way through [`Proto::handle`] — the driver needs no
+//! per-event recording code of its own.
 
 use std::sync::Arc;
 
 use silent_tracker::measurement::LinkMonitor;
-use silent_tracker::tracker::{Action, Input, SilentTracker, TrackerStats};
-use silent_tracker::{ProtocolState, ReactiveHandover, TrackerConfig};
+use silent_tracker::tracker::{Action, Input, TrackerStats};
+use silent_tracker::{
+    step_mut, ProtocolCtx, ProtocolState, ReactiveState, SilentState, TrackerConfig,
+};
 use st_mac::pdu::{CellId, UeId};
 use st_mac::timing::TxBeamIndex;
 use st_phy::codebook::{BeamId, Codebook};
@@ -22,27 +26,42 @@ use st_phy::units::Dbm;
 use crate::config::ProtocolKind;
 use crate::trace::UeRecorder;
 
-/// The protocol arm a UE runs.
-#[derive(Debug)]
-enum Arm {
-    Silent(Box<SilentTracker>),
-    Reactive(Box<ReactiveHandover>),
+/// The initial state of arm `kind` anchored on `ctx.serving_cell` with
+/// serving receive beam `serving_rx`, warm-started from `warm` when one
+/// is given. Construction, handover re-anchoring and trace replay all
+/// anchor through here.
+pub(crate) fn anchored_state(
+    kind: ProtocolKind,
+    ctx: &ProtocolCtx,
+    serving_rx: BeamId,
+    warm: Option<&LinkMonitor>,
+) -> ProtocolState {
+    let mut state = match kind {
+        ProtocolKind::SilentTracker => ProtocolState::Silent(SilentState::initial(ctx, serving_rx)),
+        ProtocolKind::Reactive => ProtocolState::Reactive(ReactiveState::initial(ctx, serving_rx)),
+    };
+    if let Some(w) = warm {
+        state.warm_start(w);
+    }
+    state
 }
 
-/// Protocol under test, behind one dispatch surface, with an optional
-/// trace recorder riding on the event path.
+/// Protocol under test, with an optional trace recorder riding on the
+/// event path.
 #[derive(Debug)]
 pub struct Proto {
-    arm: Arm,
+    ctx: ProtocolCtx,
+    state: ProtocolState,
+    /// Actions of the last folded event, reused across folds.
+    pub(crate) actions: Vec<Action>,
     recorder: Option<Box<UeRecorder>>,
 }
 
 impl Proto {
     /// Build the protocol arm `kind`, already attached to `serving` on
-    /// `serving_rx` (initial access happened before the scenario starts).
-    /// The codebook is shared by reference count — a fleet hands the same
-    /// `Arc` to every UE (and to every re-anchored protocol) instead of
-    /// cloning the beam table per instance.
+    /// `serving_rx` (initial access happened before the run starts). The
+    /// codebook is shared by reference count — a fleet hands the same
+    /// `Arc` to every UE instead of cloning the beam table per instance.
     pub fn new(
         kind: ProtocolKind,
         config: TrackerConfig,
@@ -51,116 +70,87 @@ impl Proto {
         codebook: Arc<Codebook>,
         serving_rx: BeamId,
     ) -> Proto {
-        let arm = match kind {
-            ProtocolKind::SilentTracker => Arm::Silent(Box::new(SilentTracker::new(
-                config, ue, serving, codebook, serving_rx,
-            ))),
-            ProtocolKind::Reactive => Arm::Reactive(Box::new(ReactiveHandover::new(
-                config, ue, serving, codebook, serving_rx,
-            ))),
-        };
+        let ctx = ProtocolCtx::new(config, ue, serving, codebook);
+        let state = anchored_state(kind, &ctx, serving_rx, None);
         Proto {
-            arm,
+            ctx,
+            state,
+            actions: Vec::new(),
             recorder: None,
         }
     }
 
     pub fn kind(&self) -> ProtocolKind {
-        match &self.arm {
-            Arm::Silent(_) => ProtocolKind::SilentTracker,
-            Arm::Reactive(_) => ProtocolKind::Reactive,
+        match self.state {
+            ProtocolState::Silent(_) => ProtocolKind::SilentTracker,
+            ProtocolState::Reactive(_) => ProtocolKind::Reactive,
         }
     }
 
-    pub fn handle(&mut self, input: Input) -> Vec<Action> {
+    /// Fold one event. The actions it emits replace the previous event's
+    /// in the reused buffer and are returned.
+    pub fn handle(&mut self, input: Input) -> &[Action] {
         if let Some(rec) = &mut self.recorder {
             rec.record_event(&input);
         }
-        let out = match &mut self.arm {
-            Arm::Silent(t) => t.handle(input),
-            Arm::Reactive(r) => r.handle(input),
-        };
+        self.actions.clear();
+        step_mut(&self.ctx, &mut self.state, &input, &mut self.actions);
         if let Some(rec) = &mut self.recorder {
-            rec.record_actions(&out);
+            rec.record_actions(&self.actions);
         }
-        out
+        &self.actions
     }
 
     pub fn serving_rx_beam(&self) -> BeamId {
-        match &self.arm {
-            Arm::Silent(t) => t.serving_rx_beam(),
-            Arm::Reactive(r) => r.serving_rx_beam(),
-        }
+        self.state.serving_rx_beam()
     }
 
     pub fn gap_rx_beam(&self) -> BeamId {
-        match &self.arm {
-            Arm::Silent(t) => t.gap_rx_beam(),
-            Arm::Reactive(r) => r.gap_rx_beam(),
-        }
+        self.state.gap_rx_beam(&self.ctx.codebook)
     }
 
     pub fn search_dwells(&self) -> u64 {
-        match &self.arm {
-            Arm::Silent(t) => t.stats().search_dwells,
-            Arm::Reactive(r) => r.search_dwells(),
-        }
+        self.state.search_dwells()
     }
 
     pub fn tracked(&self) -> Option<(CellId, TxBeamIndex, BeamId)> {
-        match &self.arm {
-            Arm::Silent(t) => t.tracked(),
-            Arm::Reactive(_) => None,
-        }
+        self.state.tracked()
     }
 
     /// Smoothed tracked-neighbor level (Silent Tracker arm only).
     pub fn neighbor_level(&self) -> Option<Dbm> {
-        match &self.arm {
-            Arm::Silent(t) => t.neighbor_level(),
-            Arm::Reactive(_) => None,
-        }
+        self.state.neighbor_level()
     }
 
     /// Protocol counters (Silent Tracker arm only).
     pub fn stats(&self) -> Option<TrackerStats> {
-        match &self.arm {
-            Arm::Silent(t) => Some(t.stats()),
-            Arm::Reactive(_) => None,
-        }
+        self.state.stats()
     }
 
     /// The serving cell the protocol is anchored on.
     pub fn serving_cell(&self) -> CellId {
-        match &self.arm {
-            Arm::Silent(t) => t.ctx().serving_cell,
-            Arm::Reactive(r) => r.ctx().serving_cell,
-        }
-    }
-
-    /// Snapshot the complete mutable protocol state as a plain value.
-    pub fn snapshot(&self) -> ProtocolState {
-        match &self.arm {
-            Arm::Silent(t) => t.snapshot(),
-            Arm::Reactive(r) => r.snapshot(),
-        }
+        self.ctx.serving_cell
     }
 
     /// The monitor of the tracked neighbor beam (Silent arm only) — the
     /// warm-start seed a driver banks right before completing a handover.
     pub fn tracked_monitor(&self) -> Option<LinkMonitor> {
-        match &self.arm {
-            Arm::Silent(t) => t.tracked_monitor(),
-            Arm::Reactive(_) => None,
-        }
+        self.state.tracked_monitor()
     }
 
-    /// Warm-start re-anchoring (Silent arm only): seed the serving
-    /// monitor from the monitor that tracked this link pre-handover. The
-    /// caller gates on `TrackerConfig::warm_start_handover`.
-    pub fn warm_start(&mut self, monitor: &LinkMonitor) {
-        if let Arm::Silent(t) = &mut self.arm {
-            t.warm_start(monitor);
+    /// Re-anchor after a completed handover: beam management restarts on
+    /// `serving` with `serving_rx` as the serving beam, warm-started from
+    /// `warm` when one is given (the caller gates on
+    /// `TrackerConfig::warm_start_handover`). With recording on, the open
+    /// segment closes on the old state and the next one opens at the new
+    /// anchor, recording the warm-start seed so replay can reproduce it.
+    pub fn reanchor(&mut self, serving: CellId, serving_rx: BeamId, warm: Option<LinkMonitor>) {
+        let rec = self.finish_recording();
+        self.ctx.serving_cell = serving;
+        self.state = anchored_state(self.kind(), &self.ctx, serving_rx, warm.as_ref());
+        if let Some(mut rec) = rec {
+            rec.open_segment(serving.0, self.serving_rx_beam().0, warm);
+            self.recorder = Some(rec);
         }
     }
 
@@ -177,8 +167,7 @@ impl Proto {
 
     /// Record causal-attribution marks for a handover completing on this
     /// protocol instance (no-op when recording is off). Call before
-    /// [`Proto::finish_recording`] so the marks land in the segment the
-    /// handover closes.
+    /// re-anchoring so the marks land in the segment the handover closes.
     pub fn record_marks(&mut self, m: &silent_tracker::attribution::InterruptionMarks) {
         if let Some(rec) = &mut self.recorder {
             rec.record_marks(m);
@@ -189,15 +178,7 @@ impl Proto {
     /// final state snapshot. Returns `None` if recording is off.
     pub fn finish_recording(&mut self) -> Option<Box<UeRecorder>> {
         let mut rec = self.recorder.take()?;
-        rec.close_segment(&self.snapshot());
+        rec.close_segment(&self.state);
         Some(rec)
-    }
-
-    /// Re-attach a recorder after a handover re-anchored this protocol
-    /// instance: opens the next segment at the new anchor, recording the
-    /// warm-start seed (if one was applied) so replay can reproduce it.
-    pub fn resume_recording(&mut self, mut rec: Box<UeRecorder>, warm: Option<LinkMonitor>) {
-        rec.open_segment(self.serving_cell().0, self.serving_rx_beam().0, warm);
-        self.recorder = Some(rec);
     }
 }

@@ -1,11 +1,11 @@
-//! Radio plumbing shared by the single-UE executor and the fleet engine:
-//! the static cell sites (poses + transmit codebooks) and one mobile's set
-//! of stochastic links to every cell.
+//! Radio plumbing of the UE driver: the static cell sites (poses +
+//! transmit codebooks) and one mobile's set of stochastic links to every
+//! cell.
 //!
-//! The single-UE [`crate::scenario::Scenario`] owns exactly one [`LinkSet`];
-//! a fleet simulation owns one per UE, all sharing the same [`Sites`]. RNG
-//! streams are derived per link, so adding UEs never perturbs the channel
-//! draws of existing ones.
+//! The driver ([`crate::driver`]) keeps one [`LinkSet`] per UE, all
+//! sharing one [`Sites`] — a single trial has exactly one, a fleet shard
+//! one per UE. RNG streams are derived per link, so adding UEs never
+//! perturbs the channel draws of existing ones.
 
 use std::sync::Arc;
 
@@ -21,7 +21,7 @@ use st_phy::link::{rss, rss_sweep_tx, RadioConfig};
 use st_phy::units::Dbm;
 use st_phy::LinkChannel;
 
-use crate::config::CellConfig;
+use crate::config::{CellConfig, ScenarioConfig};
 
 /// The static side of a deployment: every base station's pose, transmit
 /// codebook and SSB sweep, plus the propagation environment and the radio
@@ -94,6 +94,28 @@ impl Sites {
     }
 }
 
+/// Build the shared static side of a deployment: one [`Sites`] (with the
+/// dynamic environment attached, if any) and the UE codebook, behind
+/// `Arc`s so every UE's protocol and every fleet shard share them.
+pub fn build_world(cfg: &ScenarioConfig) -> (Arc<Sites>, Arc<Codebook>) {
+    let mut sites = Sites::new(
+        cfg.cells.clone(),
+        cfg.environment.clone(),
+        cfg.radio,
+        cfg.channel,
+    );
+    if let Some(dynamics) = &cfg.dynamics {
+        // One blocker field shared by every link: the same bus shadows
+        // every link it crosses.
+        sites = sites.with_dynamics(Arc::clone(dynamics));
+    }
+    let ue_codebook = cfg
+        .custom_ue_codebook
+        .clone()
+        .unwrap_or_else(|| Codebook::for_class(cfg.ue_codebook));
+    (Arc::new(sites), Arc::new(ue_codebook))
+}
+
 /// One mobile's stochastic links: a [`LinkChannel`] plus its dedicated
 /// RNG stream per (this UE, cell) pair.
 ///
@@ -145,7 +167,7 @@ pub struct LinkSet {
 /// Which RNG-stream labelling scheme seeds a lazily created link.
 #[derive(Debug, Clone, Copy)]
 enum LinkSeeding {
-    /// `"channel"` × cell index — the single-UE executor's labels.
+    /// `"channel"` × cell index — the single trial's labels.
     SingleUe,
     /// `"fleet-channel"` × `(ue << 20) | cell` — fleet labels, disjoint
     /// per UE.
@@ -176,7 +198,7 @@ pub struct LinkStats {
 }
 
 impl LinkSet {
-    /// Streams labelled exactly as the single-UE executor always labelled
+    /// Streams labelled exactly as the single trial always labelled
     /// them (`"channel"` × cell index), preserving seeded baselines.
     /// Every cell is in the interest set from the start.
     pub fn single_ue(streams: &RngStreams, config: ChannelConfig, n_cells: usize) -> LinkSet {
@@ -186,7 +208,7 @@ impl LinkSet {
     }
 
     /// Streams for UE number `ue` of a fleet; disjoint from every other
-    /// UE's streams and from the single-UE labels. Every cell is in the
+    /// UE's streams and from the single-trial labels. Every cell is in the
     /// interest set from the start (the pre-interest-management
     /// behaviour, byte-identical draws).
     pub fn for_ue(streams: &RngStreams, config: ChannelConfig, n_cells: usize, ue: u64) -> LinkSet {

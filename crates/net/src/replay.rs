@@ -22,14 +22,12 @@
 use std::sync::Arc;
 
 use silent_tracker::wire::Fnv64;
-use silent_tracker::{
-    step_mut, ProtocolCtx, ProtocolEvent, ProtocolState, ReactiveState, SilentState, TrackerConfig,
-};
+use silent_tracker::{step_mut, ProtocolCtx, ProtocolEvent, TrackerConfig};
 use st_mac::pdu::{CellId, UeId};
 use st_phy::codebook::{BeamId, Codebook};
 
-use crate::config::ProtocolKind;
-use crate::trace::{RunTrace, SegmentTrace, UeTrace};
+use crate::proto::anchored_state;
+use crate::trace::{RunTrace, UeTrace};
 
 /// Aggregate of one replayed run.
 #[derive(Debug, Clone)]
@@ -63,20 +61,6 @@ struct UeReplay {
     mismatches: Vec<String>,
 }
 
-fn initial_state(kind: ProtocolKind, ctx: &ProtocolCtx, seg: &SegmentTrace) -> ProtocolState {
-    let rx = BeamId(seg.serving_rx);
-    match kind {
-        ProtocolKind::SilentTracker => {
-            let mut s = SilentState::initial(ctx, rx);
-            if let Some(w) = &seg.warm {
-                s.warm_start(w);
-            }
-            ProtocolState::Silent(s)
-        }
-        ProtocolKind::Reactive => ProtocolState::Reactive(ReactiveState::initial(ctx, rx)),
-    }
-}
-
 fn replay_ue(cfg: TrackerConfig, codebook: &Arc<Codebook>, ut: &UeTrace, verify: bool) -> UeReplay {
     let mut r = UeReplay {
         events: 0,
@@ -93,7 +77,7 @@ fn replay_ue(cfg: TrackerConfig, codebook: &Arc<Codebook>, ut: &UeTrace, verify:
             CellId(seg.serving_cell),
             Arc::clone(codebook),
         );
-        let mut state = initial_state(ut.kind, &ctx, seg);
+        let mut state = anchored_state(ut.kind, &ctx, BeamId(seg.serving_rx), seg.warm.as_ref());
         let mut digest = Fnv64::new();
         let mut actions = 0u64;
         let mut buf: &[u8] = &seg.events;
@@ -240,7 +224,8 @@ pub fn replay_run_with_config(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{FleetTrace, UeRecorder};
+    use crate::config::ProtocolKind;
+    use crate::trace::FleetTrace;
     use st_des::{SimDuration, SimTime};
     use st_phy::codebook::BeamwidthClass;
     use st_phy::units::{Db, Dbm};
@@ -350,19 +335,19 @@ mod tests {
         warm_src.on_sample(t(0), Dbm(-55.0));
         warm_src.on_sample(t(1), Dbm(-56.0));
 
-        // The fleet engine's re-anchoring path: fresh proto on the new
-        // serving cell, warm-start it, then resume recording with the
-        // applied seed in the segment header.
+        // The driver's re-anchoring path: a recording proto hands over to
+        // cell 1, warm-started, so the next segment's header carries the
+        // applied seed.
         let mut proto = crate::proto::Proto::new(
             ProtocolKind::SilentTracker,
             cfg,
             UeId(5),
-            CellId(1),
+            CellId(0),
             Arc::clone(&codebook),
             BeamId(4),
         );
-        proto.warm_start(&warm_src);
-        proto.resume_recording(Box::new(UeRecorder::new()), Some(warm_src));
+        proto.start_recording();
+        proto.reanchor(CellId(1), BeamId(4), Some(warm_src));
         for k in 0..10u64 {
             proto.handle(silent_tracker::ProtocolEvent::ServingRss {
                 at: t(k),
@@ -371,7 +356,9 @@ mod tests {
         }
         let rec = proto.finish_recording().unwrap();
         let ue = rec.into_trace(0, 5, ProtocolKind::SilentTracker);
-        assert_eq!(ue.segments[0].warm, Some(warm_src));
+        assert_eq!(ue.segments[0].warm, None);
+        assert_eq!(ue.segments[1].warm, Some(warm_src));
+        assert_eq!(ue.segments[1].serving_cell, 1);
         let run = RunTrace {
             label: "warm".into(),
             seed: 1,

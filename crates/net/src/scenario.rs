@@ -1,82 +1,33 @@
-//! The event-driven scenario executor: base stations, the mobile, the
-//! radio in between, and the protocol under test.
+//! The single trial: one mobile moving through a multi-cell deployment
+//! for one seeded run, halting at its first completed handover.
 //!
-//! One [`Scenario`] = one mobile moving through a multi-cell deployment
-//! for one seeded trial. The executor owns the discrete-event clock and
-//! translates between the physical world (mobility, channels, SSB
-//! sweeps) and the sans-IO protocol engines of the `silent-tracker`
-//! crate:
+//! A [`Scenario`] is a one-UE run of the shared UE driver
+//! ([`crate::driver`]) under the trial's own loop:
 //!
-//! * every SSB burst set (all cells synchronized, as in an NR network)
-//!   the mobile hears the serving cell on its serving beam, probes the
-//!   adjacent serving beams, and — inside measurement gaps — listens for
-//!   neighbor SSBs on the protocol's gap beam;
-//! * control PDUs travel over the simulated link and are dropped
-//!   according to SNR (plus injected faults), which is what makes the
-//!   "assistance delayed or lost" edge real;
-//! * a handover directive starts the 4-step RACH against the target on
-//!   the PRACH occasion bound to the tracked SSB beam, with the session
-//!   context fetched over the backhaul (soft) or rebuilt from scratch
-//!   after the hard-handover penalty (reactive baseline).
+//! * channels advance at every event, and the RNG streams keep the
+//!   trial's labels, so seeded figures are stable;
+//! * with nobody to contend with, a one-group RACH stage resolves each
+//!   attempt the instant it arrives;
+//! * the run's [`RunOutcome`] (search passes, RSS and alignment series,
+//!   handover milestones) and its milestone [`Trace`] come from the
+//!   trial's [`Observer`].
 
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::RngExt as _;
-
-use silent_tracker::tracker::{Action, HandoverDirective, Input};
-use silent_tracker::HandoverReason;
-use st_des::{Control, Executive, RngStreams, SimDuration, SimTime, Trace, TraceLevel};
-use st_mac::pdu::{CellId, Pdu, UeId};
-use st_mac::rach::{RachProcedure, RachState};
-use st_mac::responder::{RachResponder, ResponderConfig};
+use silent_tracker::tracker::{Action, HandoverDirective};
+use st_des::{Control, Executive, RngStreams, SimTime, Trace, TraceLevel};
 use st_mac::timing::TxBeamIndex;
 use st_mobility::BoxedModel;
-use st_phy::codebook::{BeamId, Codebook};
-use st_phy::geometry::Pose;
-use st_phy::link::RadioCal;
+use st_phy::codebook::Codebook;
+use st_phy::geometry::{Pose, Vec2};
 use st_phy::units::Dbm;
 
 use crate::config::{ProtocolKind, ScenarioConfig};
+use crate::driver::{responder_config, Driver, Ev, HandoverDone, Observer, UeSetup};
 use crate::outcome::{RunOutcome, SearchPass};
 use crate::proto::Proto;
-use crate::radio::{LinkSet, Sites};
-
-/// Simulation events.
-#[derive(Debug, Clone)]
-enum Ev {
-    /// SSB burst set `k` of every cell (network-synchronized).
-    Burst { k: u64 },
-    /// End of the mobile's gap dwell within the current burst period.
-    DwellEnd,
-    /// Periodic serving-link measurement opportunity.
-    ServingMeas,
-    /// 1 ms protocol timer tick.
-    Tick,
-    /// Over-the-air PDU arriving at the mobile from `cell`, transmitted
-    /// on `tx_beam`; delivery success is sampled at arrival.
-    UeRx {
-        cell: usize,
-        tx_beam: TxBeamIndex,
-        pdu: Pdu,
-    },
-    /// Over-the-air PDU arriving at base station `cell` (already
-    /// SNR-sampled at transmission).
-    BsRx { cell: usize, pdu: Pdu },
-    /// The serving BS applies a transmit-beam switch and notifies the UE.
-    AssistApply { cell: usize, tx_beam: TxBeamIndex },
-    /// Transmit (or re-transmit) the RACH preamble at a PRACH occasion.
-    RachTry,
-}
-
-/// In-flight random access towards the handover target.
-struct RachExec {
-    target: usize,
-    ssb_beam: TxBeamIndex,
-    rx_beam: BeamId,
-    proc: RachProcedure,
-    try_pending: bool,
-}
+use crate::radio::{build_world, LinkSet};
+use crate::stage::SharedRachStage;
 
 /// One seeded scenario trial.
 pub struct Scenario {
@@ -84,54 +35,13 @@ pub struct Scenario {
     mobility: BoxedModel,
 }
 
-struct World {
-    cfg: ScenarioConfig,
-    mobility: BoxedModel,
-    ue_codebook: Arc<Codebook>,
-    sites: Sites,
-    links: LinkSet,
-    /// Precomputed receiver thresholds (noise floor et al.), derived once
-    /// from `cfg.radio` instead of re-deriving a `log10` per probe.
-    cal: RadioCal,
-    /// Scratch for batched SSB sweeps: one slot per transmit beam of the
-    /// cell currently being swept. Reused across cells and bursts.
-    sweep_scratch: Vec<Dbm>,
-    rach_rng: StdRng,
-    fault_rng: StdRng,
-
-    proto: Proto,
-    serving: usize,
-    /// Serving-link transmit beam each BS uses towards this UE.
-    bs_tx_beam: Vec<TxBeamIndex>,
-    rlf_count: u32,
-    rlf_declared: bool,
-    rach: Option<RachExec>,
-    /// BS-side RACH responder, one per cell.
-    responders: Vec<RachResponder>,
-    handover_reason: Option<HandoverReason>,
-    /// Cumulative dwell count at the end of the previous search pass.
-    pass_dwell_mark: u64,
-
-    outcome: RunOutcome,
-    trace: Trace,
-    halt: bool,
-}
-
-const UE: UeId = UeId(1);
-/// Session context token carried in Msg3 for soft handovers.
-const CONTEXT_TOKEN: u64 = 0x51_1E_27_AC_4E_12;
-/// Short over-the-air + processing delays.
-const AIR_DELAY: SimDuration = SimDuration::from_micros(500);
-const MSG2_DELAY: SimDuration = SimDuration::from_millis(2);
-const MSG4_PROCESSING: SimDuration = SimDuration::from_millis(2);
-
 impl Scenario {
     pub fn new(config: ScenarioConfig, mobility: BoxedModel) -> Scenario {
         config.validate().expect("invalid scenario");
         Scenario { config, mobility }
     }
 
-    /// Run to completion and return the outcome (and the protocol trace).
+    /// Run to completion and return the outcome.
     pub fn run(self) -> RunOutcome {
         self.run_traced().0
     }
@@ -140,657 +50,198 @@ impl Scenario {
     pub fn run_traced(self) -> (RunOutcome, Trace) {
         let cfg = self.config;
         let streams = RngStreams::new(cfg.seed);
-        let ue_codebook = Arc::new(
-            cfg.custom_ue_codebook
-                .clone()
-                .unwrap_or_else(|| Codebook::for_class(cfg.ue_codebook)),
-        );
-        let mut sites = Sites::new(
-            cfg.cells.clone(),
-            cfg.environment.clone(),
-            cfg.radio,
-            cfg.channel,
-        );
-        if let Some(dynamics) = &cfg.dynamics {
-            sites = sites.with_dynamics(Arc::clone(dynamics));
-        }
-        let links = LinkSet::single_ue(&streams, cfg.channel, sites.len());
-
-        // Initial beams: the mobile completed initial access to the
-        // serving cell before the scenario starts, so both ends begin on
-        // their ground-truth best beams.
-        let ue_pose0 = self.mobility.pose_at(0.0);
-        let serving = cfg.initial_serving;
-        let bs_tx_beam: Vec<TxBeamIndex> = (0..sites.len())
-            .map(|i| sites.best_tx_beam_towards(i, ue_pose0.position))
-            .collect();
-        let serving_rx =
-            ue_codebook.best_beam_towards(ue_pose0.local_bearing_to(cfg.cells[serving].position));
-
-        let proto = Proto::new(
-            cfg.protocol,
-            cfg.tracker,
-            UE,
-            CellId(serving as u16),
-            Arc::clone(&ue_codebook),
-            serving_rx,
-        );
-
-        let seed = cfg.seed;
-        let duration = cfg.duration;
-        let burst_period = cfg.ssb(0).burst_period;
-        let burst_active = cfg.ssb(0).burst_active();
-
-        let mut world = World {
+        let (sites, ue_codebook) = build_world(&cfg);
+        let ue = UeSetup {
+            id: 0,
+            protocol: cfg.protocol,
             mobility: self.mobility,
-            ue_codebook,
-            sites,
-            links,
-            cal: cfg.radio.cal(),
-            sweep_scratch: Vec::new(),
+            serving: cfg.initial_serving,
             rach_rng: streams.stream("rach"),
             fault_rng: streams.stream("fault"),
-            proto,
-            serving,
-            bs_tx_beam,
-            rlf_count: 0,
-            rlf_declared: false,
-            rach: None,
-            responders: (0..cfg.cells.len())
-                .map(|_| {
-                    RachResponder::new(ResponderConfig {
-                        rar_delay: MSG2_DELAY,
-                        msg4_delay: MSG4_PROCESSING,
-                        backhaul_latency: cfg.backhaul_latency,
-                        ..ResponderConfig::nr_default()
-                    })
-                })
-                .collect(),
-            handover_reason: None,
-            pass_dwell_mark: 0,
-            outcome: RunOutcome::new(seed),
-            trace: Trace::default(),
-            halt: false,
-            cfg,
+            links: LinkSet::single_ue(&streams, cfg.channel, sites.len()),
+            record: false,
         };
+        let mut stage = SharedRachStage::new(cfg.cells.len(), responder_config(&cfg), 1);
+        let deadline = SimTime::ZERO + cfg.duration;
+        let trial = Trial {
+            outcome: RunOutcome::new(cfg.seed),
+            trace: Trace::default(),
+            pass_dwell_mark: 0,
+            codebook: Arc::clone(&ue_codebook),
+            cells: cfg.cells.iter().map(|c| c.position).collect(),
+        };
+        let mut driver = Driver::new(cfg, sites, ue_codebook, None, 0, trial);
+        driver.add_ue(ue);
 
         let mut ex: Executive<Ev> = Executive::new();
         ex.event_budget = 200_000_000;
-        ex.schedule_at(SimTime::ZERO, Ev::Burst { k: 0 });
-        ex.schedule_at(
-            SimTime::ZERO + burst_active + SimDuration::from_millis(1),
-            Ev::DwellEnd,
-        );
-        ex.schedule_in(SimDuration::from_millis(1), Ev::ServingMeas);
-        ex.schedule_in(SimDuration::from_micros(500), Ev::Tick);
-
-        let deadline = SimTime::ZERO + duration;
+        driver.start(&mut ex);
         ex.run(deadline, |ex, now, ev| {
-            world.dispatch(ex, now, ev, burst_period);
-            if world.halt {
+            driver.step_channels(now);
+            driver.dispatch(ex, now, ev);
+            if !driver.outbox().is_empty() {
+                stage.ingest(driver.outbox());
+                stage.resolve_up_to(now, |_, reply| driver.deliver(ex, &reply));
+            }
+            if driver.obs.outcome.handover_succeeded() {
                 Control::Halt
             } else {
                 Control::Continue
             }
         });
 
-        match world.proto.kind() {
-            ProtocolKind::SilentTracker => world.outcome.tracker_stats = world.proto.stats(),
-            ProtocolKind::Reactive => {
-                world.outcome.reactive_dwells = Some(world.proto.search_dwells());
-            }
+        let (ues, mut trial) = driver.into_parts();
+        if !trial.outcome.handover_succeeded() {
+            trial.bank(ues[0].proto());
         }
-        (world.outcome, world.trace)
+        (trial.outcome, trial.trace)
     }
 }
 
-impl World {
-    fn dispatch(
-        &mut self,
-        ex: &mut Executive<Ev>,
-        now: SimTime,
-        ev: Ev,
-        burst_period: SimDuration,
-    ) {
-        self.step_channels(now);
-        match ev {
-            Ev::Burst { k } => {
-                self.on_burst(ex, now);
-                ex.schedule_at(
-                    SimTime::ZERO + burst_period * (k + 1),
-                    Ev::Burst { k: k + 1 },
-                );
-            }
-            Ev::DwellEnd => {
-                let actions = self.proto.handle(Input::DwellComplete { at: now });
-                self.apply_actions(ex, now, actions);
-                ex.schedule_in(burst_period, Ev::DwellEnd);
-            }
-            Ev::ServingMeas => {
-                self.on_serving_meas(ex, now);
-                ex.schedule_in(self.cfg.serving_meas_period, Ev::ServingMeas);
-            }
-            Ev::Tick => {
-                let actions = self.proto.handle(Input::Tick { at: now });
-                self.apply_actions(ex, now, actions);
-                self.poll_rach(ex, now);
-                ex.schedule_in(SimDuration::from_millis(1), Ev::Tick);
-            }
-            Ev::UeRx { cell, tx_beam, pdu } => self.on_ue_rx(ex, now, cell, tx_beam, pdu),
-            Ev::BsRx { cell, pdu } => self.on_bs_rx(ex, now, cell, pdu),
-            Ev::AssistApply { cell, tx_beam } => {
-                self.bs_tx_beam[cell] = tx_beam;
-                ex.schedule_in(
-                    AIR_DELAY,
-                    Ev::UeRx {
-                        cell,
-                        tx_beam,
-                        pdu: Pdu::BeamSwitchCommand {
-                            cell: CellId(cell as u16),
-                            tx_beam,
-                        },
-                    },
-                );
-            }
-            Ev::RachTry => self.on_rach_try(ex, now),
+/// The trial's observer: builds the [`RunOutcome`] and milestone trace.
+struct Trial {
+    outcome: RunOutcome,
+    trace: Trace,
+    /// Cumulative dwell count at the end of the previous search pass.
+    pass_dwell_mark: u64,
+    /// For ground-truth alignment: the UE codebook and cell positions.
+    codebook: Arc<Codebook>,
+    cells: Vec<Vec2>,
+}
+
+impl Trial {
+    /// Take the protocol counters from the instance the trial ends on.
+    fn bank(&mut self, proto: &Proto) {
+        match proto.kind() {
+            ProtocolKind::SilentTracker => self.outcome.tracker_stats = proto.stats(),
+            ProtocolKind::Reactive => self.outcome.reactive_dwells = Some(proto.search_dwells()),
         }
     }
+}
 
-    // ----- physics --------------------------------------------------------
-
-    fn step_channels(&mut self, now: SimTime) {
-        self.links.step_to(now);
+impl Observer for Trial {
+    fn on_rlf(&mut self, _i: usize, now: SimTime) {
+        self.outcome.rlf_at = Some(now);
+        self.trace
+            .record(now, TraceLevel::Error, "radio link failure on serving cell");
     }
 
-    fn ue_pose(&self, now: SimTime) -> Pose {
-        self.mobility.pose_at(now.as_secs_f64())
-    }
-
-    /// Downlink RSS from `cell` on (`tx_beam`, `rx_beam`) at `now`.
-    /// By channel reciprocity the same figure is used for the uplink.
-    fn link_rss(
-        &mut self,
-        now: SimTime,
-        cell: usize,
-        tx_beam: TxBeamIndex,
-        rx_beam: BeamId,
-    ) -> Option<Dbm> {
-        let ue = self.ue_pose(now);
-        self.links
-            .rss(&self.sites, cell, tx_beam, ue, &self.ue_codebook, rx_beam)
-    }
-
-    /// Sample whether a control PDU gets through at this SNR.
-    fn delivery_ok(&mut self, rss: Option<Dbm>) -> bool {
-        let Some(r) = rss else { return false };
-        let p = self.cal.packet_success_probability(self.cal.snr(r));
-        self.rach_rng.random::<f64>() < p
-    }
-
-    // ----- event handlers ---------------------------------------------------
-
-    /// One synchronized SSB burst set across all cells.
-    fn on_burst(&mut self, ex: &mut Executive<Ev>, now: SimTime) {
-        // Serving link: probe the adjacent receive beams (CSI-RS-like),
-        // so the protocol's next mobile-side switch is informed.
-        let serving_rx = self.proto.serving_rx_beam();
-        let serving = self.serving;
-        let tx = self.bs_tx_beam[serving];
-        for b in self.ue_codebook.adjacent(serving_rx) {
-            if let Some(r) = self.link_rss(now, serving, tx, b) {
-                if self.cal.detectable(r) {
-                    let actions = self.proto.handle(Input::ServingProbe {
-                        at: now,
-                        rx_beam: b,
-                        rss: r,
-                    });
-                    self.apply_actions(ex, now, actions);
-                }
-            }
+    fn on_serving_rss(&mut self, _i: usize, now: SimTime, rss: Dbm, proto: &Proto) {
+        self.outcome.serving_rss.push(now.as_secs_f64(), rss.0);
+        if let Some(n) = proto.neighbor_level() {
+            self.outcome.neighbor_rss.push(now.as_secs_f64(), n.0);
         }
-
-        // Neighbor cells: the mobile listens on its gap beam during the
-        // measurement gap that covers the burst. The whole sweep of a
-        // cell is evaluated in one batched pass (single trace, one ray
-        // loop), then each SSB is fed to the protocol in beam order —
-        // the same inputs, RSS values and RNG draws as probing beam by
-        // beam, minus the redundant re-traces. Every swept transmit beam
-        // whose SSB is detectable is reported.
-        if self.cfg.gaps.in_gap(now) {
-            let gap_beam = self.proto.gap_rx_beam();
-            for cell in 0..self.cfg.cells.len() {
-                if cell == serving && !self.post_rlf_search() {
-                    continue;
-                }
-                let n_beams = self.cfg.cells[cell].n_tx_beams as usize;
-                let ue = self.ue_pose(now);
-                self.sweep_scratch.resize(n_beams, Dbm(f64::NEG_INFINITY));
-                let ue_codebook = Arc::clone(&self.ue_codebook);
-                if !self.links.rss_tx_sweep(
-                    &self.sites,
-                    cell,
-                    ue,
-                    &ue_codebook,
-                    gap_beam,
-                    &mut self.sweep_scratch[..n_beams],
-                ) {
-                    continue;
-                }
-                for tx_beam in 0..self.cfg.cells[cell].n_tx_beams {
-                    let r = self.sweep_scratch[tx_beam as usize];
-                    // While no neighbor beam is tracked the protocol is
-                    // *acquiring*: an SSB must be decodable (detection +
-                    // PBCH margin), or a fading spike through a side
-                    // lobe gets latched as a "found" beam pointing 100°+
-                    // away. Once tracking, RSRP-style energy detection
-                    // on the known beam/probes is enough. Evaluated per
-                    // SSB — an earlier SSB of this same burst can flip
-                    // the protocol from tracking back to searching.
-                    let usable = if self.proto.tracked().is_none() {
-                        self.cal.acquirable(r)
-                    } else {
-                        self.cal.detectable(r)
-                    };
-                    if usable {
-                        let actions = self.proto.handle(Input::NeighborSsb {
-                            at: now,
-                            cell: CellId(cell as u16),
-                            tx_beam,
-                            rx_beam: gap_beam,
-                            rss: r,
-                        });
-                        self.apply_actions(ex, now, actions);
-                    }
-                }
-            }
-        }
-
-        self.record_alignment(now);
-    }
-
-    /// After RLF the reactive baseline may reconnect to any cell,
-    /// including the old serving one.
-    fn post_rlf_search(&self) -> bool {
-        self.rlf_declared && self.proto.kind() == ProtocolKind::Reactive
     }
 
     /// Ground-truth alignment bookkeeping for the tracked neighbor beam.
-    fn record_alignment(&mut self, now: SimTime) {
-        let Some((cell, _, rx_beam)) = self.proto.tracked() else {
+    fn on_burst_done(&mut self, _i: usize, now: SimTime, pose: Pose, proto: &Proto) {
+        let Some((cell, _, rx_beam)) = proto.tracked() else {
             return;
         };
-        let ue = self.ue_pose(now);
-        let aoa = ue.local_bearing_to(self.cfg.cells[cell.0 as usize].position);
-        let best = self.ue_codebook.best_beam_towards(aoa);
-        let g_best = self.ue_codebook.gain(best, aoa);
-        let g_cur = self.ue_codebook.gain(rx_beam, aoa);
+        let aoa = pose.local_bearing_to(self.cells[cell.0 as usize]);
+        let best = self.codebook.best_beam_towards(aoa);
+        let g_best = self.codebook.gain(best, aoa);
+        let g_cur = self.codebook.gain(rx_beam, aoa);
         let aligned = (g_best - g_cur).0 <= 3.0;
         self.outcome
             .alignment
             .push(now.as_secs_f64(), if aligned { 1.0 } else { 0.0 });
     }
 
-    fn on_serving_meas(&mut self, ex: &mut Executive<Ev>, now: SimTime) {
-        if self.cfg.gaps.in_gap(now) {
-            return; // radio is tuned away for neighbor measurements
-        }
-        if self.rlf_declared && self.rach.is_none() {
-            // Disconnected (reactive arm): nothing to measure.
-            return;
-        }
-        let serving = self.serving;
-        let tx = self.bs_tx_beam[serving];
-        let rx = self.proto.serving_rx_beam();
-        let r = self.link_rss(now, serving, tx, rx);
-        match r {
-            Some(v) if self.cal.detectable(v) => {
-                self.rlf_count = 0;
-                let actions = self.proto.handle(Input::ServingRss { at: now, rss: v });
-                self.apply_actions(ex, now, actions);
-                self.outcome.serving_rss.push(now.as_secs_f64(), v.0);
-                if let Some(n) = self.proto.neighbor_level() {
-                    self.outcome.neighbor_rss.push(now.as_secs_f64(), n.0);
-                }
-            }
-            _ => {
-                self.rlf_count += 1;
-                let needed = (self.cfg.tracker.serving_timeout.as_nanos()
-                    / self.cfg.serving_meas_period.as_nanos())
-                .max(2) as u32;
-                if self.rlf_count >= needed && !self.rlf_declared {
-                    self.rlf_declared = true;
-                    self.outcome.rlf_at = Some(now);
-                    self.trace
-                        .record(now, TraceLevel::Error, "radio link failure on serving cell");
-                    let actions = self.proto.handle(Input::ServingLinkLost { at: now });
-                    self.apply_actions(ex, now, actions);
-                }
-            }
+    fn on_assist(&mut self, _i: usize, now: SimTime, tx_beam: Option<TxBeamIndex>) {
+        match tx_beam {
+            Some(best) => self.trace.record(
+                now,
+                TraceLevel::Info,
+                format!("serving BS re-training tx beam -> {best}"),
+            ),
+            None => self
+                .trace
+                .record(now, TraceLevel::Warn, "cell assistance dropped (fault)"),
         }
     }
 
-    fn on_ue_rx(
-        &mut self,
-        ex: &mut Executive<Ev>,
-        now: SimTime,
-        cell: usize,
-        tx_beam: TxBeamIndex,
-        pdu: Pdu,
-    ) {
-        // Which receive beam is the mobile pointing at this sender? For
-        // the RACH target, the tracker keeps maintaining the beam during
-        // the exchange — use its live choice.
-        self.refresh_rach_beams();
-        let rx_beam = match &self.rach {
-            Some(r) if r.target == cell => r.rx_beam,
-            _ => self.proto.serving_rx_beam(),
-        };
-        let r = self.link_rss(now, cell, tx_beam, rx_beam);
-        if !self.delivery_ok(r) {
-            return;
-        }
-        if self.fault_rng.random::<f64>() < self.cfg.fault.drop_rach_probability
-            && matches!(
-                pdu,
-                Pdu::RachResponse { .. } | Pdu::ContentionResolution { .. }
-            )
-        {
-            return;
-        }
-        // RACH messages go to the in-flight procedure.
-        if self.rach.as_ref().is_some_and(|r| r.target == cell) {
-            let rach = self.rach.as_mut().unwrap();
-            let action = rach.proc.on_pdu(now, &pdu);
-            let attempts = rach.proc.attempts() as u32;
-            let connected = rach.proc.state() == RachState::Connected;
-            if let st_mac::rach::RachAction::Transmit(msg3) = action {
-                self.outcome.rach_attempts = attempts;
-                self.send_to_bs(ex, now, cell, msg3);
+    fn on_action(&mut self, _i: usize, now: SimTime, action: &Action, proto: &Proto) {
+        match action {
+            Action::SetServingRxBeam(b) => {
+                self.trace
+                    .record(now, TraceLevel::Info, format!("S-RBA switch -> {b}"));
             }
-            if connected {
-                self.complete_handover(now);
-            }
-            return;
-        }
-        let actions = self.proto.handle(Input::FromServing { at: now, pdu });
-        self.apply_actions(ex, now, actions);
-    }
-
-    fn on_bs_rx(&mut self, ex: &mut Executive<Ev>, now: SimTime, cell: usize, pdu: Pdu) {
-        match pdu {
-            Pdu::BeamSwitchRequest { .. } => {
-                if self.fault_rng.random::<f64>() < self.cfg.fault.drop_assist_probability {
-                    self.trace
-                        .record(now, TraceLevel::Warn, "cell assistance dropped (fault)");
-                    return;
-                }
-                // The BS re-trains its transmit beam towards the mobile
-                // (its own sweep + the UE's measurement reports).
-                let ue = self.ue_pose(now);
-                let best = self.sites.best_tx_beam_towards(cell, ue.position);
-                let delay = self.cfg.assist_processing + self.cfg.fault.assist_extra_delay;
-                ex.schedule_in(
-                    delay,
-                    Ev::AssistApply {
-                        cell,
-                        tx_beam: best,
-                    },
+            Action::SearchFailed { dwells_used } => {
+                self.outcome.search_passes.push(SearchPass {
+                    dwells: *dwells_used,
+                    succeeded: false,
+                    ended_at: now,
+                });
+                self.pass_dwell_mark = proto.search_dwells();
+                self.trace.record(
+                    now,
+                    TraceLevel::Warn,
+                    format!("search pass failed after {dwells_used} dwells"),
                 );
+            }
+            Action::NeighborAcquired(d) => {
+                let total = proto.search_dwells();
+                let dwells = (total - self.pass_dwell_mark) as usize;
+                self.pass_dwell_mark = total;
+                self.outcome.search_passes.push(SearchPass {
+                    dwells,
+                    succeeded: true,
+                    ended_at: now,
+                });
+                self.outcome.acquired_at.get_or_insert(now);
                 self.trace.record(
                     now,
                     TraceLevel::Info,
-                    format!("serving BS re-training tx beam -> {best}"),
+                    format!(
+                        "acquired {} tx{} on rx {} at {}",
+                        d.cell, d.tx_beam, d.rx_beam, d.rss
+                    ),
                 );
             }
-            Pdu::RachPreamble { preamble, ssb_beam } => {
-                // Target BS answers on the SSB beam the occasion maps to,
-                // with the timing advance derived from the true range.
-                let distance = self
-                    .ue_pose(now)
-                    .position
-                    .distance(self.cfg.cells[cell].position);
-                if let Some(plan) =
-                    self.responders[cell].on_preamble(now, preamble, ssb_beam, distance)
-                {
-                    ex.schedule_in(
-                        plan.delay,
-                        Ev::UeRx {
-                            cell,
-                            tx_beam: plan.tx_beam,
-                            pdu: plan.pdu,
-                        },
-                    );
-                }
-            }
-            Pdu::ConnectionRequest { ue, context_token } => {
-                // Soft handover: the responder embeds the backhaul
-                // context fetch in the Msg4 delay; hard admission is
-                // immediate (the mobile pays re-establishment above MAC).
-                let temp = self.rach.as_ref().and_then(|r| r.proc.temp_ue());
-                let Some(plan) = self.responders[cell].on_msg3(now, temp, ue, context_token) else {
-                    return; // lost Msg4 contention (cannot happen single-UE)
-                };
-                let tx_beam = self.rach.as_ref().map(|r| r.ssb_beam).unwrap_or(0);
-                ex.schedule_in(
-                    plan.delay,
-                    Ev::UeRx {
-                        cell,
-                        tx_beam,
-                        pdu: plan.pdu,
-                    },
-                );
-            }
-            _ => {}
+            Action::SetGapRxBeam(_) | Action::SendToServing(_) | Action::ExecuteHandover(_) => {}
         }
     }
 
-    /// Keep the in-flight RACH pointed at the tracker's live beam pair:
-    /// the device may rotate/move during the exchange and the tracker
-    /// (which stays in N-RBA during random access) follows it.
-    fn refresh_rach_beams(&mut self) {
-        if let (Some(rach), Some((cell, tx, rx))) = (&mut self.rach, self.proto.tracked()) {
-            if cell.0 as usize == rach.target {
-                rach.ssb_beam = tx;
-                rach.rx_beam = rx;
-            }
-        }
+    fn on_rach_start(&mut self, _i: usize, now: SimTime, d: &HandoverDirective) {
+        self.outcome.handover_triggered_at = Some(now);
+        self.outcome.handover_reason = Some(d.reason);
+        self.trace.record(
+            now,
+            TraceLevel::Info,
+            format!(
+                "handover trigger ({:?}) -> cell{} ssb{} rx {}",
+                d.reason, d.target.0, d.ssb_beam, d.rx_beam
+            ),
+        );
     }
 
-    fn send_to_bs(&mut self, ex: &mut Executive<Ev>, now: SimTime, cell: usize, pdu: Pdu) {
-        // Uplink delivery sampled by reciprocity: same beams, same SNR.
-        self.refresh_rach_beams();
-        let (tx_beam, rx_beam) = match &self.rach {
-            Some(r) if r.target == cell => (r.ssb_beam, r.rx_beam),
-            _ => (self.bs_tx_beam[cell], self.proto.serving_rx_beam()),
+    fn on_preamble(&mut self, _i: usize, _now: SimTime, _cell: usize, attempt: u8) {
+        self.outcome.rach_attempts = u32::from(attempt);
+    }
+
+    fn on_rach_failed(&mut self, _i: usize, now: SimTime, exhausted: bool) {
+        let why = if exhausted {
+            "RACH attempts exhausted"
+        } else {
+            "RACH failed permanently"
         };
-        let r = self.link_rss(now, cell, tx_beam, rx_beam);
-        let faulted = self.fault_rng.random::<f64>() < self.cfg.fault.drop_rach_probability
-            && matches!(
-                pdu,
-                Pdu::RachPreamble { .. } | Pdu::ConnectionRequest { .. }
-            );
-        if self.delivery_ok(r) && !faulted {
-            ex.schedule_in(AIR_DELAY, Ev::BsRx { cell, pdu });
-        }
+        self.trace.record(now, TraceLevel::Warn, why);
     }
 
-    fn on_rach_try(&mut self, ex: &mut Executive<Ev>, now: SimTime) {
-        self.refresh_rach_beams();
-        let Some(rach) = &mut self.rach else { return };
-        rach.try_pending = false;
-        if !matches!(
-            rach.proc.state(),
-            RachState::Idle | RachState::WaitingRar { .. }
-        ) {
-            return;
-        }
-        let preamble: u8 = self
-            .rach_rng
-            .random_range(0..self.cfg.prach.n_preambles.max(1));
-        let (target, ssb_beam) = (rach.target, rach.ssb_beam);
-        match rach.proc.send_preamble(now, ssb_beam, preamble) {
-            Ok(msg1) => {
-                self.outcome.rach_attempts = self.rach.as_ref().unwrap().proc.attempts() as u32;
-                self.send_to_bs(ex, now, target, msg1);
-            }
-            Err(_) => {
-                // Exhausted: this access attempt failed.
-                self.trace
-                    .record(now, TraceLevel::Warn, "RACH attempts exhausted");
-                self.abort_rach(ex, now);
-            }
-        }
-    }
-
-    /// A permanently failed access attempt: tear down the RACH state and
-    /// let the protocol recover (re-acquire and possibly re-trigger —
-    /// make-before-break keeps the serving link alive meanwhile). The run
-    /// only ends without a completion if no later attempt succeeds.
-    fn abort_rach(&mut self, ex: &mut Executive<Ev>, now: SimTime) {
-        self.rach = None;
-        let actions = self.proto.handle(Input::RachFailed { at: now });
-        self.apply_actions(ex, now, actions);
-    }
-
-    /// Retry the preamble on the next occasion after a timeout.
-    fn poll_rach(&mut self, ex: &mut Executive<Ev>, now: SimTime) {
-        let Some(rach) = &mut self.rach else { return };
-        let st = rach.proc.poll(now);
-        let mut failed = false;
-        match st {
-            RachState::Idle if !rach.try_pending => {
-                let ssb = self.cfg.ssb(rach.target);
-                let at = self.cfg.prach.next_occasion(&ssb, now, rach.ssb_beam);
-                rach.try_pending = true;
-                ex.schedule_at(at, Ev::RachTry);
-            }
-            RachState::Failed => {
-                self.trace
-                    .record(now, TraceLevel::Warn, "RACH failed permanently");
-                failed = true;
-            }
-            _ => {}
-        }
-        if failed {
-            self.abort_rach(ex, now);
-        }
-    }
-
-    fn complete_handover(&mut self, now: SimTime) {
-        let Some(rach) = &self.rach else { return };
-        let hard_penalty = match self.cfg.protocol {
-            ProtocolKind::Reactive => self.cfg.hard_handover_penalty,
-            ProtocolKind::SilentTracker => SimDuration::ZERO,
-        };
-        let done_at = now + hard_penalty;
-        self.outcome.handover_complete_at = Some(done_at);
-        self.serving = rach.target;
-        // Interruption accounting: make-before-break pays only the access
-        // exchange; a post-RLF handover pays the whole outage.
-        let start = match self.handover_reason {
-            Some(HandoverReason::NeighborStronger) => self.outcome.handover_triggered_at,
-            _ => self.outcome.rlf_at.or(self.outcome.handover_triggered_at),
-        };
-        if let Some(s) = start {
-            self.outcome.interruption = Some(done_at.since(s));
+    fn on_handover(&mut self, _i: usize, now: SimTime, done: &HandoverDone, proto: &Proto) {
+        self.outcome.handover_complete_at = Some(done.done_at);
+        if let Some(m) = &done.marks {
+            self.outcome.interruption = Some(done.done_at.since(m.start));
         }
         self.trace.record(
             now,
             TraceLevel::Info,
             format!(
                 "handover complete to cell{} ({} attempts)",
-                rach.target, self.outcome.rach_attempts
+                done.target, self.outcome.rach_attempts
             ),
         );
-        self.rach = None;
-        if self.cfg.stop_at_handover {
-            self.halt = true;
-        }
-    }
-
-    // ----- protocol actions -------------------------------------------------
-
-    fn apply_actions(&mut self, ex: &mut Executive<Ev>, now: SimTime, actions: Vec<Action>) {
-        for a in actions {
-            match a {
-                Action::SetServingRxBeam(b) => {
-                    self.trace
-                        .record(now, TraceLevel::Info, format!("S-RBA switch -> {b}"));
-                }
-                Action::SetGapRxBeam(_) => {}
-                Action::SendToServing(pdu) => {
-                    let serving = self.serving;
-                    self.send_to_bs(ex, now, serving, pdu);
-                }
-                Action::SearchFailed { dwells_used } => {
-                    self.outcome.search_passes.push(SearchPass {
-                        dwells: dwells_used,
-                        succeeded: false,
-                        ended_at: now,
-                    });
-                    self.pass_dwell_mark = self.proto.search_dwells();
-                    self.trace.record(
-                        now,
-                        TraceLevel::Warn,
-                        format!("search pass failed after {dwells_used} dwells"),
-                    );
-                }
-                Action::NeighborAcquired(d) => {
-                    let total = self.proto.search_dwells();
-                    let dwells = (total - self.pass_dwell_mark) as usize;
-                    self.pass_dwell_mark = total;
-                    self.outcome.search_passes.push(SearchPass {
-                        dwells,
-                        succeeded: true,
-                        ended_at: now,
-                    });
-                    if self.outcome.acquired_at.is_none() {
-                        self.outcome.acquired_at = Some(now);
-                    }
-                    self.trace.record(
-                        now,
-                        TraceLevel::Info,
-                        format!(
-                            "acquired {} tx{} on rx {} at {}",
-                            d.cell, d.tx_beam, d.rx_beam, d.rss
-                        ),
-                    );
-                }
-                Action::ExecuteHandover(directive) => self.start_rach(ex, now, directive),
-            }
-        }
-    }
-
-    fn start_rach(&mut self, ex: &mut Executive<Ev>, now: SimTime, d: HandoverDirective) {
-        if self.rach.is_some() {
-            return;
-        }
-        self.outcome.handover_triggered_at = Some(now);
-        self.outcome.handover_reason = Some(d.reason);
-        self.handover_reason = Some(d.reason);
-        let token = match self.cfg.protocol {
-            ProtocolKind::SilentTracker => CONTEXT_TOKEN,
-            ProtocolKind::Reactive => 0,
-        };
-        let target = d.target.0 as usize;
-        let proc = RachProcedure::new(self.cfg.rach, UE, token);
-        let ssb = self.cfg.ssb(target);
-        let at = self.cfg.prach.next_occasion(&ssb, now, d.ssb_beam);
-        self.rach = Some(RachExec {
-            target,
-            ssb_beam: d.ssb_beam,
-            rx_beam: d.rx_beam,
-            proc,
-            try_pending: true,
-        });
-        ex.schedule_at(at, Ev::RachTry);
-        self.trace.record(
-            now,
-            TraceLevel::Info,
-            format!(
-                "handover trigger ({:?}) -> cell{} ssb{} rx {}",
-                d.reason, target, d.ssb_beam, d.rx_beam
-            ),
-        );
+        self.bank(proto);
     }
 }

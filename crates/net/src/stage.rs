@@ -1,18 +1,26 @@
-//! The shared, deterministic, cross-shard RACH resolution stage.
+//! The deterministic RACH resolution stage: the base stations' side of
+//! random access, for every loop that runs the UE driver.
 //!
 //! Resolving PRACH contention per shard is biased: 8-shard collision
 //! rates once read ≈ 0 where the 1-shard run read ≈ 8%, because two UEs
 //! in different shards can never collide. Contention at a shared
 //! resource cannot be sampled per-partition — it has to be resolved
 //! globally. This module is that global resolution point, and the only
-//! BS-side RACH path the fleet has.
+//! BS-side RACH path there is: the driver ([`crate::driver`]) publishes
+//! each RACH PDU to its outbox when the PDU arrives at the base station,
+//! and a loop hands the outboxes to a stage.
 //!
-//! ## Execution model
+//! * The single trial has nobody to contend with: it runs one stage and
+//!   resolves each attempt the instant it arrives.
+//! * The fleet runs one stage per contention group and resolves at
+//!   occasion barriers, as below.
+//!
+//! ## Execution model (fleet)
 //!
 //! Shards advance independently between PRACH occasions; every epoch
 //! (the minimum BS response delay, `min(rar_delay, msg4_delay)`) is a
 //! synchronization barrier. During an epoch a shard publishes its
-//! BS-bound RACH PDUs as [`RachAttemptMsg`]s into its outbox. At the
+//! arriving RACH PDUs as [`RachAttemptMsg`]s into its outbox. At the
 //! barrier the outboxes are merged into the stage's holding buffer and
 //! every attempt whose arrival instant lies at or before the barrier
 //! horizon is resolved, in **canonical order** — arrival instant, then
@@ -29,13 +37,12 @@
 //!
 //! ## Why the epoch length is safe
 //!
-//! An attempt created by a shard event at time `u` arrives at the BS at
-//! `u + AIR_DELAY > u`, so every attempt with `at ≤ horizon` has been
-//! published once all shards have run through `horizon`. A resolved
-//! attempt's reply is delayed by at least `min(rar_delay, msg4_delay)`,
-//! and any attempt resolved at this barrier has `at >` the *previous*
-//! horizon, so its reply lands strictly after the current horizon: always
-//! in the receiving shard's future.
+//! An attempt is published by its arrival event at `at`, so every
+//! attempt with `at ≤ horizon` has been published once all shards have
+//! run through `horizon`. A resolved attempt's reply is delayed by at
+//! least `min(rar_delay, msg4_delay)`, and any attempt resolved at this
+//! barrier has `at >` the *previous* horizon, so its reply lands strictly
+//! after the current horizon: always in the receiving shard's future.
 //!
 //! ## Zero allocation in steady state
 //!

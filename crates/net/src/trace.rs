@@ -11,8 +11,8 @@
 //! recorded events and checks the digests, byte for byte.
 //!
 //! Recording is opt-in and attaches at the [`crate::proto::Proto`]
-//! dispatch surface, so both the single-UE executor and the fleet engine
-//! record through one hook. The format is a compact custom binary built
+//! dispatch path, so the shared UE driver records through one hook
+//! whichever loop runs it. The format is a compact custom binary built
 //! on the `silent_tracker::wire` primitives (LEB128 varints, bit-exact
 //! floats), with consecutive timer ticks compressed into
 //! [`ProtocolEvent::TickRun`] records — ticks dominate the raw event
@@ -354,16 +354,34 @@ impl RunTrace {
     }
 }
 
+/// A [`BufMut`] that only counts the bytes put into it.
+struct ByteCount(usize);
+
+impl BufMut for ByteCount {
+    fn put_slice(&mut self, data: &[u8]) {
+        self.0 += data.len();
+    }
+}
+
 impl FleetTrace {
-    /// Serialize to the compact binary trace format.
+    /// Serialize to the compact binary trace format. A counting pass
+    /// sizes the buffer first: a fleet trace runs to tens of MB, and
+    /// growing it by doubling would copy it on every reallocation and
+    /// could briefly hold two copies at once.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.put_slice(TRACE_MAGIC);
-        wire::put_varu64(&mut buf, self.runs.len() as u64);
-        for r in &self.runs {
-            r.encode(&mut buf);
-        }
+        let mut len = ByteCount(0);
+        self.encode(&mut len);
+        let mut buf = Vec::with_capacity(len.0);
+        self.encode(&mut buf);
         buf
+    }
+
+    fn encode<B: BufMut>(&self, buf: &mut B) {
+        buf.put_slice(TRACE_MAGIC);
+        wire::put_varu64(buf, self.runs.len() as u64);
+        for r in &self.runs {
+            r.encode(buf);
+        }
     }
 
     /// Parse a serialized trace; rejects trailing garbage.
@@ -428,14 +446,12 @@ struct OpenSegment {
 /// (see [`crate::proto`]). It captures every event the protocol folds
 /// (compressing consecutive timer ticks into [`ProtocolEvent::TickRun`]
 /// records, which fold identically) and digests every action the
-/// protocol emits. Drivers close one segment per protocol incarnation:
-/// on handover re-anchoring the fleet engine detaches the recorder from
-/// the old protocol instance ([`Proto::finish_recording`]) and
-/// re-attaches it to the new one ([`Proto::resume_recording`]).
+/// protocol emits. One segment covers one protocol incarnation: handover
+/// re-anchoring ([`Proto::reanchor`]) closes the open segment on the old
+/// state and opens the next at the new anchor.
 ///
 /// [`Proto::start_recording`]: crate::proto::Proto::start_recording
-/// [`Proto::finish_recording`]: crate::proto::Proto::finish_recording
-/// [`Proto::resume_recording`]: crate::proto::Proto::resume_recording
+/// [`Proto::reanchor`]: crate::proto::Proto::reanchor
 #[derive(Debug, Clone, Default)]
 pub struct UeRecorder {
     segments: Vec<SegmentTrace>,

@@ -11,11 +11,12 @@
 //!   knife-edge diffraction, and the urban scenario library.
 //! * [`st_mac`] — SSB sweeps, RACH, control PDUs, gap schedules.
 //! * [`st_mobility`] — walk / rotation / vehicular mobility models.
-//! * [`st_net`] — event-driven single-UE scenarios tying it all together.
+//! * [`st_net`] — the event-driven UE driver, the RACH stage and the
+//!   single trial that runs one mobile through it.
 //! * [`st_fleet`] — multi-UE, multi-cell fleet simulation with exact RACH
 //!   contention across spawn-tile shards run in parallel.
 //! * [`st_des`] — the deterministic discrete-event engine.
-//! * [`st_metrics`] — CDFs, histograms, summary statistics.
+//! * [`st_metrics`] — CDFs, summary statistics, streaming sketches.
 //! * [`st_bench`] — the figure-regeneration experiment harness.
 
 pub use silent_tracker;

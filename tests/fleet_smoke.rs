@@ -3,6 +3,8 @@
 //! * The aggregate summary must be byte-identical across worker counts
 //!   for the same (config, seed) — sharding is a config property, worker
 //!   threads are not.
+//! * Handovers keep working after the first: a long run re-anchors
+//!   without livelock, and reactive UEs re-establish after RLF.
 //! * A 1,000-UE / 4-cell fleet completes under the DES event budget (the
 //!   scale point of the ISSUE's acceptance criteria; `#[ignore]`d by
 //!   default because it is sized for release builds — CI exercises the
@@ -43,6 +45,51 @@ fn summary_is_byte_identical_across_worker_counts() {
     assert_eq!(one, many);
     // And the run did something: UEs handed over.
     assert!(one.contains("ues=28"), "{one}");
+}
+
+/// Guard against protocol livelock after a handover: the fleet keeps
+/// running re-anchored protocols after each completion, and a 10 s run
+/// must hand over and still stay well inside a tight event budget.
+#[test]
+fn longer_runs_do_not_regress() {
+    let cfg = Deployment::new()
+        .street(200.0, 30.0)
+        .population(2, MobilityKind::Walk, ProtocolKind::SilentTracker)
+        .duration_secs(10.0)
+        .seed(1)
+        .event_budget(100_000)
+        .build()
+        .unwrap();
+    let out = run_fleet_with_workers(&cfg, 1);
+    assert!(out.totals.handovers >= 1, "{}", out.summary());
+    assert_eq!(out.totals.budget_exhausted_shards, 0, "{}", out.summary());
+}
+
+/// After RLF the reactive arm may re-establish on any cell, the old
+/// serving cell included. On a one-cell street that is the only way
+/// back: the rotating UEs (which drop the link when they turn away) must
+/// keep coming back instead of staying disconnected to the end of the
+/// run, and every handover lands on cell 0. (Seed 1 reads rlfs=59
+/// handovers=48; dropping directives towards the serving cell would
+/// leave all 16 UEs disconnected after their first RLF: rlfs=16
+/// handovers=0.)
+#[test]
+fn reactive_ues_reestablish_on_their_old_serving_cell() {
+    let cfg = Deployment::new()
+        .street(300.0, 30.0)
+        .cell_at(0.0, 10.0)
+        .tx_beams(8)
+        .population(16, MobilityKind::Rotation, ProtocolKind::Reactive)
+        .duration_secs(4.0)
+        .seed(1)
+        .build()
+        .unwrap();
+    let out = run_fleet_with_workers(&cfg, 1);
+    let t = &out.totals;
+    assert!(t.rach_attempts > 0, "{}", out.summary());
+    assert!(t.handovers > 0, "{}", out.summary());
+    assert_eq!(t.per_cell[0].handovers_in, t.handovers);
+    assert_eq!(out.hard_stats().map_or(0, |s| s.n), t.handovers);
 }
 
 #[test]

@@ -7,7 +7,9 @@
 //! A counting global allocator (this test binary only) measures exactly
 //! that. Before the refactor every probe re-ran `Environment::trace` and
 //! collected a fresh `Vec<PathSample>` — two allocations per probe, tens
-//! of millions per fleet run.
+//! of millions per fleet run. The same counter covers the shared RACH
+//! stage and the UE driver's whole measurement path, observer hooks
+//! included.
 //!
 //! The one place the workspace's `unsafe_code = "deny"` is relaxed: a
 //! `GlobalAlloc` impl is unsafe by definition, and it only forwards to
@@ -23,7 +25,7 @@ thread_local! {
     /// Only allocations made by the measuring thread, between `arm` and
     /// `disarm`, are counted — the libtest harness's own threads allocate
     /// at unpredictable times and must not pollute the measurement, and
-    /// the two zero-allocation tests run on different harness threads
+    /// the zero-allocation tests run on different harness threads
     /// concurrently, so the counter itself is thread-local too.
     /// Const-initialized so reading it never allocates.
     static ARMED: Cell<bool> = const { Cell::new(false) };
@@ -55,13 +57,17 @@ static A: Counting = Counting;
 
 use std::sync::Arc;
 
-use silent_tracker_repro::st_des::{RngStreams, SimDuration, SimTime};
+use silent_tracker_repro::silent_tracker::tracker::Action;
+use silent_tracker_repro::st_des::{Control, Executive, RngStreams, SimDuration, SimTime};
 use silent_tracker_repro::st_env::{BlockerPopulation, DynamicEnvironment};
-use silent_tracker_repro::st_fleet::{RachAttemptMsg, RachReply, RachReq, SharedRachStage};
 use silent_tracker_repro::st_mac::pdu::UeId;
 use silent_tracker_repro::st_mac::responder::ResponderConfig;
-use silent_tracker_repro::st_net::config::CellConfig;
-use silent_tracker_repro::st_net::radio::{LinkSet, Sites};
+use silent_tracker_repro::st_mobility::{DeviceRotation, HumanWalk, Stationary};
+use silent_tracker_repro::st_net::config::{CellConfig, ProtocolKind, ScenarioConfig};
+use silent_tracker_repro::st_net::driver::{Driver, Ev, Observer, UeSetup};
+use silent_tracker_repro::st_net::radio::{build_world, LinkSet, Sites};
+use silent_tracker_repro::st_net::stage::{RachAttemptMsg, RachReply, RachReq, SharedRachStage};
+use silent_tracker_repro::st_net::Proto;
 use silent_tracker_repro::st_phy::channel::{ChannelConfig, Environment};
 use silent_tracker_repro::st_phy::codebook::{BeamId, BeamwidthClass, Codebook};
 use silent_tracker_repro::st_phy::geometry::{Pose, Radians, Vec2};
@@ -268,5 +274,88 @@ fn shared_rach_stage_steady_state_allocates_nothing() {
     assert_eq!(
         delta, 0,
         "shared RACH stage allocated {delta} times over 1000 merged occasions"
+    );
+}
+
+/// The shared UE driver's measurement path — SSB bursts with batched
+/// neighbor sweeps, serving measurements, dwell ends and timer ticks,
+/// each folded through the protocol's reused action buffer and reported
+/// through the observer hooks the fleet's hot path calls — allocates
+/// nothing once warm. Three reactive UEs (walking, spinning, parked)
+/// hold their serving link while the driver sweeps the neighbor cell in
+/// every gap. (The Silent Tracker fold appends to its transition audit
+/// log, which grows by design, so it stays out of this measurement.)
+#[test]
+fn driver_measurement_path_allocates_nothing() {
+    /// Counter-only hooks, as the fleet's ledger keeps them.
+    #[derive(Default)]
+    struct Tally {
+        serving: u64,
+        bursts: u64,
+        actions: u64,
+    }
+    impl Observer for Tally {
+        fn on_serving_rss(&mut self, _i: usize, _now: SimTime, _rss: Dbm, _proto: &Proto) {
+            self.serving += 1;
+        }
+        fn on_burst_done(&mut self, _i: usize, _now: SimTime, _pose: Pose, _proto: &Proto) {
+            self.bursts += 1;
+        }
+        fn on_action(&mut self, _i: usize, _now: SimTime, _action: &Action, _proto: &Proto) {
+            self.actions += 1;
+        }
+    }
+
+    let cfg = ScenarioConfig::two_cell_edge();
+    let streams = RngStreams::new(3);
+    let (sites, ue_codebook) = build_world(&cfg);
+    let n_cells = sites.len();
+    let mut driver = Driver::new(cfg.clone(), sites, ue_codebook, None, 0, Tally::default());
+    let walker = HumanWalk::paper_walk(Vec2::new(-30.0, 0.5), Radians(0.0));
+    let spinner = DeviceRotation::paper_rotation(Vec2::new(-35.0, 2.0), Radians(0.3));
+    let parked = Stationary::at(Vec2::new(-35.0, 2.0), Radians(std::f64::consts::FRAC_PI_2));
+    for (id, protocol, mobility) in [
+        (0, ProtocolKind::Reactive, Box::new(walker) as _),
+        (1, ProtocolKind::Reactive, Box::new(spinner) as _),
+        (2, ProtocolKind::Reactive, Box::new(parked) as _),
+    ] {
+        driver.add_ue(UeSetup {
+            id,
+            protocol,
+            mobility,
+            serving: 0,
+            rach_rng: streams.stream_indexed("rach", id),
+            fault_rng: streams.stream_indexed("fault", id),
+            links: LinkSet::for_ue(&streams, cfg.channel, n_cells, id),
+            record: false,
+        });
+    }
+    let mut ex: Executive<Ev> = Executive::new();
+    driver.start(&mut ex);
+    fn run_to(ex: &mut Executive<Ev>, driver: &mut Driver<Tally>, ms: u64) {
+        ex.run(
+            SimTime::ZERO + SimDuration::from_millis(ms),
+            |ex, now, ev| {
+                driver.dispatch(ex, now, ev);
+                Control::Continue
+            },
+        );
+    }
+
+    // Warm-up: sweep scratch, path snapshots, the action buffers and the
+    // event slab reach steady size, and the protocols' per-beam probe
+    // tables (which grow once per newly probed receive beam) fill up.
+    run_to(&mut ex, &mut driver, 6000);
+    let before = (driver.obs.serving, driver.obs.bursts, driver.obs.actions);
+    ARMED.with(|f| f.set(true));
+    run_to(&mut ex, &mut driver, 10_000);
+    ARMED.with(|f| f.set(false));
+    let delta = ALLOCS.with(Cell::get);
+    assert!(driver.outbox().is_empty(), "no RACH attempt in the window");
+    let after = (driver.obs.serving, driver.obs.bursts, driver.obs.actions);
+    assert!(after.0 > before.0 && after.1 > before.1 && after.2 > before.2);
+    assert_eq!(
+        delta, 0,
+        "driver measurement path allocated {delta} times over 4 s"
     );
 }
