@@ -6,7 +6,13 @@
 //! One beam-evaluation = one (transmit beam, instant) RSS figure at the
 //! mobile. Both paths produce bit-identical values (asserted here);
 //! the ratio is the single-trace-many-beams win.
+//!
+//! It then times the three per-sample phy kernels one call at a time on a
+//! street link (the fleet street's 8-beam BS codebook, a 3-ray canyon
+//! link): `LinkChannel::step`, `LinkChannel::trace_into` and
+//! `rss_sweep_tx`, in ns per call.
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -122,4 +128,76 @@ fn main() {
         batched_evals as f64 / legacy_s
     );
     println!("speedup: {:.2}x", legacy_s / batched_s);
+
+    // The fleet street's BS codebook: 8 beams of 45° azimuth. Three rays
+    // (LOS and one reflection off each canyon wall), so a channel step
+    // advances shadowing, blockage and six fading I/Q processes.
+    let street_codebook = Codebook::uniform_sectored(8, Degrees(30.0));
+    let mut out_street = vec![Dbm(0.0); street_codebook.len()];
+    let mut link = LinkChannel::new(&mut rng, ChannelConfig::outdoor_60ghz());
+    let ue_at = |k: u64| {
+        Pose::new(
+            Vec2::new(-50.0 + 0.001 * (k % 1000) as f64, 0.0),
+            Radians(0.1),
+        )
+    };
+    link.trace_into(
+        &mut rng,
+        &env,
+        bs_pose.position,
+        ue_at(0).position,
+        &mut set,
+    );
+    assert_eq!(set.len(), 3, "street link must have three rays");
+    let calls = instants * 4;
+    let step_ns = ns_per_call(calls, |_| link.step(&mut rng, black_box(0.005)));
+    let trace_ns = ns_per_call(calls, |k| {
+        link.trace_into(
+            &mut rng,
+            &env,
+            bs_pose.position,
+            ue_at(k).position,
+            &mut set,
+        );
+    });
+    let sweep_ns = ns_per_call(calls, |k| {
+        rss_sweep_tx(
+            tx_power,
+            bs_pose,
+            &street_codebook,
+            ue_at(k),
+            &ue_codebook,
+            rx_beam,
+            set.samples(),
+            &mut out_street,
+        );
+    });
+    let ue_last = ue_at(calls - 1);
+    for (b, &got) in out_street.iter().enumerate() {
+        let want = rss(
+            tx_power,
+            bs_pose,
+            &street_codebook,
+            BeamId(b as u16),
+            ue_last,
+            &ue_codebook,
+            rx_beam,
+            set.samples(),
+        );
+        assert_eq!(Some(got), want, "street sweep diverged from per-beam rss");
+    }
+
+    println!("== per-call phy kernels (3-ray street link, 8-beam 45° BS codebook) ==");
+    println!("  LinkChannel::step (dt 5 ms): {step_ns:>8.1} ns/call");
+    println!("  LinkChannel::trace_into:     {trace_ns:>8.1} ns/call");
+    println!("  rss_sweep_tx (8 beams):      {sweep_ns:>8.1} ns/call");
+}
+
+/// Mean wall-clock nanoseconds of `f(k)` over `calls` calls, `k = 0..calls`.
+fn ns_per_call(calls: u64, mut f: impl FnMut(u64)) -> f64 {
+    let start = Instant::now();
+    for k in 0..calls {
+        f(black_box(k));
+    }
+    start.elapsed().as_secs_f64() * 1e9 / calls as f64
 }

@@ -93,10 +93,8 @@ impl Pattern for SectoredPattern {
             return self.peak;
         }
         let theta = offset.wrapped().0.abs();
-        let half = self.beamwidth.0 / 2.0;
         let rolloff = 12.0 * (theta / self.beamwidth.0).powi(2);
         let att = rolloff.min(self.sidelobe_level.0);
-        let _ = half;
         self.peak - Db(att)
     }
 

@@ -15,7 +15,7 @@ pub mod raytrace;
 use rand::Rng;
 
 use crate::geometry::{Radians, Vec2};
-use crate::stochastic::{BlockageProcess, CorrelatedRician, OrnsteinUhlenbeck};
+use crate::stochastic::{BlockageProcess, CorrelatedRician, OrnsteinUhlenbeck, OuDecay};
 use crate::units::{Carrier, Db};
 
 pub use pathloss::{CloseIn, FreeSpace, PathLossModel, UmiStreetCanyonLos, UmiStreetCanyonNlos};
@@ -160,7 +160,10 @@ impl ChannelConfig {
 /// Stochastic state of one radio link.
 #[derive(Debug, Clone)]
 pub struct LinkChannel {
-    pub config: ChannelConfig,
+    config: ChannelConfig,
+    /// `config.carrier.fspl(1.0)`, the close-in reference loss of every ray,
+    /// evaluated once per link instead of once per ray.
+    fspl_1m: Db,
     shadowing: OrnsteinUhlenbeck,
     blockage: BlockageProcess,
     /// One time-correlated fading process per resolvable ray, keyed by ray
@@ -187,6 +190,7 @@ impl LinkChannel {
         };
         LinkChannel {
             config,
+            fspl_1m: config.carrier.fspl(1.0),
             shadowing,
             blockage,
             fading: Vec::new(),
@@ -197,9 +201,21 @@ impl LinkChannel {
     pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R, dt_s: f64) {
         self.shadowing.step(rng, dt_s);
         self.blockage.step(rng, dt_s);
-        for (_, f) in &mut self.fading {
-            f.step(rng, dt_s);
+        if self.fading.is_empty() {
+            return;
         }
+        // Every fading I/Q process of the link has this `dt` and the same
+        // τ, so one decay serves them all (bit-identical to each process
+        // evaluating its own).
+        let decay = OuDecay::new(dt_s, self.fading_tau_s());
+        for (_, f) in &mut self.fading {
+            f.step_decayed(rng, decay);
+        }
+    }
+
+    /// Correlation time of every fading process of the link.
+    fn fading_tau_s(&self) -> f64 {
+        self.config.fading_coherence_s.max(1e-6)
     }
 
     /// The fading process of ray `idx` (class `is_los`), creating it in the
@@ -213,7 +229,7 @@ impl LinkChannel {
         } else {
             self.config.nlos_k_db
         };
-        let coherence = self.config.fading_coherence_s.max(1e-6);
+        let coherence = self.fading_tau_s();
         if idx == self.fading.len() {
             self.fading
                 .push((is_los, CorrelatedRician::new(rng, k_db, coherence)));
@@ -255,11 +271,7 @@ impl LinkChannel {
             } else {
                 self.config.nlos_exponent
             };
-            let pl = CloseIn {
-                carrier: self.config.carrier,
-                exponent,
-            }
-            .loss(ray.length_m);
+            let pl = CloseIn::loss_from_reference(self.fspl_1m, exponent, ray.length_m);
             let mut gain = -(pl + ray.excess_loss) - shadow;
             if ray.is_los {
                 gain -= Db(self.blockage.loss_db());
@@ -295,8 +307,56 @@ impl LinkChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Reference for [`LinkChannel::step`]: every process evaluates its
+    /// own decay through `OrnsteinUhlenbeck::step`.
+    fn step_per_process(ch: &mut LinkChannel, rng: &mut StdRng, dt_s: f64) {
+        ch.shadowing.step(rng, dt_s);
+        ch.blockage.step(rng, dt_s);
+        for (_, f) in &mut ch.fading {
+            f.step(rng, dt_s);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn shared_decay_step_matches_per_process_step(
+            seed in 0u64..1_000_000,
+            walls in 0usize..3,
+            dts in prop::collection::vec(
+                (prop_oneof![Just(0.0), Just(0.005), 0.0f64..0.05, 0.0f64..2.0], 1usize..4),
+                1..24,
+            ),
+            xs in prop::collection::vec(-60.0f64..60.0, 24..25),
+        ) {
+            // A street canyon keeping its first `walls` walls: 1–3 rays.
+            let mut env = Environment::street_canyon(200.0, 20.0);
+            env.walls.truncate(walls);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut shared = LinkChannel::new(&mut rng, ChannelConfig::outdoor_60ghz());
+            let mut reference = shared.clone();
+            let mut rng_ref = rng.clone();
+            let (mut a, mut b) = (PathSet::new(), PathSet::new());
+            let tx = Vec2::new(0.0, 8.0);
+            for (k, &(dt, repeats)) in dts.iter().enumerate() {
+                let rx = Vec2::new(xs[k], -3.0);
+                shared.trace_into(&mut rng, &env, tx, rx, &mut a);
+                reference.trace_into(&mut rng_ref, &env, tx, rx, &mut b);
+                prop_assert_eq!(a.len(), walls + 1);
+                for (x, y) in a.samples().iter().zip(b.samples()) {
+                    prop_assert_eq!(x.gain.0.to_bits(), y.gain.0.to_bits());
+                }
+                for _ in 0..repeats {
+                    shared.step(&mut rng, dt);
+                    step_per_process(&mut reference, &mut rng_ref, dt);
+                    prop_assert!(rng == rng_ref, "draw streams diverged at step {}", k);
+                }
+            }
+        }
+    }
 
     #[test]
     fn deterministic_config_gives_pure_pathloss() {

@@ -123,8 +123,16 @@ impl Radians {
     }
 
     /// Wrap into (-π, π].
+    ///
+    /// IEEE `fmod` is exact and returns `x` itself when `|x| < TAU`, so
+    /// that range skips the `%` (a libm call) without changing a bit; NaN
+    /// and ±inf still take it.
     pub fn wrapped(self) -> Radians {
-        let mut a = self.0 % TAU;
+        let mut a = if self.0.abs() < TAU {
+            self.0
+        } else {
+            self.0 % TAU
+        };
         if a <= -PI {
             a += TAU;
         } else if a > PI {

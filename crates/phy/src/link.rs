@@ -161,11 +161,12 @@ pub fn rss_sweep_tx(
         let tx_local = (p.aod - tx_pose.heading).wrapped();
         let rx_local = (p.aoa - rx_pose.heading).wrapped();
         let g_rx = rx_codebook.gain(rx_beam, rx_local);
-        for (o, beam) in out.iter_mut().zip(tx_codebook.beams()) {
-            let g_tx = beam.gain_towards(tx_local);
-            let level = tx_power + g_tx + p.gain + g_rx;
-            o.0 += level.milliwatts().0;
-        }
+        add_ray_milliwatts(
+            out,
+            tx_codebook
+                .beams()
+                .map(|beam| tx_power + beam.gain_towards(tx_local) + p.gain + g_rx),
+        );
     }
     for o in out.iter_mut() {
         *o = MilliWatts(o.0).dbm();
@@ -197,16 +198,39 @@ pub fn rss_sweep_rx(
         let tx_local = (p.aod - tx_pose.heading).wrapped();
         let rx_local = (p.aoa - rx_pose.heading).wrapped();
         let g_tx = tx_codebook.gain(tx_beam, tx_local);
-        for (o, beam) in out.iter_mut().zip(rx_codebook.beams()) {
-            let g_rx = beam.gain_towards(rx_local);
-            let level = tx_power + g_tx + p.gain + g_rx;
-            o.0 += level.milliwatts().0;
-        }
+        add_ray_milliwatts(
+            out,
+            rx_codebook
+                .beams()
+                .map(|beam| tx_power + g_tx + p.gain + beam.gain_towards(rx_local)),
+        );
     }
     for o in out.iter_mut() {
         *o = MilliWatts(o.0).dbm();
     }
     true
+}
+
+/// Add one ray's power under every beam of a sweep to the linear
+/// accumulators: `out[b].0 += levels[b]` in milliwatts. Beams on the
+/// side-lobe floor see bitwise-equal levels, so the conversion of the
+/// lowest level seen so far is kept and reused for a later beam with the
+/// same bits: the same milliwatts, one `powf` fewer.
+fn add_ray_milliwatts(out: &mut [Dbm], levels: impl Iterator<Item = Dbm>) {
+    let mut lowest: Option<(Dbm, f64)> = None;
+    for (o, level) in out.iter_mut().zip(levels) {
+        let mw = match lowest {
+            Some((low, mw)) if low.0.to_bits() == level.0.to_bits() => mw,
+            _ => {
+                let mw = level.milliwatts().0;
+                if lowest.is_none_or(|(low, _)| level.0 < low.0) {
+                    lowest = Some((level, mw));
+                }
+                mw
+            }
+        };
+        o.0 += mw;
+    }
 }
 
 /// Signal-to-noise ratio for an RSS at a given receiver.

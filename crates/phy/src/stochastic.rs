@@ -84,6 +84,38 @@ impl OrnsteinUhlenbeck {
             rho * self.state + self.sigma * (1.0 - rho * rho).sqrt() * standard_normal(rng);
         self.state
     }
+
+    /// [`step`](OrnsteinUhlenbeck::step) with the decay factors already
+    /// evaluated, for processes that share one `dt` and one τ. Bit-identical
+    /// to `step(rng, dt)` when `decay` is `OuDecay::new(dt, self.tau_s)`.
+    pub(crate) fn step_decayed<R: Rng + ?Sized>(&mut self, rng: &mut R, decay: OuDecay) -> f64 {
+        if self.sigma == 0.0 {
+            self.state = 0.0;
+            return 0.0;
+        }
+        self.state = decay.rho * self.state + self.sigma * decay.innovation * standard_normal(rng);
+        self.state
+    }
+}
+
+/// The decay factors of one Ornstein–Uhlenbeck step of `dt` under
+/// correlation time τ: ρ = exp(−dt/τ) and √(1 − ρ²), evaluated once and
+/// shared by every process with that `dt` and τ.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct OuDecay {
+    rho: f64,
+    innovation: f64,
+}
+
+impl OuDecay {
+    pub(crate) fn new(dt_s: f64, tau_s: f64) -> OuDecay {
+        debug_assert!(dt_s >= 0.0);
+        let rho = (-dt_s / tau_s).exp();
+        OuDecay {
+            rho,
+            innovation: (1.0 - rho * rho).sqrt(),
+        }
+    }
 }
 
 /// A memoryless Rician fading amplitude generator.
@@ -159,6 +191,13 @@ impl CorrelatedRician {
     pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R, dt_s: f64) {
         self.i.step(rng, dt_s);
         self.q.step(rng, dt_s);
+    }
+
+    /// [`step`](CorrelatedRician::step) with the decay factors of `dt` under
+    /// this process's coherence time already evaluated.
+    pub(crate) fn step_decayed<R: Rng + ?Sized>(&mut self, rng: &mut R, decay: OuDecay) {
+        self.i.step_decayed(rng, decay);
+        self.q.step_decayed(rng, decay);
     }
 
     /// Current fading power gain in dB around a 0 dB mean. Pure read —
@@ -299,6 +338,22 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut ou = OrnsteinUhlenbeck::new(&mut rng, 0.0, 0.5);
         assert_eq!(ou.step(&mut rng, 0.1), 0.0);
+    }
+
+    #[test]
+    fn ou_step_decayed_matches_step_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(14);
+        for (sigma, tau) in [(0.0, 0.5), (2.5, 1.5), (0.3, 0.002), (0.7, 1e-6)] {
+            let mut a = OrnsteinUhlenbeck::new(&mut rng, sigma, tau);
+            let mut b = a.clone();
+            let mut rng_b = rng.clone();
+            for dt in [0.0, 0.005, 0.005, 1e-4, 0.0, 0.02, 3.0, 0.001] {
+                let x = a.step(&mut rng, dt);
+                let y = b.step_decayed(&mut rng_b, OuDecay::new(dt, tau));
+                assert_eq!(x.to_bits(), y.to_bits(), "sigma {sigma} tau {tau} dt {dt}");
+                assert_eq!(rng, rng_b);
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,56 @@
 //! Property-based tests for the PHY substrate invariants.
 
+use std::f64::consts::{PI, TAU};
+
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use st_phy::channel::pathloss::{CloseIn, PathLossModel};
-use st_phy::geometry::{Radians, Segment, Vec2};
+use st_phy::channel::{ChannelConfig, Environment, LinkChannel, PathSet};
+use st_phy::geometry::{Degrees, Pose, Radians, Segment, Vec2};
+use st_phy::link::{rss, rss_sweep_rx, rss_sweep_tx};
 use st_phy::units::{power_sum_dbm, Carrier, Db, Dbm};
-use st_phy::{BeamwidthClass, Codebook, Pattern, SectoredPattern, UlaPattern};
+use st_phy::{BeamId, BeamwidthClass, Codebook, Pattern, SectoredPattern, UlaPattern};
+
+/// Reference for `Radians::wrapped`: the plain `%` wrap, without the
+/// `|x| < TAU` fast path.
+fn wrapped_reference(x: f64) -> f64 {
+    let mut a = x % TAU;
+    if a <= -PI {
+        a += TAU;
+    } else if a > PI {
+        a -= TAU;
+    }
+    a
+}
+
+/// The next representable `f64` above finite `x`.
+fn next_up(x: f64) -> f64 {
+    if x == 0.0 {
+        f64::from_bits(1)
+    } else if x > 0.0 {
+        f64::from_bits(x.to_bits() + 1)
+    } else {
+        f64::from_bits(x.to_bits() - 1)
+    }
+}
+
+#[test]
+fn wrapped_matches_reference_at_the_edges() {
+    let mut inputs = vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    for x in [0.0, PI, TAU, 3.0 * PI, 1e6] {
+        for v in [x, -x] {
+            inputs.extend([v, next_up(v), -next_up(-v)]);
+        }
+    }
+    for x in inputs {
+        assert_eq!(
+            Radians(x).wrapped().0.to_bits(),
+            wrapped_reference(x).to_bits(),
+            "{x:e}"
+        );
+    }
+}
 
 proptest! {
     #[test]
@@ -118,6 +164,78 @@ proptest! {
         let p = Vec2::new(px, py);
         let m = wall.mirror(wall.mirror(p));
         prop_assert!((m.x - p.x).abs() < 1e-6 && (m.y - p.y).abs() < 1e-6);
+    }
+
+    #[test]
+    fn wrapped_matches_reference(x in -1e6f64..1e6, small in -20.0f64..20.0) {
+        for v in [x, small] {
+            prop_assert_eq!(Radians(v).wrapped().0.to_bits(), wrapped_reference(v).to_bits());
+        }
+    }
+
+    #[test]
+    fn sweeps_match_per_beam_rss_bit_for_bit(
+        seed in 0u64..1_000_000,
+        ux in -150.0f64..150.0, uy in -12.0f64..12.0,
+        bs_heading in -4.0f64..4.0, ue_heading in -4.0f64..4.0,
+        beam_pick in 0u16..18,
+    ) {
+        // The fleet street: an 800 m canyon, a BS on the wall side, the
+        // mobile anywhere along the street.
+        let bs = Vec2::new(0.0, 12.0);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut ch = LinkChannel::new(&mut rng, ChannelConfig::outdoor_60ghz());
+        let env = Environment::street_canyon(800.0, 30.0);
+        let paths = ch.paths(&mut rng, &env, bs, Vec2::new(ux, uy));
+        let bs_pose = Pose::new(bs, Radians(bs_heading));
+        let ue_pose = Pose::new(Vec2::new(ux, uy), Radians(ue_heading));
+        let bs_cb = Codebook::uniform_sectored(8, Degrees(30.0));
+        let ue_cb = Codebook::for_class(BeamwidthClass::Narrow);
+        let (tx_beam, rx_beam) = (BeamId(beam_pick % 8), BeamId(beam_pick));
+        let p = Dbm(10.0);
+
+        let mut out = vec![Dbm(0.0); bs_cb.len()];
+        prop_assert!(rss_sweep_tx(p, bs_pose, &bs_cb, ue_pose, &ue_cb, rx_beam, &paths, &mut out));
+        for (b, got) in out.iter().enumerate() {
+            let want = rss(p, bs_pose, &bs_cb, BeamId(b as u16), ue_pose, &ue_cb, rx_beam, &paths)
+                .unwrap();
+            prop_assert_eq!(got.0.to_bits(), want.0.to_bits());
+        }
+
+        let mut out = vec![Dbm(0.0); ue_cb.len()];
+        prop_assert!(rss_sweep_rx(p, bs_pose, &bs_cb, tx_beam, ue_pose, &ue_cb, &paths, &mut out));
+        for (b, got) in out.iter().enumerate() {
+            let want = rss(p, bs_pose, &bs_cb, tx_beam, ue_pose, &ue_cb, BeamId(b as u16), &paths)
+                .unwrap();
+            prop_assert_eq!(got.0.to_bits(), want.0.to_bits());
+        }
+    }
+
+    #[test]
+    fn precomputed_path_loss_matches_close_in(
+        ghz in 20.0f64..80.0, los_n in 1.6f64..4.0, nlos_n in 1.6f64..4.0,
+        ux in -150.0f64..150.0, uy in -12.0f64..12.0,
+    ) {
+        // No shadowing, fading or blockage: each gain is its path loss
+        // plus the ray's excess loss, negated.
+        let carrier = Carrier { frequency_hz: ghz * 1e9 };
+        let cfg = ChannelConfig {
+            carrier,
+            los_exponent: los_n,
+            nlos_exponent: nlos_n,
+            ..ChannelConfig::deterministic()
+        };
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut ch = LinkChannel::new(&mut rng, cfg);
+        let mut set = PathSet::new();
+        let env = Environment::street_canyon(800.0, 30.0);
+        ch.trace_into(&mut rng, &env, Vec2::new(0.0, 12.0), Vec2::new(ux, uy), &mut set);
+        prop_assert_eq!(set.len(), 3);
+        for (ray, sample) in set.rays().iter().zip(set.samples()) {
+            let exponent = if ray.is_los { los_n } else { nlos_n };
+            let pl = CloseIn { carrier, exponent }.loss(ray.length_m);
+            prop_assert_eq!(sample.gain.0.to_bits(), (-(pl + ray.excess_loss)).0.to_bits());
+        }
     }
 
     #[test]
