@@ -19,7 +19,10 @@
 //! * unlike a single trial, the run never halts at the first handover:
 //!   the driver re-anchors the protocol on the new serving cell and keeps
 //!   going, so one UE can hand over repeatedly;
-//! * channels are stepped lazily, only by the samples that need them;
+//! * channels are stepped lazily: a link's shadowing, fading and
+//!   blockage advance only when that link is sampled, in one step from
+//!   its last step to the sample instant (exact in law, see
+//!   [`st_net::radio::LinkSet`]), so a link nobody reads costs no draws;
 //! * the shard's [`Observer`] keeps the fleet's streaming telemetry,
 //!   causal attribution and per-cell ledgers.
 //!
@@ -63,12 +66,17 @@ struct Ledger {
     /// Per-arm (soft=0, hard=1), per-cause recorded interruption totals
     /// and their phase-decomposition sums, accumulated in recording
     /// order. Each summand pair is bit-equal by construction, so the
-    /// accumulated pairs stay bit-equal — `finish` debug-asserts it.
+    /// accumulated pairs stay bit-equal — `finish` asserts it.
     cause_totals: [[f64; 5]; 2],
     cause_phase_sums: [[f64; 5]; 2],
     /// Run-level per-cause interruption counts — the conservation ledger
     /// the timeline slice cause counts must sum to.
     cause_counts_run: [u64; 5],
+    /// Handovers whose breakdown total did not bit-equal the recorded
+    /// interruption. Counted here and asserted zero in `finish`, on the
+    /// runner's own thread: a panic inside a worker's shard step would
+    /// leave the other workers waiting at the occasion barrier.
+    breakdown_mismatches: u64,
     /// The timeline slice accumulating since the last sealed boundary.
     cur: SnapshotSlice,
 }
@@ -127,10 +135,7 @@ impl Observer for Ledger {
             // `ms` sample recorded below — one interruption, one number,
             // two views.
             let bd = InterruptionBreakdown::from_marks(marks);
-            debug_assert!(
-                bd.total_ms.to_bits() == ms.to_bits(),
-                "breakdown total must bit-equal the recorded interruption"
-            );
+            self.breakdown_mismatches += u64::from(bd.total_ms.to_bits() != ms.to_bits());
             let out = &mut self.out;
             let (arm, causes) = match proto.kind() {
                 ProtocolKind::SilentTracker => {
@@ -248,6 +253,7 @@ impl ShardSim {
             cause_totals: [[0.0; 5]; 2],
             cause_phase_sums: [[0.0; 5]; 2],
             cause_counts_run: [0; 5],
+            breakdown_mismatches: 0,
             cur: SnapshotSlice::new(),
         };
         let mut driver = Driver::new(
@@ -400,39 +406,44 @@ impl ShardSim {
         let c = &mut out.profile.counters;
         c.add("phy.traces_cast", link_stats.traces_cast);
         c.add("phy.rays_tested", link_stats.rays_tested);
+        c.add("phy.link_steps", link_stats.link_steps);
         c.add("des.events_popped", events);
         c.set_max("des.event_queue_peak", pending_peak);
         c.add("fleet.scratch_growth", scratch_growth);
         if let Some(ring) = &out.timeline {
             c.add("obs.snapshot_slices", ring.pushed());
         }
-        // Attribution conservation ledgers, checked before the causal
-        // aggregates leave the shard: (a) per arm and cause, the summed
-        // phase decompositions bit-equal the summed recorded samples;
-        // (b) the timeline's per-cause slice counts sum to the run's
-        // per-cause totals — nothing double-counted, nothing dropped.
-        if cfg!(debug_assertions) {
-            debug_assert!(
-                ledger
-                    .cause_totals
-                    .iter()
-                    .flatten()
-                    .zip(ledger.cause_phase_sums.iter().flatten())
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "per-cause phase sums must bit-equal the recorded interruption totals"
-            );
-            if let Some(ring) = &out.timeline {
-                let mut sums = [0u64; 5];
-                for s in ring.slices() {
-                    for (a, b) in sums.iter_mut().zip(&s.cause_counts) {
-                        *a += b;
-                    }
+        // Attribution conservation ledgers, checked in every build before
+        // the causal aggregates leave the shard: (a) every breakdown total
+        // bit-equals its recorded interruption; (b) per arm and cause, the
+        // summed phase decompositions bit-equal the summed recorded
+        // samples; (c) the timeline's per-cause slice counts sum to the
+        // run's per-cause totals — nothing double-counted, nothing dropped.
+        assert!(
+            ledger.breakdown_mismatches == 0,
+            "{} breakdown totals must bit-equal the recorded interruption",
+            ledger.breakdown_mismatches
+        );
+        assert!(
+            ledger
+                .cause_totals
+                .iter()
+                .flatten()
+                .zip(ledger.cause_phase_sums.iter().flatten())
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "per-cause phase sums must bit-equal the recorded interruption totals"
+        );
+        if let Some(ring) = &out.timeline {
+            let mut sums = [0u64; 5];
+            for s in ring.slices() {
+                for (a, b) in sums.iter_mut().zip(&s.cause_counts) {
+                    *a += b;
                 }
-                debug_assert!(
-                    sums == ledger.cause_counts_run,
-                    "timeline slice cause counts must sum to the run's cause totals"
-                );
             }
+            assert!(
+                sums == ledger.cause_counts_run,
+                "timeline slice cause counts must sum to the run's cause totals"
+            );
         }
         // The constant-memory contract: unless the exact-ECDF opt-in is
         // armed, no per-handover sample vector may leave the shard —

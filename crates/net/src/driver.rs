@@ -25,8 +25,11 @@
 //! What a loop learns from a run it learns through an [`Observer`]: the
 //! single trial's outcome and milestone trace, or the fleet's telemetry,
 //! attribution and per-cell ledgers. The loops differ only in how they
-//! step channels (the trial at every event, the fleet lazily per sample),
-//! how they label RNG streams, and when they resolve the stage.
+//! step channels, how they label RNG streams, and when they resolve the
+//! stage. Every sample advances its own link to the sample instant (see
+//! [`LinkSet`]); the single trial also advances every link at every
+//! event ([`Driver::step_channels`]), while a fleet shard advances each
+//! link only when it is sampled.
 
 use std::sync::Arc;
 
@@ -466,13 +469,14 @@ impl<O: Observer> Driver<O> {
         (self.ues, self.obs)
     }
 
-    /// Trace/ray work counters summed over every UE's links.
+    /// Trace/ray/step work counters summed over every UE's links.
     pub fn link_stats(&self) -> LinkStats {
         let mut s = LinkStats::default();
         for links in &self.links {
             let ls = links.stats();
             s.traces_cast += ls.traces_cast;
             s.rays_tested += ls.rays_tested;
+            s.link_steps += ls.link_steps;
         }
         s
     }
@@ -520,9 +524,10 @@ impl<O: Observer> Driver<O> {
         );
     }
 
-    /// Advance every UE's links to `now`. The single trial calls this at
-    /// every event; the fleet leaves channels to be stepped lazily by the
-    /// samples that need them.
+    /// Advance every UE's links to `now` ([`LinkSet::step_to`]). The
+    /// single trial calls this at every event, which keeps its seeded
+    /// realization; a fleet shard never does, so each of its links
+    /// advances only when it is sampled, in one step from its last one.
     pub fn step_channels(&mut self, now: SimTime) {
         for links in &mut self.links {
             links.step_to(now);
@@ -618,7 +623,7 @@ impl<O: Observer> Driver<O> {
 
     /// Downlink RSS from `cell` to UE `i` on (`tx_beam`, `rx_beam`) at
     /// `now`; by channel reciprocity the same figure serves the uplink.
-    /// Channels not yet stepped to `now` are advanced on first use.
+    /// The sampled link alone is advanced to `now` if it lags.
     fn link_rss(
         &mut self,
         i: usize,
@@ -628,9 +633,15 @@ impl<O: Observer> Driver<O> {
         rx_beam: BeamId,
     ) -> Option<Dbm> {
         let pose = self.pose(i, now);
-        let links = &mut self.links[i];
-        links.step_to(now);
-        links.rss(&self.sites, cell, tx_beam, pose, &self.ue_codebook, rx_beam)
+        self.links[i].rss(
+            &self.sites,
+            cell,
+            tx_beam,
+            now,
+            pose,
+            &self.ue_codebook,
+            rx_beam,
+        )
     }
 
     /// Sample whether a control PDU gets through at this SNR.
@@ -699,11 +710,10 @@ impl<O: Observer> Driver<O> {
                 }
                 self.sweep_scratch.resize(n_beams, Dbm(f64::NEG_INFINITY));
                 let pose = self.pose(i, now);
-                let links = &mut self.links[i];
-                links.step_to(now);
-                if !links.rss_tx_sweep(
+                if !self.links[i].rss_tx_sweep(
                     &self.sites,
                     cell,
+                    now,
                     pose,
                     &self.ue_codebook,
                     gap_beam,

@@ -119,16 +119,27 @@ pub fn build_world(cfg: &ScenarioConfig) -> (Arc<Sites>, Arc<Codebook>) {
 /// One mobile's stochastic links: a [`LinkChannel`] plus its dedicated
 /// RNG stream per (this UE, cell) pair.
 ///
-/// Links are stored in per-cell *slots* created lazily the first time a
-/// cell enters the UE's **interest set** ([`LinkSet::set_interest`]) or
-/// is measured. Each link draws only from its own stream, so creating,
-/// suspending or resuming one link never perturbs the channel draws of
-/// any other — the property that makes interest management (restricting
-/// a fleet UE's links to cells within radio range) RNG-safe. A link that
-/// leaves the interest set keeps its slot but stops advancing; if it is
-/// measured again it catches up to the set clock in one step, so its
-/// fading correlation decays over the whole gap exactly as the process
-/// prescribes for that elapsed time.
+/// Links are stored in per-cell *slots* created the first time a cell
+/// enters the UE's interest set or is sampled. Each link draws only from
+/// its own stream, and a fresh stream is a pure function of the master
+/// seed, so creating, skipping or resuming one link never perturbs the
+/// channel draws of any other.
+///
+/// Sampling a link ([`LinkSet::rss`], [`LinkSet::rss_tx_sweep`]) first
+/// advances that link alone, in one step from its own last step to the
+/// sample instant. This is the fleet's only stepping path: a link nobody
+/// reads is never stepped. It is exact in law. Shadowing and the per-ray
+/// fading I/Q are Ornstein–Uhlenbeck processes stepped with the exact
+/// discretization, so one step of dt₁ + dt₂ has the law of two; blockage
+/// consumes exponential holding times, so it is exact over any dt; and a
+/// link's state is only ever read when it is traced. The single trial
+/// instead advances every link at every event ([`LinkSet::step_to`]), so
+/// its samples find their link already stepped and its realization is
+/// the one its seeded figures were drawn from.
+///
+/// The **interest set** ([`LinkSet::set_interest`]) chooses which cells
+/// the fleet's gap sweep measures, restricting a fleet UE to cells within
+/// radio range; it never steps a link.
 ///
 /// Each slot keeps a [`PathSet`] snapshot tagged with the (instant, UE
 /// position) it was traced at. Every RSS evaluation at the same instant —
@@ -148,20 +159,14 @@ pub struct LinkSet {
     /// created (struct-of-arrays friendly: one contiguous scratch run
     /// per UE, only as long as the cells this UE ever heard).
     slots: Vec<LinkSlot>,
-    /// The interest set: sorted cell ids advanced by [`Self::step_to`]
-    /// and swept by the fleet's measurement pass.
+    /// The interest set: sorted cell ids swept by the fleet's
+    /// measurement pass and advanced by [`Self::step_to`].
     active: Vec<u16>,
-    /// Set-level clock: the instant the active links were last advanced
-    /// to. Lagging slots catch up to it on demand.
-    clock: SimTime,
     /// Occlusion candidate scratch for the dynamic-environment pass,
     /// reused every snapshot (sized once to the blocker count).
     occl: OcclusionScratch,
-    /// Profiler counters: actual geometry traces performed (cache
-    /// misses of the snapshot key) and rays produced by those traces.
-    /// Deterministic — pure functions of the measurement sequence.
-    traces_cast: u64,
-    rays_tested: u64,
+    /// Profiler counters, see [`LinkStats`].
+    stats: LinkStats,
 }
 
 /// Which RNG-stream labelling scheme seeds a lazily created link.
@@ -187,14 +192,31 @@ struct LinkSlot {
     snap_key: Option<(SimTime, Vec2)>,
 }
 
-/// Deterministic per-link-set work counters, drained into the run
-/// profiler when a shard collects its outcome.
+impl LinkSlot {
+    /// Advance this link's processes from its last step to `now` in one
+    /// step; returns whether a step was taken.
+    fn advance(&mut self, now: SimTime) -> bool {
+        debug_assert!(now >= self.last_step, "a link is sampled forward in time");
+        let dt = now.since(self.last_step).as_secs_f64();
+        if dt > 0.0 {
+            self.channel.step(&mut self.rng, dt);
+            self.last_step = now;
+        }
+        dt > 0.0
+    }
+}
+
+/// Deterministic per-link-set work counters — pure functions of the
+/// measurement sequence — drained into the run profiler when a shard
+/// collects its outcome.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkStats {
     /// Geometry traces actually performed (snapshot-cache misses).
     pub traces_cast: u64,
     /// Rays produced by those traces (post-occlusion path count).
     pub rays_tested: u64,
+    /// Channel steps taken: one per link advance over a nonzero `dt`.
+    pub link_steps: u64,
 }
 
 impl LinkSet {
@@ -218,7 +240,7 @@ impl LinkSet {
     }
 
     /// Fleet streams with an *empty* interest set: no link exists until
-    /// [`Self::set_interest`] (or a measurement) touches its cell.
+    /// [`Self::set_interest`] (or a sample) touches its cell.
     pub fn for_ue_interest(
         streams: &RngStreams,
         config: ChannelConfig,
@@ -241,10 +263,8 @@ impl LinkSet {
             n_cells,
             slots: Vec::new(),
             active: Vec::new(),
-            clock: SimTime::ZERO,
             occl: OcclusionScratch::new(),
-            traces_cast: 0,
-            rays_tested: 0,
+            stats: LinkStats::default(),
         }
     }
 
@@ -290,8 +310,9 @@ impl LinkSet {
 
     /// Replace the interest set with `cells` (sorted, deduplicated cell
     /// ids). Links for newly interesting cells are created on the spot
-    /// from their own streams; links leaving the set keep their slot but
-    /// stop advancing. The fleet engine refreshes this from each UE's
+    /// from their own streams (a fresh stream is a pure function of the
+    /// seed, so when a link is created never changes its draws); no link
+    /// is stepped. The fleet engine refreshes this from each UE's
     /// position every SSB burst, always force-including the serving cell
     /// and any in-flight RACH target.
     pub fn set_interest(&mut self, cells: &[u16]) {
@@ -313,21 +334,17 @@ impl LinkSet {
         self.n_cells
     }
 
-    /// Trace/ray work counters accumulated since construction.
+    /// Trace/ray/step work counters accumulated since construction.
     pub fn stats(&self) -> LinkStats {
-        LinkStats {
-            traces_cast: self.traces_cast,
-            rays_tested: self.rays_tested,
-        }
+        self.stats
     }
 
-    /// Advance every *interesting* link's time-correlated processes to
-    /// `now`. Snapshots stay valid only within one instant: their key
-    /// carries the step time, so advancing the clock invalidates them
-    /// implicitly. Links outside the interest set stay frozen and catch
-    /// up in one step if they are ever measured again.
+    /// The single trial's eager advance: step every *interesting* link's
+    /// time-correlated processes to `now`, whether or not it is sampled
+    /// there. The trial calls this at every event, which keeps its
+    /// realization (and every seeded figure) fixed; the fleet never does,
+    /// and leaves each link to be stepped by its own samples.
     pub fn step_to(&mut self, now: SimTime) {
-        self.clock = now;
         let mut ai = 0;
         for slot in &mut self.slots {
             if ai == self.active.len() {
@@ -335,33 +352,28 @@ impl LinkSet {
             }
             if slot.cell == self.active[ai] {
                 ai += 1;
-                let dt = now.since(slot.last_step).as_secs_f64();
-                if dt > 0.0 {
-                    slot.channel.step(&mut slot.rng, dt);
-                    slot.last_step = now;
+                if slot.advance(now) {
+                    self.stats.link_steps += 1;
                 }
             }
         }
     }
 
-    /// The path snapshot of `cell` for a UE at `ue_pos`, traced at most
-    /// once per (instant, position) and reused for every beam evaluated
-    /// against it. With a dynamic environment attached, the occlusion
-    /// pass runs once here, on the snapshot — it consumes no RNG draws
-    /// and allocates nothing in steady state, so the zero-allocation and
+    /// The path snapshot of `cell` at instant `now` for a UE at `ue_pos`,
+    /// traced at most once per (instant, position) and reused for every
+    /// beam evaluated against it. The link is first advanced to `now` in
+    /// one step from its own last step (its own stream — no other link
+    /// notices). With a dynamic environment attached, the occlusion pass
+    /// runs once here, on the snapshot — it consumes no RNG draws and
+    /// allocates nothing in steady state, so the zero-allocation and
     /// determinism contracts of the sweep path carry over unchanged.
-    fn snapshot(&mut self, sites: &Sites, cell: usize, ue_pos: Vec2) -> &PathSet {
+    fn snapshot(&mut self, sites: &Sites, cell: usize, now: SimTime, ue_pos: Vec2) -> &PathSet {
         let i = self.ensure_slot(cell as u16);
-        let clock = self.clock;
         let slot = &mut self.slots[i];
-        // A link measured from outside the interest set catches up to
-        // the set clock first (its own stream — no other link notices).
-        let dt = clock.since(slot.last_step).as_secs_f64();
-        if dt > 0.0 {
-            slot.channel.step(&mut slot.rng, dt);
-            slot.last_step = clock;
+        if slot.advance(now) {
+            self.stats.link_steps += 1;
         }
-        let key = Some((slot.last_step, ue_pos));
+        let key = Some((now, ue_pos));
         if slot.snap_key != key {
             let bs_pos = sites.pose(cell).position;
             slot.channel.trace_into(
@@ -373,33 +385,36 @@ impl LinkSet {
             );
             if let Some(dynamics) = &sites.dynamics {
                 dynamics.occlude(
-                    slot.last_step.as_secs_f64(),
+                    now.as_secs_f64(),
                     bs_pos,
                     ue_pos,
                     &mut slot.snap,
                     &mut self.occl,
                 );
             }
-            self.traces_cast += 1;
-            self.rays_tested += slot.snap.len() as u64;
+            self.stats.traces_cast += 1;
+            self.stats.rays_tested += slot.snap.len() as u64;
             slot.snap_key = key;
         }
         &self.slots[i].snap
     }
 
-    /// Downlink RSS from `cell` on (`tx_beam`, `rx_beam`) for a UE at
-    /// `ue_pose`. By channel reciprocity the same figure serves the uplink.
+    /// Downlink RSS from `cell` on (`tx_beam`, `rx_beam`) at instant
+    /// `now` for a UE at `ue_pose`. By channel reciprocity the same figure
+    /// serves the uplink. Instants must not go back in time per link.
+    #[allow(clippy::too_many_arguments)]
     pub fn rss(
         &mut self,
         sites: &Sites,
         cell: usize,
         tx_beam: TxBeamIndex,
+        now: SimTime,
         ue_pose: Pose,
         ue_codebook: &Codebook,
         rx_beam: BeamId,
     ) -> Option<Dbm> {
         let bs = sites.pose(cell);
-        let set = self.snapshot(sites, cell, ue_pose.position);
+        let set = self.snapshot(sites, cell, now, ue_pose.position);
         rss(
             sites.radio.tx_power,
             bs,
@@ -412,21 +427,23 @@ impl LinkSet {
         )
     }
 
-    /// RSS of *every* transmit beam of `cell` on the fixed `rx_beam`, in
-    /// one trace and one pass over the rays — the SSB-sweep hot path.
-    /// `out` must be `sites.codebooks[cell].len()` long; returns `false`
-    /// (out untouched) when the link has no paths.
+    /// RSS of *every* transmit beam of `cell` on the fixed `rx_beam` at
+    /// instant `now`, in one trace and one pass over the rays — the
+    /// SSB-sweep hot path. `out` must be `sites.codebooks[cell].len()`
+    /// long; returns `false` (out untouched) when the link has no paths.
+    #[allow(clippy::too_many_arguments)]
     pub fn rss_tx_sweep(
         &mut self,
         sites: &Sites,
         cell: usize,
+        now: SimTime,
         ue_pose: Pose,
         ue_codebook: &Codebook,
         rx_beam: BeamId,
         out: &mut [Dbm],
     ) -> bool {
         let bs = sites.pose(cell);
-        let set = self.snapshot(sites, cell, ue_pose.position);
+        let set = self.snapshot(sites, cell, now, ue_pose.position);
         rss_sweep_tx(
             sites.radio.tx_power,
             bs,
@@ -477,7 +494,7 @@ mod tests {
         let tx = s.best_tx_beam_towards(0, ue_pose.position);
         let rx = ue_cb.best_beam_towards(ue_pose.local_bearing_to(s.cells[0].position));
         let r = links
-            .rss(&s, 0, tx, ue_pose, &ue_cb, rx)
+            .rss(&s, 0, tx, SimTime::ZERO, ue_pose, &ue_cb, rx)
             .expect("paths exist");
         assert!(detectable(r, &s.radio), "{r}");
     }
@@ -493,28 +510,28 @@ mod tests {
         let ue_pose = Pose::new(Vec2::new(-20.0, 0.0), Radians(0.3));
         let rx = BeamId(5);
 
-        // Sweep vs per-beam on identically-seeded link sets; interleave
-        // time steps so the fading processes actually advance.
+        // Sweep vs per-beam on identically-seeded link sets; sample at
+        // successive instants so the fading processes actually advance.
         let mut a = LinkSet::single_ue(&streams, cfg, s.len());
         let mut b = LinkSet::single_ue(&streams, cfg, s.len());
         let n = s.codebooks[0].len();
         let mut out = vec![Dbm(0.0); n];
         for step in 1..=10u64 {
             let now = SimTime::ZERO + st_des::SimDuration::from_millis(step * 3);
-            a.step_to(now);
-            b.step_to(now);
-            assert!(a.rss_tx_sweep(&s, 0, ue_pose, &ue_cb, rx, &mut out));
+            assert!(a.rss_tx_sweep(&s, 0, now, ue_pose, &ue_cb, rx, &mut out));
             for (beam, &got) in out.iter().enumerate() {
                 let want = b
-                    .rss(&s, 0, beam as TxBeamIndex, ue_pose, &ue_cb, rx)
+                    .rss(&s, 0, beam as TxBeamIndex, now, ue_pose, &ue_cb, rx)
                     .unwrap();
                 assert_eq!(got, want, "beam {beam} at step {step}");
             }
             // Mixing snapshot reuse (sweep, then single rss at the same
             // instant) must not perturb the draws of later instants.
-            let again = a.rss(&s, 0, 3, ue_pose, &ue_cb, rx).unwrap();
+            let again = a.rss(&s, 0, 3, now, ue_pose, &ue_cb, rx).unwrap();
             assert_eq!(again, out[3]);
         }
+        assert_eq!(a.stats().link_steps, 10);
+        assert_eq!(b.stats(), a.stats());
     }
 
     #[test]
@@ -525,17 +542,26 @@ mod tests {
         let ue_pose = Pose::new(Vec2::new(-30.0, 0.0), Radians(0.0));
         let ue_cb = Codebook::for_class(BeamwidthClass::Narrow);
         assert_eq!(links.stats(), LinkStats::default());
-        links.rss(&s, 0, 2, ue_pose, &ue_cb, BeamId(0));
+        links.rss(&s, 0, 2, SimTime::ZERO, ue_pose, &ue_cb, BeamId(0));
         let after_one = links.stats();
         assert_eq!(after_one.traces_cast, 1);
         assert!(after_one.rays_tested >= 1);
+        assert_eq!(after_one.link_steps, 0, "no time has passed");
         // Same instant + position: snapshot reuse, no new trace.
-        links.rss(&s, 0, 3, ue_pose, &ue_cb, BeamId(1));
+        links.rss(&s, 0, 3, SimTime::ZERO, ue_pose, &ue_cb, BeamId(1));
         assert_eq!(links.stats(), after_one);
-        // New instant invalidates the snapshot.
-        links.step_to(SimTime::ZERO + st_des::SimDuration::from_millis(5));
-        links.rss(&s, 0, 2, ue_pose, &ue_cb, BeamId(0));
+        // A new instant steps the sampled link alone and re-traces it.
+        let t1 = SimTime::ZERO + st_des::SimDuration::from_millis(5);
+        links.rss(&s, 0, 2, t1, ue_pose, &ue_cb, BeamId(0));
         assert_eq!(links.stats().traces_cast, 2);
+        assert_eq!(links.stats().link_steps, 1);
+        // The trial's eager advance steps every interesting link, and a
+        // sample at that instant then finds its link already stepped.
+        let t2 = t1 + st_des::SimDuration::from_millis(5);
+        links.step_to(t2);
+        assert_eq!(links.stats().link_steps, 3);
+        links.rss(&s, 1, 2, t2, ue_pose, &ue_cb, BeamId(0));
+        assert_eq!(links.stats().link_steps, 3);
     }
 
     #[test]
@@ -554,12 +580,64 @@ mod tests {
         let s2 = Sites::new(s.cells.clone(), s.environment.clone(), s.radio, cfg);
         let mut a2 = LinkSet::for_ue(&streams, cfg, s2.len(), 0);
         let mut b2 = LinkSet::for_ue(&streams, cfg, s2.len(), 1);
-        let ra = a2.rss(&s2, 0, 8, ue_pose, &ue_cb, BeamId(0)).unwrap();
-        let rb = b2.rss(&s2, 0, 8, ue_pose, &ue_cb, BeamId(0)).unwrap();
+        let t0 = SimTime::ZERO;
+        let ra = a2.rss(&s2, 0, 8, t0, ue_pose, &ue_cb, BeamId(0)).unwrap();
+        let rb = b2.rss(&s2, 0, 8, t0, ue_pose, &ue_cb, BeamId(0)).unwrap();
         assert_ne!(ra, rb);
         // Same UE id reproduces the same draw.
         let mut a3 = LinkSet::for_ue(&streams, cfg, s2.len(), 0);
-        let ra3 = a3.rss(&s2, 0, 8, ue_pose, &ue_cb, BeamId(0)).unwrap();
+        let ra3 = a3.rss(&s2, 0, 8, t0, ue_pose, &ue_cb, BeamId(0)).unwrap();
         assert_eq!(ra, ra3);
+    }
+
+    /// The fleet's stepping invariant, exactly: a link advances only when
+    /// it is sampled, so sampling other cells of the same UE at other
+    /// instants leaves its RSS sequence bit-identical. (Stepping the whole
+    /// set before every sample would step cell 0 at the other cells'
+    /// instants too and change its draws.)
+    #[test]
+    fn sampling_other_cells_never_moves_a_links_draws() {
+        let s = Sites::new(
+            vec![
+                CellConfig::at(-40.0, 10.0),
+                CellConfig::at(0.0, 10.0),
+                CellConfig::at(40.0, 10.0),
+            ],
+            Environment::street_canyon(200.0, 30.0),
+            RadioConfig::ni_60ghz_testbed(),
+            ChannelConfig::outdoor_60ghz(),
+        );
+        let streams = RngStreams::new(21);
+        let ue_cb = Codebook::for_class(BeamwidthClass::Narrow);
+        let mut alone = LinkSet::for_ue(&streams, s.channel, s.len(), 7);
+        let mut busy = LinkSet::for_ue(&streams, s.channel, s.len(), 7);
+        let mut out = vec![Dbm(0.0); s.codebooks[1].len()];
+        let ms = |m: u64| SimTime::ZERO + st_des::SimDuration::from_millis(m);
+        let (mut seq_alone, mut seq_busy) = (Vec::new(), Vec::new());
+        for k in 1..=60u64 {
+            let pose = Pose::new(Vec2::new(-30.0 + 0.05 * k as f64, 0.5), Radians(0.0));
+            let tx = s.best_tx_beam_towards(0, pose.position);
+            let rx = BeamId((k % 16) as u16);
+            for (set, seq) in [(&mut alone, &mut seq_alone), (&mut busy, &mut seq_busy)] {
+                let r = set.rss(&s, 0, tx, ms(5 * k), pose, &ue_cb, rx);
+                seq.push(r.expect("paths exist").0.to_bits());
+            }
+            // Only `busy` also hears cells 1 and 2, between cell 0's
+            // samples and at instants of their own.
+            for cell in 1..3 {
+                busy.rss_tx_sweep(
+                    &s,
+                    cell,
+                    ms(5 * k + cell as u64),
+                    pose,
+                    &ue_cb,
+                    rx,
+                    &mut out,
+                );
+            }
+        }
+        assert_eq!(seq_alone, seq_busy);
+        assert_eq!(alone.stats().link_steps, 60);
+        assert_eq!(busy.stats().link_steps, 3 * 60);
     }
 }

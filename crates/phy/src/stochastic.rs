@@ -356,6 +356,116 @@ mod tests {
         }
     }
 
+    /// Sample mean and (population) variance.
+    fn moments(xs: &[f64]) -> (f64, f64) {
+        let n = xs.len() as f64;
+        let mean = xs.iter().sum::<f64>() / n;
+        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
+        (mean, var)
+    }
+
+    /// A link that is sampled lazily advances over a whole gap in one
+    /// step. Under the exact discretization one OU step of dt₁ + dt₂ from
+    /// x₀ has the law of a step of dt₁ followed by one of dt₂: both are
+    /// N(ρx₀, σ²(1 − ρ²)) with ρ = exp(−(dt₁ + dt₂)/τ). Checked on the
+    /// shadowing and fading regimes, within 4 standard errors.
+    #[test]
+    fn ou_one_step_has_the_law_of_two() {
+        let n = 20_000;
+        let cases = [
+            // (σ, τ, x₀, dt₁, dt₂): shadowing over gap bursts, fading over
+            // a few coherence times, and shadowing over a long gap.
+            (2.5, 1.5, 1.8, 0.005, 0.015),
+            (0.2, 0.002, -0.3, 0.001, 0.003),
+            (2.5, 1.5, -4.0, 0.7, 1.1),
+        ];
+        for (k, &(sigma, tau_s, x0, dt1, dt2)) in cases.iter().enumerate() {
+            let from_x0 = || OrnsteinUhlenbeck {
+                sigma,
+                tau_s,
+                state: x0,
+            };
+            let mut rng_one = StdRng::seed_from_u64(40 + k as u64);
+            let mut rng_two = StdRng::seed_from_u64(50 + k as u64);
+            let one: Vec<f64> = (0..n)
+                .map(|_| from_x0().step(&mut rng_one, dt1 + dt2))
+                .collect();
+            let two: Vec<f64> = (0..n)
+                .map(|_| {
+                    let mut p = from_x0();
+                    p.step(&mut rng_two, dt1);
+                    p.step(&mut rng_two, dt2)
+                })
+                .collect();
+            let rho = (-(dt1 + dt2) / tau_s).exp();
+            let (mean, var) = (rho * x0, sigma * sigma * (1.0 - rho * rho));
+            // Standard errors of a sample mean and a normal sample variance.
+            let se_mean = (var / n as f64).sqrt();
+            let se_var = var * (2.0 / (n - 1) as f64).sqrt();
+            let (m1, v1) = moments(&one);
+            let (m2, v2) = moments(&two);
+            for (label, m, v) in [("one step", m1, v1), ("two steps", m2, v2)] {
+                assert!(
+                    (m - mean).abs() < 4.0 * se_mean,
+                    "case {k} {label}: mean {m} vs {mean}"
+                );
+                assert!(
+                    (v - var).abs() < 4.0 * se_var,
+                    "case {k} {label}: var {v} vs {var}"
+                );
+            }
+            let sqrt2 = std::f64::consts::SQRT_2;
+            assert!(
+                (m1 - m2).abs() < 4.0 * sqrt2 * se_mean,
+                "case {k}: means {m1} vs {m2}"
+            );
+            assert!(
+                (v1 - v2).abs() < 4.0 * sqrt2 * se_var,
+                "case {k}: vars {v1} vs {v2}"
+            );
+        }
+    }
+
+    /// The blockage counterpart: the process consumes exponential holding
+    /// times, so one step of dt₁ + dt₂ leaves it blocked at T = dt₁ + dt₂
+    /// with the probability two steps do — the two-state chain's
+    /// a/(a+b)·(1 − e^{−(a+b)T}) from unblocked, a the arrival rate and
+    /// 1/b the mean blockage — within 4 standard errors.
+    #[test]
+    fn blockage_one_step_has_the_occupancy_of_two() {
+        let n = 20_000;
+        let (rate_hz, mean_s) = (2.0, 0.4);
+        for (k, &(dt1, dt2)) in [(0.15, 0.35), (0.005, 0.015), (0.9, 1.3)]
+            .iter()
+            .enumerate()
+        {
+            let mut rng_one = StdRng::seed_from_u64(60 + k as u64);
+            let mut rng_two = StdRng::seed_from_u64(70 + k as u64);
+            let mut blocked_one = 0u32;
+            let mut blocked_two = 0u32;
+            for _ in 0..n {
+                let mut b = BlockageProcess::new(&mut rng_one, rate_hz, mean_s, 20.0);
+                b.step(&mut rng_one, dt1 + dt2);
+                blocked_one += u32::from(b.is_blocked());
+                let mut b = BlockageProcess::new(&mut rng_two, rate_hz, mean_s, 20.0);
+                b.step(&mut rng_two, dt1);
+                b.step(&mut rng_two, dt2);
+                blocked_two += u32::from(b.is_blocked());
+            }
+            let (a, b) = (rate_hz, 1.0 / mean_s);
+            let p = a / (a + b) * (1.0 - (-(a + b) * (dt1 + dt2)).exp());
+            let se = (p * (1.0 - p) / n as f64).sqrt();
+            let p1 = f64::from(blocked_one) / n as f64;
+            let p2 = f64::from(blocked_two) / n as f64;
+            assert!((p1 - p).abs() < 4.0 * se, "case {k} one step: {p1} vs {p}");
+            assert!((p2 - p).abs() < 4.0 * se, "case {k} two steps: {p2} vs {p}");
+            assert!(
+                (p1 - p2).abs() < 4.0 * std::f64::consts::SQRT_2 * se,
+                "case {k}: {p1} vs {p2}"
+            );
+        }
+    }
+
     #[test]
     fn rician_mean_power_is_0db() {
         let mut rng = StdRng::seed_from_u64(5);

@@ -95,17 +95,17 @@ fn steady_state_sweep_path_allocates_nothing() {
             Radians(0.001 * k as f64),
         )
     };
-    // One full measurement instant: advance both links, sweep every tx
-    // beam of both cells on the gap beam, then probe two single beams
-    // against the serving snapshot (the serving-probe pattern).
+    // One full measurement instant: sweep every tx beam of both cells on
+    // the gap beam (each link advancing to the instant on its first
+    // sample), then probe two single beams against the serving snapshot
+    // (the serving-probe pattern).
     let mut measure = |links: &mut LinkSet, k: u64| {
-        let pose = pose_at(k);
-        links.step_to(instant(k));
+        let (now, pose) = (instant(k), pose_at(k));
         for cell in 0..sites.len() {
-            assert!(links.rss_tx_sweep(&sites, cell, pose, &ue_codebook, BeamId(4), &mut out));
+            assert!(links.rss_tx_sweep(&sites, cell, now, pose, &ue_codebook, BeamId(4), &mut out));
         }
         for b in [BeamId(3), BeamId(5)] {
-            links.rss(&sites, 0, 2, pose, &ue_codebook, b);
+            links.rss(&sites, 0, 2, now, pose, &ue_codebook, b);
         }
     };
 
@@ -167,14 +167,15 @@ fn occluded_sweep_path_allocates_nothing() {
             Radians(0.001 * k as f64),
         )
     };
+    // The trial's pattern: every link advanced to the instant first.
     let mut measure = |links: &mut LinkSet, k: u64| {
-        let pose = pose_at(k);
-        links.step_to(instant(k));
+        let (now, pose) = (instant(k), pose_at(k));
+        links.step_to(now);
         for cell in 0..sites.len() {
-            assert!(links.rss_tx_sweep(&sites, cell, pose, &ue_codebook, BeamId(4), &mut out));
+            assert!(links.rss_tx_sweep(&sites, cell, now, pose, &ue_codebook, BeamId(4), &mut out));
         }
         for b in [BeamId(3), BeamId(5)] {
-            links.rss(&sites, 0, 2, pose, &ue_codebook, b);
+            links.rss(&sites, 0, 2, now, pose, &ue_codebook, b);
         }
     };
 
