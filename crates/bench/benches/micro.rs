@@ -1,14 +1,13 @@
 //! Criterion micro-benchmarks for the hot paths of the stack:
 //! event queue, channel evaluation, codebook gain, PDU codec, and the
-//! tracker state-machine step.
+//! tracker state-machine fold.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use silent_tracker::tracker::{Input, SilentTracker};
-use silent_tracker::TrackerConfig;
+use silent_tracker::{ProtocolCtx, ProtocolEvent, SilentState, TrackerConfig};
 use st_des::{EventQueue, SimDuration, SimTime};
 use st_mac::pdu::{CellId, Pdu, UeId};
 use st_phy::channel::{ChannelConfig, Environment, LinkChannel};
@@ -70,20 +69,24 @@ fn bench_pdu(c: &mut Criterion) {
 
 fn bench_tracker_step(c: &mut Criterion) {
     c.bench_function("tracker_serving_rss_input", |b| {
-        let mut tr = SilentTracker::new(
+        let ctx = ProtocolCtx::new(
             TrackerConfig::paper_defaults(),
             UeId(1),
             CellId(0),
             Codebook::for_class(BeamwidthClass::Narrow),
-            BeamId(4),
         );
+        let mut state = SilentState::initial(&ctx, BeamId(4));
+        let mut actions = Vec::new();
         let mut t = SimTime::ZERO;
         b.iter(|| {
             t += SimDuration::from_millis(5);
-            black_box(tr.handle(Input::ServingRss {
+            actions.clear();
+            let ev = ProtocolEvent::ServingRss {
                 at: t,
                 rss: Dbm(-62.0),
-            }))
+            };
+            state.handle(&ctx, &ev, &mut actions);
+            black_box(actions.len())
         })
     });
 }

@@ -55,11 +55,6 @@ pub struct TrackerConfig {
     /// serving + T. Loss-driven handover (serving link dies) is exempt —
     /// any tracked beam beats none.
     pub min_track_samples: u32,
-    /// Warm-start handover re-anchoring (opt-in): after a handover, seed
-    /// the new serving-link monitor from the monitor that silently
-    /// tracked that same physical link as a neighbor, instead of starting
-    /// cold. Off by default so seeded baselines stay byte-identical.
-    pub warm_start_handover: bool,
 }
 
 impl TrackerConfig {
@@ -77,7 +72,6 @@ impl TrackerConfig {
             track_staleness: SimDuration::from_millis(200),
             loss_reference_decay: Db(0.75),
             min_track_samples: 3,
-            warm_start_handover: false,
         }
     }
 

@@ -18,9 +18,12 @@
 //! * [`state`] — the Fig. 2b state machine (EO, S-RBA, CABM, N-A/R,
 //!   N-RBA) with the table-driven legal-transition relation
 //!   ([`state::TRANSITION_TABLE`]).
-//! * [`machine`] — the protocol core as a pure serializable fold:
-//!   `step(ctx, state, event) -> (state, actions)`, the engine behind
-//!   both protocol arms and behind trace record/replay.
+//! * [`machine`] — the protocol core as a pure serializable fold: one
+//!   protocol instance is an immutable [`ProtocolCtx`] plus a
+//!   [`ProtocolState`] folded in place by [`step_mut`]. It is the engine
+//!   behind both protocol arms — Silent Tracker ([`SilentState`]) and the
+//!   reactive hard-handover strawman ([`ReactiveState`]) — and behind
+//!   trace record/replay.
 //! * [`wire`] — canonical compact binary codec primitives (varints,
 //!   bit-exact floats, FNV-1a action digests).
 //! * [`attribution`] — causal interruption attribution: phase
@@ -28,53 +31,50 @@
 //!   plus deterministic root-cause tags.
 //! * [`search`] — directional neighbor-cell search with spiral ordering
 //!   and dwell accounting (the Fig. 2a metrics).
-//! * [`tracker`] — [`tracker::SilentTracker`], the sans-IO protocol
-//!   engine (an adapter over [`machine`]).
-//! * [`baseline`] — the reactive hard-handover strawman.
+//!
+//! The omni "baseline" of Fig. 2a needs no protocol of its own — it is
+//! Silent Tracker folded with the single-beam omni codebook.
 //!
 //! ## Example
 //!
 //! ```
-//! use silent_tracker::config::TrackerConfig;
-//! use silent_tracker::tracker::{Input, SilentTracker};
+//! use silent_tracker::{ProtocolCtx, ProtocolEvent, SilentState, TrackerConfig};
 //! use st_des::{SimDuration, SimTime};
 //! use st_mac::pdu::{CellId, UeId};
 //! use st_phy::codebook::{BeamId, BeamwidthClass, Codebook};
 //! use st_phy::units::Dbm;
 //!
-//! let mut tracker = SilentTracker::new(
+//! let ctx = ProtocolCtx::new(
 //!     TrackerConfig::paper_defaults(),
 //!     UeId(1),
 //!     CellId(0),
 //!     Codebook::for_class(BeamwidthClass::Narrow),
-//!     BeamId(4),
 //! );
-//! // Feed an in-band RSS sample of the serving link.
+//! let mut state = SilentState::initial(&ctx, BeamId(4));
+//! // Fold an in-band RSS sample of the serving link.
 //! let at = SimTime::ZERO + SimDuration::from_millis(5);
-//! let actions = tracker.handle(Input::ServingRss { at, rss: Dbm(-62.0) });
+//! let mut actions = Vec::new();
+//! state.handle(&ctx, &ProtocolEvent::ServingRss { at, rss: Dbm(-62.0) }, &mut actions);
 //! assert!(actions.is_empty()); // healthy link: nothing to do
 //! ```
 
 pub mod attribution;
-pub mod baseline;
 pub mod config;
 pub mod machine;
 pub mod measurement;
 pub mod search;
 pub mod state;
-pub mod tracker;
 pub mod wire;
 
 #[cfg(test)]
 mod tracker_tests;
 
 pub use attribution::{Cause, InterruptionBreakdown, InterruptionMarks, Phase};
-pub use baseline::ReactiveHandover;
 pub use config::TrackerConfig;
 pub use machine::{
-    step, step_mut, ProtocolCtx, ProtocolEvent, ProtocolState, ReactiveState, SilentState,
+    step_mut, Action, HandoverDirective, HandoverReason, ProtocolCtx, ProtocolEvent, ProtocolState,
+    ReactiveState, SilentState, TrackerStats,
 };
 pub use search::{Discovery, SearchController, SearchStep};
 pub use state::{Edge, TrackerState, Transition, TransitionLog, TRANSITION_TABLE};
-pub use tracker::{Action, HandoverDirective, HandoverReason, Input, SilentTracker, TrackerStats};
 pub use wire::WireError;

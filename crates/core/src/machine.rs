@@ -23,16 +23,16 @@
 //!   compact binary form ([`ProtocolState::encode`]) and decodes back
 //!   bit-identically, so a protocol instance can be checkpointed
 //!   mid-flight and resumed elsewhere.
-//! * **Trace replay** — a recorded event stream refolded through `step`
-//!   reproduces the live run's actions byte-for-byte, which is what lets
-//!   `st_net`'s replay driver re-evaluate protocol configs at memory
-//!   speed without re-running `st_phy`/`st_des`.
+//! * **Trace replay** — a recorded event stream refolded through
+//!   [`step_mut`] reproduces the live run's actions byte-for-byte, which
+//!   is what lets `st_net::replay` re-evaluate protocol configs at
+//!   memory speed without re-running `st_phy`/`st_des`.
 //!
-//! The familiar [`SilentTracker`](crate::tracker::SilentTracker) and
-//! [`ReactiveHandover`](crate::baseline::ReactiveHandover) types are thin
-//! sans-IO adapters over this module: they own a `(ctx, state)` pair and
-//! forward `handle` into the fold. The simulators skip them and fold a
-//! [`ProtocolState`] directly through [`step_mut`].
+//! A protocol instance is exactly a `(ctx, state)` pair: the simulators,
+//! trace replay and the examples all fold a [`ProtocolState`] (or one of
+//! its arms, [`SilentState`] / [`ReactiveState`]) in place through
+//! [`step_mut`]. After a handover the simulator builds a fresh initial
+//! state on the new serving cell — every incarnation starts cold.
 //!
 //! # Timer compression
 //!
@@ -666,24 +666,6 @@ impl SilentState {
             stats: TrackerStats::default(),
             serving_log: TransitionLog::default(),
             neighbor_log,
-        }
-    }
-
-    /// Warm-start handover re-anchoring: seed the serving-link monitor
-    /// from the monitor that already tracked this physical link before
-    /// the handover (the old tracked-neighbor monitor). The smoothed
-    /// level history and reference-decay policy carry over; the drop
-    /// reference restarts at the current level.
-    pub fn warm_start(&mut self, monitor: &LinkMonitor) {
-        self.serving_monitor = monitor.rebased_warm();
-    }
-
-    /// The monitor of the currently tracked neighbor beam, if any — the
-    /// warm-start seed a driver banks right before executing a handover.
-    pub fn tracked_monitor(&self) -> Option<LinkMonitor> {
-        match &self.neighbor {
-            NeighborPhase::Tracking(t) => Some(t.monitor),
-            _ => None,
         }
     }
 
@@ -1406,6 +1388,18 @@ impl ReactivePhase {
 }
 
 /// All mutable state of one reactive-baseline instance — a plain value.
+///
+/// The reactive arm is what omnidirectional cellular does, transplanted
+/// to mm-wave, and the paper's motivating strawman (§2: "Reactive
+/// handover mechanisms employed in omnidirectional cellular technologies
+/// are not viable in the mm-wave band"). The mobile runs serving-link
+/// beam management only; no neighbor search happens until the serving
+/// link *fails*. Then it performs the full directional search with no
+/// hint and random access with **no context** — a hard handover paying
+/// the search plus connection re-establishment. It consumes the same
+/// [`ProtocolEvent`]s and emits the same [`Action`]s as
+/// [`SilentState`], so the simulators swap arms by [`ProtocolState`]
+/// variant.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReactiveState {
     serving_rx_beam: BeamId,
@@ -1655,13 +1649,6 @@ impl ProtocolState {
         }
     }
 
-    pub fn handover(&self) -> Option<HandoverDirective> {
-        match self {
-            ProtocolState::Silent(s) => s.handover(),
-            ProtocolState::Reactive(r) => r.handover(),
-        }
-    }
-
     pub fn serving_rx_beam(&self) -> BeamId {
         match self {
             ProtocolState::Silent(s) => s.serving_rx_beam(),
@@ -1709,25 +1696,6 @@ impl ProtocolState {
             ProtocolState::Reactive(_) => None,
         }
     }
-
-    /// The monitor of the tracked neighbor beam (Silent Tracker only) —
-    /// the warm-start seed a driver banks right before completing a
-    /// handover.
-    pub fn tracked_monitor(&self) -> Option<LinkMonitor> {
-        match self {
-            ProtocolState::Silent(s) => s.tracked_monitor(),
-            ProtocolState::Reactive(_) => None,
-        }
-    }
-
-    /// Warm-start re-anchoring (Silent Tracker only; a no-op for the
-    /// reactive arm): seed the serving monitor from the monitor that
-    /// tracked this link before the handover.
-    pub fn warm_start(&mut self, monitor: &LinkMonitor) {
-        if let ProtocolState::Silent(s) = self {
-            s.warm_start(monitor);
-        }
-    }
 }
 
 /// Fold one event into the state in place, appending actions to `out`.
@@ -1741,17 +1709,6 @@ pub fn step_mut(
         ProtocolState::Silent(s) => s.handle(ctx, event, out),
         ProtocolState::Reactive(r) => r.handle(ctx, event, out),
     }
-}
-
-/// The pure fold: `step(ctx, state, event) -> (state', actions)`.
-pub fn step(
-    ctx: &ProtocolCtx,
-    mut state: ProtocolState,
-    event: &ProtocolEvent,
-) -> (ProtocolState, Vec<Action>) {
-    let mut out = Vec::new();
-    step_mut(ctx, &mut state, event, &mut out);
-    (state, out)
 }
 
 #[cfg(test)]
@@ -1782,8 +1739,10 @@ mod tests {
             at: t(1),
             rss: Dbm(-62.0),
         };
-        let (s1, a1) = step(&ctx, state.clone(), &ev);
-        let (s2, a2) = step(&ctx, state, &ev);
+        let (mut s1, mut s2) = (state.clone(), state);
+        let (mut a1, mut a2) = (Vec::new(), Vec::new());
+        step_mut(&ctx, &mut s1, &ev, &mut a1);
+        step_mut(&ctx, &mut s2, &ev, &mut a2);
         assert_eq!(s1, s2);
         assert_eq!(a1, a2);
     }
@@ -1973,29 +1932,5 @@ mod tests {
             assert_eq!(&ProtocolEvent::decode(&mut cur).unwrap(), e);
         }
         assert!(cur.is_empty());
-    }
-
-    #[test]
-    fn warm_start_inherits_level_and_resets_reference_semantics() {
-        let ctx = ctx();
-        let mut neighbor = LinkMonitor::with_reference_decay(1.0, 0.75);
-        neighbor.on_sample(t(1), Dbm(-70.0));
-        neighbor.on_sample(t(2), Dbm(-68.0));
-        let mut s = SilentState::initial(&ctx, BeamId(4));
-        s.warm_start(&neighbor);
-        assert_eq!(s.serving_level(), Some(Dbm(-68.0)));
-        // A drop right after warm start is measured against the inherited
-        // level, not against an empty monitor.
-        let mut out = Vec::new();
-        s.handle(
-            &ctx,
-            &ProtocolEvent::ServingRss {
-                at: t(3),
-                rss: Dbm(-74.0),
-            },
-            &mut out,
-        );
-        assert_eq!(s.stats().srba_switches, 0); // no probe evidence yet
-        assert!(matches!(s.serving_phase, ServingPhase::MobileAdapt { .. }));
     }
 }

@@ -144,22 +144,6 @@ impl LinkMonitor {
         self.samples = 0;
     }
 
-    /// Derive a serving-link monitor that inherits this monitor's level
-    /// history (warm-start handover re-anchoring): the smoothed estimate,
-    /// sample count, freshness and reference-decay policy carry over from
-    /// the tracked-neighbor monitor — the same physical link the mobile
-    /// is handing over to — while the drop reference restarts at the
-    /// current level.
-    pub fn rebased_warm(&self) -> LinkMonitor {
-        LinkMonitor {
-            ewma: self.ewma,
-            reference: self.ewma.get(),
-            last_update: self.last_update,
-            samples: self.samples,
-            reference_decay: self.reference_decay,
-        }
-    }
-
     /// Canonical binary encoding (exact: floats as bit patterns).
     pub fn encode<B: bytes::BufMut>(&self, buf: &mut B) {
         self.ewma.encode(buf);

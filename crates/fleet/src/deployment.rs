@@ -136,11 +136,6 @@ pub struct FleetConfig {
     /// ([`st_net::replay`]). Off by default — recording buffers the
     /// full event history in memory.
     pub record_traces: bool,
-    /// Retain raw interruption sample vectors and drive aggregates from
-    /// exact [`st_metrics::Ecdf`]s instead of the constant-memory
-    /// [`st_metrics::QuantileSketch`]es. Off by default — opt in for
-    /// figure regeneration; memory grows O(samples).
-    pub exact_ecdfs: bool,
     /// Emit a time-sliced telemetry snapshot every `dt` of simulated
     /// time (the [`crate::SnapshotRing`] timeline). `None` (default)
     /// records no timeline and schedules no snapshot events.
@@ -326,7 +321,6 @@ pub struct Deployment {
     spawn_x: Option<(f64, f64)>,
     spawn_y: (f64, f64),
     record_traces: bool,
-    exact_ecdfs: bool,
     snapshot_interval: Option<SimDuration>,
 }
 
@@ -353,7 +347,6 @@ impl Deployment {
             spawn_x: None,
             spawn_y: (-3.0, 3.0),
             record_traces: false,
-            exact_ecdfs: false,
             snapshot_interval: None,
         }
     }
@@ -480,13 +473,6 @@ impl Deployment {
         self
     }
 
-    /// Retain raw interruption samples and drive aggregates from exact
-    /// ECDFs instead of sketches (see [`FleetConfig::exact_ecdfs`]).
-    pub fn exact_ecdfs(mut self, on: bool) -> Deployment {
-        self.exact_ecdfs = on;
-        self
-    }
-
     /// Emit a telemetry snapshot slice every `dt` of simulated time
     /// (see [`FleetConfig::snapshot_interval`]).
     pub fn snapshot_interval(mut self, dt: SimDuration) -> Deployment {
@@ -539,7 +525,6 @@ impl Deployment {
             spawn_x,
             spawn_y: self.spawn_y,
             record_traces: self.record_traces,
-            exact_ecdfs: self.exact_ecdfs,
             snapshot_interval: self.snapshot_interval,
         };
         cfg.validate()?;

@@ -28,7 +28,8 @@
 //!   canonical order, which is what makes contention exact. Aggregates
 //!   are bit-identical regardless of worker *and* shard count.
 //! * [`metrics`] — per-cell RACH collision rate / occasion occupancy and
-//!   fleet-wide interruption CDFs, flowing through `st_metrics`.
+//!   fleet-wide interruption quantiles from mergeable `st_metrics`
+//!   sketches.
 //! * [`telemetry`] — streaming constant-memory observability: shard rings
 //!   of time-sliced [`SnapshotSlice`]s (mergeable quantile sketches plus
 //!   counters), surfaced as a timeline on [`FleetOutcome`] together with
@@ -96,9 +97,12 @@ mod tests {
     fn fleet_completes_handovers_under_contention() {
         let out = run_fleet(&contended(11));
         assert!(out.totals.handovers > 0, "no handovers\n{}", out.summary());
+        // The sketch keeps the exact minimum: a soft handover happened,
+        // and none of them was free.
+        let min = out.totals.soft_sketch.min();
         assert!(
-            out.totals.soft_interruptions_ms.iter().all(|&ms| ms > 0.0),
-            "non-positive interruption"
+            min.is_some_and(|ms| ms > 0.0),
+            "soft interruption minimum {min:?}"
         );
         // Somebody transmitted preambles and the target heard them.
         let tx: u64 = out.totals.per_cell.iter().map(|c| c.preambles_tx).sum();

@@ -7,7 +7,7 @@ use std::collections::BTreeSet;
 use silent_tracker::attribution::{Cause, InterruptionBreakdown, Phase};
 use st_des::SimDuration;
 use st_mac::responder::ResponderStats;
-use st_metrics::{Accumulator, Ecdf, Profiler, QuantileSketch, SketchMap, Table};
+use st_metrics::{Profiler, QuantileSketch, SketchMap, Table};
 use st_net::stage::StageCounters;
 use st_net::UeTrace;
 
@@ -71,20 +71,15 @@ pub struct ShardOutcome {
     /// on, per cell — unioned across shards by the merge so a globally
     /// shared occasion is counted once.
     pub occasion_instants: Vec<BTreeSet<u64>>,
-    /// Soft-handover (make-before-break) interruptions, ms, in UE order.
-    /// Populated only under [`FleetConfig::exact_ecdfs`] — the streaming
-    /// default keeps no raw samples and the sketches below are the
-    /// source of quantiles.
-    ///
-    /// [`FleetConfig::exact_ecdfs`]: crate::FleetConfig::exact_ecdfs
-    pub soft_interruptions_ms: Vec<f64>,
-    /// Hard-handover (post-RLF reactive) interruptions, ms, in UE order.
-    /// Same retention rule as `soft_interruptions_ms`.
-    pub hard_interruptions_ms: Vec<f64>,
-    /// Streaming soft-interruption sketch — always populated, fixed
-    /// size, mergeable across shards with byte-identical results.
+    /// Soft-handover (make-before-break) interruptions, ms: a streaming
+    /// sketch of fixed size, mergeable across shards with byte-identical
+    /// results. No raw per-handover samples are kept; an exact reference
+    /// comes from the recorded causal marks
+    /// ([`crate::breakdowns_from_traces`]), whose totals bit-equal the
+    /// values recorded here.
     pub soft_sketch: QuantileSketch,
-    /// Streaming hard-interruption sketch.
+    /// Hard-handover (post-RLF reactive) interruptions, ms; same
+    /// contract.
     pub hard_sketch: QuantileSketch,
     /// Per-cause soft-interruption ledger: one streaming sketch per root
     /// cause, keyed by the stable cause label, merged in canonical key
@@ -151,9 +146,9 @@ pub struct FleetOutcome {
 }
 
 impl FleetOutcome {
-    /// Merge shard results *in shard order* — the only order-sensitive
-    /// step is concatenating the interruption sample vectors, and shard
-    /// order is a property of the config, not of thread scheduling.
+    /// Merge shard results *in shard order* — shard order is a property
+    /// of the config, not of thread scheduling, so the merged outcome is
+    /// identical at any worker count.
     ///
     /// The shards model one set of *global* PRACH occasions: the merge
     /// unions the used instants (a shared occasion is one occasion) and
@@ -206,8 +201,6 @@ impl FleetOutcome {
             {
                 t.append(c);
             }
-            totals.soft_interruptions_ms.extend(s.soft_interruptions_ms);
-            totals.hard_interruptions_ms.extend(s.hard_interruptions_ms);
             totals.ues += s.ues;
             totals.handovers += s.handovers;
             totals.rlfs += s.rlfs;
@@ -256,27 +249,6 @@ impl FleetOutcome {
         }
     }
 
-    /// CDF of soft-handover interruption (ms), if any completed.
-    pub fn soft_interruption_ecdf(&self) -> Option<Ecdf> {
-        Ecdf::new(self.totals.soft_interruptions_ms.clone()).ok()
-    }
-
-    /// CDF of hard-handover interruption (ms), if any completed.
-    pub fn hard_interruption_ecdf(&self) -> Option<Ecdf> {
-        Ecdf::new(self.totals.hard_interruptions_ms.clone()).ok()
-    }
-
-    /// Handover attempts per offered PRACH occasion, fleet-wide — the
-    /// load axis of the `fleet_load` bench.
-    pub fn offered_load(&self) -> f64 {
-        let occasions: u64 = self.totals.per_cell.iter().map(|c| c.occasions_total).sum();
-        if occasions == 0 {
-            return 0.0;
-        }
-        let tx: u64 = self.totals.per_cell.iter().map(|c| c.preambles_tx).sum();
-        tx as f64 / occasions as f64
-    }
-
     /// Deterministic one-blob textual aggregate: byte-identical for
     /// identical (config, seed) regardless of worker *and* shard count —
     /// the artifact the CI fleet-smoke step compares across invocations.
@@ -318,30 +290,19 @@ impl FleetOutcome {
             )
             .unwrap();
         }
-        // Quantile source switch: raw samples when retained (exact-ECDF
-        // mode — reproduces the pre-sketch bytes exactly), the merged
-        // sketch otherwise. Same line format either way, and both are
-        // deterministic functions of (config, seed).
-        let quant = |v: &[f64], sk: &QuantileSketch| -> String {
-            if let Ok(e) = Ecdf::new(v.to_vec()) {
-                format!(
-                    "n={} p50_ms={:.3} p95_ms={:.3} max_ms={:.3}",
-                    e.len(),
-                    e.median(),
-                    e.quantile(0.95),
-                    e.max()
-                )
-            } else if !sk.is_empty() {
-                format!(
-                    "n={} p50_ms={:.3} p95_ms={:.3} max_ms={:.3}",
-                    sk.count(),
-                    sk.quantile(0.5).unwrap_or(0.0),
-                    sk.quantile(0.95).unwrap_or(0.0),
-                    sk.max().unwrap_or(0.0)
-                )
-            } else {
-                "n=0".into()
+        // Quantiles off the merged sketch: a deterministic function of
+        // (config, seed).
+        let quant = |sk: &QuantileSketch| -> String {
+            if sk.is_empty() {
+                return "n=0".into();
             }
+            format!(
+                "n={} p50_ms={:.3} p95_ms={:.3} max_ms={:.3}",
+                sk.count(),
+                sk.quantile(0.5).unwrap_or(0.0),
+                sk.quantile(0.95).unwrap_or(0.0),
+                sk.max().unwrap_or(0.0)
+            )
         };
         writeln!(
             s,
@@ -355,18 +316,8 @@ impl FleetOutcome {
             t.budget_exhausted_shards,
         )
         .unwrap();
-        writeln!(
-            s,
-            "soft {}",
-            quant(&t.soft_interruptions_ms, &t.soft_sketch)
-        )
-        .unwrap();
-        writeln!(
-            s,
-            "hard {}",
-            quant(&t.hard_interruptions_ms, &t.hard_sketch)
-        )
-        .unwrap();
+        writeln!(s, "soft {}", quant(&t.soft_sketch)).unwrap();
+        writeln!(s, "hard {}", quant(&t.hard_sketch)).unwrap();
         // Per-cause attribution ledgers, in canonical (lexicographic
         // label) order — only causes that actually occurred are listed.
         for (arm, map) in [("soft", &t.soft_causes), ("hard", &t.hard_causes)] {
@@ -417,26 +368,16 @@ impl FleetOutcome {
         t.render()
     }
 
-    /// Mean soft interruption with CI, if any.
-    pub fn soft_interruption_summary(&self) -> Option<st_metrics::Summary> {
-        summarize(&self.totals.soft_interruptions_ms)
-    }
-
-    /// Mean hard interruption with CI, if any.
-    pub fn hard_interruption_summary(&self) -> Option<st_metrics::Summary> {
-        summarize(&self.totals.hard_interruptions_ms)
-    }
-
-    /// Soft-interruption quantiles — exact when raw samples were
-    /// retained, sketch-derived (bounded relative error) otherwise.
+    /// Soft-interruption quantiles, read off the streaming sketch
+    /// (relative error within its bound), if any handover completed.
     pub fn soft_stats(&self) -> Option<InterruptionStats> {
-        interruption_stats(&self.totals.soft_interruptions_ms, &self.totals.soft_sketch)
+        interruption_stats(&self.totals.soft_sketch)
     }
 
-    /// Hard-interruption quantiles; same sourcing rule as
+    /// Hard-interruption quantiles; same source as
     /// [`FleetOutcome::soft_stats`].
     pub fn hard_stats(&self) -> Option<InterruptionStats> {
-        interruption_stats(&self.totals.hard_interruptions_ms, &self.totals.hard_sketch)
+        interruption_stats(&self.totals.hard_sketch)
     }
 
     /// The merged snapshot timeline, when the run was armed with
@@ -616,8 +557,8 @@ impl FleetOutcome {
     }
 }
 
-/// Quantile surface of one interruption arm — the bench-table view that
-/// works in both retention modes.
+/// Quantile surface of one interruption arm — the bench-table view of
+/// its streaming sketch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InterruptionStats {
     pub n: u64,
@@ -626,23 +567,9 @@ pub struct InterruptionStats {
     pub p99_ms: f64,
     pub mean_ms: f64,
     pub max_ms: f64,
-    /// `true` when computed from retained raw samples (exact), `false`
-    /// when read off the streaming sketch (relative error ≤ its bound).
-    pub exact: bool,
 }
 
-fn interruption_stats(raw: &[f64], sk: &QuantileSketch) -> Option<InterruptionStats> {
-    if let Ok(e) = Ecdf::new(raw.to_vec()) {
-        return Some(InterruptionStats {
-            n: e.len() as u64,
-            p50_ms: e.median(),
-            p95_ms: e.quantile(0.95),
-            p99_ms: e.quantile(0.99),
-            mean_ms: raw.iter().sum::<f64>() / raw.len() as f64,
-            max_ms: e.max(),
-            exact: true,
-        });
-    }
+fn interruption_stats(sk: &QuantileSketch) -> Option<InterruptionStats> {
     if sk.is_empty() {
         return None;
     }
@@ -653,17 +580,7 @@ fn interruption_stats(raw: &[f64], sk: &QuantileSketch) -> Option<InterruptionSt
         p99_ms: sk.quantile(0.99).unwrap_or(0.0),
         mean_ms: sk.mean().unwrap_or(0.0),
         max_ms: sk.max().unwrap_or(0.0),
-        exact: false,
     })
-}
-
-fn summarize(v: &[f64]) -> Option<st_metrics::Summary> {
-    if v.is_empty() {
-        return None;
-    }
-    let mut acc = Accumulator::new();
-    acc.extend(v.iter().copied());
-    Some(acc.summary())
 }
 
 #[cfg(test)]
@@ -676,23 +593,37 @@ mod tests {
         let mut s = ShardOutcome {
             per_cell: vec![CellLoad::default(); cells],
             occasion_instants: occasions,
-            soft_interruptions_ms: soft.to_vec(),
             ues: 2,
             handovers: soft.len() as u64,
             ..ShardOutcome::default()
         };
+        for &ms in soft {
+            s.soft_sketch.record(ms);
+        }
         s.per_cell[0].occasions_total = 50;
         s.per_cell[0].preambles_tx = 12;
         s
     }
 
+    /// Shard order could only show through the order samples reach the
+    /// interruption sketches, and a sketch merge ignores sample order.
     #[test]
     fn merge_is_shard_order_dependent_only_in_sample_order() {
-        let a = shard(2, &[10.0, 20.0]);
-        let b = shard(2, &[30.0]);
-        let m = FleetOutcome::merge(1, SimDuration::from_secs(1), [a, b]);
+        let merge = |first: &[f64], second: &[f64]| {
+            FleetOutcome::merge(
+                1,
+                SimDuration::from_secs(1),
+                [shard(2, first), shard(2, second)],
+            )
+        };
+        let m = merge(&[10.0, 20.0], &[30.0]);
+        assert_eq!(m.summary(), merge(&[30.0], &[10.0, 20.0]).summary());
         assert_eq!(m.totals.ues, 4);
-        assert_eq!(m.totals.soft_interruptions_ms, vec![10.0, 20.0, 30.0]);
+        let sk = &m.totals.soft_sketch;
+        assert_eq!(
+            (sk.count(), sk.min(), sk.max()),
+            (3, Some(10.0), Some(30.0))
+        );
         // UE-side offered load adds; the shards' identical occasion
         // instants count once.
         assert_eq!(m.totals.per_cell[0].preambles_tx, 24);
@@ -771,13 +702,16 @@ mod tests {
         assert!((m.totals.per_cell[0].collision_rate() - 14.0 / 40.0).abs() < 1e-12);
     }
 
+    /// The interruption distribution — the summary line and the stats
+    /// surface read off the sketch — exists only once samples arrive.
     #[test]
     fn ecdfs_require_samples() {
         let m = FleetOutcome::merge(1, SimDuration::from_secs(1), [shard(1, &[])]);
-        assert!(m.soft_interruption_ecdf().is_none());
-        assert!(m.soft_interruption_summary().is_none());
+        assert!(m.soft_stats().is_none());
+        assert!(m.summary().contains("soft n=0"));
         let m2 = FleetOutcome::merge(1, SimDuration::from_secs(1), [shard(1, &[5.0, 7.0])]);
-        assert_eq!(m2.soft_interruption_ecdf().unwrap().len(), 2);
-        assert!(m2.soft_interruption_summary().unwrap().mean > 5.9);
+        let stats = m2.soft_stats().unwrap();
+        assert_eq!((stats.n, stats.max_ms), (2, 7.0));
+        assert!(stats.mean_ms > 5.9);
     }
 }

@@ -57,12 +57,6 @@ use crate::telemetry::{SnapshotRing, SnapshotSlice};
 /// hook is a handful of updates into pre-sized, constant-size state.
 struct Ledger {
     out: ShardOutcome,
-    exact_ecdfs: bool,
-    /// Raw interruption samples per UE — retained (and allocated) only
-    /// under [`FleetConfig::exact_ecdfs`]; the streaming default records
-    /// into the constant-memory sketches instead, so fleet metric memory
-    /// stays O(cells × buckets), not O(samples).
-    samples: Vec<Vec<f64>>,
     /// Per-arm (soft=0, hard=1), per-cause recorded interruption totals
     /// and their phase-decomposition sums, accumulated in recording
     /// order. Each summand pair is bit-equal by construction, so the
@@ -127,7 +121,7 @@ impl Observer for Ledger {
         }
     }
 
-    fn on_handover(&mut self, i: usize, _now: SimTime, done: &HandoverDone, proto: &Proto) {
+    fn on_handover(&mut self, _i: usize, _now: SimTime, done: &HandoverDone, proto: &Proto) {
         if let Some(marks) = &done.marks {
             let ms = done.done_at.since(marks.start).as_millis_f64();
             // Causal attribution: the phase decomposition + root cause of
@@ -156,9 +150,6 @@ impl Observer for Ledger {
             self.cause_counts_run[c] += 1;
             self.cur.cause_counts[c] += 1;
             crate::attribution::push_worst(&mut out.worst, bd);
-            if self.exact_ecdfs {
-                self.samples[i].push(ms);
-            }
         }
         self.out.handovers += 1;
         self.cur.handovers += 1;
@@ -248,8 +239,6 @@ impl ShardSim {
                 ues: specs.len() as u64,
                 ..ShardOutcome::default()
             },
-            exact_ecdfs: cfg.exact_ecdfs,
-            samples: vec![Vec::new(); specs.len()],
             cause_totals: [[0.0; 5]; 2],
             cause_phase_sums: [[0.0; 5]; 2],
             cause_counts_run: [0; 5],
@@ -378,19 +367,12 @@ impl ShardSim {
                 ledger.seal_slice(pending);
             }
         }
-        for (ue, samples) in ues.iter_mut().zip(&ledger.samples) {
-            let out = &mut ledger.out;
+        for ue in &mut ues {
             let kind = ue.proto().kind();
             let (id, uid) = (ue.id(), ue.uid().0);
             if let Some(rec) = ue.proto_mut().finish_recording() {
-                out.ue_traces.push(rec.into_trace(id, uid, kind));
+                ledger.out.ue_traces.push(rec.into_trace(id, uid, kind));
             }
-            match kind {
-                ProtocolKind::SilentTracker => out.soft_interruptions_ms.extend(samples),
-                ProtocolKind::Reactive => out.hard_interruptions_ms.extend(samples),
-            }
-        }
-        for ue in &ues {
             ledger.bank(ue.proto());
         }
         let out = &mut ledger.out;
@@ -445,14 +427,6 @@ impl ShardSim {
                 "timeline slice cause counts must sum to the run's cause totals"
             );
         }
-        // The constant-memory contract: unless the exact-ECDF opt-in is
-        // armed, no per-handover sample vector may leave the shard —
-        // quantiles travel only through the fixed-size sketches.
-        debug_assert!(
-            ledger.exact_ecdfs
-                || (out.soft_interruptions_ms.is_empty() && out.hard_interruptions_ms.is_empty()),
-            "raw interruption samples retained without exact_ecdfs"
-        );
         ledger.out
     }
 }

@@ -37,8 +37,7 @@ use rand::rngs::StdRng;
 use rand::RngExt as _;
 
 use silent_tracker::attribution::InterruptionMarks;
-use silent_tracker::tracker::{Action, HandoverDirective, Input};
-use silent_tracker::HandoverReason;
+use silent_tracker::{Action, HandoverDirective, HandoverReason, ProtocolEvent};
 use st_des::{Executive, SimDuration, SimTime};
 use st_mac::pdu::{CellId, Pdu, UeId};
 use st_mac::rach::{RachAction, RachProcedure, RachState};
@@ -548,7 +547,7 @@ impl<O: Observer> Driver<O> {
             }
             Ev::DwellEnd => {
                 for i in 0..self.ues.len() {
-                    self.feed(ex, now, i, Input::DwellComplete { at: now });
+                    self.feed(ex, now, i, ProtocolEvent::DwellComplete { at: now });
                 }
                 ex.schedule_in(self.burst_period, Ev::DwellEnd);
             }
@@ -564,7 +563,7 @@ impl<O: Observer> Driver<O> {
             }
             Ev::Tick => {
                 for i in 0..self.ues.len() {
-                    self.feed(ex, now, i, Input::Tick { at: now });
+                    self.feed(ex, now, i, ProtocolEvent::Tick { at: now });
                     self.poll_rach(ex, now, i);
                 }
                 ex.schedule_in(SimDuration::from_millis(1), Ev::Tick);
@@ -678,7 +677,7 @@ impl<O: Observer> Driver<O> {
         for b in self.ue_codebook.adjacent(serving_rx) {
             if let Some(r) = self.link_rss(i, now, serving, tx, b) {
                 if self.cal.detectable(r) {
-                    let probe = Input::ServingProbe {
+                    let probe = ProtocolEvent::ServingProbe {
                         at: now,
                         rx_beam: b,
                         rss: r,
@@ -737,7 +736,7 @@ impl<O: Observer> Driver<O> {
                         self.cal.detectable(r)
                     };
                     if usable {
-                        let ssb = Input::NeighborSsb {
+                        let ssb = ProtocolEvent::NeighborSsb {
                             at: now,
                             cell: CellId(cell as u16),
                             tx_beam,
@@ -764,7 +763,7 @@ impl<O: Observer> Driver<O> {
         match self.link_rss(i, now, serving, tx, rx) {
             Some(v) if self.cal.detectable(v) => {
                 self.ues[i].rlf_count = 0;
-                self.feed(ex, now, i, Input::ServingRss { at: now, rss: v });
+                self.feed(ex, now, i, ProtocolEvent::ServingRss { at: now, rss: v });
                 self.obs.on_serving_rss(i, now, v, &self.ues[i].proto);
             }
             _ => {
@@ -777,7 +776,7 @@ impl<O: Observer> Driver<O> {
                     ue.rlf_declared = true;
                     ue.rlf_at = Some(now);
                     self.obs.on_rlf(i, now);
-                    self.feed(ex, now, i, Input::ServingLinkLost { at: now });
+                    self.feed(ex, now, i, ProtocolEvent::ServingLinkLost { at: now });
                 }
             }
         }
@@ -838,7 +837,7 @@ impl<O: Observer> Driver<O> {
             }
             return;
         }
-        self.feed(ex, now, i, Input::FromServing { at: now, pdu });
+        self.feed(ex, now, i, ProtocolEvent::FromServing { at: now, pdu });
     }
 
     /// BS-side handling of the uplink traffic the stage does not own:
@@ -964,7 +963,7 @@ impl<O: Observer> Driver<O> {
     /// make-before-break keeps the serving link alive meanwhile).
     fn abort_rach(&mut self, ex: &mut Executive<Ev>, now: SimTime, i: usize) {
         self.ues[i].rach = None;
-        self.feed(ex, now, i, Input::RachFailed { at: now });
+        self.feed(ex, now, i, ProtocolEvent::RachFailed { at: now });
     }
 
     /// Retry the preamble on the next occasion after a timeout.
@@ -1040,19 +1039,8 @@ impl<O: Observer> Driver<O> {
         ue.bs_tx_beam[rach.target] = rach.ssb_beam;
         // Re-anchor the protocol on the new serving cell with the access
         // beam as the serving beam (the session continues — this is what
-        // the context transfer bought). Warm start (opt-in): the monitor
-        // that tracked the target beam pre-handover seeds the new
-        // serving monitor instead of starting the EWMA cold.
-        let warm = if self.cfg.tracker.warm_start_handover {
-            ue.proto
-                .tracked()
-                .filter(|(cell, _, _)| cell.0 as usize == rach.target)
-                .and_then(|_| ue.proto.tracked_monitor())
-        } else {
-            None
-        };
-        ue.proto
-            .reanchor(CellId(rach.target as u16), rach.rx_beam, warm);
+        // the context transfer bought); the protocol itself restarts cold.
+        ue.proto.reanchor(CellId(rach.target as u16), rach.rx_beam);
         ue.rlf_declared = false;
         ue.rlf_count = 0;
         ue.handover_reason = None;
@@ -1064,7 +1052,7 @@ impl<O: Observer> Driver<O> {
 
     /// Fold `input` into UE `i`'s protocol and apply the actions it
     /// emits.
-    fn feed(&mut self, ex: &mut Executive<Ev>, now: SimTime, i: usize, input: Input) {
+    fn feed(&mut self, ex: &mut Executive<Ev>, now: SimTime, i: usize, input: ProtocolEvent) {
         self.ues[i].proto.handle(input);
         // Applying an action never folds another event, so the buffer can
         // be lent out while the actions are applied.

@@ -13,10 +13,9 @@
 
 use std::sync::Arc;
 
-use silent_tracker::measurement::LinkMonitor;
-use silent_tracker::tracker::{Action, Input, TrackerStats};
 use silent_tracker::{
-    step_mut, ProtocolCtx, ProtocolState, ReactiveState, SilentState, TrackerConfig,
+    step_mut, Action, ProtocolCtx, ProtocolEvent, ProtocolState, ReactiveState, SilentState,
+    TrackerConfig, TrackerStats,
 };
 use st_mac::pdu::{CellId, UeId};
 use st_mac::timing::TxBeamIndex;
@@ -27,23 +26,18 @@ use crate::config::ProtocolKind;
 use crate::trace::UeRecorder;
 
 /// The initial state of arm `kind` anchored on `ctx.serving_cell` with
-/// serving receive beam `serving_rx`, warm-started from `warm` when one
-/// is given. Construction, handover re-anchoring and trace replay all
-/// anchor through here.
+/// serving receive beam `serving_rx`. Construction, handover
+/// re-anchoring and trace replay all anchor through here, so every
+/// protocol incarnation starts cold.
 pub(crate) fn anchored_state(
     kind: ProtocolKind,
     ctx: &ProtocolCtx,
     serving_rx: BeamId,
-    warm: Option<&LinkMonitor>,
 ) -> ProtocolState {
-    let mut state = match kind {
+    match kind {
         ProtocolKind::SilentTracker => ProtocolState::Silent(SilentState::initial(ctx, serving_rx)),
         ProtocolKind::Reactive => ProtocolState::Reactive(ReactiveState::initial(ctx, serving_rx)),
-    };
-    if let Some(w) = warm {
-        state.warm_start(w);
     }
-    state
 }
 
 /// Protocol under test, with an optional trace recorder riding on the
@@ -71,7 +65,7 @@ impl Proto {
         serving_rx: BeamId,
     ) -> Proto {
         let ctx = ProtocolCtx::new(config, ue, serving, codebook);
-        let state = anchored_state(kind, &ctx, serving_rx, None);
+        let state = anchored_state(kind, &ctx, serving_rx);
         Proto {
             ctx,
             state,
@@ -89,7 +83,7 @@ impl Proto {
 
     /// Fold one event. The actions it emits replace the previous event's
     /// in the reused buffer and are returned.
-    pub fn handle(&mut self, input: Input) -> &[Action] {
+    pub fn handle(&mut self, input: ProtocolEvent) -> &[Action] {
         if let Some(rec) = &mut self.recorder {
             rec.record_event(&input);
         }
@@ -132,24 +126,16 @@ impl Proto {
         self.ctx.serving_cell
     }
 
-    /// The monitor of the tracked neighbor beam (Silent arm only) — the
-    /// warm-start seed a driver banks right before completing a handover.
-    pub fn tracked_monitor(&self) -> Option<LinkMonitor> {
-        self.state.tracked_monitor()
-    }
-
-    /// Re-anchor after a completed handover: beam management restarts on
-    /// `serving` with `serving_rx` as the serving beam, warm-started from
-    /// `warm` when one is given (the caller gates on
-    /// `TrackerConfig::warm_start_handover`). With recording on, the open
-    /// segment closes on the old state and the next one opens at the new
-    /// anchor, recording the warm-start seed so replay can reproduce it.
-    pub fn reanchor(&mut self, serving: CellId, serving_rx: BeamId, warm: Option<LinkMonitor>) {
+    /// Re-anchor after a completed handover: the protocol restarts cold
+    /// on `serving` with `serving_rx` as the serving beam. With recording
+    /// on, the open segment closes on the old state and the next one
+    /// opens at the new anchor.
+    pub fn reanchor(&mut self, serving: CellId, serving_rx: BeamId) {
         let rec = self.finish_recording();
         self.ctx.serving_cell = serving;
-        self.state = anchored_state(self.kind(), &self.ctx, serving_rx, warm.as_ref());
+        self.state = anchored_state(self.kind(), &self.ctx, serving_rx);
         if let Some(mut rec) = rec {
-            rec.open_segment(serving.0, self.serving_rx_beam().0, warm);
+            rec.open_segment(serving.0, self.serving_rx_beam().0);
             self.recorder = Some(rec);
         }
     }
@@ -161,7 +147,7 @@ impl Proto {
     /// after construction, before any event is folded.
     pub fn start_recording(&mut self) {
         let mut rec = Box::new(UeRecorder::new());
-        rec.open_segment(self.serving_cell().0, self.serving_rx_beam().0, None);
+        rec.open_segment(self.serving_cell().0, self.serving_rx_beam().0);
         self.recorder = Some(rec);
     }
 

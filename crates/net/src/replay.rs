@@ -1,14 +1,13 @@
 //! Trace replay: re-evaluate the protocol core against a recorded event
 //! stream, with no physical layer and no event executive in the loop.
 //!
-//! Because the protocol core is a pure fold
-//! (`step(ctx, state, event) -> (state, actions)`), replay is just:
-//! rebuild each segment's [`ProtocolCtx`], restore the anchor (initial
-//! serving beam, optional warm-start seed), decode the recorded events
-//! and fold them. For the **recorded** configuration the refold is
-//! byte-identical to the live run — [`replay_run`] proves it by
-//! re-deriving each segment's action digest and final-state snapshot and
-//! comparing them byte for byte.
+//! Because the protocol core is a pure fold ([`step_mut`]), replay is
+//! just: rebuild each segment's [`ProtocolCtx`], anchor the arm's initial
+//! state on the recorded serving cell and beam (every incarnation starts
+//! cold), decode the recorded events and fold them. For the **recorded**
+//! configuration the refold is byte-identical to the live run —
+//! [`replay_run`] proves it by re-deriving each segment's action digest
+//! and final-state snapshot and comparing them byte for byte.
 //!
 //! Replaying under a **different** [`TrackerConfig`]
 //! ([`replay_run_with_config`]) re-evaluates a protocol variant against
@@ -77,7 +76,7 @@ fn replay_ue(cfg: TrackerConfig, codebook: &Arc<Codebook>, ut: &UeTrace, verify:
             CellId(seg.serving_cell),
             Arc::clone(codebook),
         );
-        let mut state = anchored_state(ut.kind, &ctx, BeamId(seg.serving_rx), seg.warm.as_ref());
+        let mut state = anchored_state(ut.kind, &ctx, BeamId(seg.serving_rx));
         let mut digest = Fnv64::new();
         let mut actions = 0u64;
         let mut buf: &[u8] = &seg.events;
@@ -320,24 +319,18 @@ mod tests {
         assert!(rep.mismatches[0].contains("action stream diverged"));
     }
 
-    /// Warm-start seeds recorded in the segment header are re-applied by
-    /// replay: a segment anchored with a warm monitor folds differently
-    /// from a cold anchor, and verification still passes because the
-    /// recording captured the seed.
+    /// A handover closes the open segment and re-anchors the protocol
+    /// cold on the new cell: the second segment records the new anchor,
+    /// and replay rebuilds its initial state from that anchor alone and
+    /// still reproduces the live fold byte for byte.
     #[test]
-    fn warm_start_seed_round_trips_through_replay() {
-        let cfg = TrackerConfig {
-            warm_start_handover: true,
-            ..TrackerConfig::paper_defaults()
-        };
+    fn reanchored_segment_restarts_cold_and_round_trips_through_replay() {
+        let cfg = TrackerConfig::paper_defaults();
         let codebook = Arc::new(Codebook::for_class(BeamwidthClass::Narrow));
-        let mut warm_src = silent_tracker::measurement::LinkMonitor::new(cfg.ewma_alpha);
-        warm_src.on_sample(t(0), Dbm(-55.0));
-        warm_src.on_sample(t(1), Dbm(-56.0));
-
-        // The driver's re-anchoring path: a recording proto hands over to
-        // cell 1, warm-started, so the next segment's header carries the
-        // applied seed.
+        let serving_rss = |k: u64| silent_tracker::ProtocolEvent::ServingRss {
+            at: t(k),
+            rss: Dbm(-60.0 - k as f64),
+        };
         let mut proto = crate::proto::Proto::new(
             ProtocolKind::SilentTracker,
             cfg,
@@ -347,20 +340,45 @@ mod tests {
             BeamId(4),
         );
         proto.start_recording();
-        proto.reanchor(CellId(1), BeamId(4), Some(warm_src));
-        for k in 0..10u64 {
-            proto.handle(silent_tracker::ProtocolEvent::ServingRss {
-                at: t(k),
-                rss: Dbm(-60.0),
-            });
+        for k in 0..5u64 {
+            proto.handle(serving_rss(k));
+        }
+        // Hand over to cell 1 on beam 6, as `Driver::complete_handover` does.
+        proto.reanchor(CellId(1), BeamId(6));
+        for k in 5..10u64 {
+            proto.handle(serving_rss(k));
         }
         let rec = proto.finish_recording().unwrap();
         let ue = rec.into_trace(0, 5, ProtocolKind::SilentTracker);
-        assert_eq!(ue.segments[0].warm, None);
-        assert_eq!(ue.segments[1].warm, Some(warm_src));
-        assert_eq!(ue.segments[1].serving_cell, 1);
+        assert_eq!(ue.segments.len(), 2);
+        assert_eq!(
+            (ue.segments[0].serving_cell, ue.segments[0].serving_rx),
+            (0, 4)
+        );
+        assert_eq!(
+            (ue.segments[1].serving_cell, ue.segments[1].serving_rx),
+            (1, 6)
+        );
+
+        // The second incarnation is exactly a fresh protocol on cell 1.
+        let mut fresh = crate::proto::Proto::new(
+            ProtocolKind::SilentTracker,
+            cfg,
+            UeId(5),
+            CellId(1),
+            Arc::clone(&codebook),
+            BeamId(6),
+        );
+        fresh.start_recording();
+        for k in 5..10u64 {
+            fresh.handle(serving_rss(k));
+        }
+        let fresh = fresh.finish_recording().unwrap();
+        let fresh = fresh.into_trace(0, 5, ProtocolKind::SilentTracker);
+        assert_eq!(ue.segments[1], fresh.segments[0]);
+
         let run = RunTrace {
-            label: "warm".into(),
+            label: "handover".into(),
             seed: 1,
             duration: SimDuration::from_millis(10),
             live_wall_s: 0.01,
@@ -368,7 +386,11 @@ mod tests {
             codebook: BeamwidthClass::Narrow,
             ues: vec![ue],
         };
-        let rep = replay_run(&run, 1);
+        let trace = FleetTrace { runs: vec![run] };
+        let back = FleetTrace::from_bytes(&trace.to_bytes()).unwrap();
+        assert_eq!(back, trace);
+        let rep = replay_run(&back.runs[0], 1);
         assert!(rep.mismatches.is_empty(), "{:?}", rep.mismatches);
+        assert_eq!((rep.segments, rep.handovers), (2, 1));
     }
 }

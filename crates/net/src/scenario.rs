@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use silent_tracker::tracker::{Action, HandoverDirective};
+use silent_tracker::{Action, HandoverDirective};
 use st_des::{Control, Executive, RngStreams, SimTime, Trace, TraceLevel};
 use st_mac::timing::TxBeamIndex;
 use st_mobility::BoxedModel;

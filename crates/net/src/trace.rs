@@ -5,10 +5,10 @@
 //! consumed, segmented at handover re-anchorings, together with the
 //! FNV-1a digest of the action stream it emitted and the byte-exact
 //! final [`ProtocolState`] snapshot of each segment. Because the protocol
-//! core is a pure fold (`step(ctx, state, event) -> (state, actions)`),
-//! the trace is sufficient to re-evaluate the protocol *without* the
-//! physical layer or the event executive: [`crate::replay`] refolds the
-//! recorded events and checks the digests, byte for byte.
+//! core is a pure fold ([`silent_tracker::step_mut`]), the trace is
+//! sufficient to re-evaluate the protocol *without* the physical layer or
+//! the event executive: [`crate::replay`] refolds the recorded events and
+//! checks the digests, byte for byte.
 //!
 //! Recording is opt-in and attaches at the [`crate::proto::Proto`]
 //! dispatch path, so the shared UE driver records through one hook
@@ -23,32 +23,31 @@
 
 use bytes::BufMut;
 use silent_tracker::attribution::InterruptionMarks;
-use silent_tracker::measurement::LinkMonitor;
-use silent_tracker::tracker::Action;
 use silent_tracker::wire::{self, Fnv64, WireError};
-use silent_tracker::{ProtocolEvent, ProtocolState, TrackerConfig};
+use silent_tracker::{Action, ProtocolEvent, ProtocolState, TrackerConfig};
 use st_des::{SimDuration, SimTime};
-use st_phy::codebook::BeamwidthClass;
+use st_phy::codebook::{BeamwidthClass, Codebook};
 use st_phy::units::Db;
 
 use crate::config::ProtocolKind;
 
 /// Magic + version prefix of a serialized [`FleetTrace`] file. Version 2
-/// appends per-segment [`InterruptionMarks`] (causal attribution of the
-/// handover that ended the segment) after the final-state snapshot.
-pub const TRACE_MAGIC: &[u8; 8] = b"STTRACE2";
+/// appended per-segment [`InterruptionMarks`] (causal attribution of the
+/// handover that ended the segment) after the final-state snapshot;
+/// version 3 dropped the per-segment seed tag and the tracker-config flag
+/// of the retired warm-start option, since every segment starts cold.
+pub const TRACE_MAGIC: &[u8; 8] = b"STTRACE3";
 
 /// One protocol incarnation of one UE: from (re-)anchoring on a serving
-/// cell until the next handover completes (or the run ends).
+/// cell until the next handover completes (or the run ends). Every
+/// incarnation starts from the initial state of its arm, so the anchor
+/// (cell and receive beam) is all replay needs to rebuild it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SegmentTrace {
     /// Serving cell the protocol was anchored on.
     pub serving_cell: u16,
-    /// Initial serving receive beam.
+    /// Initial serving receive beam (an index into the run's codebook).
     pub serving_rx: u16,
-    /// Warm-start seed applied at anchoring, if any (the monitor that
-    /// tracked this link as a neighbor before the handover).
-    pub warm: Option<LinkMonitor>,
     /// Concatenated canonical [`ProtocolEvent`] encodings, in fold
     /// order, with delta timestamps ([`ProtocolEvent::encode_from`]
     /// threaded from `SimTime::ZERO`).
@@ -211,7 +210,6 @@ fn put_tracker_config<B: BufMut>(buf: &mut B, c: &TrackerConfig) {
     wire::put_dur(buf, c.track_staleness);
     wire::put_f64(buf, c.loss_reference_decay.0);
     wire::put_varu64(buf, u64::from(c.min_track_samples));
-    wire::put_bool(buf, c.warm_start_handover);
 }
 
 fn get_tracker_config(buf: &mut &[u8]) -> Result<TrackerConfig, WireError> {
@@ -227,7 +225,6 @@ fn get_tracker_config(buf: &mut &[u8]) -> Result<TrackerConfig, WireError> {
         track_staleness: wire::get_dur(buf)?,
         loss_reference_decay: Db(wire::get_f64(buf)?),
         min_track_samples: wire::get_varu64(buf)? as u32,
-        warm_start_handover: wire::get_bool(buf)?,
     };
     c.validate().map_err(WireError::Corrupt)?;
     Ok(c)
@@ -237,13 +234,6 @@ impl SegmentTrace {
     fn encode<B: BufMut>(&self, buf: &mut B) {
         buf.put_u16(self.serving_cell);
         buf.put_u16(self.serving_rx);
-        match &self.warm {
-            None => buf.put_u8(0),
-            Some(m) => {
-                buf.put_u8(1);
-                m.encode(buf);
-            }
-        }
         put_bytes(buf, &self.events);
         wire::put_varu64(buf, self.n_events);
         wire::put_varu64(buf, self.action_count);
@@ -255,14 +245,15 @@ impl SegmentTrace {
         }
     }
 
-    fn decode(buf: &mut &[u8]) -> Result<SegmentTrace, WireError> {
+    /// Decode one segment of a run whose codebook has `n_beams` beams:
+    /// the anchor beam must lie inside it, as replay rebuilds the initial
+    /// state around it.
+    fn decode(buf: &mut &[u8], n_beams: usize) -> Result<SegmentTrace, WireError> {
         let serving_cell = wire::get_u16(buf)?;
         let serving_rx = wire::get_u16(buf)?;
-        let warm = match wire::get_u8(buf)? {
-            0 => None,
-            1 => Some(LinkMonitor::decode(buf)?),
-            _ => return Err(WireError::Corrupt("warm seed tag")),
-        };
+        if usize::from(serving_rx) >= n_beams {
+            return Err(WireError::Corrupt("serving beam outside codebook"));
+        }
         let events = get_bytes(buf)?;
         let n_events = wire::get_varu64(buf)?;
         let action_count = wire::get_varu64(buf)?;
@@ -276,7 +267,6 @@ impl SegmentTrace {
         Ok(SegmentTrace {
             serving_cell,
             serving_rx,
-            warm,
             events,
             n_events,
             action_count,
@@ -298,14 +288,14 @@ impl UeTrace {
         }
     }
 
-    fn decode(buf: &mut &[u8]) -> Result<UeTrace, WireError> {
+    fn decode(buf: &mut &[u8], n_beams: usize) -> Result<UeTrace, WireError> {
         let id = wire::get_varu64(buf)?;
         let uid = wire::get_varu64(buf)? as u32;
         let kind = get_kind(buf)?;
         let n = wire::get_varu64(buf)? as usize;
         let mut segments = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
-            segments.push(SegmentTrace::decode(buf)?);
+            segments.push(SegmentTrace::decode(buf, n_beams)?);
         }
         Ok(UeTrace {
             id,
@@ -337,10 +327,11 @@ impl RunTrace {
         let live_wall_s = wire::get_f64(buf)?;
         let tracker = get_tracker_config(buf)?;
         let codebook = get_class(buf)?;
+        let n_beams = Codebook::for_class(codebook).len();
         let n = wire::get_varu64(buf)? as usize;
         let mut ues = Vec::with_capacity(n.min(1 << 16));
         for _ in 0..n {
-            ues.push(UeTrace::decode(buf)?);
+            ues.push(UeTrace::decode(buf, n_beams)?);
         }
         Ok(RunTrace {
             label,
@@ -429,7 +420,6 @@ struct PendingTicks {
 struct OpenSegment {
     serving_cell: u16,
     serving_rx: u16,
-    warm: Option<LinkMonitor>,
     events: Vec<u8>,
     n_events: u64,
     /// Delta-timestamp anchor: the last instant the encoded stream
@@ -465,13 +455,12 @@ impl UeRecorder {
     }
 
     /// Begin recording a new segment (a fresh protocol incarnation
-    /// anchored on `serving_cell`/`serving_rx`, optionally warm-started).
-    pub fn open_segment(&mut self, serving_cell: u16, serving_rx: u16, warm: Option<LinkMonitor>) {
+    /// anchored on `serving_cell`/`serving_rx`).
+    pub fn open_segment(&mut self, serving_cell: u16, serving_rx: u16) {
         assert!(self.cur.is_none(), "previous segment still open");
         self.cur = Some(OpenSegment {
             serving_cell,
             serving_rx,
-            warm,
             events: Vec::new(),
             n_events: 0,
             prev: SimTime::ZERO,
@@ -493,7 +482,6 @@ impl UeRecorder {
         self.segments.push(SegmentTrace {
             serving_cell: seg.serving_cell,
             serving_rx: seg.serving_rx,
-            warm: seg.warm,
             events: seg.events,
             n_events: seg.n_events,
             action_count: seg.action_count,
@@ -606,7 +594,7 @@ mod tests {
 
     fn sample_trace() -> FleetTrace {
         let mut rec = UeRecorder::new();
-        rec.open_segment(0, 4, None);
+        rec.open_segment(0, 4);
         for k in 0..5 {
             rec.record_event(&ProtocolEvent::Tick { at: t(k) });
         }
@@ -673,7 +661,7 @@ mod tests {
     #[test]
     fn irregular_ticks_split_runs() {
         let mut rec = UeRecorder::new();
-        rec.open_segment(0, 0, None);
+        rec.open_segment(0, 0);
         // 1 ms, 1 ms, then a 3 ms gap: run of 3, then a fresh run of 2.
         for &ms in &[0u64, 1, 2, 5, 6] {
             rec.record_event(&ProtocolEvent::Tick { at: t(ms) });

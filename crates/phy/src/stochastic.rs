@@ -140,10 +140,6 @@ impl Rician {
         }
     }
 
-    pub fn rayleigh() -> Rician {
-        Rician { k: 0.0 }
-    }
-
     /// Instantaneous power gain in dB around a 0 dB mean.
     pub fn sample_power_db<R: Rng + ?Sized>(self, rng: &mut R) -> f64 {
         // Complex gain: specular sqrt(K/(K+1)) plus CN(0, 1/(K+1)).

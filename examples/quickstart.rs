@@ -5,8 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use silent_tracker::tracker::{Action, Input, SilentTracker};
-use silent_tracker::TrackerConfig;
+use silent_tracker::{Action, ProtocolCtx, ProtocolEvent, SilentState, TrackerConfig};
 use st_des::{SimDuration, SimTime};
 use st_mac::pdu::{CellId, UeId};
 use st_net::scenarios::{eval_config, human_walk};
@@ -19,46 +18,67 @@ fn main() {
     part2_simulated_walk();
 }
 
-/// Feed the sans-IO protocol engine a handful of in-band RSS samples and
-/// watch it react — no simulator involved.
+/// Fold one event into the protocol state and return the actions it
+/// emits.
+fn fold(ctx: &ProtocolCtx, state: &mut SilentState, event: ProtocolEvent) -> Vec<Action> {
+    let mut actions = Vec::new();
+    state.handle(ctx, &event, &mut actions);
+    actions
+}
+
+/// Fold a handful of in-band RSS samples into the protocol and watch it
+/// react — no simulator involved. A protocol instance is an immutable
+/// context plus a plain state value.
 fn part1_protocol_by_hand() {
     println!("== Part 1: the protocol engine, by hand ==\n");
-    let mut tracker = SilentTracker::new(
+    let ctx = ProtocolCtx::new(
         TrackerConfig::paper_defaults(),
         UeId(1),
         CellId(0),
         Codebook::for_class(BeamwidthClass::Narrow),
-        BeamId(4),
     );
+    let mut tracker = SilentState::initial(&ctx, BeamId(4));
     let t = |ms: u64| SimTime::ZERO + SimDuration::from_millis(ms);
 
     println!(
         "state at start: {} (searching for a neighbor)",
-        tracker.state()
+        tracker.fig2b_state()
     );
 
     // Healthy serving link: nothing to do.
-    let acts = tracker.handle(Input::ServingRss {
-        at: t(5),
-        rss: Dbm(-62.0),
-    });
+    let acts = fold(
+        &ctx,
+        &mut tracker,
+        ProtocolEvent::ServingRss {
+            at: t(5),
+            rss: Dbm(-62.0),
+        },
+    );
     println!("healthy serving sample  -> {} actions", acts.len());
 
     // A neighbor SSB heard during a measurement gap on the search beam.
     // Acquisition is not instant: the detection kicks off a short P3
     // receive-beam refinement (one dwell per adjacent beam), so we keep
     // completing dwells until the acquisition is reported.
-    let rx = tracker.gap_rx_beam();
-    tracker.handle(Input::NeighborSsb {
-        at: t(20),
-        cell: CellId(1),
-        tx_beam: 3,
-        rx_beam: rx,
-        rss: Dbm(-70.0),
-    });
+    let rx = tracker.gap_rx_beam(&ctx.codebook);
+    fold(
+        &ctx,
+        &mut tracker,
+        ProtocolEvent::NeighborSsb {
+            at: t(20),
+            cell: CellId(1),
+            tx_beam: 3,
+            rx_beam: rx,
+            rss: Dbm(-70.0),
+        },
+    );
     let mut dwell_ms = 22;
     'acquiring: for _ in 0..4 {
-        let acts = tracker.handle(Input::DwellComplete { at: t(dwell_ms) });
+        let acts = fold(
+            &ctx,
+            &mut tracker,
+            ProtocolEvent::DwellComplete { at: t(dwell_ms) },
+        );
         dwell_ms += 20;
         for a in &acts {
             if let Action::NeighborAcquired(d) = a {
@@ -70,29 +90,37 @@ fn part1_protocol_by_hand() {
             }
         }
     }
-    println!("state now: {} (silently tracking)", tracker.state());
+    println!("state now: {} (silently tracking)", tracker.fig2b_state());
 
     // Mature the neighbor estimate (edge E requires a few samples —
     // one strong SSB at acquisition is not yet evidence)...
     let tracked_rx = tracker.tracked().unwrap().2;
     for ms in [80, 100] {
-        tracker.handle(Input::NeighborSsb {
-            at: t(ms),
-            cell: CellId(1),
-            tx_beam: 3,
-            rx_beam: tracked_rx,
-            rss: Dbm(-60.0),
-        });
+        fold(
+            &ctx,
+            &mut tracker,
+            ProtocolEvent::NeighborSsb {
+                at: t(ms),
+                cell: CellId(1),
+                tx_beam: 3,
+                rx_beam: tracked_rx,
+                rss: Dbm(-60.0),
+            },
+        );
     }
     // ...then the neighbor grows clearly stronger than serving + 3 dB
     // (the EWMA has to cross the hysteresis, not one raw sample): trigger.
-    let acts = tracker.handle(Input::NeighborSsb {
-        at: t(120),
-        cell: CellId(1),
-        tx_beam: 3,
-        rx_beam: tracked_rx,
-        rss: Dbm(-50.0),
-    });
+    let acts = fold(
+        &ctx,
+        &mut tracker,
+        ProtocolEvent::NeighborSsb {
+            at: t(120),
+            cell: CellId(1),
+            tx_beam: 3,
+            rx_beam: tracked_rx,
+            rss: Dbm(-50.0),
+        },
+    );
     for a in &acts {
         if let Action::ExecuteHandover(h) = a {
             println!(

@@ -83,11 +83,11 @@ fn digest(configs: impl IntoIterator<Item = FleetConfig>) -> u64 {
 #[test]
 fn smoke_fleet_matches_the_pinned_digest() {
     let d = digest([smoke_config(true, None)]);
-    assert_eq!(d, 0x8a6e_59ad_8764_e363, "digest {d:#018x}");
+    assert_eq!(d, 0x201b_cbf3_2b3f_7256, "digest {d:#018x}");
 }
 
 #[test]
 fn street_fleet_matches_the_pinned_digest() {
     let d = digest((0..3).map(street));
-    assert_eq!(d, 0x887e_0463_ffb2_6a5a, "digest {d:#018x}");
+    assert_eq!(d, 0xda7d_b6f1_b09d_f3a1, "digest {d:#018x}");
 }

@@ -5,11 +5,8 @@
 //!   timeline JSON and the profiler's work counters are byte-identical
 //!   at 1/2/4/8 workers. Worker threads are an execution detail; only
 //!   shard count is a config property.
-//! * **Constant memory** — the default mode retains no raw sample
-//!   vectors; quantiles flow through the fixed-size log-bucketed sketch.
-//! * **Exact opt-in** — `FleetConfig::exact_ecdfs` restores the raw
-//!   vectors (and the pre-sketch summary sourcing) without disturbing
-//!   worker invariance.
+//! * **Constant memory** — a fleet retains no raw sample vectors;
+//!   quantiles flow through the fixed-size log-bucketed sketch.
 
 use silent_tracker_repro::st_fleet::{
     run_fleet_with_workers, Deployment, FleetConfig, FleetOutcome, MobilityKind,
@@ -29,11 +26,11 @@ const LONG_S: f64 = 4.0;
 /// A small mixed fleet with snapshots armed: enough contention to light
 /// every telemetry field, small enough for debug-build CI. Four cells
 /// give each of the four shards a spawn tile.
-fn obs_fleet(seed: u64, exact_ecdfs: bool) -> FleetConfig {
-    obs_fleet_for(seed, exact_ecdfs, SHORT_S)
+fn obs_fleet(seed: u64) -> FleetConfig {
+    obs_fleet_for(seed, SHORT_S)
 }
 
-fn obs_fleet_for(seed: u64, exact_ecdfs: bool, secs: f64) -> FleetConfig {
+fn obs_fleet_for(seed: u64, secs: f64) -> FleetConfig {
     Deployment::new()
         .street(200.0, 30.0)
         .cell_row(4, 40.0)
@@ -46,7 +43,6 @@ fn obs_fleet_for(seed: u64, exact_ecdfs: bool, secs: f64) -> FleetConfig {
         .seed(seed)
         .shards(4)
         .snapshot_interval_secs(0.2)
-        .exact_ecdfs(exact_ecdfs)
         .build()
         .unwrap()
 }
@@ -63,7 +59,7 @@ fn deterministic_blob(out: &FleetOutcome) -> String {
 
 #[test]
 fn telemetry_is_worker_invariant_in_both_contention_modes() {
-    let cfg = obs_fleet(7, false);
+    let cfg = obs_fleet(7);
     let base = deterministic_blob(&run_fleet_with_workers(&cfg, 1));
     for workers in [2, 4, 8] {
         let other = deterministic_blob(&run_fleet_with_workers(&cfg, workers));
@@ -77,59 +73,21 @@ fn telemetry_is_worker_invariant_in_both_contention_modes() {
 
 #[test]
 fn default_mode_retains_no_raw_samples() {
-    let cfg = obs_fleet_for(7, false, LONG_S);
+    let cfg = obs_fleet_for(7, LONG_S);
     let out = run_fleet_with_workers(&cfg, 4);
-    // Quantiles are served from the sketch…
+    // Quantiles are served from the sketch, whose footprint is fixed:
+    // buckets × u64, independent of n.
     let soft = out.soft_stats().expect("soft interruptions recorded");
-    assert!(soft.n > 0 && !soft.exact);
-    // …and no raw per-handover vector survived anywhere.
-    assert!(out.totals.soft_interruptions_ms.is_empty());
-    assert!(out.totals.hard_interruptions_ms.is_empty());
-    assert!(out.soft_interruption_ecdf().is_none());
-    assert!(out.hard_interruption_ecdf().is_none());
-    // The sketch footprint is fixed: buckets × u64, independent of n.
+    assert_eq!(soft.n, out.totals.soft_sketch.count());
+    assert!(soft.n > 0);
     let empty = silent_tracker_repro::st_metrics::QuantileSketch::latency_ms();
     assert_eq!(out.totals.soft_sketch.memory_bytes(), empty.memory_bytes());
     assert_eq!(out.totals.soft_sketch.n_buckets(), empty.n_buckets());
 }
 
 #[test]
-fn exact_ecdfs_opt_in_restores_raw_vectors_and_stays_invariant() {
-    let cfg = obs_fleet_for(7, true, LONG_S);
-    let one = run_fleet_with_workers(&cfg, 1);
-    let four = run_fleet_with_workers(&cfg, 4);
-    assert_eq!(one.summary(), four.summary());
-    // Raw vectors are back, and the stats surface reports exact quantiles.
-    let ecdf = one.soft_interruption_ecdf().expect("raw ecdf retained");
-    let stats = one.soft_stats().expect("stats");
-    assert!(stats.exact);
-    assert_eq!(stats.n, ecdf.len() as u64);
-    assert_eq!(stats.p50_ms, ecdf.median());
-    // The sketch runs alongside and agrees with the raw samples.
-    assert_eq!(one.totals.soft_sketch.count(), ecdf.len() as u64);
-}
-
-#[test]
-fn exact_ecdfs_off_matches_exact_on_counts() {
-    // Dropping the raw vectors must not change what was *measured* —
-    // only how it is summarized. Same config either way, same sketch.
-    let lean = run_fleet_with_workers(&obs_fleet(7, false), 2);
-    let full = run_fleet_with_workers(&obs_fleet(7, true), 2);
-    assert_eq!(lean.totals.handovers, full.totals.handovers);
-    assert_eq!(
-        lean.totals.soft_sketch.count(),
-        full.totals.soft_sketch.count()
-    );
-    assert_eq!(
-        lean.profile().counters_json(),
-        full.profile().counters_json()
-    );
-    assert_eq!(lean.timeline_json(), full.timeline_json());
-}
-
-#[test]
 fn timeline_slices_cover_the_run_and_sum_to_totals() {
-    let cfg = obs_fleet(7, false);
+    let cfg = obs_fleet(7);
     let out = run_fleet_with_workers(&cfg, 4);
     let ring = out.timeline().expect("snapshots armed");
     // 0.9 s at 0.2 s slices: four full boundaries + the sealed tail.
@@ -154,7 +112,7 @@ fn exact_contention_timeline_sees_responder_traffic() {
     // The responder counters flow through the shared stage's
     // per-interval deltas (shards carry no responders); the merged
     // timeline must still attribute them to slices.
-    let out = run_fleet_with_workers(&obs_fleet(7, false), 2);
+    let out = run_fleet_with_workers(&obs_fleet(7), 2);
     let ring = out.timeline().expect("snapshots armed");
     let heard: u64 = ring.slices().iter().map(|s| s.preambles_heard).sum();
     let total: u64 = out
@@ -169,7 +127,7 @@ fn exact_contention_timeline_sees_responder_traffic() {
 
 #[test]
 fn profiler_separates_deterministic_counters_from_wall_spans() {
-    let out = run_fleet_with_workers(&obs_fleet(7, false), 2);
+    let out = run_fleet_with_workers(&obs_fleet(7), 2);
     let p = out.profile();
     // Work counters present and plausible.
     assert!(p.counters.get("des.events_popped") > 0);

@@ -2,13 +2,17 @@
 //! the exact empirical CDF within its advertised relative-error bound.
 //!
 //! Runs the `fleet_load`-shaped deployment once per protocol arm with
-//! `exact_ecdfs` armed so *both* paths are populated from the same
-//! handovers, then compares sketch quantiles against the raw `Ecdf`.
-//! The small fleet runs in debug CI; the 1,000-UE acceptance point is
-//! `#[ignore]`d and sized for `cargo test --release -- --ignored sketch`.
+//! trace recording armed, and takes the exact reference from the
+//! recorded causal marks: each handover's breakdown total
+//! ([`breakdowns_from_traces`]) bit-equals the interruption the sketch
+//! recorded (`ShardSim::finish` asserts it in every build), so the
+//! sketch quantiles are compared against the exact `Ecdf` of the very
+//! same samples. The small fleet runs in debug CI; the 1,000-UE
+//! acceptance point is `#[ignore]`d and sized for
+//! `cargo test --release -- --ignored sketch`.
 
 use silent_tracker_repro::st_fleet::{
-    run_fleet_with_workers, Deployment, FleetConfig, MobilityKind,
+    breakdowns_from_traces, run_fleet_with_workers, Deployment, FleetConfig, MobilityKind,
 };
 use silent_tracker_repro::st_metrics::{Ecdf, QuantileSketch};
 use silent_tracker_repro::st_net::ProtocolKind;
@@ -28,7 +32,7 @@ fn arm_fleet(ues: u64, protocol: ProtocolKind) -> FleetConfig {
         .duration_secs(2.0)
         .seed(42)
         .shards(4)
-        .exact_ecdfs(true)
+        .record_traces(true)
         .build()
         .unwrap()
 }
@@ -57,19 +61,16 @@ fn assert_within_bound(arm: &str, sk: &QuantileSketch, exact: &Ecdf) {
 
 fn check_arm(ues: u64, protocol: ProtocolKind, min_samples: u64) {
     let out = run_fleet_with_workers(&arm_fleet(ues, protocol), 4);
-    let (label, sk, ecdf) = match protocol {
-        ProtocolKind::SilentTracker => (
-            "soft",
-            &out.totals.soft_sketch,
-            out.soft_interruption_ecdf(),
-        ),
-        ProtocolKind::Reactive => (
-            "hard",
-            &out.totals.hard_sketch,
-            out.hard_interruption_ecdf(),
-        ),
+    let (label, sk) = match protocol {
+        ProtocolKind::SilentTracker => ("soft", &out.totals.soft_sketch),
+        ProtocolKind::Reactive => ("hard", &out.totals.hard_sketch),
     };
-    let ecdf = ecdf.unwrap_or_else(|| panic!("{label}: no samples retained"));
+    // Single-arm fleet: every recorded handover belongs to this arm.
+    let totals = breakdowns_from_traces(&out.totals.ue_traces)
+        .iter()
+        .map(|bd| bd.total_ms)
+        .collect();
+    let ecdf = Ecdf::new(totals).unwrap_or_else(|_| panic!("{label}: no handovers recorded"));
     assert!(
         sk.count() >= min_samples,
         "{label}: only {} samples",

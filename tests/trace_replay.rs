@@ -7,17 +7,20 @@
 //! * Replaying the trace under the recorded config reproduces every UE's
 //!   action stream and final protocol state byte for byte, with no
 //!   physical layer or event executive in the loop.
-//! * Warm-start re-anchoring (`TrackerConfig.warm_start_handover`) is
-//!   opt-in: default-off fleets record no warm seeds; armed fleets
-//!   record seeds that replay re-applies and still verify.
+//! * Replay is total on decodable input: a corrupted trace file either
+//!   fails to decode or decodes to a trace that replays without
+//!   panicking.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use silent_tracker_repro::silent_tracker::WireError;
 use silent_tracker_repro::st_fleet::{
     run_fleet_with_workers, Deployment, FleetConfig, MobilityKind,
 };
 use silent_tracker_repro::st_net::{replay_run, FleetTrace, ProtocolKind, RunTrace};
 
-fn smoke_fleet(seed: u64, record: bool, warm: bool) -> FleetConfig {
-    let mut cfg = Deployment::new()
+fn smoke_fleet(seed: u64, record: bool) -> FleetConfig {
+    Deployment::new()
         .street(200.0, 30.0)
         .cell_row(2, 80.0)
         .tx_beams(8)
@@ -30,9 +33,7 @@ fn smoke_fleet(seed: u64, record: bool, warm: bool) -> FleetConfig {
         .shards(2)
         .record_traces(record)
         .build()
-        .unwrap();
-    cfg.base.tracker.warm_start_handover = warm;
-    cfg
+        .unwrap()
 }
 
 fn recorded_run(cfg: &FleetConfig, workers: usize) -> (String, RunTrace) {
@@ -52,8 +53,8 @@ fn recorded_run(cfg: &FleetConfig, workers: usize) -> (String, RunTrace) {
 
 #[test]
 fn recording_does_not_perturb_the_run() {
-    let live = run_fleet_with_workers(&smoke_fleet(7, false, false), 2).summary();
-    let (recorded, run) = recorded_run(&smoke_fleet(7, true, false), 2);
+    let live = run_fleet_with_workers(&smoke_fleet(7, false), 2).summary();
+    let (recorded, run) = recorded_run(&smoke_fleet(7, true), 2);
     assert_eq!(live, recorded, "recording changed the simulation");
     assert_eq!(run.ues.len(), 28, "one trace per UE");
     assert!(run.n_events() > 0);
@@ -61,7 +62,7 @@ fn recording_does_not_perturb_the_run() {
 
 #[test]
 fn trace_is_byte_identical_across_worker_counts() {
-    let cfg = smoke_fleet(7, true, false);
+    let cfg = smoke_fleet(7, true);
     let (_, one) = recorded_run(&cfg, 1);
     let (_, four) = recorded_run(&cfg, 4);
     let bytes_one = FleetTrace { runs: vec![one] }.to_bytes();
@@ -71,7 +72,7 @@ fn trace_is_byte_identical_across_worker_counts() {
 
 #[test]
 fn replay_equals_live_byte_for_byte() {
-    let (_, run) = recorded_run(&smoke_fleet(7, true, false), 4);
+    let (_, run) = recorded_run(&smoke_fleet(7, true), 4);
     // Round-trip through the on-disk format first: what replay_eval
     // consumes is the decoded file, not the in-memory recording.
     let trace = FleetTrace { runs: vec![run] };
@@ -93,31 +94,121 @@ fn replay_equals_live_byte_for_byte() {
     );
 }
 
+/// A recording small enough to corrupt exhaustively: four UEs spawned
+/// at the cell boundary for 0.4 s, two of which hand over, so the trace
+/// holds multi-segment UEs of both arms.
+fn small_trace() -> FleetTrace {
+    let cfg = Deployment::new()
+        .street(200.0, 30.0)
+        .cell_row(2, 80.0)
+        .tx_beams(8)
+        .spawn_region((-10.0, 10.0), (-3.0, 3.0))
+        .population(3, MobilityKind::Walk, ProtocolKind::SilentTracker)
+        .population(1, MobilityKind::Vehicular, ProtocolKind::Reactive)
+        .duration_secs(0.4)
+        .seed(39)
+        .record_traces(true)
+        .build()
+        .unwrap();
+    let (_, run) = recorded_run(&cfg, 1);
+    FleetTrace { runs: vec![run] }
+}
+
+/// Replay what a corruption changed: every segment of `trace` except
+/// those the clean recording holds for the same run header, UE identity
+/// and arm (the clean recording replays, and a segment's replay depends
+/// on nothing else). Returns the panic message, if replay panicked.
+fn replay_panics(trace: &FleetTrace, original: &FleetTrace) -> Option<String> {
+    let mut runs = trace.runs.clone();
+    for run in &mut runs {
+        let Some(orig) = original.runs.iter().find(|o| {
+            (&o.label, o.seed, o.duration, o.tracker, o.codebook)
+                == (
+                    &run.label,
+                    run.seed,
+                    run.duration,
+                    run.tracker,
+                    run.codebook,
+                )
+        }) else {
+            continue;
+        };
+        for ue in &mut run.ues {
+            let same = orig
+                .ues
+                .iter()
+                .filter(|o| (o.uid, o.kind) == (ue.uid, ue.kind));
+            let known: Vec<_> = same.flat_map(|o| &o.segments).collect();
+            ue.segments.retain(|seg| !known.contains(&seg));
+        }
+        run.ues.retain(|ue| !ue.segments.is_empty());
+    }
+    let replay = AssertUnwindSafe(|| {
+        for run in &runs {
+            replay_run(run, 1);
+        }
+    });
+    catch_unwind(replay).err().map(|e| {
+        e.downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| e.downcast_ref::<String>().cloned())
+            .unwrap_or_default()
+    })
+}
+
 #[test]
-fn warm_start_is_opt_in_and_replays_verified() {
-    // Default: no segment carries a warm seed.
-    let (_, cold) = recorded_run(&smoke_fleet(7, true, false), 2);
-    assert!(
-        cold.ues
-            .iter()
-            .flat_map(|u| &u.segments)
-            .all(|s| s.warm.is_none()),
-        "warm seeds recorded with warm_start_handover off"
+fn corrupted_traces_fail_to_decode_or_replay_without_panicking() {
+    let original = small_trace();
+    let bytes = original.to_bytes();
+    assert_eq!(
+        original.runs[0].n_segments(),
+        6,
+        "two of four UEs hand over"
+    );
+    assert!(replay_run(&original.runs[0], 1).mismatches.is_empty());
+
+    // A file in the previous format fails on its magic.
+    let mut old = bytes.clone();
+    old[..8].copy_from_slice(b"STTRACE2");
+    assert_eq!(
+        FleetTrace::from_bytes(&old),
+        Err(WireError::Corrupt("trace magic"))
     );
 
-    // Armed: handed-over Silent UEs re-anchor warm, and the recorded
-    // seeds replay byte-identically.
-    let (_, warm) = recorded_run(&smoke_fleet(7, true, true), 2);
-    let warm_segments = warm
-        .ues
-        .iter()
-        .flat_map(|u| &u.segments)
-        .filter(|s| s.warm.is_some())
-        .count();
+    // Every prefix truncation and every single-bit flip, split over two
+    // threads.
+    let check = |what: &dyn Fn() -> String, corrupt: &[u8]| {
+        let trace = FleetTrace::from_bytes(corrupt).ok()?;
+        replay_panics(&trace, &original).map(|panic| format!("{}: {panic}", what()))
+    };
+    let failures: Vec<String> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..2)
+            .map(|w| {
+                let (bytes, check) = (&bytes, &check);
+                scope.spawn(move || {
+                    let mut failures = Vec::new();
+                    for len in (w..bytes.len()).step_by(2) {
+                        let what = || format!("truncated to {len} bytes");
+                        failures.extend(check(&what, &bytes[..len]));
+                    }
+                    let mut flipped = bytes.clone();
+                    for bit in (w..bytes.len() * 8).step_by(2) {
+                        flipped[bit / 8] ^= 1 << (bit % 8);
+                        failures.extend(check(&|| format!("bit {bit} flipped"), &flipped));
+                        flipped[bit / 8] ^= 1 << (bit % 8);
+                    }
+                    failures
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
+    });
     assert!(
-        warm_segments > 0,
-        "no warm-start segments in an armed fleet that handed over"
+        failures.is_empty(),
+        "{} replays panicked: {failures:#?}",
+        failures.len()
     );
-    let rep = replay_run(&warm, 2);
-    assert_eq!(rep.mismatches, Vec::<String>::new());
 }

@@ -57,7 +57,7 @@ static A: Counting = Counting;
 
 use std::sync::Arc;
 
-use silent_tracker_repro::silent_tracker::tracker::Action;
+use silent_tracker_repro::silent_tracker::Action;
 use silent_tracker_repro::st_des::{Control, Executive, RngStreams, SimDuration, SimTime};
 use silent_tracker_repro::st_env::{BlockerPopulation, DynamicEnvironment};
 use silent_tracker_repro::st_mac::pdu::UeId;
