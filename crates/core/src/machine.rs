@@ -207,6 +207,7 @@ impl ProtocolEvent {
             }
         }
         self.delta_anchor()
+            .expect("an encoded event ends within the clock's range")
     }
 
     pub fn decode(buf: &mut &[u8]) -> Result<ProtocolEvent, WireError> {
@@ -215,78 +216,84 @@ impl ProtocolEvent {
 
     /// Inverse of [`ProtocolEvent::encode_from`]: decode one event whose
     /// time field is a delta from `prev`, returning the absolute event
-    /// and the anchor for the next call.
+    /// and the anchor for the next call. A delta or a tick run that
+    /// overflows the clock is `Corrupt`, never a panic or a wrap.
     pub fn decode_from(
         buf: &mut &[u8],
         prev: SimTime,
     ) -> Result<(ProtocolEvent, SimTime), WireError> {
-        let ev = match wire::get_u8(buf)? {
-            0 => Ok(ProtocolEvent::ServingRss {
-                at: prev + wire::get_dur(buf)?,
+        let tag = wire::get_u8(buf)?;
+        if tag > 8 {
+            return Err(WireError::Corrupt("event tag"));
+        }
+        // Every event's first field is its time delta.
+        let at = prev
+            .checked_add(wire::get_dur(buf)?)
+            .ok_or(WireError::Corrupt("event time overflow"))?;
+        let ev = match tag {
+            0 => ProtocolEvent::ServingRss {
+                at,
                 rss: Dbm(wire::get_f64(buf)?),
-            }),
-            1 => Ok(ProtocolEvent::ServingProbe {
-                at: prev + wire::get_dur(buf)?,
+            },
+            1 => ProtocolEvent::ServingProbe {
+                at,
                 rx_beam: BeamId(wire::get_u16(buf)?),
                 rss: Dbm(wire::get_f64(buf)?),
-            }),
-            2 => Ok(ProtocolEvent::NeighborSsb {
-                at: prev + wire::get_dur(buf)?,
+            },
+            2 => ProtocolEvent::NeighborSsb {
+                at,
                 cell: CellId(wire::get_u16(buf)?),
                 tx_beam: wire::get_u16(buf)?,
                 rx_beam: BeamId(wire::get_u16(buf)?),
                 rss: Dbm(wire::get_f64(buf)?),
-            }),
-            3 => Ok(ProtocolEvent::DwellComplete {
-                at: prev + wire::get_dur(buf)?,
-            }),
+            },
+            3 => ProtocolEvent::DwellComplete { at },
             4 => {
-                let at = prev + wire::get_dur(buf)?;
                 let n = wire::get_varu64(buf)? as usize;
                 if buf.len() < n {
                     return Err(WireError::Truncated);
                 }
                 let pdu = Pdu::decode(&buf[..n]).map_err(|_| WireError::Corrupt("embedded pdu"))?;
                 *buf = &buf[n..];
-                Ok(ProtocolEvent::FromServing { at, pdu })
+                ProtocolEvent::FromServing { at, pdu }
             }
-            5 => Ok(ProtocolEvent::ServingLinkLost {
-                at: prev + wire::get_dur(buf)?,
-            }),
-            6 => Ok(ProtocolEvent::RachFailed {
-                at: prev + wire::get_dur(buf)?,
-            }),
-            7 => Ok(ProtocolEvent::Tick {
-                at: prev + wire::get_dur(buf)?,
-            }),
-            8 => Ok(ProtocolEvent::TickRun {
-                start: prev + wire::get_dur(buf)?,
-                period: wire::get_dur(buf)?,
-                count: wire::get_varu64(buf)?,
-            }),
-            _ => Err(WireError::Corrupt("event tag")),
-        }?;
-        let anchor = ev.delta_anchor();
-        Ok((ev, anchor))
+            5 => ProtocolEvent::ServingLinkLost { at },
+            6 => ProtocolEvent::RachFailed { at },
+            7 => ProtocolEvent::Tick { at },
+            _ => {
+                let (period, count) = (wire::get_dur(buf)?, wire::get_varu64(buf)?);
+                let end =
+                    last_tick(at, period, count).ok_or(WireError::Corrupt("tick run overflow"))?;
+                let run = ProtocolEvent::TickRun {
+                    start: at,
+                    period,
+                    count,
+                };
+                return Ok((run, end));
+            }
+        };
+        Ok((ev, at))
     }
 
     /// Where a delta-encoded stream's cursor lands after this event: the
-    /// last covered instant (a run's final tick, otherwise `at`).
-    fn delta_anchor(&self) -> SimTime {
+    /// last covered instant (a run's final tick, otherwise `at`), or
+    /// `None` when that instant is past the clock's range.
+    fn delta_anchor(&self) -> Option<SimTime> {
         match *self {
             ProtocolEvent::TickRun {
                 start,
                 period,
                 count,
-            } => {
-                start
-                    + SimDuration::from_nanos(
-                        period.as_nanos().saturating_mul(count.saturating_sub(1)),
-                    )
-            }
-            _ => self.at(),
+            } => last_tick(start, period, count),
+            _ => Some(self.at()),
         }
     }
+}
+
+/// The instant of a tick run's last tick, or `None` past the clock's range.
+fn last_tick(start: SimTime, period: SimDuration, count: u64) -> Option<SimTime> {
+    let span = period.as_nanos().checked_mul(count.saturating_sub(1))?;
+    start.checked_add(SimDuration::from_nanos(span))
 }
 
 // ---------------------------------------------------------------------------

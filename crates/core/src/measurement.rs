@@ -262,7 +262,7 @@ impl BeamTable {
     pub(crate) fn decode(buf: &mut &[u8]) -> Result<BeamTable, crate::wire::WireError> {
         let alpha = crate::wire::get_f64(buf)?;
         let n = crate::wire::get_varu64(buf)? as usize;
-        let mut entries = Vec::with_capacity(n.min(1024));
+        let mut entries = Vec::with_capacity(n.min(buf.len()));
         for _ in 0..n {
             let beam = BeamId(crate::wire::get_u16(buf)?);
             let ewma = EwmaRss::decode(buf)?;

@@ -231,7 +231,7 @@ impl TransitionLog {
     pub(crate) fn decode(buf: &mut &[u8]) -> Result<TransitionLog, crate::wire::WireError> {
         use crate::wire::{get_time, get_u8, get_varu64, WireError};
         let n = get_varu64(buf)? as usize;
-        let mut entries = Vec::with_capacity(n.min(1024));
+        let mut entries = Vec::with_capacity(n.min(buf.len()));
         for _ in 0..n {
             let at = get_time(buf)?;
             let tr = Transition {

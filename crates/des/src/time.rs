@@ -39,6 +39,12 @@ impl SimTime {
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
+
+    /// `self + d`, or `None` past the last representable nanosecond — for
+    /// instants decoded from untrusted bytes.
+    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
+        self.0.checked_add(d.0).map(SimTime)
+    }
 }
 
 impl SimDuration {

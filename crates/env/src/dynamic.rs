@@ -265,7 +265,7 @@ impl DynamicEnvironment {
     /// ray: tx→bounce and bounce→rx) against the culled candidate set; a
     /// crossing adds the knife-edge loss of [`crate::leg_occlusion`]. A
     /// blocker clear of every leg contributes exactly zero — the sample
-    /// gains stay bit-identical, which is what keeps opt-out scenarios
+    /// powers stay bit-identical, which is what keeps opt-out scenarios
     /// (and clear instants of opt-in ones) byte-stable.
     pub fn occlude(
         &self,
@@ -403,7 +403,7 @@ mod tests {
         let mut scratch = OcclusionScratch::new();
         env.occlude(0.5, tx, rx, &mut a, &mut scratch);
         for (x, y) in before.iter().zip(a.samples()) {
-            assert_eq!(x.gain, y.gain, "bit-identical when clear");
+            assert_eq!(x.power, y.power, "bit-identical when clear");
         }
     }
 
@@ -428,9 +428,9 @@ mod tests {
         env.occlude(0.0, tx, rx, &mut set, &mut scratch);
         for (x, y) in before.iter().zip(set.samples()) {
             if y.is_los {
-                assert!(y.gain.0 < x.gain.0 - 3.0, "LOS not shadowed");
+                assert!(y.gain().0 < x.gain().0 - 3.0, "LOS not shadowed");
             } else {
-                assert_eq!(x.gain, y.gain, "reflection wrongly shadowed");
+                assert_eq!(x.power, y.power, "reflection wrongly shadowed");
             }
         }
     }

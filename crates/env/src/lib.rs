@@ -52,11 +52,11 @@
 //! let mut set = PathSet::new();
 //! let (tx, rx) = (Vec2::ZERO, Vec2::new(10.0, 0.0));
 //! ch.trace_into(&mut rng, dynamics.statics(), tx, rx, &mut set);
-//! let clear = set.samples()[0].gain;
+//! let clear = set.samples()[0].gain();
 //!
 //! let mut scratch = OcclusionScratch::new();
 //! dynamics.occlude(0.0, tx, rx, &mut set, &mut scratch);
-//! assert!(set.samples()[0].gain.0 < clear.0 - 3.0, "body casts a shadow");
+//! assert!(set.samples()[0].gain().0 < clear.0 - 3.0, "body casts a shadow");
 //! ```
 
 pub mod blocker;

@@ -71,11 +71,11 @@ proptest! {
         let (clear, occluded) = trace_pair(&env, seed, tx, rx, 1.0);
         let los = occluded.samples().iter().zip(&clear).find(|(s, _)| s.is_los).unwrap();
         prop_assert!(
-            los.0.gain.0 < los.1.gain.0,
-            "LOS not reduced: {} vs {}", los.0.gain, los.1.gain
+            los.0.power < los.1.power,
+            "LOS not reduced: {} vs {}", los.0.gain(), los.1.gain()
         );
         // At least the grazing knife-edge loss, at most the through cap.
-        let drop = los.1.gain.0 - los.0.gain.0;
+        let drop = los.1.gain().0 - los.0.gain().0;
         prop_assert!((6.0..=31.0 + 1e-9).contains(&drop), "drop {drop}");
     }
 
@@ -96,7 +96,7 @@ proptest! {
         let (clear, occluded) = trace_pair(&env, seed, tx, rx, 1.0);
         prop_assert_eq!(clear.len(), occluded.samples().len());
         for (a, b) in clear.iter().zip(occluded.samples()) {
-            prop_assert_eq!(a.gain, b.gain);
+            prop_assert_eq!(a.power, b.power);
             prop_assert_eq!(a.aod, b.aod);
             prop_assert_eq!(a.aoa, b.aoa);
         }
@@ -124,10 +124,10 @@ proptest! {
         let (_, b2) = trace_pair(&env, seed, tx, rx, t2);
         let (_, a2) = trace_pair(&env, seed, tx, rx, t1);
         for (x, y) in a1.samples().iter().zip(a2.samples()) {
-            prop_assert_eq!(x.gain, y.gain);
+            prop_assert_eq!(x.power, y.power);
         }
         for (x, y) in b1.samples().iter().zip(b2.samples()) {
-            prop_assert_eq!(x.gain, y.gain);
+            prop_assert_eq!(x.power, y.power);
         }
     }
 }

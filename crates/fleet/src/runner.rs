@@ -44,9 +44,11 @@
 //! every thread takes its groups in the same order, no wait cycle can
 //! form.
 
+use std::any::Any;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 use st_des::SimTime;
@@ -167,8 +169,57 @@ fn contention_groups(
 }
 
 /// A poisoned shard or stage lock means another worker panicked
-/// mid-epoch; the scope re-raises that panic, so this one just stops.
+/// mid-epoch; the runner re-raises that panic, so this one just stops.
 const POISONED: &str = "another fleet worker panicked";
+
+/// A reusable barrier that a panicking worker can break. `wait` returns
+/// `false` once the run's abort flag is up, so a worker never blocks
+/// forever on a partner that unwound — `std::sync::Barrier` has no such
+/// exit and does not poison.
+struct OccasionBarrier {
+    threads: usize,
+    /// Threads arrived in the current generation, and the generation.
+    state: Mutex<(usize, u64)>,
+    cvar: Condvar,
+}
+
+impl OccasionBarrier {
+    fn new(threads: usize) -> OccasionBarrier {
+        OccasionBarrier {
+            threads,
+            state: Mutex::new((0, 0)),
+            cvar: Condvar::new(),
+        }
+    }
+
+    /// Block until every thread of the group arrives (`true`) or the run
+    /// aborts (`false`).
+    fn wait(&self, abort: &AtomicBool) -> bool {
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let generation = st.1;
+        st.0 += 1;
+        if st.0 == self.threads {
+            *st = (0, generation.wrapping_add(1));
+            self.cvar.notify_all();
+        }
+        while st.1 == generation && !abort.load(Ordering::Acquire) {
+            st = self.cvar.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+        !abort.load(Ordering::Acquire)
+    }
+
+    /// Wake every waiter after the abort flag went up.
+    fn break_waiters(&self) {
+        let _st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        self.cvar.notify_all();
+    }
+}
+
+/// Test-build hook: a fleet run with this seed panics in shard 1's step
+/// of epoch 3, so the runner's unwind handling can be exercised without
+/// a config field.
+#[cfg(test)]
+const INJECTED_PANIC_SEED: u64 = 0x00de_adbe_ef00;
 
 /// One thread's share of an epoch: a run of one group's shards.
 struct Segment {
@@ -248,63 +299,98 @@ pub fn run_fleet_exact_with_order(
         }
         plans.push(segments);
     }
-    let barriers: Vec<Barrier> = group_threads
+    let barriers: Vec<OccasionBarrier> = group_threads
         .iter()
-        .map(|t| Barrier::new(t.len()))
+        .map(|t| OccasionBarrier::new(t.len()))
         .collect();
     let drain_orders: Vec<Vec<usize>> = groups.iter().map(|g| order.permutation(g.len())).collect();
     let barrier_wait_ns = AtomicU64::new(0);
     let shard_run_ns = AtomicU64::new(0);
+    // A worker that panics raises `abort` and breaks every barrier, so
+    // the others leave at their next wait; the first panic is re-raised
+    // once the scope has joined them all.
+    let abort = AtomicBool::new(false);
+    let first_panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
 
     std::thread::scope(|scope| {
         for (t, plan) in plans.iter().enumerate() {
             let (sims, stages, groups, barriers) = (&sims, &stages, &groups, &barriers);
             let (group_threads, drain_orders) = (&group_threads, &drain_orders);
             let (barrier_wait_ns, shard_run_ns) = (&barrier_wait_ns, &shard_run_ns);
+            let (abort, first_panic) = (&abort, &first_panic);
             scope.spawn(move || {
-                for k in 1..=n_epochs {
-                    let horizon = (SimTime::ZERO + epoch * k).min(deadline);
-                    let mut wait_ns = 0u64;
-                    for seg in plan {
-                        let t_step = Instant::now();
-                        for &j in &seg.step_order {
-                            sims[seg.shards[j]]
-                                .lock()
-                                .expect(POISONED)
-                                .run_until(horizon);
-                        }
-                        shard_run_ns
-                            .fetch_add(t_step.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        // Time the two waits separately so the resolver's
-                        // own merge work never counts as "barrier waiting"
-                        // — the overhead figure must separate idling from
-                        // work.
-                        let barrier = &barriers[seg.group];
-                        let entry = Instant::now();
-                        barrier.wait();
-                        wait_ns += entry.elapsed().as_nanos() as u64;
-                        if group_threads[seg.group][0] == t {
-                            // Between the waits no thread touches this
-                            // group's shards, so the resolver drains and
-                            // answers them directly.
-                            let members = &groups[seg.group];
-                            let mut stage = stages[seg.group].lock().expect(POISONED);
-                            for &m in &drain_orders[seg.group] {
-                                stage.ingest(sims[members[m]].lock().expect(POISONED).outbox());
+                let worker = || {
+                    for k in 1..=n_epochs {
+                        let horizon = (SimTime::ZERO + epoch * k).min(deadline);
+                        let mut wait_ns = 0u64;
+                        for seg in plan {
+                            let t_step = Instant::now();
+                            for &j in &seg.step_order {
+                                #[cfg(test)]
+                                if cfg.base.seed == INJECTED_PANIC_SEED
+                                    && seg.shards[j] == 1
+                                    && k == 3
+                                {
+                                    panic!("injected shard panic");
+                                }
+                                sims[seg.shards[j]]
+                                    .lock()
+                                    .expect(POISONED)
+                                    .run_until(horizon);
                             }
-                            stage.resolve_up_to(horizon, |shard, reply| {
-                                sims[shard as usize].lock().expect(POISONED).deliver(&reply);
-                            });
+                            shard_run_ns
+                                .fetch_add(t_step.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                            // Time the two waits separately so the resolver's
+                            // own merge work never counts as "barrier waiting"
+                            // — the overhead figure must separate idling from
+                            // work.
+                            let barrier = &barriers[seg.group];
+                            let entry = Instant::now();
+                            if !barrier.wait(abort) {
+                                return;
+                            }
+                            wait_ns += entry.elapsed().as_nanos() as u64;
+                            if group_threads[seg.group][0] == t {
+                                // Between the waits no thread touches this
+                                // group's shards, so the resolver drains and
+                                // answers them directly.
+                                let members = &groups[seg.group];
+                                let mut stage = stages[seg.group].lock().expect(POISONED);
+                                for &m in &drain_orders[seg.group] {
+                                    stage.ingest(sims[members[m]].lock().expect(POISONED).outbox());
+                                }
+                                stage.resolve_up_to(horizon, |shard, reply| {
+                                    sims[shard as usize].lock().expect(POISONED).deliver(&reply);
+                                });
+                            }
+                            let fanback = Instant::now();
+                            if !barrier.wait(abort) {
+                                return;
+                            }
+                            wait_ns += fanback.elapsed().as_nanos() as u64;
                         }
-                        let fanback = Instant::now();
-                        barrier.wait();
-                        wait_ns += fanback.elapsed().as_nanos() as u64;
+                        barrier_wait_ns.fetch_add(wait_ns, Ordering::Relaxed);
                     }
-                    barrier_wait_ns.fetch_add(wait_ns, Ordering::Relaxed);
+                };
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(worker)) {
+                    abort.store(true, Ordering::Release);
+                    for b in barriers {
+                        b.break_waiters();
+                    }
+                    first_panic
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .get_or_insert(payload);
                 }
             });
         }
     });
+    if let Some(payload) = first_panic
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+    {
+        resume_unwind(payload);
+    }
 
     let stages: Vec<SharedRachStage> = stages
         .into_iter()
@@ -418,6 +504,33 @@ mod tests {
             .shards(shards)
             .build()
             .unwrap()
+    }
+
+    /// A panic in one worker's shard step fails the whole run: its
+    /// partner at the occasion barrier is released instead of waiting
+    /// forever, and the original panic reaches the caller. The fleet runs
+    /// on its own thread so that a regression times out here rather than
+    /// hanging the test binary.
+    #[test]
+    fn a_panicking_shard_fails_the_run_instead_of_hanging_its_partner() {
+        // Two shards, one contention group, one thread each.
+        let cfg = tiny(INJECTED_PANIC_SEED, 2);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let fleet = std::thread::spawn(move || {
+            let outcome = catch_unwind(AssertUnwindSafe(|| run_fleet_with_workers(&cfg, 2)));
+            let message = outcome.err().map(|e| {
+                e.downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| e.downcast_ref::<String>().cloned())
+                    .unwrap_or_default()
+            });
+            tx.send(message).expect("the test is waiting");
+        });
+        let panic = rx
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("the fleet hung after a worker panicked");
+        fleet.join().expect("the runner's panic was caught");
+        assert_eq!(panic.as_deref(), Some("injected shard panic"));
     }
 
     #[test]

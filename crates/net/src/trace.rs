@@ -260,7 +260,7 @@ impl SegmentTrace {
         let action_digest = wire::get_u64(buf)?;
         let final_state = get_bytes(buf)?;
         let n_marks = wire::get_varu64(buf)? as usize;
-        let mut marks = Vec::with_capacity(n_marks.min(1024));
+        let mut marks = Vec::with_capacity(n_marks.min(buf.len()));
         for _ in 0..n_marks {
             marks.push(InterruptionMarks::decode(buf)?);
         }
@@ -293,7 +293,7 @@ impl UeTrace {
         let uid = wire::get_varu64(buf)? as u32;
         let kind = get_kind(buf)?;
         let n = wire::get_varu64(buf)? as usize;
-        let mut segments = Vec::with_capacity(n.min(1024));
+        let mut segments = Vec::with_capacity(n.min(buf.len()));
         for _ in 0..n {
             segments.push(SegmentTrace::decode(buf, n_beams)?);
         }
@@ -329,7 +329,7 @@ impl RunTrace {
         let codebook = get_class(buf)?;
         let n_beams = Codebook::for_class(codebook).len();
         let n = wire::get_varu64(buf)? as usize;
-        let mut ues = Vec::with_capacity(n.min(1 << 16));
+        let mut ues = Vec::with_capacity(n.min(buf.len()));
         for _ in 0..n {
             ues.push(UeTrace::decode(buf, n_beams)?);
         }
@@ -382,7 +382,7 @@ impl FleetTrace {
         }
         buf = &buf[TRACE_MAGIC.len()..];
         let n = wire::get_varu64(&mut buf)? as usize;
-        let mut runs = Vec::with_capacity(n.min(64));
+        let mut runs = Vec::with_capacity(n.min(buf.len()));
         for _ in 0..n {
             runs.push(RunTrace::decode(&mut buf)?);
         }

@@ -153,15 +153,21 @@ impl UlaPattern {
         let af = (n * half).sin() / (n * half.sin());
         af * af
     }
-}
 
-impl Pattern for UlaPattern {
-    fn gain(&self, offset: Radians) -> Db {
+    /// Gain at `offset` from the steered boresight relative to the peak,
+    /// as a linear power ratio in [1e-9, 1] (−90 dB floor in the nulls).
+    pub(crate) fn relative_power(&self, offset: Radians) -> f64 {
         // `offset` is relative to the steered boresight; recover the
         // physical angle from broadside.
         let theta = (self.scan.0 + offset.wrapped().0)
             .clamp(-std::f64::consts::FRAC_PI_2, std::f64::consts::FRAC_PI_2);
-        let af = self.array_factor(theta).max(1e-9);
+        self.array_factor(theta).max(1e-9)
+    }
+}
+
+impl Pattern for UlaPattern {
+    fn gain(&self, offset: Radians) -> Db {
+        let af = self.relative_power(offset);
         // Peak array gain of an N-element ULA is N (in power).
         let peak = 10.0 * (self.elements as f64).log10();
         self.element_gain + Db(peak + 10.0 * af.log10())

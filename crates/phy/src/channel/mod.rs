@@ -5,9 +5,10 @@
 //! advanced in time with [`LinkChannel::step`] (evolving the correlated
 //! shadowing and the blockage process) and sampled with
 //! [`LinkChannel::paths`], which returns every propagation path with its
-//! total gain *excluding* antenna gains — the antenna/beam contribution is
-//! applied by [`crate::link`] because it depends on which beams the two
-//! ends currently use.
+//! total power gain *excluding* antenna gains — the antenna/beam
+//! contribution is applied by [`crate::link`] because it depends on which
+//! beams the two ends currently use. Path gains are linear power ratios:
+//! the link budget multiplies them and converts to dB once per RSS.
 
 pub mod pathloss;
 pub mod raytrace;
@@ -22,16 +23,24 @@ pub use pathloss::{CloseIn, FreeSpace, PathLossModel, UmiStreetCanyonLos, UmiStr
 pub use raytrace::{Environment, Ray, Wall};
 
 /// One resolvable propagation path at a sampling instant, with everything
-/// except antenna gains folded into `gain` (a negative dB value).
+/// except antenna gains folded into `power` (a linear ratio below 1).
 #[derive(Debug, Clone, Copy)]
 pub struct PathSample {
     /// Departure bearing at the transmitter, global frame.
     pub aod: Radians,
     /// Arrival bearing at the receiver, global frame.
     pub aoa: Radians,
-    /// Channel gain: −(path loss + excess + shadowing + blockage) + fading.
-    pub gain: Db,
+    /// Channel power gain, linear: path loss × excess × shadowing ×
+    /// blockage × fading.
+    pub power: f64,
     pub is_los: bool,
+}
+
+impl PathSample {
+    /// The channel gain in decibels (a negative value).
+    pub fn gain(&self) -> Db {
+        Db::from_linear(self.power)
+    }
 }
 
 /// The propagation paths of one link at one measurement instant, plus the
@@ -63,17 +72,18 @@ impl PathSet {
         &self.rays
     }
 
-    /// Apply an extra per-ray loss to every sample in place: `extra(ray)`
-    /// decibels are subtracted from the corresponding sample's gain. The
-    /// dynamic-environment occlusion pass uses this to fold moving-blocker
-    /// diffraction losses into an already-traced snapshot without
-    /// re-tracing, allocating, or touching the RNG stream. A ray for which
-    /// `extra` returns exactly `Db::ZERO` keeps its gain bit-identical.
+    /// Apply an extra per-ray loss to every sample in place: the
+    /// corresponding sample's power is scaled down by `extra(ray)`
+    /// decibels. The dynamic-environment occlusion pass uses this to fold
+    /// moving-blocker diffraction losses into an already-traced snapshot
+    /// without re-tracing, allocating, or touching the RNG stream. A ray
+    /// for which `extra` returns exactly `Db::ZERO` keeps its power
+    /// bit-identical.
     pub fn attenuate(&mut self, mut extra: impl FnMut(&Ray) -> Db) {
         for (ray, sample) in self.rays.iter().zip(self.samples.iter_mut()) {
             let loss = extra(ray);
             if loss != Db::ZERO {
-                sample.gain -= loss;
+                sample.power *= (-loss).linear();
             }
         }
     }
@@ -161,9 +171,12 @@ impl ChannelConfig {
 #[derive(Debug, Clone)]
 pub struct LinkChannel {
     config: ChannelConfig,
-    /// `config.carrier.fspl(1.0)`, the close-in reference loss of every ray,
-    /// evaluated once per link instead of once per ray.
-    fspl_1m: Db,
+    /// `config.carrier.fspl(1.0)` as a linear power factor: the close-in
+    /// reference loss of every ray, evaluated once per link.
+    fspl_1m_factor: f64,
+    /// `config.blockage_loss_db` as a linear power factor, applied to the
+    /// LOS ray while it is blocked.
+    blocked_factor: f64,
     shadowing: OrnsteinUhlenbeck,
     blockage: BlockageProcess,
     /// One time-correlated fading process per resolvable ray, keyed by ray
@@ -190,7 +203,8 @@ impl LinkChannel {
         };
         LinkChannel {
             config,
-            fspl_1m: config.carrier.fspl(1.0),
+            fspl_1m_factor: (-config.carrier.fspl(1.0)).linear(),
+            blocked_factor: Db(-blockage.attenuation_db).linear(),
             shadowing,
             blockage,
             fading: Vec::new(),
@@ -218,10 +232,11 @@ impl LinkChannel {
         self.config.fading_coherence_s.max(1e-6)
     }
 
-    /// The fading process of ray `idx` (class `is_los`), creating it in the
-    /// stationary distribution on first appearance. Rays are visited in
-    /// trace order, so `idx` is at most `fading.len()`. A ray whose class
-    /// flips (geometry change re-ordering the trace) gets a fresh process.
+    /// The linear fading power of ray `idx` (class `is_los`), creating its
+    /// process in the stationary distribution on first appearance. Rays
+    /// are visited in trace order, so `idx` is at most `fading.len()`. A
+    /// ray whose class flips (geometry change re-ordering the trace) gets
+    /// a fresh process.
     fn fading_for<R: Rng + ?Sized>(&mut self, rng: &mut R, idx: usize, is_los: bool) -> f64 {
         debug_assert!(idx <= self.fading.len());
         let k_db = if is_los {
@@ -236,7 +251,7 @@ impl LinkChannel {
         } else if self.fading[idx].0 != is_los {
             self.fading[idx] = (is_los, CorrelatedRician::new(rng, k_db, coherence));
         }
-        self.fading[idx].1.power_db()
+        self.fading[idx].1.power()
     }
 
     /// Whether the LOS ray is currently blocked by a pedestrian.
@@ -253,6 +268,11 @@ impl LinkChannel {
     /// swapping call sites between the two (or snapshotting once instead
     /// of sampling per beam within one instant) never perturbs the
     /// stream — the determinism contracts depend on this.
+    ///
+    /// Each path's power is a product of linear factors: FSPL(1 m) per
+    /// link, `d^−n` (`1/d²` at n = 2, one `powf` otherwise), the ray's
+    /// excess factor, one `exp` per trace for the shadowing, the cached
+    /// blockage factor on a blocked LOS ray, and the fading's I² + Q².
     pub fn trace_into<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
@@ -264,25 +284,30 @@ impl LinkChannel {
         let PathSet { rays, samples } = set;
         env.trace_into(tx, rx, rays);
         samples.clear();
-        let shadow = Db(self.shadowing.value());
+        let common = self.fspl_1m_factor * Db(-self.shadowing.value()).linear();
         for (idx, ray) in rays.iter().enumerate() {
             let exponent = if ray.is_los {
                 self.config.los_exponent
             } else {
                 self.config.nlos_exponent
             };
-            let pl = CloseIn::loss_from_reference(self.fspl_1m, exponent, ray.length_m);
-            let mut gain = -(pl + ray.excess_loss) - shadow;
-            if ray.is_los {
-                gain -= Db(self.blockage.loss_db());
+            let d = ray.length_m.max(1.0);
+            let spread = if exponent == 2.0 {
+                1.0 / (d * d)
+            } else {
+                d.powf(-exponent)
+            };
+            let mut power = common * spread * ray.excess;
+            if ray.is_los && self.blockage.is_blocked() {
+                power *= self.blocked_factor;
             }
             if self.config.fading_enabled {
-                gain += Db(self.fading_for(rng, idx, ray.is_los));
+                power *= self.fading_for(rng, idx, ray.is_los);
             }
             samples.push(PathSample {
                 aod: ray.aod,
                 aoa: ray.aoa,
-                gain,
+                power,
                 is_los: ray.is_los,
             });
         }
@@ -347,7 +372,7 @@ mod tests {
                 reference.trace_into(&mut rng_ref, &env, tx, rx, &mut b);
                 prop_assert_eq!(a.len(), walls + 1);
                 for (x, y) in a.samples().iter().zip(b.samples()) {
-                    prop_assert_eq!(x.gain.0.to_bits(), y.gain.0.to_bits());
+                    prop_assert_eq!(x.power.to_bits(), y.power.to_bits());
                 }
                 for _ in 0..repeats {
                     shared.step(&mut rng, dt);
@@ -366,10 +391,14 @@ mod tests {
         let paths = ch.paths(&mut rng, &env, Vec2::ZERO, Vec2::new(10.0, 0.0));
         assert_eq!(paths.len(), 1);
         // -88 dB at 10 m (close-in n=2).
-        assert!((paths[0].gain.0 + 88.0).abs() < 0.3, "{:?}", paths[0].gain);
+        assert!(
+            (paths[0].gain().0 + 88.0).abs() < 0.3,
+            "{:?}",
+            paths[0].gain()
+        );
         // Repeatable: same answer twice.
         let again = ch.paths(&mut rng, &env, Vec2::ZERO, Vec2::new(10.0, 0.0));
-        assert_eq!(paths[0].gain, again[0].gain);
+        assert_eq!(paths[0].power, again[0].power);
     }
 
     #[test]
@@ -380,7 +409,7 @@ mod tests {
         let paths = ch.paths(&mut rng, &env, Vec2::new(-10.0, 0.0), Vec2::new(10.0, 0.0));
         let los = paths.iter().find(|p| p.is_los).unwrap();
         for p in paths.iter().filter(|p| !p.is_los) {
-            assert!(p.gain.0 < los.gain.0 - 5.0);
+            assert!(p.gain().0 < los.gain().0 - 5.0);
         }
     }
 
@@ -405,11 +434,11 @@ mod tests {
         }
         assert!(ch.los_blocked());
         let after = ch.paths(&mut rng, &env, tx, rx);
-        let los_drop = before.iter().find(|p| p.is_los).unwrap().gain
-            - after.iter().find(|p| p.is_los).unwrap().gain;
+        let los_drop = before.iter().find(|p| p.is_los).unwrap().gain()
+            - after.iter().find(|p| p.is_los).unwrap().gain();
         assert!((los_drop.0 - 25.0).abs() < 1e-9, "{los_drop}");
-        let nlos_before = before.iter().find(|p| !p.is_los).unwrap().gain;
-        let nlos_after = after.iter().find(|p| !p.is_los).unwrap().gain;
+        let nlos_before = before.iter().find(|p| !p.is_los).unwrap().power;
+        let nlos_after = after.iter().find(|p| !p.is_los).unwrap().power;
         assert_eq!(nlos_before, nlos_after);
     }
 
@@ -425,8 +454,8 @@ mod tests {
         let a = ch.paths(&mut rng, &env, tx, rx);
         ch.step(&mut rng, 10.0); // long step decorrelates shadowing
         let b = ch.paths(&mut rng, &env, tx, rx);
-        let delta_los = (a[0].gain - b[0].gain).0;
-        let delta_r1 = (a[1].gain - b[1].gain).0;
+        let delta_los = (a[0].gain() - b[0].gain()).0;
+        let delta_r1 = (a[1].gain() - b[1].gain()).0;
         // Same shadowing shift applies to each ray.
         assert!((delta_los - delta_r1).abs() < 1e-9);
     }
@@ -442,7 +471,7 @@ mod tests {
         let env = Environment::open();
         let a = ch.paths(&mut rng, &env, Vec2::ZERO, Vec2::new(10.0, 0.0));
         let b = ch.paths(&mut rng, &env, Vec2::ZERO, Vec2::new(10.0, 0.0));
-        assert_eq!(a[0].gain, b[0].gain);
+        assert_eq!(a[0].power, b[0].power);
     }
 
     #[test]
@@ -464,7 +493,7 @@ mod tests {
             let alloc = ch2.paths(&mut rng2, &env, tx, rx);
             assert_eq!(set.len(), alloc.len());
             for (a, b) in set.samples().iter().zip(alloc.iter()) {
-                assert_eq!(a.gain, b.gain);
+                assert_eq!(a.power, b.power);
                 assert_eq!(a.aod, b.aod);
                 assert_eq!(a.is_los, b.is_los);
             }
@@ -489,13 +518,13 @@ mod tests {
         // A tiny step moves the fade only slightly...
         ch.step(&mut rng, 1e-5);
         let b = ch.paths(&mut rng, &env, Vec2::ZERO, Vec2::new(10.0, 0.0));
-        assert!((a[0].gain - b[0].gain).0.abs() < 1.0);
+        assert!((a[0].gain() - b[0].gain()).0.abs() < 1.0);
         // ...while many coherence times later the fade is fresh.
         let mut max_delta = 0.0f64;
         for _ in 0..100 {
             ch.step(&mut rng, 0.05);
             let c = ch.paths(&mut rng, &env, Vec2::ZERO, Vec2::new(10.0, 0.0));
-            max_delta = max_delta.max((a[0].gain - c[0].gain).0.abs());
+            max_delta = max_delta.max((a[0].gain() - c[0].gain()).0.abs());
         }
         assert!(max_delta > 1.0, "fade never moved: {max_delta}");
     }

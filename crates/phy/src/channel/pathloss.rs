@@ -44,18 +44,12 @@ impl CloseIn {
             exponent: 3.3,
         }
     }
-
-    /// [`loss`](PathLossModel::loss) with the reference `FSPL(1 m)`
-    /// already evaluated, for callers that reuse one carrier per ray.
-    pub(crate) fn loss_from_reference(fspl_1m: Db, exponent: f64, distance_m: f64) -> Db {
-        let d = distance_m.max(1.0);
-        fspl_1m + Db(10.0 * exponent * d.log10())
-    }
 }
 
 impl PathLossModel for CloseIn {
     fn loss(&self, distance_m: f64) -> Db {
-        CloseIn::loss_from_reference(self.carrier.fspl(1.0), self.exponent, distance_m)
+        let d = distance_m.max(1.0);
+        self.carrier.fspl(1.0) + Db(10.0 * self.exponent * d.log10())
     }
 }
 

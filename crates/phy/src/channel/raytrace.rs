@@ -7,6 +7,12 @@
 //! rays — direct plus one bounce off each wall — with per-ray length,
 //! angle of departure (AoD), angle of arrival (AoA), and excess loss
 //! (reflection loss, and obstruction loss if another wall cuts the ray).
+//!
+//! Each ray costs one `atan2` and one `sqrt`. The image `tx'` of the
+//! transmitter in a wall of bearing φ unfolds a reflection into the
+//! straight segment `tx' → rx` of bearing α: the ray arrives from α + π
+//! and, mirrored back across the wall, departs along 2φ − α. The direct
+//! ray arrives from its departure bearing + π.
 
 use crate::geometry::{Radians, Segment, Vec2};
 use crate::units::Db;
@@ -22,9 +28,10 @@ pub struct Ray {
     /// energy *comes from*, i.e. pointing from rx towards the last
     /// interaction point (or the tx for the LOS ray).
     pub aoa: Radians,
-    /// Excess loss beyond distance-dependent path loss (reflection and
-    /// penetration losses).
-    pub excess_loss: Db,
+    /// Linear power factor of the excess loss beyond distance-dependent
+    /// path loss (reflection and penetration losses): 1 for an
+    /// unobstructed direct ray, smaller otherwise.
+    pub excess: f64,
     /// Whether this is the direct (line-of-sight) ray.
     pub is_los: bool,
     /// The interaction point for a reflected ray (where the ray bounces
@@ -33,40 +40,59 @@ pub struct Ray {
     pub via: Option<Vec2>,
 }
 
-/// A wall: a segment plus its electromagnetic properties.
+/// A wall: a segment plus its electromagnetic properties. The tracer's
+/// per-wall constants (twice the bearing, the linear loss factors) are
+/// evaluated once here, so the fields are read through accessors.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Wall {
-    pub segment: Segment,
-    /// Loss applied to a ray specularly reflected off this wall.
-    pub reflection_loss: Db,
-    /// Loss applied to a ray penetrating this wall. 60 GHz penetration
-    /// losses are large (concrete ≈ 30+ dB, drywall ≈ 6 dB).
-    pub penetration_loss: Db,
+    segment: Segment,
+    reflection_loss: Db,
+    penetration_loss: Db,
+    /// 2φ for the segment's bearing φ, wrapped into (−π, π].
+    twice_bearing: Radians,
+    /// `reflection_loss` as a linear power factor.
+    reflection_factor: f64,
+    /// `penetration_loss` as a linear power factor.
+    penetration_factor: f64,
 }
 
 impl Wall {
-    pub fn concrete(a: Vec2, b: Vec2) -> Wall {
+    pub fn new(a: Vec2, b: Vec2, reflection_loss: Db, penetration_loss: Db) -> Wall {
         Wall {
             segment: Segment::new(a, b),
-            reflection_loss: Db(6.0),
-            penetration_loss: Db(30.0),
+            reflection_loss,
+            penetration_loss,
+            twice_bearing: ((b - a).angle() * 2.0).wrapped(),
+            reflection_factor: (-reflection_loss).linear(),
+            penetration_factor: (-penetration_loss).linear(),
         }
+    }
+
+    pub fn concrete(a: Vec2, b: Vec2) -> Wall {
+        Wall::new(a, b, Db(6.0), Db(30.0))
     }
 
     pub fn drywall(a: Vec2, b: Vec2) -> Wall {
-        Wall {
-            segment: Segment::new(a, b),
-            reflection_loss: Db(10.0),
-            penetration_loss: Db(6.0),
-        }
+        Wall::new(a, b, Db(10.0), Db(6.0))
     }
 
     pub fn glass(a: Vec2, b: Vec2) -> Wall {
-        Wall {
-            segment: Segment::new(a, b),
-            reflection_loss: Db(8.0),
-            penetration_loss: Db(8.0),
-        }
+        Wall::new(a, b, Db(8.0), Db(8.0))
+    }
+
+    pub fn segment(&self) -> Segment {
+        self.segment
+    }
+
+    /// Loss applied to a ray specularly reflected off this wall.
+    pub fn reflection_loss(&self) -> Db {
+        self.reflection_loss
+    }
+
+    /// Loss applied to a ray penetrating this wall. 60 GHz penetration
+    /// losses are large (concrete ≈ 30+ dB, drywall ≈ 6 dB).
+    pub fn penetration_loss(&self) -> Db {
+        self.penetration_loss
     }
 }
 
@@ -101,19 +127,16 @@ impl Environment {
         }
     }
 
-    /// Penetration loss accumulated by the straight segment p→q crossing
-    /// walls (excluding walls listed in `skip`, identified by index).
-    fn penetration_between(&self, p: Vec2, q: Vec2, skip: &[usize]) -> Db {
-        let mut loss = Db::ZERO;
+    /// Linear penetration factor of the straight segment p→q crossing
+    /// walls (excluding wall `skip`, identified by index).
+    fn penetration_between(&self, p: Vec2, q: Vec2, skip: Option<usize>) -> f64 {
+        let mut factor = 1.0;
         for (i, w) in self.walls.iter().enumerate() {
-            if skip.contains(&i) {
-                continue;
-            }
-            if w.segment.intersect(p, q).is_some() {
-                loss += w.penetration_loss;
+            if Some(i) != skip && w.segment.intersect(p, q).is_some() {
+                factor *= w.penetration_factor;
             }
         }
-        loss
+        factor
     }
 
     /// Trace all first-order rays from `tx` to `rx`.
@@ -135,12 +158,13 @@ impl Environment {
         rays.clear();
 
         // Direct ray.
-        let los_loss = self.penetration_between(tx, rx, &[]);
+        let direct = rx - tx;
+        let aod = direct.angle();
         rays.push(Ray {
-            length_m: tx.distance(rx),
-            aod: (rx - tx).angle(),
-            aoa: (tx - rx).angle(),
-            excess_loss: los_loss,
+            length_m: direct.norm_sq().sqrt(),
+            aod,
+            aoa: (aod + Radians::PI).wrapped(),
+            excess: self.penetration_between(tx, rx, None),
             is_los: true,
             via: None,
         });
@@ -152,22 +176,22 @@ impl Environment {
             let Some((_, refl_point)) = wall.segment.intersect(image, rx) else {
                 continue;
             };
-            // Degenerate: tx or rx on the wall itself.
-            let leg1 = tx.distance(refl_point);
-            let leg2 = refl_point.distance(rx);
-            if leg1 < 1e-6 || leg2 < 1e-6 {
+            // Degenerate: tx or rx on the wall itself (a leg under 1 µm).
+            if (refl_point - tx).norm_sq() < 1e-12 || (rx - refl_point).norm_sq() < 1e-12 {
                 continue;
             }
             // Obstruction by *other* walls on both legs, plus this wall's
             // reflection loss.
-            let mut excess = wall.reflection_loss;
-            excess += self.penetration_between(tx, refl_point, &[i]);
-            excess += self.penetration_between(refl_point, rx, &[i]);
+            let excess = wall.reflection_factor
+                * self.penetration_between(tx, refl_point, Some(i))
+                * self.penetration_between(refl_point, rx, Some(i));
+            let unfolded = rx - image;
+            let alpha = unfolded.angle();
             rays.push(Ray {
-                length_m: leg1 + leg2,
-                aod: (refl_point - tx).angle(),
-                aoa: (refl_point - rx).angle(),
-                excess_loss: excess,
+                length_m: unfolded.norm_sq().sqrt(),
+                aod: (wall.twice_bearing - alpha).wrapped(),
+                aoa: (alpha + Radians::PI).wrapped(),
+                excess,
                 is_los: false,
                 via: Some(refl_point),
             });
@@ -193,7 +217,7 @@ mod tests {
         assert!(close(r.length_m, 10.0, 1e-12));
         assert!(close(r.aod.degrees().0, 0.0, 1e-9));
         assert!(close(r.aoa.degrees().0, 180.0, 1e-9));
-        assert_eq!(r.excess_loss, Db::ZERO);
+        assert_eq!(r.excess, 1.0);
     }
 
     #[test]
@@ -207,7 +231,7 @@ mod tests {
         for r in refl {
             // Reflected path: two legs of sqrt(10² + 10²).
             assert!(close(r.length_m, 2.0 * (200.0f64).sqrt(), 1e-9));
-            assert_eq!(r.excess_loss, Db(6.0));
+            assert_eq!(r.excess, Db(-6.0).linear());
             // Departure angle ±45°.
             assert!(close(r.aod.degrees().0.abs(), 45.0, 1e-9));
             assert!(close(r.aoa.degrees().0.abs(), 135.0, 1e-9));
@@ -233,7 +257,7 @@ mod tests {
         let env = Environment { walls: vec![wall] };
         let rays = env.trace(Vec2::new(-3.0, 0.0), Vec2::new(3.0, 0.0));
         let los = rays.iter().find(|r| r.is_los).unwrap();
-        assert_eq!(los.excess_loss, Db(30.0));
+        assert_eq!(los.excess, Db(-30.0).linear());
     }
 
     #[test]
@@ -251,8 +275,8 @@ mod tests {
         let c = Wall::concrete(Vec2::ZERO, Vec2::new(1.0, 0.0));
         let d = Wall::drywall(Vec2::ZERO, Vec2::new(1.0, 0.0));
         let g = Wall::glass(Vec2::ZERO, Vec2::new(1.0, 0.0));
-        assert!(c.penetration_loss.0 > g.penetration_loss.0);
-        assert!(g.penetration_loss.0 >= d.penetration_loss.0);
-        assert!(c.reflection_loss.0 < d.reflection_loss.0);
+        assert!(c.penetration_loss().0 > g.penetration_loss().0);
+        assert!(g.penetration_loss().0 >= d.penetration_loss().0);
+        assert!(c.reflection_loss().0 < d.reflection_loss().0);
     }
 }

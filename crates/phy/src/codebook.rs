@@ -24,13 +24,18 @@ impl std::fmt::Display for BeamId {
 }
 
 /// One entry of a codebook: a boresight direction (in the device-local
-/// frame) plus the pattern shape.
+/// frame) plus the pattern shape, with the pattern's linear peak and
+/// side-lobe floor evaluated once for the link budget's sweeps.
 #[derive(Debug, Clone)]
 pub struct Beam {
     pub id: BeamId,
     /// Boresight in the device-local frame.
     pub boresight: Radians,
     pattern: PatternKind,
+    /// Peak gain as a linear power ratio.
+    peak_linear: f64,
+    /// A sectored beam's side-lobe floor as a linear power ratio.
+    floor_linear: f64,
 }
 
 #[derive(Debug, Clone)]
@@ -40,6 +45,41 @@ enum PatternKind {
 }
 
 impl Beam {
+    fn new(id: BeamId, boresight: Radians, pattern: PatternKind) -> Beam {
+        let (peak, floor) = match &pattern {
+            PatternKind::Sectored(p) => (p.peak, p.peak - p.sidelobe_level),
+            PatternKind::Ula(p) => (p.peak_gain(), p.peak_gain()),
+        };
+        Beam {
+            id,
+            boresight,
+            pattern,
+            peak_linear: peak.linear(),
+            floor_linear: floor.linear(),
+        }
+    }
+
+    /// [`gain_towards`](Beam::gain_towards) as a linear power ratio,
+    /// equal to it in exact arithmetic: the cached peak times a main-lobe
+    /// `exp` for a sectored beam (the cached floor past the side-lobe
+    /// level, the peak for an omni beam), the peak times the normalized
+    /// array factor for a ULA beam.
+    pub fn linear_gain_towards(&self, aoa: Radians) -> f64 {
+        let offset = (aoa - self.boresight).wrapped();
+        match &self.pattern {
+            PatternKind::Sectored(p) if p.is_omni() => self.peak_linear,
+            PatternKind::Sectored(p) => {
+                let rolloff = 12.0 * (offset.0.abs() / p.beamwidth.0).powi(2);
+                if rolloff >= p.sidelobe_level.0 {
+                    self.floor_linear
+                } else {
+                    self.peak_linear * Db(-rolloff).linear()
+                }
+            }
+            PatternKind::Ula(p) => self.peak_linear * p.relative_power(offset),
+        }
+    }
+
     /// Gain towards a signal arriving at local angle `aoa`.
     pub fn gain_towards(&self, aoa: Radians) -> Db {
         let offset = (aoa - self.boresight).wrapped();
@@ -171,10 +211,12 @@ impl Codebook {
         let bw = Degrees(360.0 / n as f64);
         let pattern = SectoredPattern::from_beamwidth(bw, elevation_bw);
         let beams = (0..n)
-            .map(|i| Beam {
-                id: BeamId(i as u16),
-                boresight: Radians::from_degrees(-180.0 + (i as f64 + 0.5) * bw.0),
-                pattern: PatternKind::Sectored(pattern),
+            .map(|i| {
+                Beam::new(
+                    BeamId(i as u16),
+                    Radians::from_degrees(-180.0 + (i as f64 + 0.5) * bw.0),
+                    PatternKind::Sectored(pattern),
+                )
             })
             .collect();
         Codebook { beams }
@@ -192,11 +234,11 @@ impl Codebook {
     /// Single quasi-omni beam.
     pub fn omni(gain: Db) -> Codebook {
         Codebook {
-            beams: vec![Beam {
-                id: BeamId::OMNI,
-                boresight: Radians(0.0),
-                pattern: PatternKind::Sectored(SectoredPattern::omni(gain)),
-            }],
+            beams: vec![Beam::new(
+                BeamId::OMNI,
+                Radians(0.0),
+                PatternKind::Sectored(SectoredPattern::omni(gain)),
+            )],
         }
     }
 
@@ -213,11 +255,11 @@ impl Codebook {
                     -1.0 + 2.0 * i as f64 / (n_beams - 1) as f64
                 };
                 let scan = Radians((frac * scan_limit.0.sin()).asin());
-                Beam {
-                    id: BeamId(i as u16),
-                    boresight: scan,
-                    pattern: PatternKind::Ula(UlaPattern::steered(elements, scan)),
-                }
+                Beam::new(
+                    BeamId(i as u16),
+                    scan,
+                    PatternKind::Ula(UlaPattern::steered(elements, scan)),
+                )
             })
             .collect();
         Codebook { beams }
@@ -256,10 +298,8 @@ impl Codebook {
         let beams = entries
             .into_iter()
             .enumerate()
-            .map(|(i, (_, pattern, boresight))| Beam {
-                id: BeamId(i as u16),
-                boresight,
-                pattern: PatternKind::Ula(pattern),
+            .map(|(i, (_, pattern, boresight))| {
+                Beam::new(BeamId(i as u16), boresight, PatternKind::Ula(pattern))
             })
             .collect();
         Codebook { beams }

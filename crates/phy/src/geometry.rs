@@ -245,12 +245,19 @@ impl Segment {
         }
     }
 
-    /// Mirror a point across the (infinite) line through this segment.
+    /// Mirror a point across the (infinite) line through this segment:
+    /// the projection r·(ap·r)/(r·r) needs no square root. A segment
+    /// shorter than 1e-12 m has no line, so the point is mirrored
+    /// through `a`.
     pub fn mirror(self, p: Vec2) -> Vec2 {
-        let d = (self.b - self.a).normalized();
+        let r = self.b - self.a;
         let ap = p - self.a;
-        let proj = d * ap.dot(d);
-        let perp = ap - proj;
+        let rr = r.norm_sq();
+        let perp = if rr < 1e-24 {
+            ap
+        } else {
+            ap - r * (ap.dot(r) / rr)
+        };
         p - perp * 2.0
     }
 }

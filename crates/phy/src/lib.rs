@@ -10,7 +10,7 @@
 //!
 //! Layering (bottom up):
 //!
-//! * [`units`] — dB / dBm / mW / carrier arithmetic.
+//! * [`units`] — dB / dBm / linear / carrier arithmetic.
 //! * [`geometry`] — planar points, angles, poses, wall segments.
 //! * [`stochastic`] — Gaussian/exponential sampling, Ornstein–Uhlenbeck
 //!   shadowing, Rician fading, blockage processes.
@@ -34,4 +34,4 @@ pub use channel::{ChannelConfig, Environment, LinkChannel, PathSample, Wall};
 pub use codebook::{Beam, BeamId, BeamwidthClass, Codebook};
 pub use geometry::{Degrees, Pose, Radians, Vec2};
 pub use link::{acquirable, detectable, packet_success_probability, rss, snr, RadioConfig};
-pub use units::{power_sum_dbm, Carrier, Db, Dbm, MilliWatts};
+pub use units::{Carrier, Db, Dbm};

@@ -8,7 +8,7 @@
 use crate::channel::PathSample;
 use crate::codebook::{BeamId, Codebook};
 use crate::geometry::Pose;
-use crate::units::{power_sum_dbm, Db, Dbm, MilliWatts};
+use crate::units::{Db, Dbm};
 
 /// Static radio-front-end parameters of one node.
 #[derive(Debug, Clone, Copy)]
@@ -107,7 +107,9 @@ impl RadioCal {
 ///
 /// Paths combine incoherently (power sum): at 2 GHz bandwidth the rays are
 /// resolvable and a real receiver locks its measurement window onto total
-/// received sync energy. Returns `None` when there are no paths at all.
+/// received sync energy. Each ray contributes `g_tx · (power · g_rx)` in
+/// linear terms, and the sum becomes dBm once, as `tx_power + 10·log10(Σ)`.
+/// Returns `None` when there are no paths at all.
 #[allow(clippy::too_many_arguments)]
 pub fn rss(
     tx_power: Dbm,
@@ -119,13 +121,17 @@ pub fn rss(
     rx_beam: BeamId,
     paths: &[PathSample],
 ) -> Option<Dbm> {
-    power_sum_dbm(paths.iter().map(|p| {
+    if paths.is_empty() {
+        return None;
+    }
+    let (tx, rx) = (tx_codebook.beam(tx_beam), rx_codebook.beam(rx_beam));
+    let mut sum = 0.0;
+    for p in paths {
         let tx_local = (p.aod - tx_pose.heading).wrapped();
         let rx_local = (p.aoa - rx_pose.heading).wrapped();
-        let g_tx = tx_codebook.gain(tx_beam, tx_local);
-        let g_rx = rx_codebook.gain(rx_beam, rx_local);
-        tx_power + g_tx + p.gain + g_rx
-    }))
+        sum += tx.linear_gain_towards(tx_local) * (p.power * rx.linear_gain_towards(rx_local));
+    }
+    Some(level(tx_power, sum))
 }
 
 /// Evaluate the RSS of *every* transmit beam of `tx_codebook` over the
@@ -136,8 +142,8 @@ pub fn rss(
 /// long. Returns `false` (leaving `out` untouched) when `paths` is empty.
 ///
 /// Each `out[b]` is bit-identical to the corresponding [`rss`] call: the
-/// per-ray dB sums associate in the same order and the linear powers
-/// accumulate in the same ray order.
+/// per-ray products associate the same way and accumulate in the same ray
+/// order.
 #[allow(clippy::too_many_arguments)]
 pub fn rss_sweep_tx(
     tx_power: Dbm,
@@ -153,23 +159,21 @@ pub fn rss_sweep_tx(
     if paths.is_empty() {
         return false;
     }
-    // Accumulate linear milliwatts in place, convert to dBm at the end.
+    // Accumulate linear power ratios in place, convert to dBm at the end.
     for o in out.iter_mut() {
         o.0 = 0.0;
     }
+    let rx = rx_codebook.beam(rx_beam);
     for p in paths {
         let tx_local = (p.aod - tx_pose.heading).wrapped();
         let rx_local = (p.aoa - rx_pose.heading).wrapped();
-        let g_rx = rx_codebook.gain(rx_beam, rx_local);
-        add_ray_milliwatts(
-            out,
-            tx_codebook
-                .beams()
-                .map(|beam| tx_power + beam.gain_towards(tx_local) + p.gain + g_rx),
-        );
+        let received = p.power * rx.linear_gain_towards(rx_local);
+        for (o, beam) in out.iter_mut().zip(tx_codebook.beams()) {
+            o.0 += beam.linear_gain_towards(tx_local) * received;
+        }
     }
     for o in out.iter_mut() {
-        *o = MilliWatts(o.0).dbm();
+        *o = level(tx_power, o.0);
     }
     true
 }
@@ -194,43 +198,24 @@ pub fn rss_sweep_rx(
     for o in out.iter_mut() {
         o.0 = 0.0;
     }
+    let tx = tx_codebook.beam(tx_beam);
     for p in paths {
         let tx_local = (p.aod - tx_pose.heading).wrapped();
         let rx_local = (p.aoa - rx_pose.heading).wrapped();
-        let g_tx = tx_codebook.gain(tx_beam, tx_local);
-        add_ray_milliwatts(
-            out,
-            rx_codebook
-                .beams()
-                .map(|beam| tx_power + g_tx + p.gain + beam.gain_towards(rx_local)),
-        );
+        let g_tx = tx.linear_gain_towards(tx_local);
+        for (o, beam) in out.iter_mut().zip(rx_codebook.beams()) {
+            o.0 += g_tx * (p.power * beam.linear_gain_towards(rx_local));
+        }
     }
     for o in out.iter_mut() {
-        *o = MilliWatts(o.0).dbm();
+        *o = level(tx_power, o.0);
     }
     true
 }
 
-/// Add one ray's power under every beam of a sweep to the linear
-/// accumulators: `out[b].0 += levels[b]` in milliwatts. Beams on the
-/// side-lobe floor see bitwise-equal levels, so the conversion of the
-/// lowest level seen so far is kept and reused for a later beam with the
-/// same bits: the same milliwatts, one `powf` fewer.
-fn add_ray_milliwatts(out: &mut [Dbm], levels: impl Iterator<Item = Dbm>) {
-    let mut lowest: Option<(Dbm, f64)> = None;
-    for (o, level) in out.iter_mut().zip(levels) {
-        let mw = match lowest {
-            Some((low, mw)) if low.0.to_bits() == level.0.to_bits() => mw,
-            _ => {
-                let mw = level.milliwatts().0;
-                if lowest.is_none_or(|(low, _)| level.0 < low.0) {
-                    lowest = Some((level, mw));
-                }
-                mw
-            }
-        };
-        o.0 += mw;
-    }
+/// The received level of `tx_power` scaled by the linear ratio `sum`.
+fn level(tx_power: Dbm, sum: f64) -> Dbm {
+    tx_power + Db::from_linear(sum)
 }
 
 /// Signal-to-noise ratio for an RSS at a given receiver.

@@ -196,13 +196,13 @@ impl CorrelatedRician {
         self.q.step_decayed(rng, decay);
     }
 
-    /// Current fading power gain in dB around a 0 dB mean. Pure read —
-    /// repeated calls between steps return the identical value.
-    pub fn power_db(&self) -> f64 {
+    /// Current linear fading power gain around a unit mean (floored at
+    /// 1e-12, −120 dB). Pure read — repeated calls between steps return
+    /// the identical value.
+    pub fn power(&self) -> f64 {
         let i = self.spec + self.i.value();
         let q = self.q.value();
-        let p = i * i + q * q;
-        10.0 * p.max(1e-12).log10()
+        (i * i + q * q).max(1e-12)
     }
 }
 
@@ -491,22 +491,23 @@ mod tests {
     fn correlated_rician_is_constant_between_steps() {
         let mut rng = StdRng::seed_from_u64(11);
         let f = CorrelatedRician::new(&mut rng, 10.0, 0.002);
-        assert_eq!(f.power_db(), f.power_db());
+        assert_eq!(f.power(), f.power());
     }
 
     #[test]
     fn correlated_rician_decorrelates_over_coherence_time() {
         let mut rng = StdRng::seed_from_u64(12);
         let mut f = CorrelatedRician::new(&mut rng, 3.0, 0.002);
+        let power_db = |f: &CorrelatedRician| 10.0 * f.power().log10();
         // Tiny step: fade barely moves.
-        let v0 = f.power_db();
+        let v0 = power_db(&f);
         f.step(&mut rng, 1e-5);
-        assert!((f.power_db() - v0).abs() < 1.0, "{} vs {v0}", f.power_db());
+        assert!((power_db(&f) - v0).abs() < 1.0, "{} vs {v0}", power_db(&f));
         // Many coherence times: the fade takes a fresh value.
         let mut max_delta = 0.0f64;
         for _ in 0..100 {
             f.step(&mut rng, 0.05);
-            max_delta = max_delta.max((f.power_db() - v0).abs());
+            max_delta = max_delta.max((power_db(&f) - v0).abs());
         }
         assert!(max_delta > 1.0, "fade never moved: {max_delta}");
     }
@@ -521,7 +522,7 @@ mod tests {
             for _ in 0..n {
                 // Steps ≫ coherence time: effectively i.i.d. samples.
                 f.step(&mut rng, 0.1);
-                acc += 10f64.powf(f.power_db() / 10.0);
+                acc += f.power();
             }
             let mean_lin = acc / n as f64;
             assert!((mean_lin - 1.0).abs() < 0.05, "k={k_db} mean={mean_lin}");

@@ -1,10 +1,13 @@
 //! Strongly-typed RF units and conversions.
 //!
-//! The whole stack works in decibel space wherever possible: link budgets
-//! add gains and subtract losses, and the Silent Tracker protocol itself is
-//! defined over RSS *differences* in dB (3 dB beam-switch threshold, 10 dB
-//! loss threshold). Newtypes keep dB and linear quantities from mixing.
+//! Model parameters are quoted in decibels (losses, gains, thresholds),
+//! and the Silent Tracker protocol itself is defined over RSS
+//! *differences* in dB (3 dB beam-switch threshold, 10 dB loss
+//! threshold). The per-sample phy kernel multiplies linear power ratios
+//! and converts to dBm once per RSS output. Newtypes keep dB and linear
+//! quantities from mixing.
 
+use std::f64::consts::LN_10;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
@@ -16,10 +19,6 @@ pub struct Db(pub f64);
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Dbm(pub f64);
 
-/// An absolute power in linear milliwatts.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
-pub struct MilliWatts(pub f64);
-
 impl Db {
     pub const ZERO: Db = Db(0.0);
 
@@ -29,9 +28,10 @@ impl Db {
         Db(10.0 * ratio.log10())
     }
 
-    /// The linear power ratio corresponding to this many decibels.
+    /// The linear power ratio corresponding to this many decibels, as
+    /// one `exp`.
     pub fn linear(self) -> f64 {
-        10f64.powf(self.0 / 10.0)
+        (self.0 * (LN_10 / 10.0)).exp()
     }
 
     pub fn abs(self) -> Db {
@@ -51,13 +51,13 @@ impl Dbm {
     /// Thermal noise power spectral density at T = 290 K, in dBm/Hz.
     pub const THERMAL_NOISE_DENSITY: f64 = -173.975;
 
-    pub fn from_milliwatts(mw: MilliWatts) -> Dbm {
-        debug_assert!(mw.0 > 0.0, "dBm of non-positive power");
-        Dbm(10.0 * mw.0.log10())
+    pub fn from_milliwatts(mw: f64) -> Dbm {
+        debug_assert!(mw > 0.0, "dBm of non-positive power");
+        Dbm(10.0 * mw.log10())
     }
 
-    pub fn milliwatts(self) -> MilliWatts {
-        MilliWatts(10f64.powf(self.0 / 10.0))
+    pub fn milliwatts(self) -> f64 {
+        Db(self.0).linear()
     }
 
     /// Thermal noise floor for a receiver of bandwidth `bw_hz` and noise
@@ -73,25 +73,6 @@ impl Dbm {
     pub fn min(self, other: Dbm) -> Dbm {
         Dbm(self.0.min(other.0))
     }
-}
-
-impl MilliWatts {
-    pub fn dbm(self) -> Dbm {
-        Dbm::from_milliwatts(self)
-    }
-}
-
-/// Sum incoherently-combined powers given in dBm (adds in linear space).
-///
-/// Returns `None` for an empty iterator — there is no "zero power" in dBm.
-pub fn power_sum_dbm<I: IntoIterator<Item = Dbm>>(powers: I) -> Option<Dbm> {
-    let mut acc = 0.0f64;
-    let mut any = false;
-    for p in powers {
-        acc += p.milliwatts().0;
-        any = true;
-    }
-    any.then(|| MilliWatts(acc).dbm())
 }
 
 impl Add for Db {
@@ -187,12 +168,6 @@ impl fmt::Display for Dbm {
     }
 }
 
-impl fmt::Display for MilliWatts {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.4} mW", self.0)
-    }
-}
-
 /// Carrier frequency description with derived quantities.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Carrier {
@@ -249,9 +224,9 @@ mod tests {
     #[test]
     fn dbm_milliwatt_round_trip() {
         let p = Dbm(-74.0);
-        assert!(close(p.milliwatts().dbm().0, -74.0, 1e-9));
-        assert!(close(Dbm(0.0).milliwatts().0, 1.0, 1e-12));
-        assert!(close(Dbm(30.0).milliwatts().0, 1000.0, 1e-9));
+        assert!(close(Dbm::from_milliwatts(p.milliwatts()).0, -74.0, 1e-9));
+        assert!(close(Dbm(0.0).milliwatts(), 1.0, 1e-12));
+        assert!(close(Dbm(30.0).milliwatts(), 1000.0, 1e-9));
     }
 
     #[test]
@@ -266,17 +241,6 @@ mod tests {
         // The NI 60 GHz testbed digitizes ~2 GHz. -174 + 93 + 7 ≈ -74 dBm.
         let nf = Dbm::noise_floor(2.0e9, Db(7.0));
         assert!(close(nf.0, -73.96, 0.05), "{nf}");
-    }
-
-    #[test]
-    fn power_sum_of_equal_powers_adds_3db() {
-        let s = power_sum_dbm([Dbm(-70.0), Dbm(-70.0)]).unwrap();
-        assert!(close(s.0, -66.99, 0.02));
-    }
-
-    #[test]
-    fn power_sum_empty_is_none() {
-        assert!(power_sum_dbm(std::iter::empty()).is_none());
     }
 
     #[test]

@@ -1,12 +1,22 @@
-//! Pins the fleet end to end: one digest over the aggregate summary, the
-//! causes JSON and the recorded protocol trace of two deployments run at
+//! Pins the fleet end to end, in two parts per deployment, each run at
 //! one worker. The other fleet tests compare worker and shard counts with
 //! each other, so a change that moved one fade in every run would still
-//! pass them; this one fails. The summary and causes alone are too coarse
-//! for that (a 0.1% change of the fading coherence time leaves both
-//! unchanged on these runs), so the digest also covers the trace, which
-//! holds the bits of every RSS sample the protocol consumed. Recording is
-//! an observer: the summary is the same with it on or off.
+//! pass them; these fail.
+//!
+//! * The summary + causes pin covers what a fleet reports: aggregate
+//!   summary and causes JSON. A change that keeps every RSS decision
+//!   (say, a kernel exact in arithmetic that moves RSS values by 1e-12
+//!   dB) leaves it in place.
+//! * The trace-bytes pin covers the recorded protocol trace, which holds
+//!   the bits of every RSS sample the protocol consumed. The summary and
+//!   causes alone are too coarse for a realization change (a 0.1% change
+//!   of the fading coherence time leaves both unchanged on these runs);
+//!   this pin moves with it, and with any change to an RSS bit or to the
+//!   trace format.
+//!
+//! Recording is an observer: the summary is the same with it on or off.
+
+use std::sync::OnceLock;
 
 use silent_tracker_repro::silent_tracker::wire::Fnv64;
 use silent_tracker_repro::st_bench::fleet_load::smoke_config;
@@ -57,14 +67,21 @@ fn street(seed: u64) -> FleetConfig {
         .expect("valid street deployment")
 }
 
-/// A change that moves a pinned digest changes what a fleet computes, so
-/// every fleet artifact must be re-baselined with it.
-fn digest(configs: impl IntoIterator<Item = FleetConfig>) -> u64 {
-    let mut h = Fnv64::new();
+/// FNV-1a digests of the summary + causes JSON and of the encoded
+/// trace of each run, in config order. A change that moves the first
+/// changes what a fleet computes, so every fleet artifact must be
+/// re-baselined with it.
+struct Digests {
+    summary: u64,
+    trace: u64,
+}
+
+fn digests(configs: impl IntoIterator<Item = FleetConfig>) -> Digests {
+    let (mut summary, mut trace) = (Fnv64::new(), Fnv64::new());
     for cfg in configs {
         let mut out = run_fleet_with_workers(&cfg, 1);
-        h.write(out.summary().as_bytes());
-        h.write(out.causes_json().as_bytes());
+        summary.write(out.summary().as_bytes());
+        summary.write(out.causes_json().as_bytes());
         let run = RunTrace {
             label: String::new(),
             seed: cfg.base.seed,
@@ -75,19 +92,52 @@ fn digest(configs: impl IntoIterator<Item = FleetConfig>) -> u64 {
             ues: std::mem::take(&mut out.totals.ue_traces),
         };
         assert!(run.n_events() > 0, "recording is armed");
-        h.write(&FleetTrace { runs: vec![run] }.to_bytes());
+        trace.write(&FleetTrace { runs: vec![run] }.to_bytes());
     }
-    h.finish()
+    Digests {
+        summary: summary.finish(),
+        trace: trace.finish(),
+    }
+}
+
+/// Each deployment runs once per test binary; its summary and trace pins
+/// are separate tests.
+fn smoke() -> &'static Digests {
+    static D: OnceLock<Digests> = OnceLock::new();
+    D.get_or_init(|| digests([smoke_config(true, None)]))
+}
+
+fn streets() -> &'static Digests {
+    static D: OnceLock<Digests> = OnceLock::new();
+    D.get_or_init(|| digests((0..3).map(street)))
 }
 
 #[test]
 fn smoke_fleet_matches_the_pinned_digest() {
-    let d = digest([smoke_config(true, None)]);
-    assert_eq!(d, 0x201b_cbf3_2b3f_7256, "digest {d:#018x}");
+    let d = smoke().summary;
+    assert_eq!(
+        d, 0x10ab_2f34_b31c_a099,
+        "summary + causes digest {d:#018x}"
+    );
 }
 
 #[test]
 fn street_fleet_matches_the_pinned_digest() {
-    let d = digest((0..3).map(street));
-    assert_eq!(d, 0xda7d_b6f1_b09d_f3a1, "digest {d:#018x}");
+    let d = streets().summary;
+    assert_eq!(
+        d, 0x0300_6973_9fa5_fa94,
+        "summary + causes digest {d:#018x}"
+    );
+}
+
+#[test]
+fn smoke_fleet_trace_matches_the_pinned_digest() {
+    let d = smoke().trace;
+    assert_eq!(d, 0x4560_b2eb_a2f3_3c54, "trace digest {d:#018x}");
+}
+
+#[test]
+fn street_fleet_trace_matches_the_pinned_digest() {
+    let d = streets().trace;
+    assert_eq!(d, 0x4319_9ac7_2970_9dfc, "trace digest {d:#018x}");
 }

@@ -17,7 +17,9 @@ use silent_tracker_repro::silent_tracker::WireError;
 use silent_tracker_repro::st_fleet::{
     run_fleet_with_workers, Deployment, FleetConfig, MobilityKind,
 };
-use silent_tracker_repro::st_net::{replay_run, FleetTrace, ProtocolKind, RunTrace};
+use silent_tracker_repro::st_net::{
+    replay_run, FleetTrace, ProtocolKind, RunTrace, SegmentTrace, UeTrace,
+};
 
 fn smoke_fleet(seed: u64, record: bool) -> FleetConfig {
     Deployment::new()
@@ -210,5 +212,40 @@ fn corrupted_traces_fail_to_decode_or_replay_without_panicking() {
         failures.is_empty(),
         "{} replays panicked: {failures:#?}",
         failures.len()
+    );
+}
+
+/// A one-segment trace whose second event's time delta overflows the
+/// clock (a 5 ns tick, then tag 7 with a ten-byte varint of `u64::MAX`)
+/// replays to a reported mismatch: the event decoder's checked add turns
+/// the overflow into a decode error instead of a panic or a silent wrap.
+#[test]
+fn an_overflowing_event_time_is_a_replay_mismatch_not_a_panic() {
+    let mut run = small_trace().runs.remove(0);
+    let mut events = vec![0x07, 0x05];
+    events.extend([
+        0x07, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01,
+    ]);
+    let template = &run.ues[0];
+    run.ues = vec![UeTrace {
+        id: 0,
+        uid: template.uid,
+        kind: template.kind,
+        segments: vec![SegmentTrace {
+            events,
+            n_events: 2,
+            ..template.segments[0].clone()
+        }],
+    }];
+    // The crafted trace survives the file codec, so it reaches replay.
+    let bytes = FleetTrace { runs: vec![run] }.to_bytes();
+    let decoded = FleetTrace::from_bytes(&bytes).expect("the container is well formed");
+    let report = catch_unwind(AssertUnwindSafe(|| replay_run(&decoded.runs[0], 1)))
+        .expect("replay must not panic");
+    assert_eq!(report.mismatches.len(), 1, "{:?}", report.mismatches);
+    assert!(
+        report.mismatches[0].contains("event time overflow"),
+        "{:?}",
+        report.mismatches
     );
 }
