@@ -1,13 +1,10 @@
 //! Event-queue throughput microbench: raw events/sec through the DES
-//! executive under the workloads the fleet engine generates.
+//! event queue under the workloads the fleet engine generates.
 //! Usage: `des_throughput [--smoke]`
 //!
-//! Three workloads:
+//! Two workloads:
 //! * `churn`    — hold-and-replace: every pop schedules a successor at a
 //!   pseudo-random future offset (the steady-state timer pattern).
-//! * `cancel`   — schedule bursts and cancel 90% before they fire (the
-//!   RACH-retry / timer-rearm pattern the tombstone compaction exists
-//!   for); heap occupancy is asserted bounded as it runs.
 //! * `fifo`     — all events at one instant (burst dispatch), pure
 //!   push/pop ordering cost.
 //!
@@ -46,41 +43,6 @@ fn churn(events: u64) -> (f64, u64) {
     (start.elapsed().as_secs_f64(), processed)
 }
 
-fn cancel_heavy(rounds: u64, burst: u64) -> (f64, u64) {
-    let mut q = EventQueue::new();
-    let mut lcg = Lcg(7);
-    let mut ops = 0u64;
-    let start = Instant::now();
-    // The compaction contract, checked after every cancel and every pop
-    // (tombstones can outnumber survivors in either phase).
-    let bounded = |q: &EventQueue<u64>| {
-        assert!(
-            q.heap_occupancy() <= 2 * q.len() + 1,
-            "compaction failed to bound the heap: {} entries for {} live",
-            q.heap_occupancy(),
-            q.len()
-        );
-    };
-    for _ in 0..rounds {
-        let handles: Vec<_> = (0..burst)
-            .map(|i| q.schedule(SimTime::from_nanos(lcg.next() % 1_000_000), i))
-            .collect();
-        for (i, h) in handles.into_iter().enumerate() {
-            if i % 10 != 0 {
-                assert!(q.cancel(h));
-                ops += 1;
-                bounded(&q);
-            }
-        }
-        while q.pop().is_some() {
-            ops += 1;
-            bounded(&q);
-        }
-        ops += burst;
-    }
-    (start.elapsed().as_secs_f64(), ops)
-}
-
 fn fifo(events: u64) -> (f64, u64) {
     let mut q = EventQueue::new();
     let t = SimTime::from_nanos(5);
@@ -100,10 +62,9 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let scale: u64 = if smoke { 1 } else { 20 };
 
-    println!("== des_throughput (events/sec through the slab+heap queue) ==");
+    println!("== des_throughput (events/sec through the binary-heap queue) ==");
     for (name, (secs, ops)) in [
         ("churn", churn(100_000 * scale)),
-        ("cancel", cancel_heavy(10 * scale, 10_000)),
         ("fifo", fifo(100_000 * scale)),
     ] {
         println!(

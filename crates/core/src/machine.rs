@@ -723,11 +723,6 @@ impl SilentState {
         }
     }
 
-    /// Smoothed RSS of the serving link.
-    pub fn serving_level(&self) -> Option<Dbm> {
-        self.serving_monitor.level()
-    }
-
     /// The handover directive once issued (terminal).
     pub fn handover(&self) -> Option<HandoverDirective> {
         self.done

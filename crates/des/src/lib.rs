@@ -5,8 +5,9 @@
 //! discrete-event simulation over integer-nanosecond time:
 //!
 //! * [`time`] — `SimTime` / `SimDuration`, exact u64 nanoseconds.
-//! * [`queue`] — the pending-event set; (time, sequence)-ordered so
-//!   simultaneous events pop FIFO and runs are bit-reproducible.
+//! * [`queue`] — the pending-event set: one binary heap keyed by
+//!   (time, sequence), so simultaneous events pop FIFO and runs are
+//!   bit-reproducible.
 //! * [`sim`] — the [`sim::Executive`] run loop with deadline, halt and
 //!   event-budget control.
 //! * [`rng`] — named deterministic RNG streams (NS-3-style), so adding a
@@ -19,7 +20,7 @@ pub mod sim;
 pub mod time;
 pub mod trace;
 
-pub use queue::{EventHandle, EventQueue};
+pub use queue::EventQueue;
 pub use rng::RngStreams;
 pub use sim::{Control, Executive, StopReason};
 pub use time::{SimDuration, SimTime};

@@ -1,107 +1,61 @@
-//! The pending-event set: an indexed slab plus a tombstone-compacting
-//! binary heap, ordered by (time, sequence).
+//! The pending-event set: a binary heap ordered by (time, sequence).
 //!
 //! Two events scheduled for the same instant pop in the order they were
 //! scheduled (FIFO), which makes runs bit-reproducible — the property the
-//! determinism integration tests assert.
-//!
-//! Payloads live in a slab indexed by small heap entries; a
-//! generation-tagged [`EventHandle`] makes cancellation O(1) (mark the
-//! slot dead, recycle it immediately) with no side table. Dead heap
-//! entries are skimmed from the top eagerly — so [`EventQueue::peek_time`]
-//! is a shared borrow — and the whole heap is compacted as soon as
-//! tombstones outnumber live entries, which bounds heap occupancy at
-//! 2·len + 1 under arbitrarily cancel-heavy load (the lazy-skim
-//! predecessor retained every cancelled entry until it surfaced at the
-//! top, a leak class under schedule/cancel churn).
+//! determinism integration tests assert. The sequence number makes the
+//! key unique, so the pop order is a pure function of the schedule/pop
+//! sequence, whatever the heap's internal layout.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// Handle to a scheduled event, usable for cancellation.
-///
-/// A handle names (slot, generation): the slot is recycled as soon as its
-/// event pops or is cancelled, and recycling bumps the generation, so a
-/// stale handle can never cancel a later event that happens to reuse the
-/// slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventHandle {
-    slot: u32,
-    generation: u32,
-}
-
-/// One heap entry: ordering key plus the slab slot holding the payload.
-/// Deliberately payload-free and `Copy`-sized so sift operations move 24
-/// bytes regardless of the event type.
-#[derive(Debug, Clone, Copy)]
-struct HeapEntry {
+/// One pending event. Ordered by (time, sequence) alone: the payload
+/// never takes part in a comparison.
+struct Entry<E> {
     at: SimTime,
     seq: u64,
-    slot: u32,
+    payload: E,
 }
 
-impl PartialEq for HeapEntry {
+impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        (self.at, self.seq) == (other.at, other.seq)
     }
 }
 
-impl Eq for HeapEntry {}
+impl<E> Eq for Entry<E> {}
 
-impl PartialOrd for HeapEntry {
+impl<E> PartialOrd for Entry<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for HeapEntry {
+impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert for earliest-first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+        (other.at, other.seq).cmp(&(self.at, self.seq))
     }
-}
-
-/// One slab slot. `seq` ties the slot to the heap entry that currently
-/// owns it: a heap entry whose `seq` no longer matches (the slot was
-/// recycled) or whose slot holds no payload (cancelled, not yet recycled
-/// from the heap) is a tombstone.
-struct Slot<E> {
-    generation: u32,
-    seq: u64,
-    payload: Option<E>,
 }
 
 /// Priority queue of future events.
 pub struct EventQueue<E> {
-    heap: BinaryHeap<HeapEntry>,
-    slots: Vec<Slot<E>>,
-    free: Vec<u32>,
+    heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
-    /// Scheduled, not yet cancelled or popped.
-    live: usize,
-    /// Tombstone entries still physically in the heap.
-    dead: usize,
-    /// High-water mark of `live` — the queue-depth peak a run profiler
-    /// reports. Deterministic: a pure function of the schedule/cancel/
-    /// pop sequence.
-    live_peak: usize,
+    /// High-water mark of the pending count — the queue-depth peak a run
+    /// profiler reports. Deterministic: a pure function of the
+    /// schedule/pop sequence.
+    len_peak: usize,
 }
 
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
             next_seq: 0,
-            live: 0,
-            dead: 0,
-            live_peak: 0,
+            len_peak: 0,
         }
     }
 }
@@ -112,137 +66,35 @@ impl<E> EventQueue<E> {
     }
 
     pub fn len(&self) -> usize {
-        self.live
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Physical heap entries, live + tombstones. The compaction invariant
-    /// keeps this ≤ `2 * len() + 1`; exposed so the cancel-heavy
-    /// regression test (and the `des_throughput` bench) can assert it.
-    pub fn heap_occupancy(&self) -> usize {
         self.heap.len()
     }
 
-    /// High-water mark of the live pending count over the queue's whole
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    /// High-water mark of the pending count over the queue's whole
     /// lifetime — the depth peak the run profiler reports.
     pub fn len_peak(&self) -> usize {
-        self.live_peak
+        self.len_peak
     }
 
     /// Schedule `payload` at absolute time `at`.
-    pub fn schedule(&mut self, at: SimTime, payload: E) -> EventHandle {
+    pub fn schedule(&mut self, at: SimTime, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = match self.free.pop() {
-            Some(idx) => {
-                let s = &mut self.slots[idx as usize];
-                debug_assert!(s.payload.is_none());
-                s.seq = seq;
-                s.payload = Some(payload);
-                idx
-            }
-            None => {
-                let idx = u32::try_from(self.slots.len()).expect("event slab full");
-                self.slots.push(Slot {
-                    generation: 0,
-                    seq,
-                    payload: Some(payload),
-                });
-                idx
-            }
-        };
-        self.heap.push(HeapEntry { at, seq, slot });
-        self.live += 1;
-        if self.live > self.live_peak {
-            self.live_peak = self.live;
-        }
-        EventHandle {
-            slot,
-            generation: self.slots[slot as usize].generation,
-        }
+        self.heap.push(Entry { at, seq, payload });
+        self.len_peak = self.len_peak.max(self.heap.len());
     }
 
-    /// Cancel a previously scheduled event in O(1) (amortized: compaction
-    /// runs when tombstones outnumber live entries). Returns true if the
-    /// event was still pending.
-    pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        let Some(slot) = self.slots.get_mut(handle.slot as usize) else {
-            return false;
-        };
-        if slot.generation != handle.generation || slot.payload.is_none() {
-            return false;
-        }
-        slot.payload = None;
-        slot.generation = slot.generation.wrapping_add(1);
-        self.free.push(handle.slot);
-        self.live -= 1;
-        self.dead += 1;
-        if self.dead > self.live {
-            self.compact();
-        } else {
-            self.skim();
-        }
-        true
-    }
-
-    /// Time of the next (non-cancelled) event, if any. The top of the
-    /// heap is always live (tombstones are skimmed eagerly on cancel and
-    /// pop), so peeking needs no mutation.
+    /// Time of the next event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        debug_assert!(self.heap.peek().is_none_or(|e| self.entry_live(e)));
         self.heap.peek().map(|e| e.at)
     }
 
     /// Pop the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let e = self.heap.pop()?;
-        debug_assert!(self.entry_live(&e), "tombstone surfaced at the top");
-        let slot = &mut self.slots[e.slot as usize];
-        let payload = slot.payload.take().expect("live entry has a payload");
-        slot.generation = slot.generation.wrapping_add(1);
-        self.free.push(e.slot);
-        self.live -= 1;
-        // Popping shrinks the live count, so buried tombstones (which only
-        // cancel() would otherwise compact away) can come to outnumber the
-        // survivors — rebalance here too, or a cancel-then-drain sequence
-        // would break the 2·len + 1 occupancy bound.
-        if self.dead > self.live {
-            self.compact();
-        } else {
-            self.skim();
-        }
-        Some((e.at, payload))
-    }
-
-    fn entry_live(&self, e: &HeapEntry) -> bool {
-        let s = &self.slots[e.slot as usize];
-        s.seq == e.seq && s.payload.is_some()
-    }
-
-    /// Drop tombstones off the top so the heap's minimum is always a live
-    /// entry (the invariant `peek_time` and `pop` rely on).
-    fn skim(&mut self) {
-        while let Some(top) = self.heap.peek() {
-            if self.entry_live(top) {
-                break;
-            }
-            self.heap.pop();
-            self.dead -= 1;
-        }
-    }
-
-    /// Rebuild the heap retaining only live entries — O(n), amortized
-    /// O(1) per cancel since it runs only when half the heap is dead.
-    fn compact(&mut self) {
-        let slots = &self.slots;
-        self.heap.retain(|e| {
-            let s = &slots[e.slot as usize];
-            s.seq == e.seq && s.payload.is_some()
-        });
-        self.dead = 0;
+        self.heap.pop().map(|e| (e.at, e.payload))
     }
 }
 
@@ -279,33 +131,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_removes_event() {
-        let mut q = EventQueue::new();
-        let h1 = q.schedule(t(10), "a");
-        q.schedule(t(20), "b");
-        assert!(q.cancel(h1));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().unwrap().1, "b");
-        // Cancelling twice or cancelling an unknown handle is a no-op.
-        assert!(!q.cancel(h1));
-        assert!(!q.cancel(EventHandle {
-            slot: 999,
-            generation: 0
-        }));
-    }
-
-    #[test]
-    fn peek_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let h = q.schedule(t(10), "a");
-        q.schedule(t(20), "b");
-        q.cancel(h);
-        assert_eq!(q.peek_time(), Some(t(20)));
-        assert!(!q.is_empty());
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
     fn empty_queue() {
         let mut q: EventQueue<()> = EventQueue::new();
         assert!(q.is_empty());
@@ -314,117 +139,19 @@ mod tests {
     }
 
     #[test]
-    fn stale_handle_cannot_cancel_slot_reuse() {
-        let mut q = EventQueue::new();
-        let h1 = q.schedule(t(10), "a");
-        assert_eq!(q.pop().unwrap().1, "a");
-        // The slot is recycled by the next schedule; the old handle must
-        // not cancel the new event.
-        let h2 = q.schedule(t(20), "b");
-        assert!(!q.cancel(h1));
-        assert_eq!(q.len(), 1);
-        assert!(q.cancel(h2));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn cancel_heavy_load_keeps_heap_bounded() {
-        // The leak class the slab+compaction design removes: schedule a
-        // burst, cancel almost all of it, never pop. The lazy-skim
-        // predecessor retained every tombstone (occupancy 100_000 here).
-        let mut q = EventQueue::new();
-        let handles: Vec<_> = (0..100_000u64).map(|i| q.schedule(t(i), i)).collect();
-        for (i, h) in handles.into_iter().enumerate() {
-            if i % 100 != 0 {
-                assert!(q.cancel(h));
-                assert!(
-                    q.heap_occupancy() <= 2 * q.len() + 1,
-                    "heap grew unboundedly: {} entries for {} live",
-                    q.heap_occupancy(),
-                    q.len()
-                );
-            }
-        }
-        assert_eq!(q.len(), 1000);
-        assert!(q.heap_occupancy() <= 2001);
-        // The survivors still pop in order.
-        let mut last = None;
-        let mut n = 0;
-        while let Some((at, v)) = q.pop() {
-            assert!(last.is_none_or(|l| l <= at));
-            assert_eq!(v % 100, 0);
-            last = Some(at);
-            n += 1;
-        }
-        assert_eq!(n, 1000);
-    }
-
-    #[test]
-    fn cancel_then_drain_keeps_occupancy_bounded() {
-        // Tombstones buried at the heap bottom are invisible to skim();
-        // only compaction removes them. Cancelling the *latest* events
-        // (bottom of the min-ordering) and then draining the live head
-        // must still respect the occupancy bound on every pop.
-        let mut q = EventQueue::new();
-        let handles: Vec<_> = (1..=10u64).map(|i| q.schedule(t(i), i)).collect();
-        for h in &handles[5..] {
-            assert!(q.cancel(*h));
-            assert!(q.heap_occupancy() <= 2 * q.len() + 1);
-        }
-        for expect in 1..=5u64 {
-            assert_eq!(q.pop().unwrap().1, expect);
-            assert!(
-                q.heap_occupancy() <= 2 * q.len() + 1,
-                "bound broken mid-drain: {} entries for {} live",
-                q.heap_occupancy(),
-                q.len()
-            );
-        }
-        assert!(q.is_empty());
-        assert_eq!(q.heap_occupancy(), 0);
-    }
-
-    #[test]
     fn len_peak_tracks_high_water_mark() {
         let mut q = EventQueue::new();
         assert_eq!(q.len_peak(), 0);
-        let h1 = q.schedule(t(1), "a");
+        q.schedule(t(1), "a");
         q.schedule(t(2), "b");
         q.schedule(t(3), "c");
         assert_eq!(q.len_peak(), 3);
-        q.cancel(h1);
+        q.pop();
         q.pop();
         // Peak is a lifetime high-water mark; draining doesn't lower it.
         assert_eq!(q.len(), 1);
         assert_eq!(q.len_peak(), 3);
         q.schedule(t(4), "d");
         assert_eq!(q.len_peak(), 3);
-    }
-
-    #[test]
-    fn interleaved_schedule_cancel_pop_is_consistent() {
-        let mut q = EventQueue::new();
-        let mut handles = Vec::new();
-        for round in 0..50u64 {
-            for i in 0..20u64 {
-                handles.push(q.schedule(t(round * 7 + i % 5), (round, i)));
-            }
-            // Cancel every third outstanding handle (some already popped —
-            // must be a no-op).
-            for h in handles.iter().step_by(3) {
-                q.cancel(*h);
-            }
-            q.pop();
-        }
-        // Drain: strictly ordered, never yields a cancelled payload twice.
-        let mut seen = std::collections::HashSet::new();
-        let mut last = None;
-        while let Some((at, v)) = q.pop() {
-            assert!(last.is_none_or(|l| l <= at));
-            assert!(seen.insert(v), "duplicate payload {v:?}");
-            last = Some(at);
-        }
-        assert!(q.is_empty());
-        assert_eq!(q.heap_occupancy(), 0);
     }
 }

@@ -6,7 +6,7 @@
 //! This keeps borrows simple (the closure gets `&mut Executive` and the
 //! event by value) and makes the run loop reusable for every scenario.
 
-use crate::queue::{EventHandle, EventQueue};
+use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 
 /// Why [`Executive::run`] returned.
@@ -78,23 +78,18 @@ impl<E> Executive<E> {
 
     /// Schedule an event at an absolute time. Panics if `at` is in the
     /// past — time travel would silently corrupt causality.
-    pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventHandle {
+    pub fn schedule_at(&mut self, at: SimTime, event: E) {
         assert!(
             at >= self.now,
             "scheduling into the past: {at} < {}",
             self.now
         );
-        self.queue.schedule(at, event)
+        self.queue.schedule(at, event);
     }
 
     /// Schedule an event `delay` from now.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: E) -> EventHandle {
-        self.queue.schedule(self.now + delay, event)
-    }
-
-    /// Cancel a pending event.
-    pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        self.queue.cancel(handle)
+    pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
+        self.queue.schedule(self.now + delay, event);
     }
 
     /// Pop the next event, advancing the clock to its timestamp.
@@ -229,13 +224,5 @@ mod tests {
         ex.schedule_in(ms(10), 1);
         ex.step();
         ex.schedule_at(SimTime::ZERO, 2);
-    }
-
-    #[test]
-    fn cancel_through_executive() {
-        let mut ex: Executive<u32> = Executive::new();
-        let h = ex.schedule_in(ms(1), 1);
-        assert!(ex.cancel(h));
-        assert!(ex.step().is_none());
     }
 }

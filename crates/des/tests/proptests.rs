@@ -31,75 +31,27 @@ proptest! {
         }
     }
 
-    #[test]
-    fn cancellation_preserves_rest(
-        times in prop::collection::vec(0u64..1000, 2..100),
-        cancel_idx in prop::collection::vec(any::<prop::sample::Index>(), 0..20),
-    ) {
-        let mut q = EventQueue::new();
-        let handles: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (i, q.schedule(SimTime::from_nanos(t), i)))
-            .collect();
-        let mut cancelled = std::collections::HashSet::new();
-        for idx in cancel_idx {
-            let (i, h) = handles[idx.index(handles.len())];
-            if cancelled.insert(i) {
-                prop_assert!(q.cancel(h));
-            }
-        }
-        let mut seen = std::collections::HashSet::new();
-        while let Some((_, i)) = q.pop() {
-            prop_assert!(!cancelled.contains(&i), "popped cancelled event {i}");
-            seen.insert(i);
-        }
-        prop_assert_eq!(seen.len() + cancelled.len(), times.len());
-    }
-
-    /// Model-check the slab/tombstone queue against a naive sorted-`Vec`
-    /// reference over random schedule/cancel/pop interleavings. The
-    /// reference keeps (time, seq, id) triples sorted by (time, seq); the
-    /// queue must agree on every pop, every cancel result, and the length
-    /// after every operation — while the compaction invariant bounds the
-    /// physical heap at 2·len + 1 entries throughout.
+    /// Model-check the heap against a naive sorted-`Vec` reference over
+    /// random schedule/pop interleavings. Ids are issued in schedule
+    /// order, so the reference keeps (time, id) pairs sorted — earliest
+    /// first, FIFO among equal times. The queue must agree on every pop,
+    /// the next event time and the length after every operation.
     #[test]
     fn queue_matches_sorted_vec_reference(
-        ops in prop::collection::vec((0u8..4, 0u64..1_000u64, any::<prop::sample::Index>()), 1..400),
+        ops in prop::collection::vec((0u8..3, 0u64..1_000u64), 1..400),
     ) {
         let mut q = EventQueue::new();
-        // Reference model: sorted by (time, seq). `handles` keeps every
-        // handle ever issued (also popped/cancelled ones, to exercise
-        // stale-handle cancels).
-        let mut model: Vec<(SimTime, u64, u64)> = Vec::new();
-        let mut handles: Vec<(st_des::EventHandle, u64)> = Vec::new();
+        let mut model: Vec<(SimTime, u64)> = Vec::new();
         let mut next_id = 0u64;
-        let mut next_seq = 0u64;
-        for (op, time, pick) in ops {
+        for (op, time) in ops {
             match op {
-                // Schedule (weighted 2-in-4 so runs grow).
+                // Schedule (weighted 2-in-3 so runs grow).
                 0 | 1 => {
-                    let at = SimTime::from_nanos(time);
-                    let id = next_id;
+                    let key = (SimTime::from_nanos(time), next_id);
                     next_id += 1;
-                    let h = q.schedule(at, id);
-                    handles.push((h, id));
-                    let key = (at, next_seq, id);
-                    next_seq += 1;
-                    let pos = model.partition_point(|e| (e.0, e.1) < (key.0, key.1));
+                    q.schedule(key.0, key.1);
+                    let pos = model.partition_point(|e| *e < key);
                     model.insert(pos, key);
-                }
-                // Cancel a random handle ever issued (possibly stale).
-                2 => {
-                    if handles.is_empty() {
-                        continue;
-                    }
-                    let (h, id) = handles[pick.index(handles.len())];
-                    let in_model = model.iter().position(|e| e.2 == id);
-                    prop_assert_eq!(q.cancel(h), in_model.is_some());
-                    if let Some(pos) = in_model {
-                        model.remove(pos);
-                    }
                 }
                 // Pop.
                 _ => {
@@ -107,24 +59,16 @@ proptest! {
                     if model.is_empty() {
                         prop_assert!(got.is_none());
                     } else {
-                        let (at, _, id) = model.remove(0);
-                        prop_assert_eq!(got, Some((at, id)));
+                        prop_assert_eq!(got, Some(model.remove(0)));
                     }
                 }
             }
             prop_assert_eq!(q.len(), model.len());
             prop_assert_eq!(q.peek_time(), model.first().map(|e| e.0));
-            prop_assert!(
-                q.heap_occupancy() <= 2 * q.len() + 1,
-                "compaction invariant violated: {} entries for {} live",
-                q.heap_occupancy(),
-                q.len()
-            );
         }
         // Drain both to the end: full agreement on the tail.
-        while let Some((at, id)) = q.pop() {
-            let (mat, _, mid) = model.remove(0);
-            prop_assert_eq!((at, id), (mat, mid));
+        while let Some(got) = q.pop() {
+            prop_assert_eq!(got, model.remove(0));
         }
         prop_assert!(model.is_empty());
     }

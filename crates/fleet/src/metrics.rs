@@ -151,9 +151,10 @@ impl FleetOutcome {
     /// identical at any worker count.
     ///
     /// The shards model one set of *global* PRACH occasions: the merge
-    /// unions the used instants (a shared occasion is one occasion) and
-    /// keeps the config-derived offered total once instead of once per
-    /// shard. Responder counters come from the shared stage afterwards
+    /// unions the used instants (a shared occasion is one occasion),
+    /// counts them per cell and per timeline slice, and keeps the
+    /// config-derived offered total once instead of once per shard.
+    /// Responder counters come from the shared stage afterwards
     /// ([`FleetOutcome::apply_shared_responders`]).
     pub fn merge(
         seed: u64,
@@ -217,6 +218,9 @@ impl FleetOutcome {
         totals.timeline = if timeline_ok { timeline } else { None };
         for (t, used) in totals.per_cell.iter_mut().zip(&totals.occasion_instants) {
             t.occasions_used = used.len() as u64;
+        }
+        if let Some(ring) = totals.timeline.as_mut() {
+            ring.count_occasions(totals.occasion_instants.iter().flatten().copied());
         }
         FleetOutcome {
             seed,

@@ -90,7 +90,8 @@ impl Ledger {
     /// push the slice into the timeline ring. The responder-side fields
     /// (heard, collisions, losses, backhaul wait and backlog) stay zero
     /// here — the shared stage answers all RACH traffic, and its own
-    /// per-slice attribution supplies them at merge time.
+    /// per-slice attribution supplies them at merge time — and so do the
+    /// used occasions, which the merge counts from the unioned instants.
     fn seal_slice(&mut self, event_queue_depth: u64) {
         let Some(ring) = self.out.timeline.as_mut() else {
             return;
@@ -113,12 +114,11 @@ impl Observer for Ledger {
         // Offered-load accounting: every transmission counts, whether or
         // not the BS ends up hearing it. The raw occasion instants travel
         // with the shard result so the merge can count each *global*
-        // occasion once (two shards using one occasion is one occasion).
+        // occasion once (two shards using one occasion is one occasion),
+        // in the run totals and in the timeline slices alike.
         self.out.per_cell[cell].preambles_tx += 1;
         self.cur.preambles_tx += 1;
-        if self.out.occasion_instants[cell].insert(now.as_nanos()) {
-            self.cur.occasions_used += 1;
-        }
+        self.out.occasion_instants[cell].insert(now.as_nanos());
     }
 
     fn on_handover(&mut self, _i: usize, _now: SimTime, done: &HandoverDone, proto: &Proto) {

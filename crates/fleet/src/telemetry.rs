@@ -12,6 +12,8 @@
 //! times — and every merge (shard-wise and time-wise) is built from
 //! exactly associative operations, so the merged timeline is
 //! byte-identical across worker counts. CI `cmp`s the rendered JSON.
+//! It is identical across shard counts too, except the event-queue
+//! gauge, which sums each shard's own queue.
 
 use st_des::SimDuration;
 use st_metrics::QuantileSketch;
@@ -32,7 +34,10 @@ pub struct SnapshotSlice {
     pub rach_attempts: u64,
     /// Preamble transmissions in this interval.
     pub preambles_tx: u64,
-    /// Distinct PRACH occasions first used in this interval.
+    /// Distinct PRACH occasions used in this interval, fleet-wide: set
+    /// by the shard merge from the unioned occasion instants
+    /// ([`SnapshotRing::count_occasions`]), so an occasion that UEs of
+    /// two shards transmit on counts once. Zero in a shard's own ring.
     pub occasions_used: u64,
     /// Responder-side preambles heard in this interval.
     pub preambles_heard: u64,
@@ -269,6 +274,21 @@ impl SnapshotRing {
         )
     }
 
+    /// Count each used PRACH occasion once, in the slice that holds its
+    /// instant (ns): slice ⌊instant ÷ effective interval⌋, clamped to
+    /// the last slice, which also holds an instant at the run's end —
+    /// the rule the shared RACH stage attributes its slices by. Call on
+    /// a finished ring, with every cell's distinct instants.
+    pub fn count_occasions(&mut self, instants: impl IntoIterator<Item = u64>) {
+        let width = self.effective_interval().as_nanos();
+        let Some(last) = self.slices.len().checked_sub(1) else {
+            return;
+        };
+        for at in instants {
+            self.slices[((at / width) as usize).min(last)].occasions_used += 1;
+        }
+    }
+
     /// Merge another shard's ring for the same run. Both rings saw the
     /// same number of base slices (same duration, same base interval),
     /// so their compaction states are identical; asserted.
@@ -357,6 +377,22 @@ mod tests {
         assert_eq!(a.slices()[0].handovers, 10);
         assert_eq!(a.slices()[0].event_queue_depth, 10);
         assert_eq!(a.slices()[0].soft.count(), 2);
+    }
+
+    #[test]
+    fn occasions_count_in_their_effective_slice() {
+        // 4 base pushes through cap 4: one compaction, so two 200 ms
+        // slices cover a 400 ms run.
+        let mut r = SnapshotRing::new(SimDuration::from_millis(100), 4);
+        for _ in 0..4 {
+            r.push(SnapshotSlice::new());
+        }
+        r.finish();
+        let ms = |v: u64| v * 1_000_000;
+        // An occasion at the run's end (400 ms) belongs to the last slice.
+        r.count_occasions([ms(0), ms(199), ms(200), ms(399), ms(400)]);
+        let used: Vec<u64> = r.slices().iter().map(|s| s.occasions_used).collect();
+        assert_eq!(used, vec![2, 3]);
     }
 
     #[test]

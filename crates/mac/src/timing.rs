@@ -45,18 +45,6 @@ impl SsbConfig {
         SimTime::ZERO + self.burst_period * k
     }
 
-    /// Index of the first burst set starting at or after `t`.
-    pub fn next_burst_index(&self, t: SimTime) -> u64 {
-        let p = self.burst_period.as_nanos();
-        t.as_nanos().div_ceil(p)
-    }
-
-    /// Transmission time of `beam` in burst set `k`.
-    pub fn ssb_time(&self, k: u64, beam: TxBeamIndex) -> SimTime {
-        assert!(beam < self.n_tx_beams);
-        self.burst_start(k) + self.ssb_spacing * beam as u64
-    }
-
     /// The duration of the active part of a burst set.
     pub fn burst_active(&self) -> SimDuration {
         self.ssb_spacing * (self.n_tx_beams as u64 - 1) + self.ssb_duration
@@ -66,20 +54,6 @@ impl SsbConfig {
     /// `n_rx_beams` receive beams: one full burst set per receive beam.
     pub fn exhaustive_search_time(&self, n_rx_beams: usize) -> SimDuration {
         self.burst_period * n_rx_beams as u64
-    }
-
-    /// Which SSB (burst index, beam) is on air at time `t`, if any.
-    pub fn ssb_at(&self, t: SimTime) -> Option<(u64, TxBeamIndex)> {
-        let p = self.burst_period.as_nanos();
-        let k = t.as_nanos() / p;
-        let off = t.as_nanos() % p;
-        let pitch = self.ssb_spacing.as_nanos();
-        let idx = off / pitch;
-        if idx >= self.n_tx_beams as u64 {
-            return None;
-        }
-        let within = off % pitch;
-        (within < self.ssb_duration.as_nanos()).then_some((k, idx as TxBeamIndex))
     }
 }
 
@@ -122,26 +96,6 @@ mod tests {
         let c = SsbConfig::nr_fr2(16);
         assert_eq!(c.burst_start(0), SimTime::ZERO);
         assert_eq!(c.burst_start(3).as_millis_f64(), 60.0);
-        assert_eq!(c.ssb_time(2, 0), c.burst_start(2));
-        assert_eq!(
-            (c.ssb_time(2, 5) - c.burst_start(2)).as_nanos(),
-            5 * 125_000
-        );
-    }
-
-    #[test]
-    fn next_burst_index_rounds_up() {
-        let c = SsbConfig::nr_fr2(8);
-        assert_eq!(c.next_burst_index(SimTime::ZERO), 0);
-        assert_eq!(c.next_burst_index(SimTime::from_nanos(1)), 1);
-        assert_eq!(
-            c.next_burst_index(SimTime::ZERO + SimDuration::from_millis(20)),
-            1
-        );
-        assert_eq!(
-            c.next_burst_index(SimTime::ZERO + SimDuration::from_millis(21)),
-            2
-        );
     }
 
     #[test]
@@ -158,29 +112,6 @@ mod tests {
             let c = SsbConfig::nr_fr2(n);
             assert!(c.burst_active() < c.burst_period);
         }
-    }
-
-    #[test]
-    fn ssb_at_identifies_beam_on_air() {
-        let c = SsbConfig::nr_fr2(8);
-        // Start of burst 2, beam 3.
-        let t = c.ssb_time(2, 3);
-        assert_eq!(c.ssb_at(t), Some((2, 3)));
-        // Mid-SSB still detected.
-        assert_eq!(c.ssb_at(t + SimDuration::from_micros(20)), Some((2, 3)));
-        // In the gap after the SSB: nothing on air.
-        assert_eq!(c.ssb_at(t + SimDuration::from_micros(40)), None);
-        // Quiet part of the burst period.
-        assert_eq!(
-            c.ssb_at(c.burst_start(2) + SimDuration::from_millis(10)),
-            None
-        );
-    }
-
-    #[test]
-    #[should_panic]
-    fn ssb_time_rejects_bad_beam() {
-        SsbConfig::nr_fr2(4).ssb_time(0, 4);
     }
 
     #[test]

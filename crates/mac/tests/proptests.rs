@@ -103,25 +103,6 @@ proptest! {
     }
 
     #[test]
-    fn ssb_at_inverts_ssb_time(n in 1u16..64, k in 0u64..1000, beam in 0u16..64) {
-        prop_assume!(beam < n);
-        let c = SsbConfig::nr_fr2(n);
-        let t = c.ssb_time(k, beam);
-        prop_assert_eq!(c.ssb_at(t), Some((k, beam)));
-    }
-
-    #[test]
-    fn next_burst_is_never_past(t_ns in 0u64..10_000_000_000) {
-        let c = SsbConfig::nr_fr2(16);
-        let t = SimTime::from_nanos(t_ns);
-        let k = c.next_burst_index(t);
-        prop_assert!(c.burst_start(k) >= t);
-        if k > 0 {
-            prop_assert!(c.burst_start(k - 1) < t);
-        }
-    }
-
-    #[test]
     fn next_gap_start_is_a_gap_and_not_past(
         t_ns in 0u64..10_000_000_000,
         period_ms in 10u64..100,

@@ -37,12 +37,6 @@ impl TimeSeries {
         &self.points
     }
 
-    /// Last value at or before `t` (zero-order hold), if any.
-    pub fn value_at(&self, t: f64) -> Option<f64> {
-        let idx = self.points.partition_point(|&(pt, _)| pt <= t);
-        idx.checked_sub(1).map(|i| self.points[i].1)
-    }
-
     /// Minimum and maximum value over the series.
     pub fn range(&self) -> Option<(f64, f64)> {
         if self.points.is_empty() {
@@ -55,19 +49,6 @@ impl TimeSeries {
             hi = hi.max(v);
         }
         Some((lo, hi))
-    }
-
-    /// Time-weighted mean over the recorded span (piecewise-constant).
-    pub fn time_weighted_mean(&self) -> Option<f64> {
-        if self.points.len() < 2 {
-            return self.points.first().map(|&(_, v)| v);
-        }
-        let mut area = 0.0;
-        for w in self.points.windows(2) {
-            area += w[0].1 * (w[1].0 - w[0].0);
-        }
-        let span = self.points.last().unwrap().0 - self.points[0].0;
-        (span > 0.0).then(|| area / span)
     }
 
     /// Fraction of time the value satisfied `pred` (piecewise-constant,
@@ -110,9 +91,6 @@ mod tests {
         s.push(1.0, -63.0);
         s.push(2.0, -58.0);
         assert_eq!(s.len(), 3);
-        assert_eq!(s.value_at(0.5), Some(-60.0));
-        assert_eq!(s.value_at(1.0), Some(-63.0));
-        assert_eq!(s.value_at(-1.0), None);
         assert_eq!(s.range(), Some((-63.0, -58.0)));
     }
 
@@ -122,15 +100,6 @@ mod tests {
         let mut s = TimeSeries::new("x");
         s.push(1.0, 0.0);
         s.push(0.5, 0.0);
-    }
-
-    #[test]
-    fn time_weighted_mean_weights_by_duration() {
-        let mut s = TimeSeries::new("x");
-        s.push(0.0, 10.0); // holds for 9 s
-        s.push(9.0, 0.0); // holds for 1 s
-        s.push(10.0, 0.0);
-        assert!((s.time_weighted_mean().unwrap() - 9.0).abs() < 1e-12);
     }
 
     #[test]
@@ -157,7 +126,6 @@ mod tests {
         let s = TimeSeries::new("x");
         assert!(s.is_empty());
         assert_eq!(s.range(), None);
-        assert_eq!(s.time_weighted_mean(), None);
         assert_eq!(s.fraction_where(|_| true), None);
     }
 }

@@ -4,8 +4,8 @@
 //! stepper: the discrete-event simulator samples poses at event times
 //! (which are irregular — SSB instants, measurement gaps), and a pure
 //! `pose_at(t)` makes those samples exact and replayable regardless of the
-//! sampling schedule. Randomized models (random waypoint) draw their
-//! randomness once at construction from a seeded RNG.
+//! sampling schedule. A randomized model takes its randomness once, at
+//! construction, from a seeded RNG.
 
 use st_phy::geometry::{Pose, Radians, Vec2};
 

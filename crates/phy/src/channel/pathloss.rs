@@ -30,22 +30,6 @@ pub struct CloseIn {
     pub exponent: f64,
 }
 
-impl CloseIn {
-    pub fn los_60ghz() -> CloseIn {
-        CloseIn {
-            carrier: Carrier::MM_WAVE_60GHZ,
-            exponent: 2.0,
-        }
-    }
-
-    pub fn nlos_60ghz() -> CloseIn {
-        CloseIn {
-            carrier: Carrier::MM_WAVE_60GHZ,
-            exponent: 3.3,
-        }
-    }
-}
-
 impl PathLossModel for CloseIn {
     fn loss(&self, distance_m: f64) -> Db {
         let d = distance_m.max(1.0);
@@ -101,16 +85,24 @@ mod tests {
         assert_eq!(m.loss(10.0), Carrier::MM_WAVE_60GHZ.fspl(10.0));
     }
 
+    /// The close-in model at 60 GHz with path-loss exponent `n`.
+    fn close_in(n: f64) -> CloseIn {
+        CloseIn {
+            carrier: Carrier::MM_WAVE_60GHZ,
+            exponent: n,
+        }
+    }
+
     #[test]
     fn close_in_los_at_10m() {
         // 68 + 10*2*1 = 88 dB at 10 m (the paper's walk distance).
-        let pl = CloseIn::los_60ghz().loss(10.0);
+        let pl = close_in(2.0).loss(10.0);
         assert!((pl.0 - 88.0).abs() < 0.3, "{pl}");
     }
 
     #[test]
     fn close_in_monotone_in_distance() {
-        let m = CloseIn::los_60ghz();
+        let m = close_in(2.0);
         let mut prev = m.loss(1.0);
         for d in [2.0, 5.0, 10.0, 25.0, 60.0, 150.0] {
             let pl = m.loss(d);
@@ -121,14 +113,14 @@ mod tests {
 
     #[test]
     fn close_in_clamps_below_reference() {
-        let m = CloseIn::los_60ghz();
+        let m = close_in(2.0);
         assert_eq!(m.loss(0.2), m.loss(1.0));
     }
 
     #[test]
     fn nlos_exceeds_los() {
         for d in [5.0, 20.0, 100.0] {
-            assert!(CloseIn::nlos_60ghz().loss(d).0 >= CloseIn::los_60ghz().loss(d).0);
+            assert!(close_in(3.3).loss(d).0 >= close_in(2.0).loss(d).0);
             let los = UmiStreetCanyonLos {
                 carrier: Carrier::MM_WAVE_60GHZ,
             };

@@ -258,15 +258,6 @@ impl BlockageProcess {
         self.blocked
     }
 
-    /// Current extra loss in dB (0 when unblocked).
-    pub fn loss_db(&self) -> f64 {
-        if self.blocked {
-            self.attenuation_db
-        } else {
-            0.0
-        }
-    }
-
     /// Advance by `dt_s`, toggling through as many state changes as fit.
     pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R, dt_s: f64) {
         let mut remaining = dt_s;
@@ -545,7 +536,6 @@ mod tests {
         // Expected duty cycle ≈ rate*dur/(1+rate*dur) = 0.1/1.1 ≈ 0.0909.
         let duty = blocked_time / total;
         assert!((duty - 0.09).abs() < 0.04, "duty {duty}");
-        assert_eq!(b.loss_db(), if b.is_blocked() { 25.0 } else { 0.0 });
     }
 
     #[test]
@@ -555,7 +545,6 @@ mod tests {
         for _ in 0..1000 {
             b.step(&mut rng, 1.0);
             assert!(!b.is_blocked());
-            assert_eq!(b.loss_db(), 0.0);
         }
     }
 }

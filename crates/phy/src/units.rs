@@ -51,15 +51,6 @@ impl Dbm {
     /// Thermal noise power spectral density at T = 290 K, in dBm/Hz.
     pub const THERMAL_NOISE_DENSITY: f64 = -173.975;
 
-    pub fn from_milliwatts(mw: f64) -> Dbm {
-        debug_assert!(mw > 0.0, "dBm of non-positive power");
-        Dbm(10.0 * mw.log10())
-    }
-
-    pub fn milliwatts(self) -> f64 {
-        Db(self.0).linear()
-    }
-
     /// Thermal noise floor for a receiver of bandwidth `bw_hz` and noise
     /// figure `nf`: `-174 + 10 log10(BW) + NF` dBm.
     pub fn noise_floor(bw_hz: f64, nf: Db) -> Dbm {
@@ -219,14 +210,6 @@ mod tests {
     #[test]
     fn three_db_is_double_power() {
         assert!(close(Db(3.0103).linear(), 2.0, 1e-3));
-    }
-
-    #[test]
-    fn dbm_milliwatt_round_trip() {
-        let p = Dbm(-74.0);
-        assert!(close(Dbm::from_milliwatts(p.milliwatts()).0, -74.0, 1e-9));
-        assert!(close(Dbm(0.0).milliwatts(), 1.0, 1e-12));
-        assert!(close(Dbm(30.0).milliwatts(), 1000.0, 1e-9));
     }
 
     #[test]

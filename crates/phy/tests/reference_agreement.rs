@@ -133,8 +133,8 @@ impl RefChannel {
                 };
                 let pl = fspl_1m + 10.0 * n * ray.length_m.max(1.0).log10();
                 let mut gain = -(pl + ray.excess_db) - self.shadowing.value();
-                if ray.is_los {
-                    gain -= self.blockage.loss_db();
+                if ray.is_los && self.blockage.is_blocked() {
+                    gain -= self.cfg.blockage_loss_db;
                 }
                 if self.cfg.fading_enabled {
                     let k_db = if ray.is_los {

@@ -7,16 +7,21 @@
 //! bias and is now the fleet's only contention model — so the
 //! measurement is an **equality regression**: a 1-shard run and an
 //! 8-shard run must produce byte-identical `FleetOutcome::summary()`
-//! blobs at both load points, and the measured collision rate must stay
-//! above a floor instead of reading ≈ 0.
+//! blobs and equal snapshot timelines (all but the event-queue gauge)
+//! at both load points, and the measured collision rate must stay above
+//! a floor instead of reading ≈ 0.
 //!
 //! All `#[ignore]`d: sized for `--release`
-//! (`cargo test --release --test shard_approximation -- --ignored`).
+//! (`cargo test --release --test shard_approximation -- --ignored`,
+//! a CI step).
 
 mod common;
 
 use common::contended_street;
-use silent_tracker_repro::st_fleet::{run_fleet_with_workers, FleetConfig, FleetOutcome};
+use silent_tracker_repro::st_des::SimDuration;
+use silent_tracker_repro::st_fleet::{
+    run_fleet_with_workers, FleetConfig, FleetOutcome, SnapshotSlice,
+};
 
 /// The shared acceptance street at this file's 2-second horizon.
 /// Moderate load (1,200 UEs, 8 preambles) is where per-shard contention
@@ -44,17 +49,54 @@ fn collision_rate(out: &FleetOutcome) -> f64 {
     collided as f64 / heard as f64
 }
 
+/// A run's snapshot timeline, minus the one field that depends on the
+/// shard count by design: the event-queue gauge sums per-shard queues.
+fn timeline_slices(out: &FleetOutcome) -> Vec<SnapshotSlice> {
+    let ring = out.totals.timeline.as_ref().expect("snapshots were armed");
+    ring.slices()
+        .iter()
+        .map(|s| SnapshotSlice {
+            event_queue_depth: 0,
+            ..s.clone()
+        })
+        .collect()
+}
+
 /// The equality the shared stage buys, plus the accuracy it restores, at
 /// one load point: the 8-shard run must (a) be byte-identical to the
-/// 1-shard run and (b) read a collision rate above `floor` — no ≈ 0
-/// readings.
+/// 1-shard run, summary and 250 ms snapshot timeline alike, with the
+/// timeline's used occasions summing to the per-cell total, and (b) read
+/// a collision rate above `floor` — no ≈ 0 readings.
 fn assert_exact_at(ues: u32, preambles: u8, floor: f64) {
-    let one = run_fleet_with_workers(&deployment(ues, preambles, 1), 1);
-    let eight = run_fleet_with_workers(&deployment(ues, preambles, 8), 8);
+    let run = |shards: usize| {
+        let mut cfg = deployment(ues, preambles, shards);
+        cfg.snapshot_interval = Some(SimDuration::from_millis(250));
+        run_fleet_with_workers(&cfg, shards)
+    };
+    let (one, eight) = (run(1), run(8));
     assert_eq!(
         one.summary(),
         eight.summary(),
         "exact contention must be shard-count invariant at {ues} UEs / {preambles} preambles"
+    );
+    let (one_tl, eight_tl) = (timeline_slices(&one), timeline_slices(&eight));
+    assert_eq!(one_tl.len(), eight_tl.len());
+    for (k, (a, b)) in one_tl.iter().zip(&eight_tl).enumerate() {
+        assert!(
+            a == b,
+            "timeline slice {k} differs between 1 and 8 shards at {ues} UEs / \
+             {preambles} preambles (occasions_used {} vs {}, preambles_tx {} vs {})",
+            a.occasions_used,
+            b.occasions_used,
+            a.preambles_tx,
+            b.preambles_tx
+        );
+    }
+    let per_cell: u64 = eight.totals.per_cell.iter().map(|c| c.occasions_used).sum();
+    let sliced: u64 = eight_tl.iter().map(|s| s.occasions_used).sum();
+    assert_eq!(
+        sliced, per_cell,
+        "the timeline must count each used PRACH occasion exactly once"
     );
 
     let rate = collision_rate(&eight);

@@ -344,7 +344,7 @@ fn driver_measurement_path_allocates_nothing() {
     }
 
     // Warm-up: sweep scratch, path snapshots, the action buffers and the
-    // event slab reach steady size, and the protocols' per-beam probe
+    // event heap reach steady size, and the protocols' per-beam probe
     // tables (which grow once per newly probed receive beam) fill up.
     run_to(&mut ex, &mut driver, 6000);
     let before = (driver.obs.serving, driver.obs.bursts, driver.obs.actions);
