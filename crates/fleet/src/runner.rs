@@ -396,6 +396,11 @@ pub fn run_fleet_exact_with_order(
         .into_iter()
         .map(|m| m.into_inner().unwrap())
         .collect();
+    // Every attempt arrives by the deadline, the last horizon: each was
+    // resolved, exactly once.
+    for st in &stages {
+        st.assert_drained();
+    }
     let t_merge = Instant::now();
     let mut out = FleetOutcome::merge(
         cfg.base.seed,

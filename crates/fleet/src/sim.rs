@@ -86,7 +86,7 @@ impl Ledger {
     }
 
     /// Seal the accumulating slice at a snapshot boundary (or at the end
-    /// of the run, for a partial tail): sample the event-queue gauge and
+    /// of the run, for the last slice): sample the event-queue gauge and
     /// push the slice into the timeline ring. The responder-side fields
     /// (heard, collisions, losses, backhaul wait and backlog) stay zero
     /// here — the shared stage answers all RACH traffic, and its own
@@ -275,7 +275,9 @@ impl ShardSim {
 
         let mut ex: Executive<Ev> = Executive::new();
         driver.start(&mut ex);
-        if let Some(dt) = cfg.snapshot_interval {
+        // Boundaries are armed strictly inside the run; `finish` seals
+        // the last slice, so whatever happens at t = duration lands in it.
+        if let Some(dt) = cfg.snapshot_interval.filter(|&dt| dt < base.duration) {
             ex.schedule_at(SimTime::ZERO + dt, Ev::Snapshot { k: 1 });
         }
         ShardSim {
@@ -310,7 +312,7 @@ impl ShardSim {
                     // the chain itself never inflates the gauge.
                     driver.obs.seal_slice(ex.pending() as u64);
                     let dt = interval.expect("Snapshot event only armed with an interval");
-                    if dt * (k + 1) <= driver.cfg().duration {
+                    if dt * (k + 1) < driver.cfg().duration {
                         ex.schedule_at(SimTime::ZERO + dt * (k + 1), Ev::Snapshot { k: k + 1 });
                     }
                 }
@@ -354,19 +356,13 @@ impl ShardSim {
         let events = self.ex.events_processed();
         let pending = self.ex.pending() as u64;
         let pending_peak = self.ex.pending_peak() as u64;
-        let duration = self.driver.cfg().duration;
         let link_stats = self.driver.link_stats();
         let scratch_growth = self.driver.scratch_growth();
         let (mut ues, mut ledger) = self.driver.into_parts();
 
-        // A duration that is not a whole number of snapshot intervals
-        // leaves a partial tail slice; seal it with end-of-run gauges so
-        // the timeline covers the full run.
-        if let Some(dt) = self.snapshot_interval {
-            if duration.as_nanos() % dt.as_nanos() != 0 {
-                ledger.seal_slice(pending);
-            }
-        }
+        // The last slice, full or partial, closes at the end of the run:
+        // seal it with end-of-run gauges so the timeline covers the run.
+        ledger.seal_slice(pending);
         for ue in &mut ues {
             let kind = ue.proto().kind();
             let (id, uid) = (ue.id(), ue.uid().0);
@@ -399,8 +395,9 @@ impl ShardSim {
         // the causal aggregates leave the shard: (a) every breakdown total
         // bit-equals its recorded interruption; (b) per arm and cause, the
         // summed phase decompositions bit-equal the summed recorded
-        // samples; (c) the timeline's per-cause slice counts sum to the
-        // run's per-cause totals — nothing double-counted, nothing dropped.
+        // samples; (c) the timeline's per-cause slice counts, handovers,
+        // RLFs, RACH attempts and transmitted preambles sum to the run's
+        // totals — nothing double-counted, nothing dropped.
         assert!(
             ledger.breakdown_mismatches == 0,
             "{} breakdown totals must bit-equal the recorded interruption",
@@ -425,6 +422,18 @@ impl ShardSim {
             assert!(
                 sums == ledger.cause_counts_run,
                 "timeline slice cause counts must sum to the run's cause totals"
+            );
+            let sum = |f: fn(&SnapshotSlice) -> u64| ring.slices().iter().map(f).sum::<u64>();
+            let sliced = [
+                sum(|s| s.handovers),
+                sum(|s| s.rlfs),
+                sum(|s| s.rach_attempts),
+                sum(|s| s.preambles_tx),
+            ];
+            let preambles_tx = out.per_cell.iter().map(|c| c.preambles_tx).sum();
+            assert!(
+                sliced == [out.handovers, out.rlfs, out.rach_attempts, preambles_tx],
+                "timeline slice counters must sum to the run's totals: {sliced:?}"
             );
         }
         ledger.out

@@ -26,5 +26,5 @@ pub mod timing;
 pub use pdu::{CellId, DecodeError, Pdu, UeId};
 pub use rach::{PrachConfig, RachAction, RachConfig, RachError, RachProcedure, RachState};
 pub use responder::{Msg4Plan, RachResponder, RarPlan, ResponderConfig};
-pub use schedule::{GapSchedule, SlotOwner};
+pub use schedule::GapSchedule;
 pub use timing::{SsbConfig, TimingAdvance, TxBeamIndex};

@@ -94,36 +94,6 @@ pub struct Msg4Plan {
     pub fetch: SimDuration,
 }
 
-/// One Msg1 as heard at a base station, tagged with the *global* UE
-/// identity — the unit the cross-shard shared responder stage merges.
-///
-/// The fleet engine's shards each hear a slice of a cell's PRACH
-/// occasion; collecting every shard's `PreambleRx` records and resolving
-/// them in one [`RachResponder::resolve`] call is what turns per-shard
-/// approximate contention into exact global contention.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PreambleRx {
-    /// Arrival instant at the BS (occasion time + air delay).
-    pub at: SimTime,
-    /// Global UE id — the canonical tie-break for same-instant arrivals.
-    pub ue: UeId,
-    pub preamble: u8,
-    pub ssb_beam: TxBeamIndex,
-    /// UE–cell distance at arrival, for the timing advance in the RAR.
-    pub distance_m: f64,
-}
-
-impl PreambleRx {
-    /// The canonical resolution order: arrival instant, then global UE
-    /// id. Worker scheduling, shard layout and mailbox drain order all
-    /// vanish under this sort — it is the reason the merged occasion
-    /// resolves byte-identically no matter how the attempts were
-    /// collected.
-    fn canonical_key(&self) -> (u64, u32, u8, TxBeamIndex) {
-        (self.at.as_nanos(), self.ue.0, self.preamble, self.ssb_beam)
-    }
-}
-
 /// One in-flight procedure, BS side.
 #[derive(Debug, Clone, Copy)]
 struct Pending {
@@ -163,139 +133,27 @@ pub struct ResponderStats {
     pub context_fetches: u64,
     /// Total time fetches spent queued behind the per-cell backhaul.
     pub backhaul_queue_wait: SimDuration,
-    /// Merged occasions resolved through [`RachResponder::resolve`]
-    /// (zero on the single-trial path, which hears preambles one at a
-    /// time).
+    /// Merged occasions heard: (instant, cell) runs of preambles the
+    /// RACH stage resolved, counted by [`RachResponder::note_occasion`]
+    /// on the single-trial path and in the fleet alike.
     pub merged_occasions: u64,
-    /// Largest single merged-occasion attempt set seen by `resolve` —
-    /// how much cross-shard traffic one resolution pass had to order.
+    /// Largest merged occasion, in preambles — how much cross-shard
+    /// traffic one occasion brought together.
     pub peak_merged_attempts: u64,
 }
 
-/// What the pure core decided about one heard preamble.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PreambleDecision {
-    /// Matched a live pending entry (retransmission or same-occasion
-    /// collider). `fresh_collision` is true the first time a *second*
-    /// UE joins the entry inside the collision window.
-    Joined { temp: UeId, fresh_collision: bool },
-    /// No live entry matched: a fresh procedure with a fresh temp id.
-    Fresh { temp: UeId },
-    /// Admission control: the pending table is full.
-    Rejected,
-}
-
-/// What the pure core decided about one Msg3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Msg3Decision {
-    /// This UE holds (or just won) contention for the entry. `cached` is
-    /// true when its soft-handover context was already fetched (a Msg3
-    /// retransmission after a lost Msg4).
-    Answered { cached: bool },
-    /// A different UE already won the entry — no reply.
-    ContentionLoss,
-    /// No pending entry under that temp id (or none given): admit
-    /// unconditionally, nothing cached.
-    Untracked,
-}
-
-/// The pure contention-resolution core: the pending table and temp-id
-/// counter, nothing else — no backhaul clock, no counters, no reply
-/// construction. Its evolution is a deterministic fold over
-/// canonically-ordered attempts, which is what makes the shared
-/// cross-shard stage's [`RachResponder::resolve`] outcome independent of
-/// how the attempts were collected (permutation-invariant and
-/// merge-associative; asserted by `tests/proptests.rs`).
-#[derive(Debug, Clone, Default)]
-struct RachCore {
-    pending: Vec<Pending>,
-    next_temp: u32,
-}
-
-impl RachCore {
-    fn new() -> RachCore {
-        RachCore {
-            pending: Vec::new(),
-            next_temp: 1000,
-        }
-    }
-
-    /// Fold one heard preamble into the table.
-    fn admit(
-        &mut self,
-        cfg: &ResponderConfig,
-        now: SimTime,
-        preamble: u8,
-        ssb_beam: TxBeamIndex,
-    ) -> PreambleDecision {
-        if let Some(p) = self.pending.iter_mut().find(|p| {
-            p.preamble == preamble
-                && p.ssb_beam == ssb_beam
-                && p.concluded_at.is_none_or(|c| now <= c)
-        }) {
-            let fresh_collision = now.since(p.started) <= cfg.collision_window && !p.collided;
-            if fresh_collision {
-                p.collided = true;
-            }
-            PreambleDecision::Joined {
-                temp: p.temp_ue,
-                fresh_collision,
-            }
-        } else {
-            if self.pending.len() >= cfg.max_pending {
-                return PreambleDecision::Rejected;
-            }
-            let temp = UeId(self.next_temp);
-            self.next_temp += 1;
-            self.pending.push(Pending {
-                preamble,
-                ssb_beam,
-                temp_ue: temp,
-                started: now,
-                collided: false,
-                winner: None,
-                concluded_at: None,
-                context_fetched: false,
-            });
-            PreambleDecision::Fresh { temp }
-        }
-    }
-
-    /// Fold one Msg3 into the table. `soft` marks a nonzero context token
-    /// so the winner's entry can remember its context was fetched.
-    fn msg3(&mut self, now: SimTime, temp_ue: Option<UeId>, ue: UeId, soft: bool) -> Msg3Decision {
-        let Some(temp) = temp_ue else {
-            return Msg3Decision::Untracked;
-        };
-        let Some(p) = self.pending.iter_mut().find(|p| p.temp_ue == temp) else {
-            return Msg3Decision::Untracked;
-        };
-        match p.winner {
-            Some(w) if w != ue => Msg3Decision::ContentionLoss,
-            _ => {
-                p.winner = Some(ue);
-                p.concluded_at.get_or_insert(now);
-                let cached = p.context_fetched;
-                if soft {
-                    p.context_fetched = true;
-                }
-                Msg3Decision::Answered { cached }
-            }
-        }
-    }
-
-    fn expire(&mut self, now: SimTime, max_age: SimDuration) {
-        self.pending.retain(|p| now.since(p.started) <= max_age);
-    }
-}
-
-/// BS-side RACH responder: the stateful wrapper around the pure
-/// [`RachCore`] — it owns the backhaul pipe clock, the statistics and the
-/// reply construction (delays, timing advance, PDUs).
+/// BS-side RACH responder of one cell: the pending table and temp-id
+/// counter, the backhaul pipe clock, the statistics and the reply
+/// construction (delays, timing advance, PDUs). Its evolution is a
+/// deterministic fold over the attempts in the order it hears them; the
+/// RACH stage hands them over in one canonical order, which is what
+/// makes the outcome independent of how the attempts were collected.
 #[derive(Debug, Clone)]
 pub struct RachResponder {
     pub config: ResponderConfig,
-    core: RachCore,
+    /// In-flight procedures, and the temporary id the next one gets.
+    pending: Vec<Pending>,
+    next_temp: u32,
     /// The per-cell backhaul pipe is busy until this instant.
     backhaul_busy_until: SimTime,
     stats: ResponderStats,
@@ -305,14 +163,11 @@ impl RachResponder {
     pub fn new(config: ResponderConfig) -> RachResponder {
         RachResponder {
             config,
-            core: RachCore::new(),
+            pending: Vec::new(),
+            next_temp: 1000,
             backhaul_busy_until: SimTime::ZERO,
             stats: ResponderStats::default(),
         }
-    }
-
-    pub fn pending_count(&self) -> usize {
-        self.core.pending.len()
     }
 
     pub fn stats(&self) -> ResponderStats {
@@ -330,9 +185,19 @@ impl RachResponder {
         }
     }
 
+    /// Count one merged PRACH occasion: the `attempts` preambles this
+    /// cell hears at one instant, from every shard, which the caller then
+    /// hands to [`Self::on_preamble`] one by one.
+    pub fn note_occasion(&mut self, attempts: usize) {
+        self.stats.merged_occasions += 1;
+        self.stats.peak_merged_attempts = self.stats.peak_merged_attempts.max(attempts as u64);
+    }
+
     /// Handle Msg1. Returns the RAR plan, or `None` when admission
     /// control rejects the preamble (the mobile's RAR window will lapse
     /// and it retries — exactly the congestion behaviour of real PRACH).
+    /// Entries older than [`ResponderConfig::pending_ttl`] are collected
+    /// first.
     ///
     /// A duplicate (preamble, beam) within [`ResponderConfig::collision_window`]
     /// of the original is a collision: the second UE is answered with the
@@ -354,23 +219,39 @@ impl RachResponder {
         ssb_beam: TxBeamIndex,
         distance_m: f64,
     ) -> Option<RarPlan> {
-        self.core.expire(now, self.config.pending_ttl);
+        let cfg = &self.config;
+        self.pending
+            .retain(|p| now.since(p.started) <= cfg.pending_ttl);
         self.stats.preambles_heard += 1;
-        let temp_ue = match self.core.admit(&self.config, now, preamble, ssb_beam) {
-            PreambleDecision::Joined {
-                temp,
-                fresh_collision,
-            } => {
-                if fresh_collision {
-                    self.stats.collisions += 1;
-                }
-                temp
+        let live = self.pending.iter_mut().find(|p| {
+            p.preamble == preamble
+                && p.ssb_beam == ssb_beam
+                && p.concluded_at.is_none_or(|c| now <= c)
+        });
+        let temp_ue = if let Some(p) = live {
+            if now.since(p.started) <= cfg.collision_window && !p.collided {
+                p.collided = true;
+                self.stats.collisions += 1;
             }
-            PreambleDecision::Fresh { temp } => temp,
-            PreambleDecision::Rejected => {
+            p.temp_ue
+        } else {
+            if self.pending.len() >= cfg.max_pending {
                 self.stats.rejected += 1;
                 return None;
             }
+            let temp = UeId(self.next_temp);
+            self.next_temp += 1;
+            self.pending.push(Pending {
+                preamble,
+                ssb_beam,
+                temp_ue: temp,
+                started: now,
+                collided: false,
+                winner: None,
+                concluded_at: None,
+                context_fetched: false,
+            });
+            temp
         };
         let ta = crate::timing::TimingAdvance::from_distance_m(distance_m);
         self.stats.rar_sent += 1;
@@ -385,35 +266,6 @@ impl RachResponder {
         })
     }
 
-    /// Resolve one **globally merged** PRACH occasion: every shard's
-    /// heard preambles for one cell at one occasion instant, in one pass.
-    ///
-    /// The attempts are first put into canonical order — arrival instant,
-    /// then global UE id — so the outcome is byte-identical regardless of
-    /// input permutation: worker count, worker scheduling and mailbox
-    /// arrival interleaving all produce the same canonical sequence.
-    /// Resolution itself is the same per-attempt fold the one-at-a-time
-    /// [`Self::on_preamble`] path runs, so a 1-shard fleet and an N-shard
-    /// fleet feeding the same merged attempts get the same answer.
-    ///
-    /// `replies` is cleared and refilled aligned with the (sorted)
-    /// `attempts` slice: `replies[i]` answers `attempts[i]`, `None` where
-    /// admission control rejected it. Both buffers retain capacity across
-    /// calls — the steady state allocates nothing.
-    pub fn resolve(&mut self, attempts: &mut [PreambleRx], replies: &mut Vec<Option<RarPlan>>) {
-        replies.clear();
-        if attempts.is_empty() {
-            return;
-        }
-        attempts.sort_unstable_by_key(PreambleRx::canonical_key);
-        self.stats.merged_occasions += 1;
-        self.stats.peak_merged_attempts =
-            self.stats.peak_merged_attempts.max(attempts.len() as u64);
-        for a in attempts.iter() {
-            replies.push(self.on_preamble(a.at, a.preamble, a.ssb_beam, a.distance_m));
-        }
-    }
-
     /// Handle Msg3 (connection request) sent under temporary id `temp_ue`.
     ///
     /// The first Msg3 per pending entry wins contention and is answered;
@@ -422,7 +274,7 @@ impl RachResponder {
     /// contention-resolution timer expiry drives the retry. A winner
     /// retransmitting Msg3 (its Msg4 was lost) is re-answered from the
     /// already-fetched context — no second backhaul fetch is paid or
-    /// counted. `temp_ue == None` (no matching pending entry) admits
+    /// counted. No matching pending entry (or `temp_ue == None`) admits
     /// unconditionally — the uncontended path.
     ///
     /// The returned delay embeds the backhaul context fetch for soft
@@ -435,13 +287,20 @@ impl RachResponder {
         context_token: u64,
     ) -> Option<Msg4Plan> {
         let soft = context_token != 0;
-        let cached = match self.core.msg3(now, temp_ue, ue, soft) {
-            Msg3Decision::ContentionLoss => {
+        let entry = temp_ue.and_then(|t| self.pending.iter_mut().find(|p| p.temp_ue == t));
+        let cached = match entry {
+            Some(p) if p.winner.is_some_and(|w| w != ue) => {
                 self.stats.contention_losses += 1;
                 return None;
             }
-            Msg3Decision::Answered { cached } => cached,
-            Msg3Decision::Untracked => false,
+            Some(p) => {
+                p.winner = Some(ue);
+                p.concluded_at.get_or_insert(now);
+                let cached = p.context_fetched;
+                p.context_fetched |= soft;
+                cached
+            }
+            None => false,
         };
         let (extra, queue_wait, fetch) = if soft && !cached {
             let fetch_start = self.backhaul_busy_until.max(now);
@@ -461,12 +320,6 @@ impl RachResponder {
             queue_wait,
             fetch,
         })
-    }
-
-    /// Resolve (drop) state for completed/expired procedures older than
-    /// `max_age` — real responders garbage-collect the preamble table.
-    pub fn expire(&mut self, now: SimTime, max_age: SimDuration) {
-        self.core.expire(now, max_age);
     }
 }
 
@@ -500,7 +353,6 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        assert_eq!(r.pending_count(), 1);
         assert_eq!(r.stats().rar_sent, 1);
     }
 
@@ -514,7 +366,6 @@ mod tests {
             _ => unreachable!(),
         };
         assert_eq!(id(&a.pdu), id(&b.pdu));
-        assert_eq!(r.pending_count(), 1);
         // 5 ms apart: a retransmission, not a same-occasion collision.
         assert_eq!(r.stats().collisions, 0);
     }
@@ -525,7 +376,6 @@ mod tests {
         let a = r.on_preamble(t(0), 1, 0, 100.0).unwrap();
         let b = r.on_preamble(t(0), 2, 0, 100.0).unwrap();
         assert_ne!(a.pdu, b.pdu);
-        assert_eq!(r.pending_count(), 2);
         assert_eq!(r.stats().collisions, 0);
     }
 
@@ -688,86 +538,5 @@ mod tests {
             _ => unreachable!(),
         };
         assert_ne!(id(&a.pdu), id(&b.pdu));
-        assert_eq!(r.pending_count(), 1);
-    }
-
-    #[test]
-    fn resolve_merges_cross_shard_attempts_into_one_occasion() {
-        // Three UEs from (notionally) different shards, same preamble,
-        // same occasion: resolution over the merged set sees the
-        // collision that per-shard responders would each miss.
-        let us = |v: u64| SimDuration::from_micros(v);
-        let mut attempts = vec![
-            PreambleRx {
-                at: t(0) + us(6),
-                ue: UeId(9),
-                preamble: 4,
-                ssb_beam: 2,
-                distance_m: 90.0,
-            },
-            PreambleRx {
-                at: t(0),
-                ue: UeId(1),
-                preamble: 4,
-                ssb_beam: 2,
-                distance_m: 120.0,
-            },
-            PreambleRx {
-                at: t(0) + us(3),
-                ue: UeId(5),
-                preamble: 7,
-                ssb_beam: 2,
-                distance_m: 60.0,
-            },
-        ];
-        let mut r = resp();
-        let mut replies = Vec::new();
-        r.resolve(&mut attempts, &mut replies);
-        // Canonical order: by arrival instant (then global UE id).
-        assert_eq!(attempts[0].ue, UeId(1));
-        assert_eq!(attempts[2].ue, UeId(9));
-        assert_eq!(replies.len(), 3);
-        let id = |p: &Option<RarPlan>| match p.as_ref().unwrap().pdu {
-            Pdu::RachResponse { temp_ue, .. } => temp_ue,
-            _ => unreachable!(),
-        };
-        // UE 1 and UE 9 collided on preamble 4; UE 5 is alone on 7.
-        assert_eq!(id(&replies[0]), id(&replies[2]));
-        assert_ne!(id(&replies[0]), id(&replies[1]));
-        assert_eq!(r.stats().collisions, 1);
-        assert_eq!(r.stats().preambles_heard, 3);
-        assert_eq!(r.stats().merged_occasions, 1);
-        assert_eq!(r.stats().peak_merged_attempts, 3);
-    }
-
-    #[test]
-    fn resolve_outcome_is_input_order_insensitive() {
-        let mk = |ue: u32, preamble: u8, off_us: u64| PreambleRx {
-            at: t(0) + SimDuration::from_micros(off_us),
-            ue: UeId(ue),
-            preamble,
-            ssb_beam: 1,
-            distance_m: 100.0 + ue as f64,
-        };
-        let base = vec![mk(3, 1, 0), mk(7, 1, 2), mk(2, 5, 1), mk(9, 5, 1)];
-        let mut fwd = base.clone();
-        let mut rev: Vec<_> = base.into_iter().rev().collect();
-        let (mut ra, mut rb) = (resp(), resp());
-        let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
-        ra.resolve(&mut fwd, &mut out_a);
-        rb.resolve(&mut rev, &mut out_b);
-        assert_eq!(fwd, rev);
-        assert_eq!(out_a, out_b);
-        assert_eq!(ra.stats(), rb.stats());
-        assert_eq!(ra.stats().collisions, 2);
-    }
-
-    #[test]
-    fn expiry_collects_old_entries() {
-        let mut r = resp();
-        r.on_preamble(t(0), 1, 0, 10.0);
-        r.on_preamble(t(100), 2, 0, 10.0);
-        r.expire(t(150), SimDuration::from_millis(80));
-        assert_eq!(r.pending_count(), 1);
     }
 }

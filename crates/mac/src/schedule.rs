@@ -8,7 +8,8 @@
 //! limited measurement schedules available for serving Cell A and the
 //! unknown schedules of Cell B") must fit into these gaps. The
 //! resource-accounting invariant — serving-link slots and neighbor-track
-//! slots never overlap — is enforced here and property-tested.
+//! slots never overlap — holds by construction: [`GapSchedule::in_gap`]
+//! is the one predicate that splits airtime between the two.
 
 use st_des::{SimDuration, SimTime};
 
@@ -62,49 +63,9 @@ impl GapSchedule {
         phase >= start && phase < start + self.duration.as_nanos()
     }
 
-    /// Start of the first gap beginning at or after `t`.
-    pub fn next_gap_start(&self, t: SimTime) -> SimTime {
-        let p = self.period.as_nanos();
-        let phase = t.as_nanos() % p;
-        let start = self.offset.as_nanos();
-        let delta = if phase <= start {
-            start - phase
-        } else {
-            p - phase + start
-        };
-        SimTime::from_nanos(t.as_nanos() + delta)
-    }
-
-    /// End of the gap containing `t` (panics if `t` is not in a gap).
-    pub fn gap_end(&self, t: SimTime) -> SimTime {
-        assert!(self.in_gap(t), "not inside a gap");
-        let p = self.period.as_nanos();
-        let period_start = t.as_nanos() - t.as_nanos() % p;
-        SimTime::from_nanos(period_start + self.offset.as_nanos() + self.duration.as_nanos())
-    }
-
     /// Fraction of airtime spent in gaps (the resource cost of tracking).
     pub fn duty_cycle(&self) -> f64 {
         self.duration.as_nanos() as f64 / self.period.as_nanos() as f64
-    }
-}
-
-/// Which of the two links owns a given instant, under a schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SlotOwner {
-    /// Serving-cell data/measurement slot.
-    Serving,
-    /// Measurement gap: neighbor tracking allowed.
-    NeighborGap,
-}
-
-impl GapSchedule {
-    pub fn owner(&self, t: SimTime) -> SlotOwner {
-        if self.in_gap(t) {
-            SlotOwner::NeighborGap
-        } else {
-            SlotOwner::Serving
-        }
     }
 }
 
@@ -128,35 +89,6 @@ mod tests {
     }
 
     #[test]
-    fn next_gap_start_wraps() {
-        let g = GapSchedule::nr_pattern0();
-        assert_eq!(g.next_gap_start(t(0)), t(0));
-        assert_eq!(g.next_gap_start(t(1)), t(40));
-        assert_eq!(g.next_gap_start(t(39)), t(40));
-        assert_eq!(g.next_gap_start(t(40)), t(40));
-        // With an offset.
-        let g2 = GapSchedule {
-            offset: SimDuration::from_millis(10),
-            ..g
-        };
-        assert_eq!(g2.next_gap_start(t(0)), t(10));
-        assert_eq!(g2.next_gap_start(t(11)), t(50));
-    }
-
-    #[test]
-    fn gap_end_is_inside_period() {
-        let g = GapSchedule::nr_pattern0();
-        assert_eq!(g.gap_end(t(42)), t(46));
-        assert_eq!(g.gap_end(t(0)), t(6));
-    }
-
-    #[test]
-    #[should_panic(expected = "not inside a gap")]
-    fn gap_end_outside_gap_panics() {
-        GapSchedule::nr_pattern0().gap_end(t(10));
-    }
-
-    #[test]
     fn duty_cycle() {
         assert!((GapSchedule::nr_pattern0().duty_cycle() - 0.15).abs() < 1e-12);
         assert!((GapSchedule::dense().duty_cycle() - 0.30).abs() < 1e-12);
@@ -173,17 +105,5 @@ mod tests {
         let mut g3 = GapSchedule::nr_pattern0();
         g3.duration = SimDuration::ZERO;
         assert!(g3.validate().is_err());
-    }
-
-    #[test]
-    fn owner_partition_is_exclusive_and_exhaustive() {
-        let g = GapSchedule::nr_pattern0();
-        for ms in 0..200 {
-            let at = t(ms);
-            match g.owner(at) {
-                SlotOwner::NeighborGap => assert!(g.in_gap(at)),
-                SlotOwner::Serving => assert!(!g.in_gap(at)),
-            }
-        }
     }
 }

@@ -76,15 +76,6 @@ impl TimingAdvance {
             rtt_ns: (2.0 * d_m / c * 1e9).round() as u64,
         }
     }
-
-    pub fn one_way(&self) -> SimDuration {
-        SimDuration::from_nanos(self.rtt_ns / 2)
-    }
-
-    /// Implied one-way distance in metres.
-    pub fn distance_m(&self) -> f64 {
-        self.rtt_ns as f64 / 2.0 * 299_792_458.0 / 1e9
-    }
 }
 
 #[cfg(test)]
@@ -119,7 +110,5 @@ mod tests {
         let ta = TimingAdvance::from_distance_m(150.0);
         // 150 m → ~500 ns one way, ~1 µs RTT.
         assert!((ta.rtt_ns as i64 - 1001).abs() < 2, "{}", ta.rtt_ns);
-        assert!((ta.distance_m() - 150.0).abs() < 0.5);
-        assert_eq!(ta.one_way().as_nanos(), ta.rtt_ns / 2);
     }
 }

@@ -1,5 +1,7 @@
-//! Property tests: PDU codec round-trips, schedule arithmetic, and RACH
-//! preamble-collision resolution.
+//! Property tests: PDU codec round-trips, PRACH occasion arithmetic, and
+//! RACH preamble-collision resolution. (The canonical-order properties of
+//! resolving merged occasions live with the RACH stage, in the root
+//! crate's `tests/proptests.rs`.)
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -7,8 +9,7 @@ use rand::{RngExt as _, SeedableRng as _};
 use st_des::{SimDuration, SimTime};
 use st_mac::pdu::{CellId, Pdu, UeId};
 use st_mac::rach::{RachConfig, RachProcedure, RachState};
-use st_mac::responder::{PreambleRx, RachResponder, ResponderConfig};
-use st_mac::schedule::GapSchedule;
+use st_mac::responder::{RachResponder, ResponderConfig};
 use st_mac::timing::SsbConfig;
 use st_mac::PrachConfig;
 
@@ -55,36 +56,6 @@ fn arb_pdu() -> impl Strategy<Value = Pdu> {
     ]
 }
 
-/// A heard preamble on a small, collision-prone grid of occasions,
-/// preambles and beams.
-fn arb_attempt() -> impl Strategy<Value = PreambleRx> {
-    (0u64..1500, 1u32..40, 0u8..3, 0u16..3).prop_map(|(us, ue, preamble, beam)| PreambleRx {
-        at: SimTime::ZERO + SimDuration::from_micros(us),
-        ue: UeId(ue),
-        preamble,
-        ssb_beam: beam,
-        distance_m: 50.0 + ue as f64,
-    })
-}
-
-/// A physical UE transmits at most one preamble per instant: drop
-/// duplicate (at, ue) pairs so the canonical order is a total order over
-/// the attempt set.
-fn dedup_attempts(mut v: Vec<PreambleRx>) -> Vec<PreambleRx> {
-    v.sort_unstable_by_key(|a| (a.at.as_nanos(), a.ue.0));
-    v.dedup_by_key(|a| (a.at.as_nanos(), a.ue.0));
-    v
-}
-
-/// Deterministic Fisher–Yates driven by the test's shuffle seed.
-fn shuffle(v: &mut [PreambleRx], seed: u64) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    for i in (1..v.len()).rev() {
-        let j = rng.random_range(0..(i as u32 + 1)) as usize;
-        v.swap(i, j);
-    }
-}
-
 proptest! {
     #[test]
     fn pdu_round_trip(pdu in arb_pdu()) {
@@ -100,34 +71,6 @@ proptest! {
         bad[i] ^= 1 << bit;
         // CRC-16 catches all single-bit errors.
         prop_assert!(Pdu::decode(&bad).is_err());
-    }
-
-    #[test]
-    fn next_gap_start_is_a_gap_and_not_past(
-        t_ns in 0u64..10_000_000_000,
-        period_ms in 10u64..100,
-        dur_ms in 1u64..9,
-        off_ms in 0u64..50,
-    ) {
-        let g = GapSchedule {
-            period: SimDuration::from_millis(period_ms),
-            duration: SimDuration::from_millis(dur_ms),
-            offset: SimDuration::from_millis(off_ms),
-        };
-        prop_assume!(g.validate().is_ok());
-        let t = SimTime::from_nanos(t_ns);
-        let s = g.next_gap_start(t);
-        prop_assert!(s >= t);
-        prop_assert!(g.in_gap(s));
-        // Nothing strictly between t and s is a gap start boundary:
-        // the instant before s must not be the start of a gap unless s==t.
-        if s > t {
-            let before = SimTime::from_nanos(s.as_nanos() - 1);
-            // `before` may be inside a *previous* gap only if t was too.
-            if g.in_gap(before) {
-                prop_assert!(g.in_gap(t));
-            }
-        }
     }
 
     /// Two UEs transmitting the *same preamble on the same PRACH occasion*
@@ -196,118 +139,6 @@ proptest! {
         prop_assert!(connected[0] && connected[1],
             "unresolved after 16 occasions: {connected:?} stats={:?}", responder.stats());
         prop_assert!(responder.stats().contention_losses >= 1);
-    }
-
-    /// Permutation invariance of the shared-stage resolution core: the
-    /// order attempts arrive in (worker scheduling, mailbox interleaving)
-    /// must not change the resolved occasion — replies, statistics and
-    /// pending-table size are identical for any input permutation.
-    #[test]
-    fn resolve_is_permutation_invariant(
-        raw in prop::collection::vec(arb_attempt(), 1..24),
-        shuffle_seed: u64,
-    ) {
-        let canonical = dedup_attempts(raw);
-        let mut shuffled = canonical.clone();
-        shuffle(&mut shuffled, shuffle_seed);
-
-        let (mut ra, mut rb) = (RachResponder::new(ResponderConfig::nr_default()),
-                                RachResponder::new(ResponderConfig::nr_default()));
-        let (mut a, mut b) = (canonical, shuffled);
-        let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
-        ra.resolve(&mut a, &mut out_a);
-        rb.resolve(&mut b, &mut out_b);
-        prop_assert_eq!(a, b);
-        prop_assert_eq!(out_a, out_b);
-        prop_assert_eq!(ra.stats(), rb.stats());
-        prop_assert_eq!(ra.pending_count(), rb.pending_count());
-    }
-
-    /// Merge associativity: resolving the union of per-shard sub-buffers
-    /// (concatenated in any shard order) is the same as resolving the
-    /// already-merged occasion — sharding the *collection* of attempts is
-    /// invisible once they meet in one resolution pass. This is the exact
-    /// property the fleet's cross-shard responder stage relies on.
-    #[test]
-    fn resolve_is_merge_associative(
-        raw in prop::collection::vec(arb_attempt(), 1..24),
-        n_shards in 1usize..5,
-        rotate in 0usize..5,
-    ) {
-        let merged = dedup_attempts(raw);
-        // Partition into per-shard sub-buffers (round-robin on UE id,
-        // like the fleet), then concatenate starting from an arbitrary
-        // shard.
-        let mut shards: Vec<Vec<PreambleRx>> = vec![Vec::new(); n_shards];
-        for a in &merged {
-            shards[a.ue.0 as usize % n_shards].push(*a);
-        }
-        let mut concatenated = Vec::new();
-        for s in 0..n_shards {
-            concatenated.extend(shards[(s + rotate) % n_shards].iter().copied());
-        }
-
-        let (mut ra, mut rb) = (RachResponder::new(ResponderConfig::nr_default()),
-                                RachResponder::new(ResponderConfig::nr_default()));
-        let (mut a, mut b) = (merged, concatenated);
-        let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
-        ra.resolve(&mut a, &mut out_a);
-        rb.resolve(&mut b, &mut out_b);
-        prop_assert_eq!(a, b);
-        prop_assert_eq!(out_a, out_b);
-        prop_assert_eq!(ra.stats(), rb.stats());
-    }
-
-    /// Occasion reuse through the batch path must not fabricate
-    /// contention losses (extends the PR 4 `concluded_at` regression to
-    /// `resolve`): after a merged occasion's contention concludes, a
-    /// later merged occasion reusing the same (preamble, beam) gets a
-    /// fresh procedure — its Msg3 is answered, and the only losses
-    /// recorded are the first occasion's genuine losers.
-    #[test]
-    fn resolve_occasion_reuse_has_no_phantom_losses(
-        gap_ms in 5u64..45,
-        preamble in 0u8..8,
-        beam in 0u16..8,
-    ) {
-        let t0 = SimTime::ZERO + SimDuration::from_millis(1);
-        let at = |off_us: u64| t0 + SimDuration::from_micros(off_us);
-        let mk = |ue: u32, off_us: u64| PreambleRx {
-            at: at(off_us), ue: UeId(ue), preamble, ssb_beam: beam, distance_m: 80.0,
-        };
-        let mut r = RachResponder::new(ResponderConfig::nr_default());
-        let mut replies = Vec::new();
-
-        // Occasion 1: UEs 1 and 2 collide.
-        let mut occ1 = vec![mk(2, 3), mk(1, 0)];
-        r.resolve(&mut occ1, &mut replies);
-        let temp1 = match replies[0].as_ref().unwrap().pdu {
-            Pdu::RachResponse { temp_ue, .. } => temp_ue,
-            _ => unreachable!(),
-        };
-        prop_assert_eq!(r.stats().collisions, 1);
-        // UE 1 wins contention; UE 2's Msg3 is the genuine loss.
-        let msg3_at = t0 + SimDuration::from_millis(4);
-        prop_assert!(r.on_msg3(msg3_at, Some(temp1), UeId(1), 0xA1).is_some());
-        prop_assert!(r.on_msg3(msg3_at + SimDuration::from_micros(10), Some(temp1), UeId(2), 0xA2).is_none());
-        prop_assert_eq!(r.stats().contention_losses, 1);
-
-        // Occasion 2, same (preamble, beam), after contention concluded
-        // but inside pending_ttl: UE 3 must get a fresh procedure.
-        let t1 = t0 + SimDuration::from_millis(gap_ms);
-        let mut occ2 = vec![PreambleRx {
-            at: t1, ue: UeId(3), preamble, ssb_beam: beam, distance_m: 60.0,
-        }];
-        r.resolve(&mut occ2, &mut replies);
-        let temp2 = match replies[0].as_ref().unwrap().pdu {
-            Pdu::RachResponse { temp_ue, .. } => temp_ue,
-            _ => unreachable!(),
-        };
-        prop_assert!(temp1 != temp2, "later occasion inherited the concluded entry");
-        prop_assert!(r.on_msg3(t1 + SimDuration::from_millis(3), Some(temp2), UeId(3), 0xA3).is_some());
-        // No phantom loss: the count is still occasion 1's single loser.
-        prop_assert_eq!(r.stats().contention_losses, 1);
-        prop_assert_eq!(r.stats().collisions, 1);
     }
 
     #[test]

@@ -89,6 +89,7 @@ impl Scenario {
                 Control::Continue
             }
         });
+        stage.assert_drained();
 
         let (ues, mut trial) = driver.into_parts();
         if !trial.outcome.handover_succeeded() {

@@ -23,11 +23,20 @@
 //! arriving RACH PDUs as [`RachAttemptMsg`]s into its outbox. At the
 //! barrier the outboxes are merged into the stage's holding buffer and
 //! every attempt whose arrival instant lies at or before the barrier
-//! horizon is resolved, in **canonical order** — arrival instant, then
-//! global UE id — against one [`RachResponder`] per cell. Replies fan
-//! back to the owning shards as [`RachReply`]s, timestamped strictly
+//! horizon is resolved against one [`RachResponder`] per cell. Replies
+//! fan back to the owning shards as [`RachReply`]s, timestamped strictly
 //! beyond the horizon (the epoch length is chosen to guarantee it), so
 //! delivery never has to rewind a shard.
+//!
+//! ## Canonical order
+//!
+//! One sort of the holding buffer fixes the resolution order, whatever
+//! order the attempts were collected in: by arrival instant; within an
+//! instant the preambles cell by cell, each cell's in global-UE order,
+//! then the Msg3s in global-UE order (ties by cell). Each cell's
+//! preambles at one instant are therefore one contiguous run — the
+//! merged PRACH occasion that cell's responder counts — and replies
+//! reach the shards in this same order.
 //!
 //! Because the barrier instants are global constants of the config and
 //! the resolution order is canonical, the outcome is byte-identical
@@ -46,15 +55,14 @@
 //!
 //! ## Zero allocation in steady state
 //!
-//! The holding buffer, per-occasion batch scratch and reply routing are
-//! all capacity-retaining (`Vec::clear`/`drain`, in-place
-//! `sort_unstable`), pre-sized by [`SharedRachStage::new`] — resolving
-//! occasions allocates nothing once warm (asserted by
-//! `tests/zero_alloc.rs`).
+//! The holding buffer is the stage's only per-attempt storage: pre-sized
+//! by [`SharedRachStage::new`], sorted in place and drained, it retains
+//! its capacity, so resolving occasions allocates nothing once warm
+//! (asserted by `tests/zero_alloc.rs`).
 
 use st_des::{SimDuration, SimTime};
 use st_mac::pdu::{Pdu, UeId};
-use st_mac::responder::{PreambleRx, RachResponder, RarPlan, ResponderConfig, ResponderStats};
+use st_mac::responder::{RachResponder, ResponderConfig, ResponderStats};
 use st_mac::timing::TxBeamIndex;
 
 /// The BS-bound payload of one published attempt.
@@ -77,18 +85,6 @@ pub enum RachReq {
     },
 }
 
-impl RachReq {
-    /// Canonical tie-break between a same-instant Msg1 and Msg3 of one
-    /// UE (the two kinds never interact through the pending table at the
-    /// same instant, but the order must still be fixed).
-    fn kind_rank(&self) -> u8 {
-        match self {
-            RachReq::Preamble { .. } => 0,
-            RachReq::Msg3 { .. } => 1,
-        }
-    }
-}
-
 /// One RACH PDU published by a shard for global resolution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RachAttemptMsg {
@@ -100,6 +96,20 @@ pub struct RachAttemptMsg {
     pub shard: u32,
     pub cell: u16,
     pub req: RachReq,
+}
+
+impl RachAttemptMsg {
+    /// The run this attempt resolves in, as the leading part of the
+    /// canonical sort key: (instant, Msg3 after preamble, cell) for a
+    /// preamble — one cell's merged occasion — and (instant, Msg3, 0)
+    /// for a Msg3, so an instant's Msg3s form one run after its
+    /// occasions.
+    fn run(&self) -> (SimTime, bool, u16) {
+        match self.req {
+            RachReq::Preamble { .. } => (self.at, false, self.cell),
+            RachReq::Msg3 { .. } => (self.at, true, 0),
+        }
+    }
 }
 
 /// A resolved reply, routed back to the owning shard. The shard delivers
@@ -156,11 +166,6 @@ pub struct SharedRachStage {
     responders: Vec<RachResponder>,
     /// Attempts published but not yet past the resolution horizon.
     holding: Vec<RachAttemptMsg>,
-    /// Per-occasion batch scratch (one cell, one instant), and the
-    /// shard/UE routing parallel to it.
-    batch: Vec<PreambleRx>,
-    batch_dst: Vec<(u32, u64)>,
-    rar_out: Vec<Option<RarPlan>>,
     counters: StageCounters,
     /// Snapshot-slice attribution ([`SharedRachStage::arm_slices`]):
     /// base interval, the run's end (where the last, possibly partial,
@@ -173,20 +178,16 @@ pub struct SharedRachStage {
 }
 
 impl SharedRachStage {
-    /// `expected_inflight` pre-sizes every buffer (a UE has at most one
-    /// Msg1 and one Msg3 in flight, so the UE count is a safe ceiling).
+    /// `expected_inflight` pre-sizes the holding buffer (a UE has at most
+    /// one Msg1 and one Msg3 in flight, so the UE count is a safe ceiling).
     pub fn new(
         n_cells: usize,
         config: ResponderConfig,
         expected_inflight: usize,
     ) -> SharedRachStage {
-        let cap = expected_inflight.max(16) * 2;
         SharedRachStage {
             responders: (0..n_cells).map(|_| RachResponder::new(config)).collect(),
-            holding: Vec::with_capacity(cap),
-            batch: Vec::with_capacity(cap),
-            batch_dst: Vec::with_capacity(cap),
-            rar_out: Vec::with_capacity(cap),
+            holding: Vec::with_capacity(expected_inflight.max(16) * 2),
             counters: StageCounters::default(),
             slice_dt: None,
             slice_end: SimTime::ZERO,
@@ -277,105 +278,28 @@ impl SharedRachStage {
     /// armed, every slice boundary up to `horizon` has its backlog
     /// sampled on return.
     pub fn resolve_up_to(&mut self, horizon: SimTime, mut deliver: impl FnMut(u32, RachReply)) {
-        self.holding
-            .sort_unstable_by_key(|m| (m.at.as_nanos(), m.ue_global, m.req.kind_rank(), m.cell));
-        let due = self
-            .holding
-            .partition_point(|m| m.at.as_nanos() <= horizon.as_nanos());
+        // Taken out for the pass so the responders can be borrowed beside
+        // it; put back drained, with its capacity.
+        let mut holding = std::mem::take(&mut self.holding);
+        holding.sort_unstable_by_key(|m| (m.run(), m.ue_global, m.cell));
+        let due = holding.partition_point(|m| m.at <= horizon);
         if due > 0 {
             self.counters.busy_barriers += 1;
         }
-
-        let mut i = 0;
-        while i < due {
-            // One run of equal arrival instants = the PRACH occasions (and
-            // stray Msg3s) landing at this instant across every cell.
-            let at = self.holding[i].at;
-            let mut j = i;
-            while j < due && self.holding[j].at == at {
-                j += 1;
-            }
+        for instant in holding[..due].chunk_by(|a, b| a.at == b.at) {
+            let at = instant[0].at;
             // Boundaries before this instant close with what is resolved
             // so far; one at this very instant waits for it.
             self.sample_backlog_before(at.as_nanos());
             // Snapshot-slice attribution brackets this instant's work.
             let before = self.slice_dt.map(|_| self.stats_snapshot());
-
-            // Merged-occasion resolution per cell: gather the instant's
-            // preambles for each cell (already in canonical UE order) and
-            // resolve them in one pass.
-            for cell in 0..self.responders.len() as u16 {
-                self.batch.clear();
-                self.batch_dst.clear();
-                for m in &self.holding[i..j] {
-                    if m.cell != cell {
-                        continue;
-                    }
-                    if let RachReq::Preamble {
-                        preamble,
-                        ssb_beam,
-                        distance_m,
-                    } = m.req
-                    {
-                        self.batch.push(PreambleRx {
-                            at: m.at,
-                            ue: UeId(m.ue_global as u32 + 1),
-                            preamble,
-                            ssb_beam,
-                            distance_m,
-                        });
-                        self.batch_dst.push((m.shard, m.ue_global));
-                    }
+            for run in instant.chunk_by(|a, b| a.run() == b.run()) {
+                if let RachReq::Preamble { .. } = run[0].req {
+                    self.responders[run[0].cell as usize].note_occasion(run.len());
                 }
-                if self.batch.is_empty() {
-                    continue;
-                }
-                self.counters.resolved_preambles += self.batch.len() as u64;
-                // The batch is a sub-sequence of the canonically sorted
-                // holding buffer, so `resolve`'s internal canonical sort
-                // is an order no-op and `batch_dst` stays aligned.
-                self.responders[cell as usize].resolve(&mut self.batch, &mut self.rar_out);
-                for (k, plan) in self.rar_out.iter().enumerate() {
-                    let Some(plan) = plan else { continue };
-                    let (shard, ue_global) = self.batch_dst[k];
-                    deliver(
-                        shard,
-                        RachReply {
-                            deliver_at: at + plan.delay,
-                            ue_global,
-                            cell,
-                            tx_beam: plan.tx_beam,
-                            pdu: plan.pdu.clone(),
-                            backhaul_ns: 0,
-                        },
-                    );
-                }
-            }
-
-            // Msg3s at this instant, in canonical UE order.
-            for m in &self.holding[i..j] {
-                if let RachReq::Msg3 {
-                    temp,
-                    ue,
-                    context_token,
-                    reply_tx_beam,
-                } = m.req
-                {
-                    self.counters.resolved_msg3 += 1;
-                    if let Some(plan) =
-                        self.responders[m.cell as usize].on_msg3(m.at, temp, ue, context_token)
-                    {
-                        deliver(
-                            m.shard,
-                            RachReply {
-                                deliver_at: m.at + plan.delay,
-                                ue_global: m.ue_global,
-                                cell: m.cell,
-                                tx_beam: reply_tx_beam,
-                                pdu: plan.pdu.clone(),
-                                backhaul_ns: (plan.queue_wait + plan.fetch).as_nanos(),
-                            },
-                        );
+                for m in run {
+                    if let Some(reply) = self.answer(m) {
+                        deliver(m.shard, reply);
                     }
                 }
             }
@@ -390,10 +314,58 @@ impl SharedRachStage {
                 d.contention_losses += a.2 - b.2;
                 d.backhaul_wait_us += (a.3 - b.3) / 1_000;
             }
-            i = j;
         }
-        self.holding.drain(..due);
+        holding.drain(..due);
+        self.holding = holding;
         self.sample_backlog_before(horizon.as_nanos() + 1);
+    }
+
+    /// One attempt at its cell's responder: the reply, if it gets one.
+    fn answer(&mut self, m: &RachAttemptMsg) -> Option<RachReply> {
+        let responder = &mut self.responders[m.cell as usize];
+        let (delay, tx_beam, pdu, backhaul) = match m.req {
+            RachReq::Preamble {
+                preamble,
+                ssb_beam,
+                distance_m,
+            } => {
+                self.counters.resolved_preambles += 1;
+                let plan = responder.on_preamble(m.at, preamble, ssb_beam, distance_m)?;
+                (plan.delay, plan.tx_beam, plan.pdu, SimDuration::ZERO)
+            }
+            RachReq::Msg3 {
+                temp,
+                ue,
+                context_token,
+                reply_tx_beam,
+            } => {
+                self.counters.resolved_msg3 += 1;
+                let plan = responder.on_msg3(m.at, temp, ue, context_token)?;
+                let backhaul = plan.queue_wait + plan.fetch;
+                (plan.delay, reply_tx_beam, plan.pdu, backhaul)
+            }
+        };
+        Some(RachReply {
+            deliver_at: m.at + delay,
+            ue_global: m.ue_global,
+            cell: m.cell,
+            tx_beam,
+            pdu,
+            backhaul_ns: backhaul.as_nanos(),
+        })
+    }
+
+    /// Panic unless every ingested attempt was resolved. An attempt
+    /// arrives at or before the run's end, which is the last horizon, so
+    /// after the last barrier one still held never resolved; and since an
+    /// attempt leaves the buffer only when it resolves, none resolved
+    /// twice.
+    pub fn assert_drained(&self) {
+        assert!(
+            self.holding.is_empty(),
+            "{} RACH attempts were never resolved",
+            self.holding.len()
+        );
     }
 }
 
@@ -454,6 +426,82 @@ mod tests {
         s.resolve_up_to(t(4000), |_, _| n += 1);
         assert_eq!(n, 2);
         assert_eq!(s.counters().resolved_preambles, 2);
+        s.assert_drained();
+    }
+
+    /// The run-end ledger: an attempt past the last horizon was never
+    /// resolved, and the drain check says so.
+    #[test]
+    #[should_panic(expected = "1 RACH attempts were never resolved")]
+    fn an_attempt_beyond_the_last_horizon_fails_the_drain_check() {
+        let mut s = stage();
+        let mut mb = vec![preamble(t(500), 0, 0, 0, 3), preamble(t(2500), 1, 0, 0, 3)];
+        s.ingest(&mut mb);
+        s.resolve_up_to(t(2000), |_, _| {});
+        s.assert_drained();
+    }
+
+    /// Preambles from three shards on one cell at one instant are one
+    /// merged occasion — the collision per-shard responders would each
+    /// miss — while another cell's preamble at that instant is its own.
+    #[test]
+    fn resolve_merges_cross_shard_attempts_into_one_occasion() {
+        let mut s = stage();
+        for a in [
+            preamble(t(500), 9, 2, 0, 4),
+            preamble(t(500), 3, 1, 1, 4),
+            preamble(t(500), 1, 0, 0, 4),
+            preamble(t(500), 5, 1, 0, 7),
+        ] {
+            s.ingest(&mut vec![a]);
+        }
+        let mut replies: Vec<(u32, RachReply)> = Vec::new();
+        s.resolve_up_to(t(2000), |shard, r| replies.push((shard, r)));
+        // Canonical order: cell 0's occasion in global-UE order, then
+        // cell 1's; each reply routed to its UE's shard.
+        let order: Vec<(u32, u64, u16)> = replies
+            .iter()
+            .map(|(shard, r)| (*shard, r.ue_global, r.cell))
+            .collect();
+        assert_eq!(order, [(0, 1, 0), (1, 5, 0), (2, 9, 0), (1, 3, 1)]);
+        let temp = |k: usize| match replies[k].1.pdu {
+            Pdu::RachResponse { temp_ue, .. } => temp_ue,
+            _ => unreachable!(),
+        };
+        // UE 1 and UE 9 collided on preamble 4; UE 5 is alone on 7.
+        assert_eq!(temp(0), temp(2));
+        assert_ne!(temp(0), temp(1));
+        let (c0, c1) = (s.responder_stats()[0], s.responder_stats()[1]);
+        assert_eq!((c0.preambles_heard, c0.collisions), (3, 1));
+        assert_eq!((c0.merged_occasions, c0.peak_merged_attempts), (1, 3));
+        assert_eq!((c1.preambles_heard, c1.collisions), (1, 0));
+        assert_eq!((c1.merged_occasions, c1.peak_merged_attempts), (1, 1));
+        assert_eq!(s.counters().resolved_preambles, 4);
+        assert_eq!(s.counters().busy_barriers, 1);
+    }
+
+    #[test]
+    fn resolve_outcome_is_input_order_insensitive() {
+        let base = vec![
+            preamble(t(500), 3, 1, 0, 1),
+            preamble(t(502), 7, 1, 0, 1),
+            preamble(t(501), 2, 0, 0, 5),
+            preamble(t(501), 9, 1, 0, 5),
+        ];
+        let run = |mut mailbox: Vec<RachAttemptMsg>| {
+            let mut s = stage();
+            s.ingest(&mut mailbox);
+            let mut replies: Vec<(u32, RachReply)> = Vec::new();
+            s.resolve_up_to(t(2000), |shard, r| replies.push((shard, r)));
+            (replies, s.responder_stats(), s.counters())
+        };
+        let fwd = run(base.clone());
+        let rev = run(base.into_iter().rev().collect());
+        assert_eq!(fwd, rev);
+        // Both preamble pairs collide (UE 7 joins UE 3's procedure
+        // inside the collision window), over three merged occasions.
+        assert_eq!(fwd.1[0].collisions, 2);
+        assert_eq!(fwd.1[0].merged_occasions, 3);
     }
 
     #[test]

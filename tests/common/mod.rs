@@ -1,7 +1,8 @@
 //! Shared deployment recipes for the contention integration tests, so
 //! `shard_approximation` and `exact_contention` provably exercise the
 //! *same* acceptance points (retuning one without the other would
-//! silently break the cross-test claims).
+//! silently break the cross-test claims). `obs_telemetry` runs a small
+//! street from here for its last-slice check.
 
 use silent_tracker_repro::st_fleet::{Deployment, FleetConfig, MobilityKind};
 use silent_tracker_repro::st_net::ProtocolKind;

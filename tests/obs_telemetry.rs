@@ -8,8 +8,11 @@
 //! * **Constant memory** — a fleet retains no raw sample vectors;
 //!   quantiles flow through the fixed-size log-bucketed sketch.
 
+mod common;
+
+use silent_tracker_repro::st_des::SimDuration;
 use silent_tracker_repro::st_fleet::{
-    run_fleet_with_workers, Deployment, FleetConfig, FleetOutcome, MobilityKind,
+    run_fleet_with_workers, Deployment, FleetConfig, FleetOutcome, MobilityKind, SnapshotSlice,
 };
 use silent_tracker_repro::st_net::ProtocolKind;
 
@@ -105,6 +108,36 @@ fn timeline_slices_cover_the_run_and_sum_to_totals() {
     // v2 slices carry the per-cause interruption counts.
     assert!(json.contains("\"causes\": {\"blockage-onset\""), "{json}");
     assert!(!json.contains("wall"), "{json}");
+}
+
+/// What happens at exactly t = duration lands in the last slice, also
+/// when the duration is a whole number of snapshot intervals: the 0.93 s
+/// street ends on a beam-0 PRACH occasion, so preambles leave at the
+/// run's last instant.
+#[test]
+fn the_last_slice_keeps_what_happens_at_the_run_end() {
+    for shards in [1, 2] {
+        for dt_ms in [310, 930] {
+            let mut cfg = common::contended_street(100, 2, shards, 0.93);
+            cfg.snapshot_interval = Some(SimDuration::from_millis(dt_ms));
+            let out = run_fleet_with_workers(&cfg, 2);
+            let ring = out.timeline().expect("snapshots armed");
+            assert_eq!(ring.slices().len(), 930 / dt_ms as usize);
+            let sum = |f: fn(&SnapshotSlice) -> u64| ring.slices().iter().map(f).sum::<u64>();
+            let t = &out.totals;
+            let preambles_tx: u64 = t.per_cell.iter().map(|c| c.preambles_tx).sum();
+            assert_eq!(
+                [
+                    sum(|s| s.handovers),
+                    sum(|s| s.rlfs),
+                    sum(|s| s.rach_attempts),
+                    sum(|s| s.preambles_tx),
+                ],
+                [t.handovers, t.rlfs, t.rach_attempts, preambles_tx],
+                "slice sums vs run totals at {shards} shards, {dt_ms} ms slices"
+            );
+        }
+    }
 }
 
 #[test]

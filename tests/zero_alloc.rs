@@ -201,8 +201,8 @@ fn occluded_sweep_path_allocates_nothing() {
 /// holding buffer canonically, resolving merged occasions (with
 /// collisions, admission rejections and soft-handover backhaul fetches),
 /// routing replies and attributing the timeline's slice counters and
-/// backlog gauge must allocate **nothing** once the pre-sized occasion
-/// buffers are warm — the stage adds barriers, not per-occasion `Vec`
+/// backlog gauge must allocate **nothing** once the pre-sized holding
+/// buffer is warm — the stage adds barriers, not per-occasion `Vec`
 /// churn.
 #[test]
 fn shared_rach_stage_steady_state_allocates_nothing() {
@@ -259,9 +259,8 @@ fn shared_rach_stage_steady_state_allocates_nothing() {
         assert!(!replies.is_empty());
     };
 
-    // Warm-up: holding buffer, batch scratch, reply sink and the
-    // responders' pending tables (bounded by `max_pending` + TTL expiry)
-    // reach steady size.
+    // Warm-up: holding buffer, reply sink and the responders' pending
+    // tables (bounded by `max_pending` + TTL expiry) reach steady size.
     for k in 0..32 {
         run_epoch(&mut stage, &mut mailbox, &mut replies, k);
     }
