@@ -124,12 +124,13 @@ pub struct ShardOutcome {
 /// property of (config, seed).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageReport {
-    /// Occasion barriers the run synchronized at.
+    /// Occasion barriers the run synchronized at: the barriers held,
+    /// summed over contention groups.
     pub epochs: u64,
     /// Total wall-clock seconds all workers spent waiting at barriers.
     pub barrier_wait_s: f64,
-    /// Deterministic stage counters (resolved preambles/Msg3s, busy
-    /// barriers).
+    /// Deterministic stage counters (resolved preambles/Msg3s, busy and
+    /// held barriers).
     pub counters: StageCounters,
 }
 

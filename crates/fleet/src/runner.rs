@@ -11,15 +11,24 @@
 //!
 //! ## Occasion barriers
 //!
-//! Shards advance one occasion epoch at a time (the epoch is the minimum
-//! BS response delay, so replies always land in the shards' future). At
-//! each barrier the RACH attempts that arrived at base stations during
-//! the epoch leave the shards' outboxes and meet in a shared
-//! [`SharedRachStage`], which resolves the globally merged, canonically
-//! ordered attempt set and fans the replies back before the next epoch
-//! starts. Contention is therefore exact, and the aggregate is
+//! Shards advance between occasion barriers on a grid of epochs (the
+//! epoch is the minimum BS response delay, so replies always land in the
+//! shards' future). At a barrier the RACH attempts that arrived at base
+//! stations since the last one leave the shards' outboxes and meet in a
+//! shared [`SharedRachStage`], which resolves the globally merged,
+//! canonically ordered attempt set and fans the replies back before any
+//! shard moves on. Contention is therefore exact, and the aggregate is
 //! byte-identical across worker counts *and* shard counts — sharding is
 //! pure parallelism.
+//!
+//! A barrier is held only at the epochs the stage's schedule says can
+//! receive an attempt ([`SharedRachStage::next_horizon`]): the PRACH
+//! occasions of the group's cells, the Msg3s its RARs make possible and
+//! the run's last epoch. Shards step straight from one held horizon to
+//! the next; the epochs in between receive nothing, so skipping them
+//! changes no output (see the `stage` module docs). Each held barrier is
+//! one combining wait: the last thread to arrive drains the group's
+//! outboxes, resolves and fans back, then releases the others.
 //!
 //! ## Contention groups
 //!
@@ -35,14 +44,14 @@
 //!
 //! ## Worker plan
 //!
-//! `workers` caps the thread count: the runner spawns
-//! `min(workers, n_shards)` threads and deals the shards, sorted by
-//! (group, shard), into contiguous chunks. Every epoch each thread visits
-//! its groups in ascending order, stepping that group's shards and then
-//! meeting the group's other threads at the group's barrier. A group's
-//! barrier counts only the threads that hold its shards, and because
-//! every thread takes its groups in the same order, no wait cycle can
-//! form.
+//! `workers` caps the thread count: the runner deals the shards, sorted
+//! by (group, shard), into `min(workers, n_shards)` contiguous chunks and
+//! steps each chunk on a thread of its own. Each thread meets the
+//! barriers of its groups in ascending (horizon, group) order, stepping
+//! a group's shards to the group's next held horizon and then meeting
+//! the group's other threads there. A group's barrier counts only the
+//! threads that hold its shards, and because every thread takes its
+//! barriers in the same global order, no wait cycle can form.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -172,10 +181,12 @@ fn contention_groups(
 /// mid-epoch; the runner re-raises that panic, so this one just stops.
 const POISONED: &str = "another fleet worker panicked";
 
-/// A reusable barrier that a panicking worker can break. `wait` returns
-/// `false` once the run's abort flag is up, so a worker never blocks
-/// forever on a partner that unwound — `std::sync::Barrier` has no such
-/// exit and does not poison.
+/// A reusable combining barrier that a panicking worker can break: the
+/// last thread of the group to arrive does the barrier's work and then
+/// releases the others, so a barrier costs each thread one wait.
+/// `arrive` returns `false` once the run's abort flag is up, so a worker
+/// never blocks forever on a partner that unwound —
+/// `std::sync::Barrier` has no such exit and does not poison.
 struct OccasionBarrier {
     threads: usize,
     /// Threads arrived in the current generation, and the generation.
@@ -192,15 +203,23 @@ impl OccasionBarrier {
         }
     }
 
-    /// Block until every thread of the group arrives (`true`) or the run
-    /// aborts (`false`).
-    fn wait(&self, abort: &AtomicBool) -> bool {
+    /// Arrive, and block until the group has passed the barrier (`true`)
+    /// or the run aborts (`false`). The last thread to arrive runs
+    /// `combine` before it releases the others.
+    fn arrive(&self, abort: &AtomicBool, combine: impl FnOnce()) -> bool {
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let generation = st.1;
         st.0 += 1;
         if st.0 == self.threads {
+            // Every other thread of the group waits for the generation to
+            // change, so nobody touches the state while `combine` runs
+            // unlocked.
+            drop(st);
+            combine();
+            let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
             *st = (0, generation.wrapping_add(1));
             self.cvar.notify_all();
+            return !abort.load(Ordering::Acquire);
         }
         while st.1 == generation && !abort.load(Ordering::Acquire) {
             st = self.cvar.wait(st).unwrap_or_else(PoisonError::into_inner);
@@ -215,13 +234,13 @@ impl OccasionBarrier {
     }
 }
 
-/// Test-build hook: a fleet run with this seed panics in shard 1's step
-/// of epoch 3, so the runner's unwind handling can be exercised without
-/// a config field.
+/// Test-build hook: a fleet run with this seed panics in shard 1's first
+/// step past 20 ms, so the runner's unwind handling can be exercised
+/// without a config field.
 #[cfg(test)]
 const INJECTED_PANIC_SEED: u64 = 0x00de_adbe_ef00;
 
-/// One thread's share of an epoch: a run of one group's shards.
+/// One thread's share of a group's barriers: a run of the group's shards.
 struct Segment {
     group: usize,
     shards: Vec<usize>,
@@ -254,16 +273,18 @@ pub fn run_fleet_exact_with_order(
     let n_groups = groups.len();
 
     let rc = responder_config(&cfg.base);
-    // The barrier spacing the stage is safe under: no longer than the
-    // minimum BS response delay (see the `stage` module docs).
-    let epoch = rc.rar_delay.min(rc.msg4_delay);
     let deadline = SimTime::ZERO + cfg.base.duration;
-    let n_epochs = cfg.base.duration.as_nanos().div_ceil(epoch.as_nanos());
     let stages: Vec<Mutex<SharedRachStage>> = groups
         .iter()
         .map(|g| {
             let inflight: usize = g.iter().map(|&s| part_lens[s]).sum();
+            let mut cells: Vec<usize> = g.iter().flat_map(|&s| touch[s].iter().copied()).collect();
+            cells.sort_unstable();
+            cells.dedup();
             let mut st = SharedRachStage::new(n_cells, rc, inflight);
+            // The group meets only at the epochs its cells' PRACH timing
+            // can fill (see the `stage` module docs).
+            st.arm_schedule(&cfg.base, &cells);
             if let Some(dt) = cfg.snapshot_interval {
                 // Shards carry no responders, so the timeline's
                 // responder-side fields come from the stages' own
@@ -281,7 +302,7 @@ pub fn run_fleet_exact_with_order(
     let mut dealt: Vec<usize> = (0..n_shards).collect();
     dealt.sort_by_key(|&s| (group_of[s], s));
     let mut plans: Vec<Vec<Segment>> = Vec::with_capacity(n_threads);
-    let mut group_threads: Vec<Vec<usize>> = vec![Vec::new(); n_groups];
+    let mut group_threads: Vec<usize> = vec![0; n_groups];
     let mut rest = dealt.as_slice();
     for t in 0..n_threads {
         let (chunk, tail) =
@@ -290,7 +311,7 @@ pub fn run_fleet_exact_with_order(
         let mut segments: Vec<Segment> = Vec::new();
         for shards in chunk.chunk_by(|&a, &b| group_of[a] == group_of[b]) {
             let group = group_of[shards[0]] as usize;
-            group_threads[group].push(t);
+            group_threads[group] += 1;
             segments.push(Segment {
                 group,
                 step_order: order.permutation(shards.len()),
@@ -301,10 +322,11 @@ pub fn run_fleet_exact_with_order(
     }
     let barriers: Vec<OccasionBarrier> = group_threads
         .iter()
-        .map(|t| OccasionBarrier::new(t.len()))
+        .map(|&t| OccasionBarrier::new(t))
         .collect();
     let drain_orders: Vec<Vec<usize>> = groups.iter().map(|g| order.permutation(g.len())).collect();
     let barrier_wait_ns = AtomicU64::new(0);
+    let barrier_waits = AtomicU64::new(0);
     let shard_run_ns = AtomicU64::new(0);
     // A worker that panics raises `abort` and breaks every barrier, so
     // the others leave at their next wait; the first panic is re-raised
@@ -312,77 +334,91 @@ pub fn run_fleet_exact_with_order(
     let abort = AtomicBool::new(false);
     let first_panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
 
-    std::thread::scope(|scope| {
-        for (t, plan) in plans.iter().enumerate() {
-            let (sims, stages, groups, barriers) = (&sims, &stages, &groups, &barriers);
-            let (group_threads, drain_orders) = (&group_threads, &drain_orders);
-            let (barrier_wait_ns, shard_run_ns) = (&barrier_wait_ns, &shard_run_ns);
-            let (abort, first_panic) = (&abort, &first_panic);
-            scope.spawn(move || {
-                let worker = || {
-                    for k in 1..=n_epochs {
-                        let horizon = (SimTime::ZERO + epoch * k).min(deadline);
-                        let mut wait_ns = 0u64;
-                        for seg in plan {
-                            let t_step = Instant::now();
-                            for &j in &seg.step_order {
-                                #[cfg(test)]
-                                if cfg.base.seed == INJECTED_PANIC_SEED
-                                    && seg.shards[j] == 1
-                                    && k == 3
-                                {
-                                    panic!("injected shard panic");
-                                }
-                                sims[seg.shards[j]]
-                                    .lock()
-                                    .expect(POISONED)
-                                    .run_until(horizon);
-                            }
-                            shard_run_ns
-                                .fetch_add(t_step.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                            // Time the two waits separately so the resolver's
-                            // own merge work never counts as "barrier waiting"
-                            // — the overhead figure must separate idling from
-                            // work.
-                            let barrier = &barriers[seg.group];
-                            let entry = Instant::now();
-                            if !barrier.wait(abort) {
-                                return;
-                            }
-                            wait_ns += entry.elapsed().as_nanos() as u64;
-                            if group_threads[seg.group][0] == t {
-                                // Between the waits no thread touches this
-                                // group's shards, so the resolver drains and
-                                // answers them directly.
-                                let members = &groups[seg.group];
-                                let mut stage = stages[seg.group].lock().expect(POISONED);
-                                for &m in &drain_orders[seg.group] {
-                                    stage.ingest(sims[members[m]].lock().expect(POISONED).outbox());
-                                }
-                                stage.resolve_up_to(horizon, |shard, reply| {
-                                    sims[shard as usize].lock().expect(POISONED).deliver(&reply);
-                                });
-                            }
-                            let fanback = Instant::now();
-                            if !barrier.wait(abort) {
-                                return;
-                            }
-                            wait_ns += fanback.elapsed().as_nanos() as u64;
-                        }
-                        barrier_wait_ns.fetch_add(wait_ns, Ordering::Relaxed);
-                    }
-                };
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(worker)) {
-                    abort.store(true, Ordering::Release);
-                    for b in barriers {
-                        b.break_waiters();
-                    }
-                    first_panic
+    let run_plan = |plan: &[Segment]| {
+        let worker = || {
+            // Each segment's next barrier: its group's next held horizon.
+            let mut next: Vec<Option<SimTime>> = plan
+                .iter()
+                .map(|seg| {
+                    stages[seg.group]
                         .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .get_or_insert(payload);
+                        .expect(POISONED)
+                        .next_horizon(SimTime::ZERO)
+                })
+                .collect();
+            let (mut wait_ns, mut waits) = (0u64, 0u64);
+            // Every thread meets its barriers in (horizon, group) order.
+            while let Some(horizon) = next.iter().flatten().min().copied() {
+                for (seg, slot) in plan.iter().zip(&mut next) {
+                    if *slot != Some(horizon) {
+                        continue;
+                    }
+                    let t_step = Instant::now();
+                    for &j in &seg.step_order {
+                        #[cfg(test)]
+                        if cfg.base.seed == INJECTED_PANIC_SEED
+                            && seg.shards[j] == 1
+                            && horizon > SimTime::ZERO + st_des::SimDuration::from_millis(20)
+                        {
+                            panic!("injected shard panic");
+                        }
+                        sims[seg.shards[j]]
+                            .lock()
+                            .expect(POISONED)
+                            .run_until(horizon);
+                    }
+                    shard_run_ns.fetch_add(t_step.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                    // The resolver's own work is timed apart from the
+                    // wait, so the overhead figure separates idling from
+                    // work.
+                    let entry = Instant::now();
+                    let mut combine_ns = 0u64;
+                    let passed = barriers[seg.group].arrive(&abort, || {
+                        let t_combine = Instant::now();
+                        // Every other thread of the group is waiting, so
+                        // the resolver drains and answers its shards
+                        // directly.
+                        let members = &groups[seg.group];
+                        let mut stage = stages[seg.group].lock().expect(POISONED);
+                        for &m in &drain_orders[seg.group] {
+                            stage.ingest(sims[members[m]].lock().expect(POISONED).outbox());
+                        }
+                        stage.resolve_up_to(horizon, |shard, reply| {
+                            sims[shard as usize].lock().expect(POISONED).deliver(&reply);
+                        });
+                        combine_ns = t_combine.elapsed().as_nanos() as u64;
+                    });
+                    if !passed {
+                        return;
+                    }
+                    wait_ns += (entry.elapsed().as_nanos() as u64).saturating_sub(combine_ns);
+                    waits += 1;
+                    // Nobody resolves this group again before this thread
+                    // arrives at its next barrier: the schedule is final.
+                    *slot = stages[seg.group]
+                        .lock()
+                        .expect(POISONED)
+                        .next_horizon(horizon);
                 }
-            });
+            }
+            barrier_wait_ns.fetch_add(wait_ns, Ordering::Relaxed);
+            barrier_waits.fetch_add(waits, Ordering::Relaxed);
+        };
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(worker)) {
+            abort.store(true, Ordering::Release);
+            for b in &barriers {
+                b.break_waiters();
+            }
+            first_panic
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .get_or_insert(payload);
+        }
+    };
+    std::thread::scope(|scope| {
+        for plan in &plans {
+            let run_plan = &run_plan;
+            scope.spawn(move || run_plan(plan));
         }
     });
     if let Some(payload) = first_panic
@@ -428,9 +464,10 @@ pub fn run_fleet_exact_with_order(
         counters.resolved_preambles += c.resolved_preambles;
         counters.resolved_msg3 += c.resolved_msg3;
         counters.busy_barriers += c.busy_barriers;
+        counters.barriers_held += c.barriers_held;
     }
     out.stage = Some(StageReport {
-        epochs: n_epochs,
+        epochs: counters.barriers_held,
         barrier_wait_s: barrier_wait_ns.load(Ordering::Relaxed) as f64 * 1e-9,
         counters,
     });
@@ -440,6 +477,7 @@ pub fn run_fleet_exact_with_order(
     c.add("stage.resolved_preambles", counters.resolved_preambles);
     c.add("stage.resolved_msg3", counters.resolved_msg3);
     c.add("stage.busy_barriers", counters.busy_barriers);
+    c.add("stage.barriers_held", counters.barriers_held);
     c.add("stage.groups", n_groups as u64);
     let p = &mut out.totals.profile;
     p.record_span_nanos(
@@ -447,12 +485,13 @@ pub fn run_fleet_exact_with_order(
         u128::from(shard_run_ns.load(Ordering::Relaxed)),
         n_shards as u64,
     );
-    // One call per thread per epoch, however many groups the thread
-    // visits: the call count divided by the epochs is the thread count.
+    // One call per wait, and every thread of a group waits at each of
+    // the group's barriers: with one group, the call count divided by the
+    // barriers held is the thread count.
     p.record_span_nanos(
         "stage.barrier_wait",
         u128::from(barrier_wait_ns.load(Ordering::Relaxed)),
-        n_epochs * n_threads as u64,
+        barrier_waits.load(Ordering::Relaxed),
     );
     p.record_span_nanos("fleet.merge", t_merge.elapsed().as_nanos(), 1);
     out
@@ -677,15 +716,18 @@ mod tests {
     }
 
     /// `workers` caps the thread count even when there are more
-    /// contention groups than workers: the barrier span records one call
-    /// per thread per epoch, so one worker shows exactly `epochs` calls —
-    /// and the aggregate still matches two workers and one shard.
+    /// contention groups than workers. The barrier span records one call
+    /// per wait — each barrier a group holds, once per thread stepping
+    /// the group's shards — so one worker shows exactly one call per
+    /// barrier held, and the aggregate still matches four workers and one
+    /// shard.
     #[test]
     fn one_worker_steps_every_contention_group_on_one_thread() {
         // Two 2-cell blocks 140 m apart: with a 40 m interest radius the
-        // blocks' reachable-cell sets are disjoint, so two shards form two
-        // contention groups. The gap-facing cells share a street side, so
-        // no UE is first served across the tile boundary at x = 0.
+        // blocks' reachable-cell sets are disjoint, so four one-cell
+        // tiles form two contention groups. The gap-facing cells share a
+        // street side, so no UE is first served across the tile boundary
+        // at x = 0.
         let gapped = |shards: usize| {
             Deployment::new()
                 .street(400.0, 30.0)
@@ -705,25 +747,31 @@ mod tests {
                 .build()
                 .unwrap()
         };
-        let cfg = gapped(2);
+        let calls = |out: &FleetOutcome| {
+            out.profile()
+                .span("stage.barrier_wait")
+                .expect("barrier span")
+                .calls
+        };
+        let cfg = gapped(4);
         let w1 = run_fleet_with_workers(&cfg, 1);
         assert_eq!(w1.profile().counters.get("stage.groups"), 2);
-        let epochs = w1.stage.expect("stage report").epochs;
-        let calls = w1
-            .profile()
-            .span("stage.barrier_wait")
-            .expect("barrier span")
-            .calls;
-        assert_eq!(calls, epochs, "one worker must mean one thread");
-        let w2 = run_fleet_with_workers(&cfg, 2);
-        let w2_calls = w2
-            .profile()
-            .span("stage.barrier_wait")
-            .expect("barrier span")
-            .calls;
-        assert_eq!(w2_calls, 2 * epochs);
+        let stage = w1.stage.expect("stage report");
+        let held = stage.epochs;
+        assert_eq!(held, w1.profile().counters.get("stage.barriers_held"));
+        // Each group holds its last epoch and every busy barrier, but
+        // skips most of the 500-epoch grid.
+        assert!(
+            stage.counters.busy_barriers < held && held < 500,
+            "{held} barriers held"
+        );
+        assert_eq!(calls(&w1), held, "one worker must mean one thread");
+        // Four workers: each group's two shards on two threads.
+        let w4 = run_fleet_with_workers(&cfg, 4);
+        assert_eq!(w4.stage.expect("stage report").epochs, held);
+        assert_eq!(calls(&w4), 2 * held);
         let one_shard = run_fleet_with_workers(&gapped(1), 1);
-        assert_eq!(w1.summary(), w2.summary());
+        assert_eq!(w1.summary(), w4.summary());
         assert_eq!(w1.summary(), one_shard.summary());
         assert!(w1.totals.handovers > 0, "{}", w1.summary());
     }

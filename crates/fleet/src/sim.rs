@@ -66,11 +66,6 @@ struct Ledger {
     /// Run-level per-cause interruption counts — the conservation ledger
     /// the timeline slice cause counts must sum to.
     cause_counts_run: [u64; 5],
-    /// Handovers whose breakdown total did not bit-equal the recorded
-    /// interruption. Counted here and asserted zero in `finish`, on the
-    /// runner's own thread: a panic inside a worker's shard step would
-    /// leave the other workers waiting at the occasion barrier.
-    breakdown_mismatches: u64,
     /// The timeline slice accumulating since the last sealed boundary.
     cur: SnapshotSlice,
 }
@@ -121,15 +116,22 @@ impl Observer for Ledger {
         self.out.occasion_instants[cell].insert(now.as_nanos());
     }
 
-    fn on_handover(&mut self, _i: usize, _now: SimTime, done: &HandoverDone, proto: &Proto) {
+    fn on_handover(&mut self, _i: usize, now: SimTime, done: &HandoverDone, proto: &Proto) {
         if let Some(marks) = &done.marks {
             let ms = done.done_at.since(marks.start).as_millis_f64();
             // Causal attribution: the phase decomposition + root cause of
             // the raw timeline. The breakdown total is bit-equal to the
             // `ms` sample recorded below — one interruption, one number,
-            // two views.
+            // two views. Checked here, in every build: the runner fails
+            // the whole run on a worker's panic.
             let bd = InterruptionBreakdown::from_marks(marks);
-            self.breakdown_mismatches += u64::from(bd.total_ms.to_bits() != ms.to_bits());
+            assert!(
+                bd.total_ms.to_bits() == ms.to_bits(),
+                "UE {}'s handover at {now}: breakdown total {} ms must bit-equal the \
+                 recorded interruption {ms} ms",
+                marks.ue,
+                bd.total_ms
+            );
             let out = &mut self.out;
             let (arm, causes) = match proto.kind() {
                 ProtocolKind::SilentTracker => {
@@ -192,9 +194,9 @@ pub(crate) fn build_mobility(
 }
 
 /// One shard packaged for stepped execution: the runner advances every
-/// shard in occasion-epoch steps, draining its published RACH attempts
-/// ([`ShardSim::outbox`]) at each barrier and fanning resolved replies
-/// back in ([`ShardSim::deliver`]).
+/// shard from one held occasion barrier to the next, draining its
+/// published RACH attempts ([`ShardSim::outbox`]) at each barrier and
+/// fanning resolved replies back in ([`ShardSim::deliver`]).
 pub(crate) struct ShardSim {
     driver: Driver<Ledger>,
     ex: Executive<Ev>,
@@ -242,7 +244,6 @@ impl ShardSim {
             cause_totals: [[0.0; 5]; 2],
             cause_phase_sums: [[0.0; 5]; 2],
             cause_counts_run: [0; 5],
-            breakdown_mismatches: 0,
             cur: SnapshotSlice::new(),
         };
         let mut driver = Driver::new(
@@ -391,17 +392,19 @@ impl ShardSim {
         if let Some(ring) = &out.timeline {
             c.add("obs.snapshot_slices", ring.pushed());
         }
-        // Attribution conservation ledgers, checked in every build before
-        // the causal aggregates leave the shard: (a) every breakdown total
-        // bit-equals its recorded interruption; (b) per arm and cause, the
-        // summed phase decompositions bit-equal the summed recorded
-        // samples; (c) the timeline's per-cause slice counts, handovers,
-        // RLFs, RACH attempts and transmitted preambles sum to the run's
-        // totals — nothing double-counted, nothing dropped.
+        // Conservation ledgers, checked in every build before the
+        // aggregates leave the shard (each handover's breakdown total was
+        // checked as it completed): (a) per-cell handover arrivals sum to
+        // the handovers; (b) per arm and cause, the summed phase
+        // decompositions bit-equal the summed recorded samples; (c) the
+        // timeline's per-cause slice counts, handovers, RLFs, RACH
+        // attempts and transmitted preambles sum to the run's totals —
+        // nothing double-counted, nothing dropped.
+        let arrivals: u64 = out.per_cell.iter().map(|c| c.handovers_in).sum();
         assert!(
-            ledger.breakdown_mismatches == 0,
-            "{} breakdown totals must bit-equal the recorded interruption",
-            ledger.breakdown_mismatches
+            arrivals == out.handovers,
+            "per-cell handovers_in sum to {arrivals}, the shard counted {} handovers",
+            out.handovers
         );
         assert!(
             ledger

@@ -55,7 +55,7 @@ use crate::radio::{LinkSet, LinkStats, Sites};
 use crate::stage::{RachAttemptMsg, RachReply, RachReq};
 
 /// Over-the-air plus processing delay of one PDU.
-const AIR_DELAY: SimDuration = SimDuration::from_micros(500);
+pub(crate) const AIR_DELAY: SimDuration = SimDuration::from_micros(500);
 /// BS processing before the random-access response (Msg2).
 const MSG2_DELAY: SimDuration = SimDuration::from_millis(2);
 /// BS processing before contention resolution (Msg4), before any

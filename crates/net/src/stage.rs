@@ -17,16 +17,34 @@
 //!
 //! ## Execution model (fleet)
 //!
-//! Shards advance independently between PRACH occasions; every epoch
-//! (the minimum BS response delay, `min(rar_delay, msg4_delay)`) is a
-//! synchronization barrier. During an epoch a shard publishes its
-//! arriving RACH PDUs as [`RachAttemptMsg`]s into its outbox. At the
-//! barrier the outboxes are merged into the stage's holding buffer and
-//! every attempt whose arrival instant lies at or before the barrier
-//! horizon is resolved against one [`RachResponder`] per cell. Replies
-//! fan back to the owning shards as [`RachReply`]s, timestamped strictly
-//! beyond the horizon (the epoch length is chosen to guarantee it), so
-//! delivery never has to rewind a shard.
+//! The run is cut into a grid of epochs: epoch k is the interval
+//! ((k − 1)·epoch, k·epoch], cut at the run's end, and the epoch is the
+//! minimum BS response delay, `min(rar_delay, msg4_delay)`. During an
+//! epoch a shard publishes its arriving RACH PDUs as [`RachAttemptMsg`]s
+//! into its outbox. At a barrier the outboxes are merged into the
+//! stage's holding buffer and every attempt whose arrival instant lies
+//! at or before the barrier horizon is resolved against one
+//! [`RachResponder`] per cell. Replies fan back to the owning shards as
+//! [`RachReply`]s, timestamped strictly beyond the horizon, so delivery
+//! never has to rewind a shard.
+//!
+//! A group synchronizes only at the epochs it *holds*
+//! ([`SharedRachStage::arm_schedule`], [`SharedRachStage::next_horizon`]):
+//! the epochs that can receive an attempt, read from the protocol's
+//! static timing rather than estimated (conservative lookahead, as in
+//! Chandy–Misra–Bryant parallel simulation). A group holds epoch k if
+//! and only if
+//!
+//! * it contains a preamble arrival of one of the group's cells: a UE
+//!   transmits a preamble only at a PRACH occasion
+//!   (`PrachConfig::occasion_time`), and it arrives one air delay later;
+//! * it contains a Msg3 arrival that a RAR issued by this stage makes
+//!   possible: a UE sends its Msg3 only at the instant it receives a RAR,
+//!   so the arrival is the RAR's delivery instant plus one air delay; or
+//! * it is the last epoch, so the drain check holds at the run's end.
+//!
+//! With 8-beam NR FR2 cells that is epochs 6 and 7 of each 20 ms burst's
+//! ten, plus the epochs Msg3s land in.
 //!
 //! ## Canonical order
 //!
@@ -38,20 +56,40 @@
 //! merged PRACH occasion that cell's responder counts — and replies
 //! reach the shards in this same order.
 //!
-//! Because the barrier instants are global constants of the config and
-//! the resolution order is canonical, the outcome is byte-identical
-//! regardless of shard count, worker count, worker scheduling or outbox
-//! arrival interleaving — `tests/shard_approximation.rs` asserts the
-//! 1-shard/8-shard *equality* this buys.
+//! Because the barrier instants are grid horizons, fixed by the config
+//! and the canonical attempt stream, and the resolution order is
+//! canonical, the outcome is byte-identical regardless of shard count,
+//! worker count, worker scheduling or outbox arrival interleaving —
+//! `tests/shard_approximation.rs` asserts the 1-shard/8-shard
+//! *equality* this buys.
 //!
-//! ## Why the epoch length is safe
+//! ## Why a held subset of the grid is safe and byte-identical
 //!
 //! An attempt is published by its arrival event at `at`, so every
 //! attempt with `at ≤ horizon` has been published once all shards have
 //! run through `horizon`. A resolved attempt's reply is delayed by at
-//! least `min(rar_delay, msg4_delay)`, and any attempt resolved at this
-//! barrier has `at >` the *previous* horizon, so its reply lands strictly
-//! after the current horizon: always in the receiving shard's future.
+//! least the epoch, and any attempt resolved at a barrier arrived within
+//! that barrier's own epoch, so its reply lands strictly after the
+//! horizon: always in the receiving shard's future.
+//!
+//! Every held horizon is a grid horizon, and a skipped epoch receives no
+//! attempt: a barrier there would resolve nothing and deliver nothing.
+//! Skipping it leaves each shard's run unchanged — a shard stepped from
+//! one held horizon straight to the next processes the same events as
+//! one stepped through every horizon in between — and each attempt
+//! resolves at the same horizon as on the full grid, so its reply
+//! enters the shard's event queue at the same point of the shard's run
+//! and same-instant events keep their FIFO order. The busy-barrier
+//! count, the slice attribution and the backlog gauges read the same
+//! values. A horizon measured from the attempt instead (such as
+//! `at + epoch`) would reorder replies against same-instant events.
+//!
+//! [`SharedRachStage::resolve_up_to`] checks this in every build: the
+//! earliest attempt it resolves at horizon `h` must lie in `h`'s own
+//! grid epoch, after `(⌈h ÷ epoch⌉ − 1)·epoch` (`h − epoch` on the grid;
+//! the start of a partial last epoch otherwise). A schedule that skipped
+//! an epoch receiving an attempt fails the run there instead of
+//! delivering a reply into a shard's past.
 //!
 //! ## Zero allocation in steady state
 //!
@@ -64,6 +102,9 @@ use st_des::{SimDuration, SimTime};
 use st_mac::pdu::{Pdu, UeId};
 use st_mac::responder::{RachResponder, ResponderConfig, ResponderStats};
 use st_mac::timing::TxBeamIndex;
+
+use crate::config::ScenarioConfig;
+use crate::driver::AIR_DELAY;
 
 /// The BS-bound payload of one published attempt.
 #[derive(Debug, Clone, PartialEq)]
@@ -140,6 +181,8 @@ pub struct StageCounters {
     pub resolved_msg3: u64,
     /// Barrier passes in which at least one attempt resolved.
     pub busy_barriers: u64,
+    /// Barrier passes held: calls to [`SharedRachStage::resolve_up_to`].
+    pub barriers_held: u64,
 }
 
 /// Responder-side observations the stage attributes to one base
@@ -167,6 +210,12 @@ pub struct SharedRachStage {
     /// Attempts published but not yet past the resolution horizon.
     holding: Vec<RachAttemptMsg>,
     counters: StageCounters,
+    /// The grid's epoch: the minimum BS response delay.
+    epoch: SimDuration,
+    /// The held-epoch schedule ([`SharedRachStage::arm_schedule`]): the
+    /// run's end, and `held[k]` for grid epoch k ≥ 1. Empty until armed.
+    deadline: SimTime,
+    held: Vec<bool>,
     /// Snapshot-slice attribution ([`SharedRachStage::arm_slices`]):
     /// base interval, the run's end (where the last, possibly partial,
     /// slice closes), one entry per slice, and how many slice boundaries
@@ -189,6 +238,9 @@ impl SharedRachStage {
             responders: (0..n_cells).map(|_| RachResponder::new(config)).collect(),
             holding: Vec::with_capacity(expected_inflight.max(16) * 2),
             counters: StageCounters::default(),
+            epoch: config.rar_delay.min(config.msg4_delay),
+            deadline: SimTime::ZERO,
+            held: Vec::new(),
             slice_dt: None,
             slice_end: SimTime::ZERO,
             slices: Vec::new(),
@@ -211,6 +263,63 @@ impl SharedRachStage {
         let n = end.as_nanos().div_ceil(dt.as_nanos()) as usize;
         self.slices = vec![StageSlice::default(); n];
         self.sampled = 0;
+    }
+
+    /// Work out which grid epochs a group whose UEs reach `cells` can
+    /// receive an attempt in, over a run of `cfg.duration`: each epoch
+    /// holding a preamble arrival of one of the cells, and the last.
+    /// Resolution adds the epochs that RARs it issues make a Msg3 arrive
+    /// in. Call before the first barrier; [`SharedRachStage::next_horizon`]
+    /// reads the schedule.
+    pub fn arm_schedule(&mut self, cfg: &ScenarioConfig, cells: &[usize]) {
+        assert!(
+            self.epoch.as_nanos() > 0,
+            "the BS response delay must be positive"
+        );
+        let deadline = SimTime::ZERO + cfg.duration;
+        let n_epochs = cfg.duration.as_nanos().div_ceil(self.epoch.as_nanos()) as usize;
+        self.deadline = deadline;
+        self.held = vec![false; n_epochs + 1];
+        for &c in cells {
+            let ssb = cfg.ssb(c);
+            for burst in (0..).take_while(|&b| ssb.burst_start(b) <= deadline) {
+                for beam in 0..ssb.n_tx_beams {
+                    self.hold(cfg.prach.occasion_time(&ssb, burst, beam) + AIR_DELAY);
+                }
+            }
+        }
+        self.held[n_epochs] = true;
+    }
+
+    /// The grid epoch containing the instant `at`: k for
+    /// ((k − 1)·epoch, k·epoch].
+    fn epoch_of(&self, at: SimTime) -> usize {
+        at.as_nanos().div_ceil(self.epoch.as_nanos()) as usize
+    }
+
+    /// Hold the grid epoch containing the arrival instant `at`, if the
+    /// run reaches it and a schedule is armed.
+    fn hold(&mut self, at: SimTime) {
+        if at <= self.deadline && !self.held.is_empty() {
+            let k = self.epoch_of(at);
+            self.held[k] = true;
+        }
+    }
+
+    /// The horizon of the first held epoch that ends after `after`: the
+    /// instant the group next synchronizes at, on the grid
+    /// `min(k·epoch, run end)`. `None` once `after` is the run's end.
+    /// The schedule only grows as attempts resolve, and every epoch it
+    /// adds lies beyond the barrier that added it, so the answer for the
+    /// last barrier's horizon is final.
+    pub fn next_horizon(&self, after: SimTime) -> Option<SimTime> {
+        assert!(!self.held.is_empty(), "next_horizon needs arm_schedule");
+        if after >= self.deadline {
+            return None;
+        }
+        let first = (after.as_nanos() / self.epoch.as_nanos() + 1) as usize;
+        let k = (first..self.held.len()).find(|&k| self.held[k])?;
+        Some((SimTime::ZERO + self.epoch * k as u64).min(self.deadline))
     }
 
     /// The per-interval observations since [`SharedRachStage::arm_slices`],
@@ -277,13 +386,29 @@ impl SharedRachStage {
     /// beyond the horizon stay held for a later barrier. With slices
     /// armed, every slice boundary up to `horizon` has its backlog
     /// sampled on return.
+    ///
+    /// # Panics
+    ///
+    /// If an attempt due arrived before the grid epoch that contains
+    /// `horizon`, at or before `(⌈horizon ÷ epoch⌉ − 1)·epoch`: it
+    /// belongs to an earlier epoch, which the schedule skipped, and its
+    /// reply could land in a shard's past.
     pub fn resolve_up_to(&mut self, horizon: SimTime, mut deliver: impl FnMut(u32, RachReply)) {
         // Taken out for the pass so the responders can be borrowed beside
         // it; put back drained, with its capacity.
         let mut holding = std::mem::take(&mut self.holding);
         holding.sort_unstable_by_key(|m| (m.run(), m.ue_global, m.cell));
         let due = holding.partition_point(|m| m.at <= horizon);
+        self.counters.barriers_held += 1;
         if due > 0 {
+            // The sort leads with the instant: the first attempt is the
+            // earliest.
+            let earliest = holding[0].at;
+            assert!(
+                self.epoch_of(earliest) == self.epoch_of(horizon),
+                "a RACH attempt that arrived at {earliest} was resolved at the {horizon} \
+                 horizon: the barrier schedule skipped its epoch"
+            );
             self.counters.busy_barriers += 1;
         }
         for instant in holding[..due].chunk_by(|a, b| a.at == b.at) {
@@ -331,6 +456,8 @@ impl SharedRachStage {
             } => {
                 self.counters.resolved_preambles += 1;
                 let plan = responder.on_preamble(m.at, preamble, ssb_beam, distance_m)?;
+                // The UE sends its Msg3 the instant it receives this RAR.
+                self.hold(m.at + plan.delay + AIR_DELAY);
                 (plan.delay, plan.tx_beam, plan.pdu, SimDuration::ZERO)
             }
             RachReq::Msg3 {
@@ -578,6 +705,114 @@ mod tests {
         // 5.5 ms and UE 2 (at 1.5 ms) 11 ms, both attributed to slice 1.
         let waits: Vec<u64> = s.slices().iter().map(|d| d.backhaul_wait_us).collect();
         assert_eq!(waits, [0, 5_500 + 11_000, 0, 0]);
+    }
+
+    /// Two 8-beam NR FR2 cells over a run of `ms` milliseconds.
+    fn fr2(ms: u64) -> ScenarioConfig {
+        let mut cfg = ScenarioConfig::two_cell_edge();
+        for c in &mut cfg.cells {
+            c.n_tx_beams = 8;
+        }
+        cfg.duration = SimDuration::from_millis(ms);
+        cfg
+    }
+
+    /// Every horizon the armed schedule holds, in µs.
+    fn held_horizons_us(s: &SharedRachStage) -> Vec<u64> {
+        let mut horizons = Vec::new();
+        let mut after = SimTime::ZERO;
+        while let Some(h) = s.next_horizon(after) {
+            horizons.push(h.as_nanos() / 1_000);
+            after = h;
+        }
+        horizons
+    }
+
+    /// Preambles arrive 10.5–12.25 ms into each 20 ms burst (occasions
+    /// at 10 ms + 0.25 ms × beam, plus the air delay): epochs 6 and 7 of
+    /// the burst's ten. A 100 ms run's last epoch, 50, holds too.
+    #[test]
+    fn an_8_beam_group_holds_epochs_6_and_7_of_each_burst() {
+        let mut s = stage();
+        s.arm_schedule(&fr2(100), &[0, 1]);
+        let mut want: Vec<u64> = (0..5u64)
+            .flat_map(|b| [b * 20_000 + 12_000, b * 20_000 + 14_000])
+            .collect();
+        want.push(100_000);
+        assert_eq!(held_horizons_us(&s), want);
+        // One cell alone holds the same epochs.
+        let mut one = stage();
+        one.arm_schedule(&fr2(100), &[1]);
+        assert_eq!(held_horizons_us(&one), want);
+    }
+
+    /// The drain check needs a barrier at the run's end, whether or not
+    /// the duration is a whole number of epochs and whatever the cells.
+    #[test]
+    fn the_last_epoch_always_holds() {
+        for (ms, end) in [(100, 100_000), (101, 101_000)] {
+            let mut s = stage();
+            s.arm_schedule(&fr2(ms), &[]);
+            assert_eq!(held_horizons_us(&s), [end]);
+            s.arm_schedule(&fr2(ms), &[0]);
+            assert_eq!(held_horizons_us(&s).last(), Some(&end));
+        }
+        // The 101 ms run's last epoch is the partial (100, 101] ms one.
+        let mut s = stage();
+        s.arm_schedule(&fr2(101), &[0]);
+        assert_eq!(s.next_horizon(t(94_000)), Some(t(101_000)));
+        assert_eq!(s.next_horizon(t(101_000)), None);
+    }
+
+    /// A UE sends its Msg3 the instant it receives a RAR, so a RAR
+    /// delivered at t holds the epoch containing t + the air delay.
+    #[test]
+    fn a_rar_holds_the_epoch_its_msg3_arrives_in() {
+        let mut s = stage();
+        s.arm_schedule(&fr2(100), &[0, 1]);
+        assert_eq!(s.next_horizon(t(14_000)), Some(t(32_000)));
+        // Beam 7's preamble arrives at 12.25 ms, in epoch 7.
+        let mut mb = vec![preamble(t(12_250), 0, 0, 0, 3)];
+        s.ingest(&mut mb);
+        let mut rar = None;
+        s.resolve_up_to(t(14_000), |_, r| rar = Some(r.deliver_at));
+        let delivered = rar.expect("the preamble is answered");
+        assert_eq!(delivered, t(14_250));
+        // The Msg3 arrives at 14.75 ms: epoch 8, which no preamble fills.
+        assert_eq!(delivered + AIR_DELAY, t(14_750));
+        assert_eq!(s.next_horizon(t(14_000)), Some(t(16_000)));
+        assert_eq!(s.next_horizon(t(16_000)), Some(t(32_000)));
+        // It resolves there within the schedule check.
+        let mut mb = vec![msg3(delivered + AIR_DELAY, 0)];
+        s.ingest(&mut mb);
+        s.resolve_up_to(t(16_000), |_, _| {});
+        s.assert_drained();
+        assert_eq!(s.counters().barriers_held, 2);
+    }
+
+    /// The schedule check: an attempt that arrived before the grid
+    /// epoch containing the horizon belongs to an epoch the schedule
+    /// skipped, and resolving it fails the run — also at the off-grid
+    /// horizon of a partial last epoch.
+    #[test]
+    fn resolving_an_attempt_from_a_skipped_epoch_panics() {
+        let panic_message = |at_us: u64, horizon_us: u64| {
+            let payload = std::panic::catch_unwind(|| {
+                let mut s = stage();
+                let mut mb = vec![preamble(t(at_us), 0, 0, 0, 3)];
+                s.ingest(&mut mb);
+                s.resolve_up_to(t(horizon_us), |_, _| {});
+            })
+            .expect_err("the schedule check must fire");
+            *payload.downcast::<String>().expect("a formatted message")
+        };
+        assert!(panic_message(2_000, 4_000)
+            .contains("arrived at 2.000 ms was resolved at the 4.000 ms horizon"));
+        // A 101 ms run's last epoch is (100, 101] ms, so an attempt of the
+        // (98, 100] ms epoch fails there too, though it arrived less than
+        // one epoch before the horizon.
+        assert!(panic_message(100_000, 101_000)
+            .contains("arrived at 100.000 ms was resolved at the 101.000 ms horizon"));
     }
 
     #[test]

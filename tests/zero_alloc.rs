@@ -200,10 +200,10 @@ fn occluded_sweep_path_allocates_nothing() {
 /// The shared cross-shard RACH stage: ingesting outboxes, sorting the
 /// holding buffer canonically, resolving merged occasions (with
 /// collisions, admission rejections and soft-handover backhaul fetches),
-/// routing replies and attributing the timeline's slice counters and
-/// backlog gauge must allocate **nothing** once the pre-sized holding
-/// buffer is warm — the stage adds barriers, not per-occasion `Vec`
-/// churn.
+/// routing replies, marking the barrier schedule's Msg3 epochs and
+/// attributing the timeline's slice counters and backlog gauge must
+/// allocate **nothing** once the pre-sized holding buffer is warm — the
+/// stage adds barriers, not per-occasion `Vec` churn.
 #[test]
 fn shared_rach_stage_steady_state_allocates_nothing() {
     let epoch_ns = 2_000_000u64;
@@ -212,6 +212,9 @@ fn shared_rach_stage_steady_state_allocates_nothing() {
         SimDuration::from_millis(20),
         SimTime::from_nanos(1032 * epoch_ns),
     );
+    let mut cfg = ScenarioConfig::two_cell_edge();
+    cfg.duration = SimDuration::from_nanos(1032 * epoch_ns);
+    stage.arm_schedule(&cfg, &[0, 1]);
     let mut mailbox: Vec<RachAttemptMsg> = Vec::with_capacity(256);
     let mut replies: Vec<RachReply> = Vec::with_capacity(256);
 
