@@ -218,50 +218,103 @@ impl ProtocolEvent {
     /// time field is a delta from `prev`, returning the absolute event
     /// and the anchor for the next call. A delta or a tick run that
     /// overflows the clock is `Corrupt`, never a panic or a wrap.
+    ///
+    /// The record is read from one 32-byte window (see the [`wire`]
+    /// module docs): fixed-layout fields by array index, and only an
+    /// embedded PDU's body from `buf` itself. Each field's end is
+    /// checked against the real length in field order, so a record is
+    /// `Truncated` exactly where a byte-by-byte read would run out, and
+    /// the delta's clock overflow is reported before its payload is
+    /// checked. On `Err` the cursor is left where it was.
     pub fn decode_from(
         buf: &mut &[u8],
         prev: SimTime,
     ) -> Result<(ProtocolEvent, SimTime), WireError> {
-        let tag = wire::get_u8(buf)?;
+        let mut padded = [0u8; wire::WINDOW];
+        let w = match buf.first_chunk() {
+            Some(w) => w,
+            None => {
+                padded[..buf.len()].copy_from_slice(buf);
+                &padded
+            }
+        };
+        let (ev, anchor, used) = Self::decode_window(w, buf, prev)?;
+        *buf = &buf[used..];
+        Ok((ev, anchor))
+    }
+
+    /// [`ProtocolEvent::decode_from`] on the window `w` of `input`,
+    /// returning the bytes consumed too.
+    #[inline(always)]
+    fn decode_window(
+        w: &wire::Window,
+        input: &[u8],
+        prev: SimTime,
+    ) -> Result<(ProtocolEvent, SimTime, usize), WireError> {
+        let fits = |end: usize| {
+            if end <= input.len() {
+                Ok(end)
+            } else {
+                Err(WireError::Truncated)
+            }
+        };
+        fits(1)?;
+        let tag = w[0];
         if tag > 8 {
             return Err(WireError::Corrupt("event tag"));
         }
         // Every event's first field is its time delta.
+        let (delta, p) = wire::win_varu64(w, 1)?;
+        let p = fits(p)?;
         let at = prev
-            .checked_add(wire::get_dur(buf)?)
+            .checked_add(SimDuration::from_nanos(delta))
             .ok_or(WireError::Corrupt("event time overflow"))?;
-        let ev = match tag {
-            0 => ProtocolEvent::ServingRss {
-                at,
-                rss: Dbm(wire::get_f64(buf)?),
-            },
-            1 => ProtocolEvent::ServingProbe {
-                at,
-                rx_beam: BeamId(wire::get_u16(buf)?),
-                rss: Dbm(wire::get_f64(buf)?),
-            },
-            2 => ProtocolEvent::NeighborSsb {
-                at,
-                cell: CellId(wire::get_u16(buf)?),
-                tx_beam: wire::get_u16(buf)?,
-                rx_beam: BeamId(wire::get_u16(buf)?),
-                rss: Dbm(wire::get_f64(buf)?),
-            },
-            3 => ProtocolEvent::DwellComplete { at },
+        let (ev, end) = match tag {
+            0 => (
+                ProtocolEvent::ServingRss {
+                    at,
+                    rss: Dbm(wire::win_f64(w, p)),
+                },
+                fits(p + 8)?,
+            ),
+            1 => (
+                ProtocolEvent::ServingProbe {
+                    at,
+                    rx_beam: BeamId(wire::win_u16(w, p)),
+                    rss: Dbm(wire::win_f64(w, p + 2)),
+                },
+                fits(p + 10)?,
+            ),
+            2 => (
+                ProtocolEvent::NeighborSsb {
+                    at,
+                    cell: CellId(wire::win_u16(w, p)),
+                    tx_beam: wire::win_u16(w, p + 2),
+                    rx_beam: BeamId(wire::win_u16(w, p + 4)),
+                    rss: Dbm(wire::win_f64(w, p + 6)),
+                },
+                fits(p + 14)?,
+            ),
+            3 => (ProtocolEvent::DwellComplete { at }, p),
             4 => {
-                let n = wire::get_varu64(buf)? as usize;
-                if buf.len() < n {
-                    return Err(WireError::Truncated);
-                }
-                let pdu = Pdu::decode(&buf[..n]).map_err(|_| WireError::Corrupt("embedded pdu"))?;
-                *buf = &buf[n..];
-                ProtocolEvent::FromServing { at, pdu }
+                let (n, body) = wire::win_varu64(w, p)?;
+                let body = fits(body)?;
+                let frame = usize::try_from(n)
+                    .ok()
+                    .and_then(|n| input.get(body..body.checked_add(n)?))
+                    .ok_or(WireError::Truncated)?;
+                let pdu = Pdu::decode(frame).map_err(|_| WireError::Corrupt("embedded pdu"))?;
+                (ProtocolEvent::FromServing { at, pdu }, body + frame.len())
             }
-            5 => ProtocolEvent::ServingLinkLost { at },
-            6 => ProtocolEvent::RachFailed { at },
-            7 => ProtocolEvent::Tick { at },
+            5 => (ProtocolEvent::ServingLinkLost { at }, p),
+            6 => (ProtocolEvent::RachFailed { at }, p),
+            7 => (ProtocolEvent::Tick { at }, p),
             _ => {
-                let (period, count) = (wire::get_dur(buf)?, wire::get_varu64(buf)?);
+                let (period, p) = wire::win_varu64(w, p)?;
+                let p = fits(p)?;
+                let (count, p) = wire::win_varu64(w, p)?;
+                let p = fits(p)?;
+                let period = SimDuration::from_nanos(period);
                 let end =
                     last_tick(at, period, count).ok_or(WireError::Corrupt("tick run overflow"))?;
                 let run = ProtocolEvent::TickRun {
@@ -269,10 +322,10 @@ impl ProtocolEvent {
                     period,
                     count,
                 };
-                return Ok((run, end));
+                return Ok((run, end, p));
             }
         };
-        Ok((ev, at))
+        Ok((ev, at, end))
     }
 
     /// Where a delta-encoded stream's cursor lands after this event: the
@@ -580,7 +633,7 @@ impl TrackedNeighbor {
             monitor: LinkMonitor::decode(buf)?,
             table: BeamTable::decode(buf)?,
             cycle: wire::get_varu64(buf)? as usize,
-            samples_since_acq: wire::get_varu64(buf)? as u32,
+            samples_since_acq: wire::get_varu32(buf)?,
             last_switch: wire::get_time(buf)?,
         })
     }
@@ -1934,5 +1987,91 @@ mod tests {
             assert_eq!(&ProtocolEvent::decode(&mut cur).unwrap(), e);
         }
         assert!(cur.is_empty());
+    }
+
+    #[test]
+    fn samples_since_acquisition_past_u32_are_corrupt_not_truncated() {
+        let cb = Codebook::for_class(BeamwidthClass::Narrow);
+        let tracked = |samples: u64| {
+            let mut buf = Vec::new();
+            buf.put_u16(1);
+            buf.put_u16(2);
+            buf.put_u16(3);
+            LinkMonitor::with_reference_decay(0.4, 0.75).encode(&mut buf);
+            BeamTable::new(0.4).encode(&mut buf);
+            wire::put_varu64(&mut buf, 0);
+            wire::put_varu64(&mut buf, samples);
+            wire::put_time(&mut buf, t(5));
+            TrackedNeighbor::decode(&mut &buf[..], &cb)
+        };
+        assert_eq!(
+            tracked((1 << 32) + 1),
+            Err(WireError::Corrupt("varint overflows u32"))
+        );
+        assert_eq!(
+            tracked(u64::from(u32::MAX)).map(|t| t.samples_since_acq),
+            Ok(u32::MAX)
+        );
+    }
+
+    /// Which variant `a` is: a match without a wildcard, so a new
+    /// variant must be added to the digest test below.
+    fn variant(a: &Action) -> usize {
+        match a {
+            Action::SetServingRxBeam(_) => 0,
+            Action::SendToServing(_) => 1,
+            Action::SetGapRxBeam(_) => 2,
+            Action::ExecuteHandover(_) => 3,
+            Action::SearchFailed { .. } => 4,
+            Action::NeighborAcquired(_) => 5,
+        }
+    }
+
+    #[test]
+    fn hashing_an_action_in_place_digests_its_encoding() {
+        let directive = |reason| HandoverDirective {
+            target: CellId(2),
+            ssb_beam: 5,
+            rx_beam: BeamId(7),
+            reason,
+            at: t(9),
+        };
+        let actions = [
+            Action::SetServingRxBeam(BeamId(4)),
+            Action::SendToServing(Pdu::BeamSwitchRequest {
+                cell: CellId(1),
+                ue: UeId(9),
+                suggested_tx_beam: u16::MAX,
+            }),
+            Action::SetGapRxBeam(BeamId(11)),
+            Action::ExecuteHandover(directive(HandoverReason::NeighborStronger)),
+            Action::ExecuteHandover(directive(HandoverReason::ServingLost)),
+            Action::SearchFailed { dwells_used: 300 },
+            Action::NeighborAcquired(Discovery {
+                cell: CellId(2),
+                tx_beam: 5,
+                rx_beam: BeamId(7),
+                rss: Dbm(-71.25),
+                at: t(3),
+            }),
+        ];
+        let mut covered = [false; 6];
+        let (mut stream, mut stream_bytes) = (wire::Fnv64::new(), Vec::new());
+        for a in &actions {
+            covered[variant(a)] = true;
+            let mut bytes = Vec::new();
+            a.encode(&mut bytes);
+            let mut want = wire::Fnv64::new();
+            want.write(&bytes);
+            let mut got = wire::Fnv64::new();
+            a.encode(&mut got);
+            assert_eq!(got, want, "{a:?}");
+            a.encode(&mut stream);
+            stream_bytes.extend_from_slice(&bytes);
+        }
+        assert!(covered.iter().all(|&c| c), "every variant");
+        let mut want = wire::Fnv64::new();
+        want.write(&stream_bytes);
+        assert_eq!(stream, want, "a whole action stream");
     }
 }

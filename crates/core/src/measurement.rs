@@ -157,7 +157,7 @@ impl LinkMonitor {
         let ewma = EwmaRss::decode(buf)?;
         let reference = crate::wire::get_opt_f64(buf)?.map(Dbm);
         let last_update = crate::wire::get_opt_time(buf)?;
-        let samples = crate::wire::get_varu64(buf)? as u32;
+        let samples = crate::wire::get_varu32(buf)?;
         let reference_decay = crate::wire::get_f64(buf)?;
         if reference_decay < 0.0 {
             return Err(crate::wire::WireError::Corrupt("reference decay"));
@@ -280,6 +280,27 @@ mod tests {
 
     fn t(ms: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_millis(ms)
+    }
+
+    #[test]
+    fn monitor_samples_past_u32_are_corrupt_not_truncated() {
+        let monitor = |samples: u64| {
+            let mut buf = Vec::new();
+            EwmaRss::new(0.5).encode(&mut buf);
+            crate::wire::put_opt_f64(&mut buf, None);
+            crate::wire::put_opt_time(&mut buf, Some(t(3)));
+            crate::wire::put_varu64(&mut buf, samples);
+            crate::wire::put_f64(&mut buf, 0.75);
+            LinkMonitor::decode(&mut &buf[..])
+        };
+        assert_eq!(
+            monitor((1 << 32) + 1),
+            Err(crate::wire::WireError::Corrupt("varint overflows u32"))
+        );
+        assert_eq!(
+            monitor(u64::from(u32::MAX)).map(|m| m.samples()),
+            Ok(u32::MAX)
+        );
     }
 
     #[test]

@@ -49,11 +49,19 @@ impl Discovery {
         wire::put_time(buf, self.at);
     }
 
-    pub(crate) fn decode(buf: &mut &[u8]) -> Result<Discovery, WireError> {
+    /// Decode a discovery a search pass holds: its receive beam must lie
+    /// in `codebook`, as the pass refines around it.
+    fn decode(buf: &mut &[u8], codebook: &Codebook) -> Result<Discovery, WireError> {
+        let cell = CellId(wire::get_u16(buf)?);
+        let tx_beam = wire::get_u16(buf)?;
+        let rx_beam = BeamId(wire::get_u16(buf)?);
+        if usize::from(rx_beam.0) >= codebook.len() {
+            return Err(WireError::Corrupt("discovery beam outside codebook"));
+        }
         Ok(Discovery {
-            cell: CellId(wire::get_u16(buf)?),
-            tx_beam: wire::get_u16(buf)?,
-            rx_beam: BeamId(wire::get_u16(buf)?),
+            cell,
+            tx_beam,
+            rx_beam,
             rss: Dbm(wire::get_f64(buf)?),
             at: wire::get_time(buf)?,
         })
@@ -74,13 +82,17 @@ pub enum SearchStep {
 /// Controller for one search pass.
 ///
 /// Holds no reference to the codebook: the dwell order is a pure function
-/// of (codebook, hint) and the refinement queue of (codebook, detected
-/// beam), so the codebook is passed into [`SearchController::on_dwell_complete`]
-/// instead of being captured — which keeps the controller a plain value
-/// that serializes into a protocol-state snapshot.
+/// of (codebook size, hint), computed element by element, and the
+/// refinement queue of (codebook, detected beam), so the codebook is
+/// passed into [`SearchController::on_dwell_complete`] instead of being
+/// captured — which keeps the controller a plain value that serializes
+/// into a protocol-state snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchController {
-    order: Vec<BeamId>,
+    hint: BeamId,
+    /// Codebook size: the length of the dwell order.
+    beams: usize,
+    /// Position in the dwell order, always below `beams`.
     pos: usize,
     dwells_used: usize,
     max_dwells: usize,
@@ -98,22 +110,27 @@ struct Refinement {
     next: usize,
 }
 
-/// Spiral ordering: hint, then alternating ±1, ±2, … beams away.
-fn spiral_order(codebook: &Codebook, hint: BeamId) -> Vec<BeamId> {
-    let n = codebook.len() as i64;
-    let mut order = Vec::with_capacity(n as usize);
-    order.push(hint);
-    for step in 1..=(n / 2) {
-        for sign in [1i64, -1] {
-            let idx = (hint.0 as i64 + sign * step).rem_euclid(n);
-            let id = BeamId(idx as u16);
-            if !order.contains(&id) {
-                order.push(id);
-            }
+/// Element `pos` of the spiral dwell order over `beams` beams: the hint,
+/// then alternating +1, −1, +2, −2, … beams away around the circle (with
+/// an even count, the opposite beam once). Needs `hint < beams` and
+/// `pos < beams`, so each step is below `beams` and one comparison
+/// wraps it.
+fn spiral_beam(hint: BeamId, beams: usize, pos: usize) -> BeamId {
+    let hint = usize::from(hint.0);
+    let step = pos.div_ceil(2);
+    let idx = if pos % 2 == 1 {
+        let up = hint + step;
+        if up >= beams {
+            up - beams
+        } else {
+            up
         }
-    }
-    debug_assert_eq!(order.len(), n as usize);
-    order
+    } else if hint >= step {
+        hint - step
+    } else {
+        hint + beams - step
+    };
+    BeamId(idx as u16)
 }
 
 impl SearchController {
@@ -123,7 +140,8 @@ impl SearchController {
         assert!(max_dwells >= 1);
         assert!((hint.0 as usize) < codebook.len(), "hint outside codebook");
         SearchController {
-            order: spiral_order(codebook, hint),
+            hint,
+            beams: codebook.len(),
             pos: 0,
             dwells_used: 0,
             max_dwells,
@@ -137,7 +155,7 @@ impl SearchController {
         if let Some(r) = &self.refine {
             return r.queue[r.next.min(r.queue.len() - 1)];
         }
-        self.order[self.pos % self.order.len()]
+        spiral_beam(self.hint, self.beams, self.pos)
     }
 
     /// Dwells consumed so far (the Fig. 2a latency metric).
@@ -190,16 +208,19 @@ impl SearchController {
                 dwells_used: self.dwells_used,
             };
         }
-        self.pos = (self.pos + 1) % self.order.len();
+        self.pos += 1;
+        if self.pos == self.beams {
+            self.pos = 0;
+        }
         SearchStep::Continue(self.current_beam())
     }
 
-    /// Canonical binary encoding. Only the hint is stored for the dwell
-    /// order (it is `spiral_order(codebook, hint)` by construction, with
-    /// `order[0] == hint`), and only the detected beam for the refinement
-    /// queue — both are rebuilt from the codebook at decode time.
+    /// Canonical binary encoding. Only the hint and the position are
+    /// stored for the dwell order, and only the detected beam for the
+    /// refinement queue — both are rebuilt from the codebook at decode
+    /// time.
     pub(crate) fn encode<B: bytes::BufMut>(&self, buf: &mut B) {
-        buf.put_u16(self.order[0].0);
+        buf.put_u16(self.hint.0);
         wire::put_varu64(buf, self.pos as u64);
         wire::put_varu64(buf, self.dwells_used as u64);
         wire::put_varu64(buf, self.max_dwells as u64);
@@ -228,7 +249,11 @@ impl SearchController {
         if (hint.0 as usize) >= codebook.len() {
             return Err(WireError::Corrupt("search hint outside codebook"));
         }
-        let pos = wire::get_varu64(buf)? as usize;
+        let pos = wire::get_varu64(buf)?;
+        if pos >= codebook.len() as u64 {
+            return Err(WireError::Corrupt("search position outside codebook"));
+        }
+        let pos = pos as usize;
         let dwells_used = wire::get_varu64(buf)? as usize;
         let max_dwells = wire::get_varu64(buf)? as usize;
         if max_dwells == 0 {
@@ -236,13 +261,13 @@ impl SearchController {
         }
         let pending = match wire::get_u8(buf)? {
             0 => None,
-            1 => Some(Discovery::decode(buf)?),
+            1 => Some(Discovery::decode(buf, codebook)?),
             _ => return Err(WireError::Corrupt("option tag")),
         };
         let refine = match wire::get_u8(buf)? {
             0 => None,
             1 => {
-                let best = Discovery::decode(buf)?;
+                let best = Discovery::decode(buf, codebook)?;
                 let next = wire::get_varu64(buf)? as usize;
                 let queue = codebook.adjacent(best.rx_beam);
                 if queue.is_empty() || next > queue.len() {
@@ -253,7 +278,8 @@ impl SearchController {
             _ => return Err(WireError::Corrupt("option tag")),
         };
         Ok(SearchController {
-            order: spiral_order(codebook, hint),
+            hint,
+            beams: codebook.len(),
             pos,
             dwells_used,
             max_dwells,
@@ -270,6 +296,78 @@ mod tests {
 
     fn narrow() -> Codebook {
         Codebook::for_class(BeamwidthClass::Narrow)
+    }
+
+    /// The whole spiral dwell order, built by walking the circle: the
+    /// reference [`spiral_beam`] computes element by element.
+    fn spiral_order(codebook: &Codebook, hint: BeamId) -> Vec<BeamId> {
+        let n = codebook.len() as i64;
+        let mut order = Vec::with_capacity(n as usize);
+        order.push(hint);
+        for step in 1..=(n / 2) {
+            for sign in [1i64, -1] {
+                let idx = (hint.0 as i64 + sign * step).rem_euclid(n);
+                let id = BeamId(idx as u16);
+                if !order.contains(&id) {
+                    order.push(id);
+                }
+            }
+        }
+        debug_assert_eq!(order.len(), n as usize);
+        order
+    }
+
+    #[test]
+    fn spiral_beam_is_the_spiral_order_element_by_element() {
+        for n in 1..=40 {
+            let cb = Codebook::uniform_sectored(n, st_phy::geometry::Degrees(60.0));
+            assert_eq!(cb.len(), n);
+            for hint in cb.ids() {
+                let order = spiral_order(&cb, hint);
+                let closed: Vec<BeamId> = (0..n).map(|pos| spiral_beam(hint, n, pos)).collect();
+                assert_eq!(closed, order, "{n} beams, hint {hint}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_search_position_past_the_codebook_is_corrupt() {
+        let cb = Codebook::for_class(BeamwidthClass::Wide); // 6 beams
+        let mut s = SearchController::new(&cb, BeamId(2), 20);
+        for _ in 0..5 {
+            s.on_dwell_complete(&cb);
+        }
+        let mut buf = Vec::new();
+        s.encode(&mut buf);
+        // Hint (two bytes), then the position varint: 5, the last one.
+        assert_eq!(buf[2], 5);
+        assert_eq!(
+            SearchController::decode(&mut &buf[..], &cb).map(|d| d.current_beam()),
+            Ok(s.current_beam())
+        );
+        buf[2] = 6;
+        assert_eq!(
+            SearchController::decode(&mut &buf[..], &cb),
+            Err(WireError::Corrupt("search position outside codebook"))
+        );
+    }
+
+    #[test]
+    fn a_discovery_beam_past_the_codebook_is_corrupt() {
+        let cb = narrow();
+        let mut s = SearchController::new(&cb, BeamId(3), 40);
+        s.on_detection(disc(BeamId(3), -70.0));
+        let mut buf = Vec::new();
+        s.encode(&mut buf);
+        assert!(SearchController::decode(&mut &buf[..], &cb).is_ok());
+        // Hint, three one-byte varints, the pending tag, then the
+        // discovery: cell, tx beam, rx beam.
+        assert_eq!(&buf[10..12], &[0, 3]);
+        buf[11] = 18;
+        assert_eq!(
+            SearchController::decode(&mut &buf[..], &cb),
+            Err(WireError::Corrupt("discovery beam outside codebook"))
+        );
     }
 
     fn disc(rx: BeamId, rss: f64) -> Discovery {

@@ -9,6 +9,25 @@
 //! one-byte tag. Writers are generic over [`bytes::BufMut`]; readers
 //! consume a `&[u8]` cursor and return [`WireError`] instead of
 //! panicking on truncated input.
+//!
+//! # The decoding window
+//!
+//! Trace replay decodes millions of event records per run, so the event
+//! decoder ([`crate::ProtocolEvent::decode_from`]) does not read through
+//! the cursor readers below, which check and advance the slice once per
+//! byte. It reads a record from a window: the next 32 bytes of the input
+//! as one fixed-size array, indexed directly, with each field's end
+//! compared against the input's real length afterwards. The last bytes
+//! of an input, fewer than a window, are copied into a zero-padded
+//! window first. A zero byte ends a varint, so a read past the real end
+//! stops at the first padding byte, and the end check then reports
+//! [`WireError::Truncated`], exactly as the cursor readers would.
+//!
+//! Why 32 bytes: the longest fixed-layout record is a tick run, a tag
+//! and three varints of at most ten bytes each, 31 bytes. Every field of
+//! every record therefore lies inside one window; only the body of an
+//! embedded PDU, whose length is a prefix, is read from the input slice
+//! itself.
 
 use bytes::BufMut;
 use st_des::{SimDuration, SimTime};
@@ -144,6 +163,12 @@ pub fn get_varu64(buf: &mut &[u8]) -> Result<u64, WireError> {
     }
 }
 
+/// [`get_varu64`] for a field stored as `u32`: a value past `u32::MAX`
+/// is `Corrupt`, never truncated to its low bits.
+pub fn get_varu32(buf: &mut &[u8]) -> Result<u32, WireError> {
+    u32::try_from(get_varu64(buf)?).map_err(|_| WireError::Corrupt("varint overflows u32"))
+}
+
 #[inline]
 pub fn get_f64(buf: &mut &[u8]) -> Result<f64, WireError> {
     Ok(f64::from_bits(get_u64(buf)?))
@@ -208,6 +233,64 @@ impl Default for Fnv64 {
     fn default() -> Fnv64 {
         Fnv64::new()
     }
+}
+
+/// Hashing an encoder's bytes as they are put: `x.encode(&mut fnv)`
+/// gives the digest of `x`'s encoding with no buffer in between.
+impl BufMut for Fnv64 {
+    fn put_slice(&mut self, data: &[u8]) {
+        self.write(data);
+    }
+}
+
+// ----- window readers -------------------------------------------------------
+
+/// Bytes in a decoding [`Window`]: one more than the longest
+/// fixed-layout event record (a tick run: a tag and three ten-byte
+/// varints, 31 bytes).
+pub(crate) const WINDOW: usize = 32;
+
+/// The next [`WINDOW`] bytes of an input, zero-padded past its end (see
+/// the module docs). Readers take a field's start offset, and the caller
+/// checks every field's end against the input's length.
+pub(crate) type Window = [u8; WINDOW];
+
+/// LEB128 varint starting at `at`: the value and the offset just past
+/// it. Only a tenth byte above 1 is an error, as in [`get_varu64`]; a
+/// zero padding byte ends the varint, so a read that runs past the
+/// input ends past its length.
+#[inline(always)]
+pub(crate) fn win_varu64(w: &Window, at: usize) -> Result<(u64, usize), WireError> {
+    let first = w[at];
+    if first < 0x80 {
+        return Ok((u64::from(first), at + 1));
+    }
+    let mut v = u64::from(first & 0x7f);
+    for k in 1..10 {
+        let byte = w[at + k];
+        if k == 9 && byte > 1 {
+            break;
+        }
+        v |= u64::from(byte & 0x7f) << (7 * k);
+        if byte < 0x80 {
+            return Ok((v, at + k + 1));
+        }
+    }
+    Err(WireError::Corrupt("varint overflows u64"))
+}
+
+/// Big-endian `u16` at `at`.
+#[inline(always)]
+pub(crate) fn win_u16(w: &Window, at: usize) -> u16 {
+    u16::from_be_bytes([w[at], w[at + 1]])
+}
+
+/// IEEE-754 `f64` bit pattern, big-endian, at `at`.
+#[inline(always)]
+pub(crate) fn win_f64(w: &Window, at: usize) -> f64 {
+    let mut bytes = [0u8; 8];
+    bytes.copy_from_slice(&w[at..at + 8]);
+    f64::from_bits(u64::from_be_bytes(bytes))
 }
 
 #[cfg(test)]

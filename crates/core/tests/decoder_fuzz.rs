@@ -6,8 +6,9 @@
 //! must return `Ok` or `Err` — never panic — and a corrupt length prefix
 //! must not reserve memory the remaining bytes cannot fill: no single
 //! allocation during a decode may exceed `ALLOC_PER_BYTE` bytes per input
-//! byte plus `ALLOC_SLACK` (the codebook-sized search order a state
-//! rebuilds).
+//! byte plus `ALLOC_SLACK`, a fixed margin for an allocation whose size
+//! does not follow the input (no decoder makes one: a search state's
+//! dwell order is computed beam by beam, not rebuilt).
 //!
 //! A tracking global allocator (this test binary only) records the
 //! largest allocation the measuring thread makes while armed. A

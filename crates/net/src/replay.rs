@@ -68,7 +68,6 @@ fn replay_ue(cfg: TrackerConfig, codebook: &Arc<Codebook>, ut: &UeTrace, verify:
         mismatches: Vec::new(),
     };
     let mut out = Vec::new();
-    let mut scratch = Vec::new();
     for (k, seg) in ut.segments.iter().enumerate() {
         let ctx = ProtocolCtx::new(
             cfg,
@@ -100,9 +99,7 @@ fn replay_ue(cfg: TrackerConfig, codebook: &Arc<Codebook>, ut: &UeTrace, verify:
             out.clear();
             step_mut(&ctx, &mut state, &ev, &mut out);
             for a in &out {
-                scratch.clear();
-                a.encode(&mut scratch);
-                digest.write(&scratch);
+                a.encode(&mut digest);
             }
             actions += out.len() as u64;
         }

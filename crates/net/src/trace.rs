@@ -224,7 +224,7 @@ fn get_tracker_config(buf: &mut &[u8]) -> Result<TrackerConfig, WireError> {
         settle_time: wire::get_dur(buf)?,
         track_staleness: wire::get_dur(buf)?,
         loss_reference_decay: Db(wire::get_f64(buf)?),
-        min_track_samples: wire::get_varu64(buf)? as u32,
+        min_track_samples: wire::get_varu32(buf)?,
     };
     c.validate().map_err(WireError::Corrupt)?;
     Ok(c)
@@ -290,7 +290,7 @@ impl UeTrace {
 
     fn decode(buf: &mut &[u8], n_beams: usize) -> Result<UeTrace, WireError> {
         let id = wire::get_varu64(buf)?;
-        let uid = wire::get_varu64(buf)? as u32;
+        let uid = wire::get_varu32(buf)?;
         let kind = get_kind(buf)?;
         let n = wire::get_varu64(buf)? as usize;
         let mut segments = Vec::with_capacity(n.min(buf.len()));
@@ -446,7 +446,6 @@ struct OpenSegment {
 pub struct UeRecorder {
     segments: Vec<SegmentTrace>,
     cur: Option<OpenSegment>,
-    scratch: Vec<u8>,
 }
 
 impl UeRecorder {
@@ -547,9 +546,7 @@ impl UeRecorder {
     pub fn record_actions(&mut self, actions: &[Action]) {
         let Some(seg) = &mut self.cur else { return };
         for a in actions {
-            self.scratch.clear();
-            a.encode(&mut self.scratch);
-            seg.digest.write(&self.scratch);
+            a.encode(&mut seg.digest);
         }
         seg.action_count += actions.len() as u64;
     }
@@ -710,6 +707,78 @@ mod tests {
         assert_eq!(back, trace);
         // Canonical: re-encoding the decoded trace is byte-identical.
         assert_eq!(back.to_bytes(), bytes);
+    }
+
+    /// `bytes` with the varint at `at` (one byte long) replaced by `v`.
+    fn with_varint(bytes: &[u8], at: usize, v: u64) -> Vec<u8> {
+        assert!(bytes[at] < 0x80, "a one-byte varint");
+        let mut out = bytes[..at].to_vec();
+        wire::put_varu64(&mut out, v);
+        out.extend_from_slice(&bytes[at + 1..]);
+        out
+    }
+
+    #[test]
+    fn a_uid_past_u32_is_corrupt_not_truncated() {
+        let mut ue = Vec::new();
+        UeTrace {
+            id: 3,
+            uid: 0,
+            kind: ProtocolKind::SilentTracker,
+            segments: Vec::new(),
+        }
+        .encode(&mut ue);
+        let n_beams = Codebook::for_class(BeamwidthClass::Narrow).len();
+        // The uid varint follows the one-byte id.
+        let over = with_varint(&ue, 1, (1 << 32) + 1);
+        assert_eq!(
+            UeTrace::decode(&mut &over[..], n_beams),
+            Err(WireError::Corrupt("varint overflows u32"))
+        );
+        let max = with_varint(&ue, 1, u64::from(u32::MAX));
+        assert_eq!(
+            UeTrace::decode(&mut &max[..], n_beams).map(|u| u.uid),
+            Ok(u32::MAX)
+        );
+    }
+
+    /// A recorded trace whose uid varint is forged to 2^32 + uid used to
+    /// decode as `uid`, replay as that UE with no mismatch, and re-encode
+    /// to other bytes than it was read from. The trace codec now rejects
+    /// it.
+    #[test]
+    fn a_forged_uid_fails_to_decode() {
+        let trace = sample_trace();
+        let bytes = trace.to_bytes();
+        // The one UE record ends the file; its uid follows the id.
+        let mut ue = Vec::new();
+        trace.runs[0].ues[0].encode(&mut ue);
+        let uid_at = bytes.len() - ue.len() + 1;
+        assert_eq!(with_varint(&bytes, uid_at, 4), bytes, "uid 4 sits there");
+        let forged = with_varint(&bytes, uid_at, (1 << 32) + 4);
+        assert_eq!(
+            FleetTrace::from_bytes(&forged),
+            Err(WireError::Corrupt("varint overflows u32"))
+        );
+    }
+
+    #[test]
+    fn min_track_samples_past_u32_is_corrupt_not_truncated() {
+        let mut cfg = Vec::new();
+        put_tracker_config(&mut cfg, &TrackerConfig::paper_defaults());
+        // `min_track_samples` (3) is the last field.
+        let last = cfg.len() - 1;
+        assert_eq!(cfg[last], 3);
+        let over = with_varint(&cfg, last, (1 << 32) + 1);
+        assert_eq!(
+            get_tracker_config(&mut &over[..]),
+            Err(WireError::Corrupt("varint overflows u32"))
+        );
+        let max = with_varint(&cfg, last, u64::from(u32::MAX));
+        assert_eq!(
+            get_tracker_config(&mut &max[..]).map(|c| c.min_track_samples),
+            Ok(u32::MAX)
+        );
     }
 
     #[test]

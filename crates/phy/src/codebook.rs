@@ -329,20 +329,21 @@ impl Codebook {
     /// azimuth circle). For a full-circle codebook this wraps; for a single
     /// beam it is empty. Returned inline ([`AdjacentBeams`] is `Copy`,
     /// at most two entries) — this sits on the per-probe hot path of the
-    /// tracker and the executors, which must not allocate.
+    /// tracker and the executors, which must not allocate. `id` must be a
+    /// beam of this codebook, so one comparison wraps each side.
     pub fn adjacent(&self, id: BeamId) -> AdjacentBeams {
         let n = self.beams.len();
+        let i = usize::from(id.0);
+        debug_assert!(i < n, "beam {id} outside a {n}-beam codebook");
         if n <= 1 {
             return AdjacentBeams::EMPTY;
         }
         if n == 2 {
             return AdjacentBeams::one(BeamId(1 - id.0));
         }
-        let i = id.0 as usize;
-        AdjacentBeams::two(
-            BeamId(((i + n - 1) % n) as u16),
-            BeamId(((i + 1) % n) as u16),
-        )
+        let prev = if i == 0 { n - 1 } else { i - 1 };
+        let next = if i + 1 == n { 0 } else { i + 1 };
+        AdjacentBeams::two(BeamId(prev as u16), BeamId(next as u16))
     }
 
     /// The beam with maximum gain towards local angle `aoa` — the ground
