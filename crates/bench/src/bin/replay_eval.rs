@@ -7,7 +7,9 @@
 //! and prints one line per run: UEs, event records, replay wall-clock,
 //! UE-seconds refolded per wall-second, and the speedup over the recorded
 //! live wall-clock. Exits nonzero if any run's action stream or final
-//! state diverges from the recording.
+//! state diverges from the recording. Before each refold it prints the
+//! run's record mix: records and encoded bytes per event kind, from one
+//! decode pass outside the timed refold.
 //!
 //! `--live-agg` / `--replay-agg` write matching aggregate files — one
 //! line per run, the live line derived from the digests *recorded in the
@@ -21,7 +23,68 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use silent_tracker::wire::Fnv64;
+use silent_tracker::ProtocolEvent;
+use st_des::SimTime;
 use st_net::{replay_run_timed, FleetTrace, RunTrace};
+
+/// Event kinds in wire-tag order.
+const KINDS: [&str; 9] = [
+    "serving_rss",
+    "serving_probe",
+    "neighbor_ssb",
+    "dwell_complete",
+    "from_serving",
+    "serving_link_lost",
+    "rach_failed",
+    "tick",
+    "tick_run",
+];
+
+/// Records and encoded bytes per event kind (indexed as [`KINDS`]) over
+/// every segment of `run`. A segment stops at its first undecodable
+/// record, which the refold reports as a mismatch.
+fn record_mix(run: &RunTrace) -> [(u64, u64); 9] {
+    let mut mix = [(0, 0); 9];
+    for seg in run.ues.iter().flat_map(|u| &u.segments) {
+        let (mut buf, mut prev) = (&seg.events[..], SimTime::ZERO);
+        while !buf.is_empty() {
+            let before = buf.len();
+            let Ok((ev, anchor)) = ProtocolEvent::decode_from(&mut buf, prev) else {
+                break;
+            };
+            prev = anchor;
+            let kind = match ev {
+                ProtocolEvent::ServingRss { .. } => 0,
+                ProtocolEvent::ServingProbe { .. } => 1,
+                ProtocolEvent::NeighborSsb { .. } => 2,
+                ProtocolEvent::DwellComplete { .. } => 3,
+                ProtocolEvent::FromServing { .. } => 4,
+                ProtocolEvent::ServingLinkLost { .. } => 5,
+                ProtocolEvent::RachFailed { .. } => 6,
+                ProtocolEvent::Tick { .. } => 7,
+                ProtocolEvent::TickRun { .. } => 8,
+            };
+            mix[kind].0 += 1;
+            mix[kind].1 += (before - buf.len()) as u64;
+        }
+    }
+    mix
+}
+
+/// The record-mix table of one run: a total line, then one line per
+/// event kind with its share of the records.
+fn print_record_mix(label: &str, mix: &[(u64, u64); 9]) {
+    let records: u64 = mix.iter().map(|m| m.0).sum();
+    let bytes: u64 = mix.iter().map(|m| m.1).sum();
+    println!("record mix {label}: {records} records, {bytes} bytes");
+    for (name, &(n, b)) in KINDS.iter().zip(mix) {
+        println!(
+            "  {name:<17} {n:>10} records ({:>5.1}%) {b:>11} bytes ({:>5.1}%)",
+            100.0 * n as f64 / records.max(1) as f64,
+            100.0 * b as f64 / bytes.max(1) as f64,
+        );
+    }
+}
 
 /// The aggregate line for one run, from digests already in the trace —
 /// what the live run produced, without refolding anything.
@@ -77,6 +140,7 @@ fn main() {
     let mut json_rows = String::new();
     let mut failed = false;
     for (i, run) in trace.runs.iter().enumerate() {
+        print_record_mix(&run.label, &record_mix(run));
         // Best-of-3: the refold is deterministic, so the minimum wall
         // time is the noise-robust throughput estimate.
         let (rep, wall_s) = replay_run_timed(run, workers, 3);

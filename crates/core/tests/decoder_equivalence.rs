@@ -89,7 +89,7 @@ fn last_tick(start: SimTime, period: SimDuration, count: u64) -> Option<SimTime>
 
 fn encoded(ev: &ProtocolEvent) -> Vec<u8> {
     let mut bytes = Vec::new();
-    ev.encode(&mut bytes);
+    ev.encode_from(SimTime::ZERO, &mut bytes);
     bytes
 }
 

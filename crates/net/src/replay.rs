@@ -295,6 +295,174 @@ mod tests {
         }
     }
 
+    /// Fold one scripted history per arm through a recording `Proto`,
+    /// with every event kind where it acts: a serving probe, a CABM
+    /// request answered by a `BeamSwitchCommand`, a lone tick, a tick run
+    /// across the assistance deadline, a neighbor found by search,
+    /// serving-link loss and a RACH failure after the handover directive.
+    /// The verified refold, which decodes and folds each record in one
+    /// loop, must reproduce the live fold byte for byte.
+    #[test]
+    fn every_record_kind_refolds_byte_exactly_in_both_arms() {
+        use crate::proto::Proto;
+        use silent_tracker::{Action, ProtocolEvent};
+        use st_mac::pdu::Pdu;
+
+        for kind in [ProtocolKind::SilentTracker, ProtocolKind::Reactive] {
+            let silent = kind == ProtocolKind::SilentTracker;
+            let cfg = TrackerConfig::paper_defaults();
+            let codebook = Arc::new(Codebook::for_class(BeamwidthClass::Narrow));
+            let mut proto = Proto::new(
+                kind,
+                cfg,
+                UeId(5),
+                CellId(0),
+                Arc::clone(&codebook),
+                BeamId(4),
+            );
+            proto.start_recording();
+            let rss = |ms: u64, dbm: f64| ProtocolEvent::ServingRss {
+                at: t(ms),
+                rss: Dbm(dbm),
+            };
+            let cabm_requests = |p: &Proto| p.stats().map(|s| s.cabm_requests);
+            let assist_lost = |p: &Proto| p.stats().map(|s| s.assist_lost);
+            let request = Action::SendToServing(Pdu::BeamSwitchRequest {
+                cell: CellId(0),
+                ue: UeId(5),
+                suggested_tx_beam: u16::MAX,
+            });
+
+            for ms in 0..3 {
+                proto.handle(rss(ms, -60.0));
+            }
+            // An adjacent beam too weak to switch to.
+            proto.handle(ProtocolEvent::ServingProbe {
+                at: t(3),
+                rx_beam: codebook.adjacent(BeamId(4))[0],
+                rss: Dbm(-90.0),
+            });
+            // A 7 dB drop starts mobile-side adaptation; still down a
+            // settle time later, it asks the cell for help (deadline 110 ms).
+            proto.handle(rss(5, -80.0));
+            let acts = proto.handle(rss(50, -80.0)).to_vec();
+            assert_eq!(acts.contains(&request), silent, "{kind:?}");
+            proto.handle(ProtocolEvent::FromServing {
+                at: t(60),
+                pdu: Pdu::BeamSwitchCommand {
+                    cell: CellId(0),
+                    tx_beam: 3,
+                },
+            });
+            proto.handle(ProtocolEvent::Tick { at: t(61) });
+            // The answered request left CABM, so a second drop asks again
+            // (deadline 170 ms).
+            for (ms, dbm) in [(62, -80.0), (63, -90.0), (110, -90.0)] {
+                proto.handle(rss(ms, dbm));
+            }
+            assert_eq!(cabm_requests(&proto), silent.then_some(2), "{kind:?}");
+            assert_eq!(assist_lost(&proto), silent.then_some(0), "{kind:?}");
+            // Ticks every millisecond past the deadline: recorded as one run.
+            for ms in 111..=200 {
+                proto.handle(ProtocolEvent::Tick { at: t(ms) });
+            }
+            assert_eq!(assist_lost(&proto), silent.then_some(1), "{kind:?}");
+
+            // Silent Tracker finds and tracks a neighbor too weak to hand
+            // over to; the reactive arm is not searching and ignores it.
+            let mut ms = 201;
+            let dwell = |proto: &mut Proto, ms: &mut u64| {
+                proto.handle(ProtocolEvent::NeighborSsb {
+                    at: t(*ms),
+                    cell: CellId(1),
+                    tx_beam: 2,
+                    rx_beam: proto.gap_rx_beam(),
+                    rss: Dbm(-95.0),
+                });
+                *ms += 1;
+                let acts = proto.handle(ProtocolEvent::DwellComplete { at: t(*ms) });
+                *ms += 1;
+                acts.to_vec()
+            };
+            for _ in 0..6 {
+                dwell(&mut proto, &mut ms);
+            }
+            assert_eq!(proto.tracked().is_some(), silent, "{kind:?}");
+
+            // Losing the serving link hands Silent Tracker over to the
+            // tracked beam; the reactive arm starts a cold search, which
+            // the same neighbor ends with a directive.
+            let acts = proto
+                .handle(ProtocolEvent::ServingLinkLost { at: t(ms) })
+                .to_vec();
+            ms += 1;
+            let handover = |a: &[Action]| a.iter().any(|a| matches!(a, Action::ExecuteHandover(_)));
+            assert_eq!(handover(&acts), silent, "{kind:?}");
+            if !silent {
+                let found = (0..8).any(|_| handover(&dwell(&mut proto, &mut ms)));
+                assert!(found, "the reactive search finds the neighbor");
+            }
+            // Random access fails: both arms search again.
+            let acts = proto
+                .handle(ProtocolEvent::RachFailed { at: t(ms) })
+                .to_vec();
+            assert!(
+                acts.iter().any(|a| matches!(a, Action::SetGapRxBeam(_))),
+                "{kind:?}: {acts:?}"
+            );
+            proto.handle(rss(ms + 1, -70.0));
+
+            let rec = proto.finish_recording().unwrap();
+            let ue = rec.into_trace(0, 5, kind);
+            assert_eq!(ue.segments.len(), 1);
+            // Every event kind was recorded, the ticks past the deadline
+            // as one run.
+            let mut seen = [false; 9];
+            let (mut buf, mut prev) = (&ue.segments[0].events[..], SimTime::ZERO);
+            while !buf.is_empty() {
+                let (ev, anchor) = ProtocolEvent::decode_from(&mut buf, prev).unwrap();
+                prev = anchor;
+                seen[match ev {
+                    ProtocolEvent::ServingRss { .. } => 0,
+                    ProtocolEvent::ServingProbe { .. } => 1,
+                    ProtocolEvent::NeighborSsb { .. } => 2,
+                    ProtocolEvent::DwellComplete { .. } => 3,
+                    ProtocolEvent::FromServing { .. } => 4,
+                    ProtocolEvent::ServingLinkLost { .. } => 5,
+                    ProtocolEvent::RachFailed { .. } => 6,
+                    ProtocolEvent::Tick { at } => {
+                        assert_eq!(at, t(61));
+                        7
+                    }
+                    ProtocolEvent::TickRun {
+                        start,
+                        period,
+                        count,
+                    } => {
+                        assert_eq!(
+                            (start, period, count),
+                            (t(111), SimDuration::from_millis(1), 90)
+                        );
+                        8
+                    }
+                }] = true;
+            }
+            assert_eq!(seen, [true; 9], "{kind:?}");
+
+            let run = RunTrace {
+                label: "every kind".into(),
+                seed: 1,
+                duration: SimDuration::from_millis(ms + 1),
+                live_wall_s: 0.01,
+                tracker: cfg,
+                codebook: BeamwidthClass::Narrow,
+                ues: vec![ue],
+            };
+            let rep = replay_run(&run, 1);
+            assert_eq!(rep.mismatches, Vec::<String>::new(), "{kind:?}");
+        }
+    }
+
     #[test]
     fn variant_config_replays_open_loop() {
         let run = record_one(ProtocolKind::SilentTracker);
