@@ -23,7 +23,7 @@ use rand::SeedableRng;
 use st_phy::channel::{ChannelConfig, Environment, LinkChannel, PathSet};
 use st_phy::codebook::{BeamId, BeamwidthClass, Codebook};
 use st_phy::geometry::{Degrees, Pose, Radians, Vec2};
-use st_phy::link::{rss, rss_sweep_rx, rss_sweep_tx};
+use st_phy::link::{rss, rss_sweep_tx};
 use st_phy::units::Dbm;
 
 fn main() {
@@ -92,36 +92,7 @@ fn main() {
     // must agree bit-for-bit with the batched result.
     assert_eq!(check, out[n_beams - 1], "sweep diverged from per-beam rss");
 
-    // Receive-side sweep (the P3 refinement direction): every UE beam
-    // against one fixed transmit beam, over the last snapshot.
-    let mut out_rx = vec![Dbm(0.0); ue_codebook.len()];
-    let ue_final = Pose::new(
-        Vec2::new(-50.0 + 0.001 * (instants - 1) as f64, 0.0),
-        Radians(0.1),
-    );
-    let start = Instant::now();
-    let rx_iters = instants / 4;
-    for _ in 0..rx_iters {
-        rss_sweep_rx(
-            tx_power,
-            bs_pose,
-            &bs_codebook,
-            BeamId(7),
-            ue_final,
-            &ue_codebook,
-            set.samples(),
-            &mut out_rx,
-        );
-    }
-    let rx_s = start.elapsed().as_secs_f64();
-    let rx_evals = rx_iters * ue_codebook.len() as u64;
-
     println!("== sweep (beam-evaluations/sec, {n_beams}-beam codebook) ==");
-    println!(
-        "rx-sweep: {:>12.0} evals/sec  ({rx_evals} evals in {rx_s:.3}s, {}-beam UE codebook)",
-        rx_evals as f64 / rx_s,
-        ue_codebook.len()
-    );
     println!(
         " batched: {:>12.0} evals/sec  ({batched_evals} evals in {batched_s:.3}s)",
         batched_evals as f64 / batched_s

@@ -15,7 +15,9 @@
 //! | [`fleet_load`] | soft vs hard handover under fleet-scale PRACH load | `cargo run -p st-bench --release --bin fleet_load` |
 //! | [`blockage_study`] | silent vs reactive under moving geometric blockers | `cargo run -p st-bench --release --bin blockage_study` |
 //!
-//! Criterion micro/scenario benches live in `benches/`.
+//! Timing tools sit beside them: `des_throughput` (the event queue), `sweep`
+//! (the phy kernels) and `replay_eval` (the protocol fold over a recorded
+//! trace).
 
 pub mod ablation;
 pub mod blockage_study;

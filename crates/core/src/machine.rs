@@ -215,7 +215,8 @@ impl ProtocolEvent {
     /// checked against the real length in field order, so a record is
     /// `Truncated` exactly where a byte-by-byte read would run out, and
     /// the delta's clock overflow is reported before its payload is
-    /// checked. On `Err` the cursor is left where it was.
+    /// checked. A NaN or infinite RSS is `Corrupt`. On `Err` the cursor
+    /// is left where it was.
     pub fn decode_from(
         buf: &mut &[u8],
         prev: SimTime,
@@ -259,32 +260,32 @@ impl ProtocolEvent {
         let at = prev
             .checked_add(SimDuration::from_nanos(delta))
             .ok_or(WireError::Corrupt("event time overflow"))?;
+        // An RSS record's end is checked before its level: a cut record's
+        // zero-padded window can read as NaN, and it is `Truncated`.
         let (ev, end) = match tag {
-            0 => (
-                ProtocolEvent::ServingRss {
-                    at,
-                    rss: Dbm(wire::win_f64(w, p)),
-                },
-                fits(p + 8)?,
-            ),
-            1 => (
-                ProtocolEvent::ServingProbe {
-                    at,
-                    rx_beam: BeamId(wire::win_u16(w, p)),
-                    rss: Dbm(wire::win_f64(w, p + 2)),
-                },
-                fits(p + 10)?,
-            ),
-            2 => (
-                ProtocolEvent::NeighborSsb {
+            0 => {
+                let end = fits(p + 8)?;
+                let rss = win_rss(w, p)?;
+                (ProtocolEvent::ServingRss { at, rss }, end)
+            }
+            1 => {
+                let end = fits(p + 10)?;
+                let rss = win_rss(w, p + 2)?;
+                let rx_beam = BeamId(wire::win_u16(w, p));
+                (ProtocolEvent::ServingProbe { at, rx_beam, rss }, end)
+            }
+            2 => {
+                let end = fits(p + 14)?;
+                let rss = win_rss(w, p + 6)?;
+                let ev = ProtocolEvent::NeighborSsb {
                     at,
                     cell: CellId(wire::win_u16(w, p)),
                     tx_beam: wire::win_u16(w, p + 2),
                     rx_beam: BeamId(wire::win_u16(w, p + 4)),
-                    rss: Dbm(wire::win_f64(w, p + 6)),
-                },
-                fits(p + 14)?,
-            ),
+                    rss,
+                };
+                (ev, end)
+            }
             3 => (ProtocolEvent::DwellComplete { at }, p),
             4 => {
                 let (n, body) = wire::win_varu64(w, p)?;
@@ -330,6 +331,19 @@ impl ProtocolEvent {
             } => last_tick(start, period, count),
             _ => Some(self.at()),
         }
+    }
+}
+
+/// The RSS field at `at` of a decoding window. A NaN or infinite level
+/// is `Corrupt`: no receiver measures one, and the fold orders beams by
+/// RSS.
+#[inline(always)]
+fn win_rss(w: &wire::Window, at: usize) -> Result<Dbm, WireError> {
+    let rss = wire::win_f64(w, at);
+    if rss.is_finite() {
+        Ok(Dbm(rss))
+    } else {
+        Err(WireError::Corrupt("non-finite rss"))
     }
 }
 

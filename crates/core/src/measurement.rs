@@ -219,6 +219,11 @@ impl BeamTable {
 
     /// The strongest beam among `candidates` that has a measurement not
     /// older than `staleness` relative to `now`.
+    ///
+    /// Levels are ordered by `total_cmp`: it agrees with `partial_cmp` on
+    /// every level a link produces (finite, never −0.0), and it orders the
+    /// NaN that a forged trace's samples near `±f64::MAX` leave in an EWMA
+    /// (inf − inf) instead of panicking.
     pub fn best_among(
         &self,
         now: SimTime,
@@ -234,7 +239,7 @@ impl BeamTable {
                 }
                 Some((b, e.get()?))
             })
-            .max_by(|a, b| a.1 .0.partial_cmp(&b.1 .0).unwrap())
+            .max_by(|a, b| a.1 .0.total_cmp(&b.1 .0))
     }
 
     pub fn clear(&mut self) {

@@ -4,15 +4,18 @@
 //! `ProtocolEvent::decode_from` reads each record through a 32-byte
 //! window and checks every field's end against the input's length
 //! afterwards. The decoder before it read through the `wire::get_*`
-//! cursor readers, one checked byte at a time; it is kept here verbatim
-//! as [`reference_decode_from`]. On over a million inputs (every prefix,
+//! cursor readers, one checked byte at a time; it is kept here as
+//! [`reference_decode_from`], verbatim but for the finite-RSS check both
+//! decoders gained since. On over a million inputs (every prefix,
 //! lengths 0–64 around the window edge, of records of every tag with
 //! embedded PDUs, ten- and eleven-byte varints and random bytes, decoded
 //! from anchors up to `u64::MAX`) both must agree: on `Ok`, equal events
-//! (compared by their encodings, since NaN ≠ NaN), anchors and consumed
+//! (compared by their encodings), anchors and consumed
 //! lengths; on `Err`, the same error. That includes the order of the
 //! checks: a record cut inside its payload whose delta overflows the
-//! clock is `Corrupt("event time overflow")`, not `Truncated`.
+//! clock is `Corrupt("event time overflow")`, not `Truncated`, and a
+//! record cut inside its RSS is `Truncated` even where the window's
+//! zero padding reads as NaN.
 
 use proptest::test_runner::TestRng;
 use silent_tracker::wire::{self, WireError};
@@ -23,7 +26,7 @@ use st_phy::codebook::BeamId;
 use st_phy::units::Dbm;
 
 /// The event decoder before the decoding window, verbatim apart from
-/// its name.
+/// its name and the finite-RSS check ([`get_rss`]).
 fn reference_decode_from(
     buf: &mut &[u8],
     prev: SimTime,
@@ -39,19 +42,19 @@ fn reference_decode_from(
     let ev = match tag {
         0 => ProtocolEvent::ServingRss {
             at,
-            rss: Dbm(wire::get_f64(buf)?),
+            rss: get_rss(buf)?,
         },
         1 => ProtocolEvent::ServingProbe {
             at,
             rx_beam: BeamId(wire::get_u16(buf)?),
-            rss: Dbm(wire::get_f64(buf)?),
+            rss: get_rss(buf)?,
         },
         2 => ProtocolEvent::NeighborSsb {
             at,
             cell: CellId(wire::get_u16(buf)?),
             tx_beam: wire::get_u16(buf)?,
             rx_beam: BeamId(wire::get_u16(buf)?),
-            rss: Dbm(wire::get_f64(buf)?),
+            rss: get_rss(buf)?,
         },
         3 => ProtocolEvent::DwellComplete { at },
         4 => {
@@ -79,6 +82,16 @@ fn reference_decode_from(
         }
     };
     Ok((ev, at))
+}
+
+/// An RSS field, `Corrupt` unless finite.
+fn get_rss(buf: &mut &[u8]) -> Result<Dbm, WireError> {
+    let rss = wire::get_f64(buf)?;
+    if rss.is_finite() {
+        Ok(Dbm(rss))
+    } else {
+        Err(WireError::Corrupt("non-finite rss"))
+    }
 }
 
 /// The instant of a tick run's last tick, or `None` past the clock's range.

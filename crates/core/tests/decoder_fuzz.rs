@@ -221,6 +221,45 @@ fn a_delta_past_the_clock_is_corrupt_not_a_panic() {
     );
 }
 
+#[test]
+fn a_non_finite_rss_is_corrupt_and_a_cut_one_truncated() {
+    for rss in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY].map(Dbm) {
+        let records = [
+            ProtocolEvent::ServingRss { at: at(1), rss },
+            ProtocolEvent::ServingProbe {
+                at: at(1),
+                rx_beam: BeamId(3),
+                rss,
+            },
+            ProtocolEvent::NeighborSsb {
+                at: at(1),
+                cell: CellId(1),
+                tx_beam: 2,
+                rx_beam: BeamId(5),
+                rss,
+            },
+        ];
+        for ev in records {
+            let mut bytes = Vec::new();
+            ev.encode_from(SimTime::ZERO, &mut bytes);
+            assert_eq!(
+                ProtocolEvent::decode_from(&mut &bytes[..], SimTime::ZERO),
+                Err(silent_tracker::WireError::Corrupt("non-finite rss")),
+                "{ev:?}"
+            );
+            // Every cut is truncated, including those inside the RSS,
+            // whose zero-padded window can read as NaN.
+            for len in 0..bytes.len() {
+                assert_eq!(
+                    ProtocolEvent::decode_from(&mut &bytes[..len], SimTime::ZERO),
+                    Err(silent_tracker::WireError::Truncated),
+                    "{ev:?} cut to {len} bytes"
+                );
+            }
+        }
+    }
+}
+
 /// The encoding of a tick run, written field by field: `encode` itself
 /// refuses a run that ends past the clock.
 fn wire_tick_run(run: &ProtocolEvent, buf: &mut Vec<u8>) {

@@ -72,23 +72,6 @@ impl RunOutcome {
         self.handover_complete_at.is_some()
     }
 
-    /// Dwells used by the first *successful* search pass.
-    pub fn first_success_dwells(&self) -> Option<usize> {
-        self.search_passes
-            .iter()
-            .find(|p| p.succeeded)
-            .map(|p| p.dwells)
-    }
-
-    /// Overall search success rate across passes in this run.
-    pub fn search_success_rate(&self) -> Option<f64> {
-        if self.search_passes.is_empty() {
-            return None;
-        }
-        let ok = self.search_passes.iter().filter(|p| p.succeeded).count();
-        Some(ok as f64 / self.search_passes.len() as f64)
-    }
-
     /// Fraction of tracked time the receive beam was aligned (≤ 3 dB off
     /// the ground-truth best beam).
     pub fn alignment_fraction(&self) -> Option<f64> {
@@ -100,35 +83,12 @@ impl RunOutcome {
 mod tests {
     use super::*;
 
-    fn t(ms: u64) -> SimTime {
-        SimTime::ZERO + SimDuration::from_millis(ms)
-    }
-
     #[test]
     fn accessors_on_empty_outcome() {
         let o = RunOutcome::new(7);
         assert!(!o.handover_succeeded());
-        assert_eq!(o.first_success_dwells(), None);
-        assert_eq!(o.search_success_rate(), None);
         assert_eq!(o.alignment_fraction(), None);
         assert_eq!(o.seed, 7);
-    }
-
-    #[test]
-    fn search_pass_accounting() {
-        let mut o = RunOutcome::new(1);
-        o.search_passes.push(SearchPass {
-            dwells: 40,
-            succeeded: false,
-            ended_at: t(800),
-        });
-        o.search_passes.push(SearchPass {
-            dwells: 7,
-            succeeded: true,
-            ended_at: t(950),
-        });
-        assert_eq!(o.first_success_dwells(), Some(7));
-        assert_eq!(o.search_success_rate(), Some(0.5));
     }
 
     #[test]

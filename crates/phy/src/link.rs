@@ -178,41 +178,6 @@ pub fn rss_sweep_tx(
     true
 }
 
-/// Receive-side counterpart of [`rss_sweep_tx`]: every receive beam of
-/// `rx_codebook` against one fixed transmit beam, one pass over the rays.
-#[allow(clippy::too_many_arguments)]
-pub fn rss_sweep_rx(
-    tx_power: Dbm,
-    tx_pose: Pose,
-    tx_codebook: &Codebook,
-    tx_beam: BeamId,
-    rx_pose: Pose,
-    rx_codebook: &Codebook,
-    paths: &[PathSample],
-    out: &mut [Dbm],
-) -> bool {
-    assert_eq!(out.len(), rx_codebook.len(), "out must cover the codebook");
-    if paths.is_empty() {
-        return false;
-    }
-    for o in out.iter_mut() {
-        o.0 = 0.0;
-    }
-    let tx = tx_codebook.beam(tx_beam);
-    for p in paths {
-        let tx_local = (p.aod - tx_pose.heading).wrapped();
-        let rx_local = (p.aoa - rx_pose.heading).wrapped();
-        let g_tx = tx.linear_gain_towards(tx_local);
-        for (o, beam) in out.iter_mut().zip(rx_codebook.beams()) {
-            o.0 += g_tx * (p.power * beam.linear_gain_towards(rx_local));
-        }
-    }
-    for o in out.iter_mut() {
-        *o = level(tx_power, o.0);
-    }
-    true
-}
-
 /// The received level of `tx_power` scaled by the linear ratio `sum`.
 fn level(tx_power: Dbm, sum: f64) -> Dbm {
     tx_power + Db::from_linear(sum)
@@ -417,32 +382,6 @@ mod tests {
             )
             .unwrap();
             assert_eq!(got, want, "tx beam {b}");
-        }
-
-        let mut out_rx = vec![Dbm(0.0); ue.len()];
-        assert!(rss_sweep_rx(
-            Dbm(10.0),
-            tx_pose,
-            &bs,
-            BeamId(7),
-            rx_pose,
-            &ue,
-            &paths,
-            &mut out_rx
-        ));
-        for (b, &got) in out_rx.iter().enumerate() {
-            let want = rss(
-                Dbm(10.0),
-                tx_pose,
-                &bs,
-                BeamId(7),
-                rx_pose,
-                &ue,
-                BeamId(b as u16),
-                &paths,
-            )
-            .unwrap();
-            assert_eq!(got, want, "rx beam {b}");
         }
 
         // Empty paths: untouched output, false.

@@ -118,40 +118,6 @@ impl OuDecay {
     }
 }
 
-/// A memoryless Rician fading amplitude generator.
-///
-/// LOS mm-wave links have a strong specular component (large K factor);
-/// NLOS reflections are closer to Rayleigh (K ≈ 0). `sample_power_db`
-/// returns the instantaneous fading gain relative to the mean power, in dB,
-/// so it composes additively with the rest of the link budget. Channel
-/// models that need *time-correlated* fading (so two measurements within
-/// one coherence time see the same fade) use [`CorrelatedRician`] instead;
-/// this i.i.d. sampler remains for Monte-Carlo uses without a time axis.
-#[derive(Debug, Clone, Copy)]
-pub struct Rician {
-    /// K factor (specular-to-scattered power ratio), linear.
-    pub k: f64,
-}
-
-impl Rician {
-    pub fn from_k_db(k_db: f64) -> Rician {
-        Rician {
-            k: 10f64.powf(k_db / 10.0),
-        }
-    }
-
-    /// Instantaneous power gain in dB around a 0 dB mean.
-    pub fn sample_power_db<R: Rng + ?Sized>(self, rng: &mut R) -> f64 {
-        // Complex gain: specular sqrt(K/(K+1)) plus CN(0, 1/(K+1)).
-        let spec = (self.k / (self.k + 1.0)).sqrt();
-        let sigma = (1.0 / (2.0 * (self.k + 1.0))).sqrt();
-        let i = spec + sigma * standard_normal(rng);
-        let q = sigma * standard_normal(rng);
-        let p = i * i + q * q;
-        10.0 * p.max(1e-12).log10()
-    }
-}
-
 /// A *time-correlated* Rician fading process (Gauss–Markov channel).
 ///
 /// The scattered component is a complex Gaussian whose I/Q parts evolve as
@@ -451,31 +417,6 @@ mod tests {
                 "case {k}: {p1} vs {p2}"
             );
         }
-    }
-
-    #[test]
-    fn rician_mean_power_is_0db() {
-        let mut rng = StdRng::seed_from_u64(5);
-        for k_db in [-100.0, 0.0, 10.0] {
-            let r = Rician::from_k_db(k_db);
-            let n = 50_000;
-            let mean_lin = (0..n)
-                .map(|_| 10f64.powf(r.sample_power_db(&mut rng) / 10.0))
-                .sum::<f64>()
-                / n as f64;
-            assert!((mean_lin - 1.0).abs() < 0.05, "k={k_db} mean={mean_lin}");
-        }
-    }
-
-    #[test]
-    fn high_k_fading_is_shallow() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let r = Rician::from_k_db(15.0);
-        let min = (0..10_000)
-            .map(|_| r.sample_power_db(&mut rng))
-            .fold(f64::INFINITY, f64::min);
-        // With K = 15 dB the envelope almost never fades below -6 dB.
-        assert!(min > -8.0, "min {min}");
     }
 
     #[test]

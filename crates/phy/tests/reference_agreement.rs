@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use st_phy::channel::{ChannelConfig, Environment, LinkChannel, PathSet, Wall};
 use st_phy::geometry::{Degrees, Pose, Radians, Segment, Vec2};
-use st_phy::link::{rss, rss_sweep_rx, rss_sweep_tx};
+use st_phy::link::{rss, rss_sweep_tx};
 use st_phy::stochastic::{BlockageProcess, CorrelatedRician, OrnsteinUhlenbeck};
 use st_phy::units::Dbm;
 use st_phy::{BeamId, BeamwidthClass, Codebook};
@@ -341,17 +341,6 @@ fn linear_kernel_agrees_with_the_db_reference() {
                     got,
                     reference_rss(BeamId(b as u16), rx_beam),
                     "rss_sweep_tx",
-                );
-            }
-            let mut out = vec![Dbm(0.0); rx_cb.len()];
-            assert!(rss_sweep_rx(
-                p, tx_pose, tx_cb, tx_beam, rx_pose, rx_cb, samples, &mut out
-            ));
-            for (b, &got) in out.iter().enumerate() {
-                check(
-                    got,
-                    reference_rss(tx_beam, BeamId(b as u16)),
-                    "rss_sweep_rx",
                 );
             }
 

@@ -3,13 +3,14 @@
 //! This file once quantified the bias of per-shard PRACH contention: at
 //! moderate load the 8-shard collision rate read ≈ 0 against ≈ 8% for
 //! one shard, and at heavy load it under-counted by ≈ 76% relative. The
-//! shared cross-shard responder stage (`st_fleet::stage`) removed the
-//! bias and is now the fleet's only contention model — so the
-//! measurement is an **equality regression**: a 1-shard run and an
-//! 8-shard run must produce byte-identical `FleetOutcome::summary()`
-//! blobs and equal snapshot timelines (all but the event-queue gauge)
-//! at both load points, and the measured collision rate must stay above
-//! a floor instead of reading ≈ 0.
+//! shared cross-shard responder stage
+//! (`st_net::stage::SharedRachStage`) removed the bias and is now the
+//! fleet's only contention model — so the measurement is an **equality
+//! regression**: a 1-shard run and an 8-shard run must produce
+//! byte-identical `FleetOutcome::summary()` blobs and equal snapshot
+//! timelines (all but the event-queue gauge) at both load points, and
+//! the measured collision rate must stay above a floor instead of
+//! reading ≈ 0.
 //!
 //! All `#[ignore]`d: sized for `--release`
 //! (`cargo test --release --test shard_approximation -- --ignored`,

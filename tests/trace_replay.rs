@@ -13,13 +13,15 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use silent_tracker_repro::silent_tracker::WireError;
+use silent_tracker_repro::silent_tracker::{ProtocolEvent, TrackerConfig, WireError};
+use silent_tracker_repro::st_des::{SimDuration, SimTime};
 use silent_tracker_repro::st_fleet::{
     run_fleet_with_workers, Deployment, FleetConfig, MobilityKind,
 };
 use silent_tracker_repro::st_net::{
     replay_run, FleetTrace, ProtocolKind, RunTrace, SegmentTrace, UeTrace,
 };
+use silent_tracker_repro::st_phy::{BeamId, BeamwidthClass, Dbm};
 
 fn smoke_fleet(seed: u64, record: bool) -> FleetConfig {
     Deployment::new()
@@ -245,6 +247,100 @@ fn an_overflowing_event_time_is_a_replay_mismatch_not_a_panic() {
     assert_eq!(report.mismatches.len(), 1, "{:?}", report.mismatches);
     assert!(
         report.mismatches[0].contains("event time overflow"),
+        "{:?}",
+        report.mismatches
+    );
+}
+
+/// A forged one-segment silent trace on the narrow codebook, serving
+/// beam 4: twenty serving samples at −60 dBm, probes of beam 3 reading
+/// `beam3` (dBm), a probe of beam 5 at −75 dBm and a serving sample at
+/// −90 dBm. Folded, the fade sends the mobile to pick the strongest
+/// probed beam, ordering beam 3's filtered level against beam 5's.
+fn forged_probe_run(beam3: &[f64]) -> RunTrace {
+    let at = |us: u64| SimTime::ZERO + SimDuration::from_micros(us);
+    let mut events: Vec<_> = (0..20)
+        .map(|k| ProtocolEvent::ServingRss {
+            at: at(1_000 + 200 * k),
+            rss: Dbm(-60.0),
+        })
+        .collect();
+    events.extend(
+        (0..)
+            .zip(beam3)
+            .map(|(k, &rss)| ProtocolEvent::ServingProbe {
+                at: at(5_500 + 200 * k),
+                rx_beam: BeamId(3),
+                rss: Dbm(rss),
+            }),
+    );
+    events.extend([
+        ProtocolEvent::ServingProbe {
+            at: at(7_000),
+            rx_beam: BeamId(5),
+            rss: Dbm(-75.0),
+        },
+        ProtocolEvent::ServingRss {
+            at: at(8_000),
+            rss: Dbm(-90.0),
+        },
+    ]);
+    let mut bytes = Vec::new();
+    let mut prev = SimTime::ZERO;
+    for ev in &events {
+        prev = ev.encode_from(prev, &mut bytes);
+    }
+    RunTrace {
+        label: "forged".into(),
+        seed: 0,
+        duration: SimDuration::from_millis(10),
+        live_wall_s: 0.0,
+        tracker: TrackerConfig::paper_defaults(),
+        codebook: BeamwidthClass::Narrow,
+        ues: vec![UeTrace {
+            id: 0,
+            uid: 1,
+            kind: ProtocolKind::SilentTracker,
+            segments: vec![SegmentTrace {
+                serving_cell: 0,
+                serving_rx: 4,
+                events: bytes,
+                n_events: events.len() as u64,
+                action_count: 0,
+                action_digest: 0,
+                final_state: Vec::new(),
+                marks: Vec::new(),
+            }],
+        }],
+    }
+}
+
+/// A NaN probe used to reach the fold and panic it there; the event
+/// decoder rejects it, and replay reports the decode error.
+#[test]
+fn a_non_finite_rss_is_a_replay_mismatch_not_a_panic() {
+    let run = forged_probe_run(&[f64::NAN]);
+    let report =
+        catch_unwind(AssertUnwindSafe(|| replay_run(&run, 1))).expect("replay must not panic");
+    assert_eq!(report.mismatches.len(), 1, "{:?}", report.mismatches);
+    assert!(
+        report.mismatches[0].contains("event decode: corrupt input: non-finite rss"),
+        "{:?}",
+        report.mismatches
+    );
+}
+
+/// Finite probes at `+MAX`, `−MAX`, `+MAX` decode, and drive beam 3's
+/// EWMA to −inf and then NaN (inf − inf). The fold orders that NaN
+/// instead of panicking, so the forged trace replays to the end.
+#[test]
+fn an_rss_at_the_edge_of_f64_replays_without_panicking() {
+    let run = forged_probe_run(&[f64::MAX, -f64::MAX, f64::MAX]);
+    let report =
+        catch_unwind(AssertUnwindSafe(|| replay_run(&run, 1))).expect("replay must not panic");
+    assert_eq!(report.events, run.n_events(), "every event folds");
+    assert!(
+        report.mismatches.iter().all(|m| !m.contains("decode")),
         "{:?}",
         report.mismatches
     );
