@@ -16,17 +16,13 @@
 //! [`crate::state::TRANSITION_TABLE`] and every transition is checked
 //! against that table as it is logged.
 //!
-//! Two properties fall out of this shape and are load-bearing for the
-//! rest of the workspace:
-//!
-//! * **Snapshot/restore** — [`ProtocolState`] encodes to a canonical
-//!   compact binary form ([`ProtocolState::encode`]) and decodes back
-//!   bit-identically, so a protocol instance can be checkpointed
-//!   mid-flight and resumed elsewhere.
-//! * **Trace replay** — a recorded event stream refolded through
-//!   [`step_mut`] reproduces the live run's actions byte-for-byte, which
-//!   is what lets `st_net::replay` re-evaluate protocol configs at
-//!   memory speed without re-running `st_phy`/`st_des`.
+//! One property falls out of this shape and is load-bearing for the rest
+//! of the workspace: **trace replay**. A recorded event stream refolded
+//! through [`step_mut`] reproduces the live run's actions and final state
+//! byte-for-byte, which is what lets `st_net::replay` re-evaluate
+//! protocol configs at memory speed without re-running
+//! `st_phy`/`st_des`. The final state is compared through its canonical
+//! encoding ([`ProtocolState::encode`]); nothing decodes it.
 //!
 //! A protocol instance is exactly a `(ctx, state)` pair: the simulators,
 //! trace replay and the examples all fold a [`ProtocolState`] (or one of
@@ -58,9 +54,8 @@ use crate::search::{Discovery, SearchController, SearchStep};
 use crate::state::{Edge, TrackerState, Transition, TransitionLog};
 use crate::wire::{self, WireError};
 
-/// Serialization format version (first byte of every encoded
-/// [`ProtocolState`] and [`ProtocolEvent`] stream header).
-pub const WIRE_VERSION: u8 = 1;
+/// Format version: the first byte of every encoded [`ProtocolState`].
+const WIRE_VERSION: u8 = 1;
 
 /// Staleness window for probe-table lookups when choosing an adjacent
 /// beam: older measurements no longer reflect the channel under mobility.
@@ -380,28 +375,21 @@ pub struct HandoverDirective {
 
 impl HandoverDirective {
     fn encode<B: BufMut>(&self, buf: &mut B) {
-        buf.put_u16(self.target.0);
-        buf.put_u16(self.ssb_beam);
-        buf.put_u16(self.rx_beam.0);
-        buf.put_u8(match self.reason {
+        let Self {
+            target,
+            ssb_beam,
+            rx_beam,
+            reason,
+            at,
+        } = *self;
+        buf.put_u16(target.0);
+        buf.put_u16(ssb_beam);
+        buf.put_u16(rx_beam.0);
+        buf.put_u8(match reason {
             HandoverReason::NeighborStronger => 0,
             HandoverReason::ServingLost => 1,
         });
-        wire::put_time(buf, self.at);
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<HandoverDirective, WireError> {
-        Ok(HandoverDirective {
-            target: CellId(wire::get_u16(buf)?),
-            ssb_beam: wire::get_u16(buf)?,
-            rx_beam: BeamId(wire::get_u16(buf)?),
-            reason: match wire::get_u8(buf)? {
-                0 => HandoverReason::NeighborStronger,
-                1 => HandoverReason::ServingLost,
-                _ => return Err(WireError::Corrupt("handover reason tag")),
-            },
-            at: wire::get_time(buf)?,
-        })
+        wire::put_time(buf, at);
     }
 }
 
@@ -519,31 +507,28 @@ pub struct TrackerStats {
 
 impl TrackerStats {
     fn encode<B: BufMut>(&self, buf: &mut B) {
+        let Self {
+            srba_switches,
+            cabm_requests,
+            assist_lost,
+            nrba_switches,
+            reacquisitions,
+            search_dwells,
+            searches_failed,
+            searches_succeeded,
+        } = *self;
         for v in [
-            self.srba_switches,
-            self.cabm_requests,
-            self.assist_lost,
-            self.nrba_switches,
-            self.reacquisitions,
-            self.search_dwells,
-            self.searches_failed,
-            self.searches_succeeded,
+            srba_switches,
+            cabm_requests,
+            assist_lost,
+            nrba_switches,
+            reacquisitions,
+            search_dwells,
+            searches_failed,
+            searches_succeeded,
         ] {
             wire::put_varu64(buf, v);
         }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<TrackerStats, WireError> {
-        Ok(TrackerStats {
-            srba_switches: wire::get_varu64(buf)?,
-            cabm_requests: wire::get_varu64(buf)?,
-            assist_lost: wire::get_varu64(buf)?,
-            nrba_switches: wire::get_varu64(buf)?,
-            reacquisitions: wire::get_varu64(buf)?,
-            search_dwells: wire::get_varu64(buf)?,
-            searches_failed: wire::get_varu64(buf)?,
-            searches_succeeded: wire::get_varu64(buf)?,
-        })
     }
 }
 
@@ -573,19 +558,6 @@ impl ServingPhase {
             }
         }
     }
-
-    fn decode(buf: &mut &[u8]) -> Result<ServingPhase, WireError> {
-        match wire::get_u8(buf)? {
-            0 => Ok(ServingPhase::Stable),
-            1 => Ok(ServingPhase::MobileAdapt {
-                since: wire::get_time(buf)?,
-            }),
-            2 => Ok(ServingPhase::CellAssist {
-                deadline: wire::get_time(buf)?,
-            }),
-            _ => Err(WireError::Corrupt("serving phase tag")),
-        }
-    }
 }
 
 /// The silently tracked neighbor beam.
@@ -613,33 +585,24 @@ struct TrackedNeighbor {
 
 impl TrackedNeighbor {
     fn encode<B: BufMut>(&self, buf: &mut B) {
-        buf.put_u16(self.cell.0);
-        buf.put_u16(self.tx_beam);
-        buf.put_u16(self.rx_beam.0);
-        self.monitor.encode(buf);
-        self.table.encode(buf);
-        wire::put_varu64(buf, self.cycle as u64);
-        wire::put_varu64(buf, u64::from(self.samples_since_acq));
-        wire::put_time(buf, self.last_switch);
-    }
-
-    fn decode(buf: &mut &[u8], codebook: &Codebook) -> Result<TrackedNeighbor, WireError> {
-        let cell = CellId(wire::get_u16(buf)?);
-        let tx_beam = wire::get_u16(buf)?;
-        let rx_beam = BeamId(wire::get_u16(buf)?);
-        if (rx_beam.0 as usize) >= codebook.len() {
-            return Err(WireError::Corrupt("tracked beam outside codebook"));
-        }
-        Ok(TrackedNeighbor {
+        let Self {
             cell,
             tx_beam,
             rx_beam,
-            monitor: LinkMonitor::decode(buf)?,
-            table: BeamTable::decode(buf)?,
-            cycle: wire::get_varu64(buf)? as usize,
-            samples_since_acq: wire::get_varu32(buf)?,
-            last_switch: wire::get_time(buf)?,
-        })
+            monitor,
+            table,
+            cycle,
+            samples_since_acq,
+            last_switch,
+        } = self;
+        buf.put_u16(cell.0);
+        buf.put_u16(*tx_beam);
+        buf.put_u16(rx_beam.0);
+        monitor.encode(buf);
+        table.encode(buf);
+        wire::put_varu64(buf, *cycle as u64);
+        wire::put_varu64(buf, u64::from(*samples_since_acq));
+        wire::put_time(buf, *last_switch);
     }
 }
 
@@ -661,18 +624,6 @@ impl NeighborPhase {
                 buf.put_u8(1);
                 t.encode(buf);
             }
-        }
-    }
-
-    fn decode(buf: &mut &[u8], codebook: &Codebook) -> Result<NeighborPhase, WireError> {
-        match wire::get_u8(buf)? {
-            0 => Ok(NeighborPhase::Searching(SearchController::decode(
-                buf, codebook,
-            )?)),
-            1 => Ok(NeighborPhase::Tracking(TrackedNeighbor::decode(
-                buf, codebook,
-            )?)),
-            _ => Err(WireError::Corrupt("neighbor phase tag")),
         }
     }
 }
@@ -1372,48 +1323,36 @@ impl SilentState {
     // ----- serialization --------------------------------------------------
 
     fn encode<B: BufMut>(&self, buf: &mut B) {
-        self.serving_phase.encode(buf);
-        buf.put_u16(self.serving_rx_beam.0);
-        self.serving_monitor.encode(buf);
-        self.serving_table.encode(buf);
-        wire::put_time(buf, self.serving_last_switch);
-        self.neighbor.encode(buf);
-        match &self.done {
+        let Self {
+            serving_phase,
+            serving_rx_beam,
+            serving_monitor,
+            serving_table,
+            serving_last_switch,
+            neighbor,
+            done,
+            serving_lost,
+            stats,
+            serving_log,
+            neighbor_log,
+        } = self;
+        serving_phase.encode(buf);
+        buf.put_u16(serving_rx_beam.0);
+        serving_monitor.encode(buf);
+        serving_table.encode(buf);
+        wire::put_time(buf, *serving_last_switch);
+        neighbor.encode(buf);
+        match done {
             None => buf.put_u8(0),
             Some(d) => {
                 buf.put_u8(1);
                 d.encode(buf);
             }
         }
-        wire::put_bool(buf, self.serving_lost);
-        self.stats.encode(buf);
-        self.serving_log.encode(buf);
-        self.neighbor_log.encode(buf);
-    }
-
-    fn decode(buf: &mut &[u8], codebook: &Codebook) -> Result<SilentState, WireError> {
-        let serving_phase = ServingPhase::decode(buf)?;
-        let serving_rx_beam = BeamId(wire::get_u16(buf)?);
-        if (serving_rx_beam.0 as usize) >= codebook.len() {
-            return Err(WireError::Corrupt("serving beam outside codebook"));
-        }
-        Ok(SilentState {
-            serving_phase,
-            serving_rx_beam,
-            serving_monitor: LinkMonitor::decode(buf)?,
-            serving_table: BeamTable::decode(buf)?,
-            serving_last_switch: wire::get_time(buf)?,
-            neighbor: NeighborPhase::decode(buf, codebook)?,
-            done: match wire::get_u8(buf)? {
-                0 => None,
-                1 => Some(HandoverDirective::decode(buf)?),
-                _ => return Err(WireError::Corrupt("option tag")),
-            },
-            serving_lost: wire::get_bool(buf)?,
-            stats: TrackerStats::decode(buf)?,
-            serving_log: TransitionLog::decode(buf)?,
-            neighbor_log: TransitionLog::decode(buf)?,
-        })
+        wire::put_bool(buf, *serving_lost);
+        stats.encode(buf);
+        serving_log.encode(buf);
+        neighbor_log.encode(buf);
     }
 }
 
@@ -1440,17 +1379,6 @@ impl ReactivePhase {
                 s.encode(buf);
             }
             ReactivePhase::Done => buf.put_u8(2),
-        }
-    }
-
-    fn decode(buf: &mut &[u8], codebook: &Codebook) -> Result<ReactivePhase, WireError> {
-        match wire::get_u8(buf)? {
-            0 => Ok(ReactivePhase::Connected),
-            1 => Ok(ReactivePhase::Searching(SearchController::decode(
-                buf, codebook,
-            )?)),
-            2 => Ok(ReactivePhase::Done),
-            _ => Err(WireError::Corrupt("reactive phase tag")),
         }
     }
 }
@@ -1637,41 +1565,30 @@ impl ReactiveState {
     }
 
     fn encode<B: BufMut>(&self, buf: &mut B) {
-        buf.put_u16(self.serving_rx_beam.0);
-        self.monitor.encode(buf);
-        self.table.encode(buf);
-        self.phase.encode(buf);
-        match &self.directive {
+        let Self {
+            serving_rx_beam,
+            monitor,
+            table,
+            phase,
+            directive,
+            failed_at,
+            srba_switches,
+            search_dwells,
+        } = self;
+        buf.put_u16(serving_rx_beam.0);
+        monitor.encode(buf);
+        table.encode(buf);
+        phase.encode(buf);
+        match directive {
             None => buf.put_u8(0),
             Some(d) => {
                 buf.put_u8(1);
                 d.encode(buf);
             }
         }
-        wire::put_opt_time(buf, self.failed_at);
-        wire::put_varu64(buf, self.srba_switches);
-        wire::put_varu64(buf, self.search_dwells);
-    }
-
-    fn decode(buf: &mut &[u8], codebook: &Codebook) -> Result<ReactiveState, WireError> {
-        let serving_rx_beam = BeamId(wire::get_u16(buf)?);
-        if (serving_rx_beam.0 as usize) >= codebook.len() {
-            return Err(WireError::Corrupt("serving beam outside codebook"));
-        }
-        Ok(ReactiveState {
-            serving_rx_beam,
-            monitor: LinkMonitor::decode(buf)?,
-            table: BeamTable::decode(buf)?,
-            phase: ReactivePhase::decode(buf, codebook)?,
-            directive: match wire::get_u8(buf)? {
-                0 => None,
-                1 => Some(HandoverDirective::decode(buf)?),
-                _ => return Err(WireError::Corrupt("option tag")),
-            },
-            failed_at: wire::get_opt_time(buf)?,
-            srba_switches: wire::get_varu64(buf)?,
-            search_dwells: wire::get_varu64(buf)?,
-        })
+        wire::put_opt_time(buf, *failed_at);
+        wire::put_varu64(buf, *srba_switches);
+        wire::put_varu64(buf, *search_dwells);
     }
 }
 
@@ -1687,7 +1604,12 @@ pub enum ProtocolState {
 }
 
 impl ProtocolState {
-    /// Canonical binary encoding: version byte, arm tag, payload.
+    /// Canonical binary encoding: version byte, arm tag, payload. The
+    /// recorder stores each incarnation's final state this way, and the
+    /// verified refold (`st_net::replay_run`) compares its own final
+    /// state's encoding with it byte for byte; nothing decodes it. Each
+    /// struct encoder beneath destructures its value exhaustively, so a
+    /// field added without being encoded fails to compile.
     pub fn encode<B: BufMut>(&self, buf: &mut B) {
         buf.put_u8(WIRE_VERSION);
         match self {
@@ -1699,22 +1621,6 @@ impl ProtocolState {
                 buf.put_u8(1);
                 r.encode(buf);
             }
-        }
-    }
-
-    /// Decode against the codebook the state was recorded with (the lazy
-    /// search structures — dwell order, refinement queue — are rebuilt
-    /// from it rather than stored).
-    pub fn decode(buf: &mut &[u8], codebook: &Codebook) -> Result<ProtocolState, WireError> {
-        if wire::get_u8(buf)? != WIRE_VERSION {
-            return Err(WireError::Corrupt("unsupported wire version"));
-        }
-        match wire::get_u8(buf)? {
-            0 => Ok(ProtocolState::Silent(SilentState::decode(buf, codebook)?)),
-            1 => Ok(ProtocolState::Reactive(ReactiveState::decode(
-                buf, codebook,
-            )?)),
-            _ => Err(WireError::Corrupt("protocol arm tag")),
         }
     }
 
@@ -1895,79 +1801,6 @@ mod tests {
     }
 
     #[test]
-    fn silent_state_round_trips_through_wire() {
-        let ctx = ctx();
-        let mut s = SilentState::initial(&ctx, BeamId(4));
-        let mut out = Vec::new();
-        // Exercise several fields: serving samples, a search detection,
-        // dwells into tracking.
-        s.handle(
-            &ctx,
-            &ProtocolEvent::ServingRss {
-                at: t(1),
-                rss: Dbm(-60.0),
-            },
-            &mut out,
-        );
-        let beam = s.gap_rx_beam(&ctx.codebook);
-        s.handle(
-            &ctx,
-            &ProtocolEvent::NeighborSsb {
-                at: t(5),
-                cell: CellId(1),
-                tx_beam: 3,
-                rx_beam: beam,
-                rss: Dbm(-66.0),
-            },
-            &mut out,
-        );
-        for k in 0..3 {
-            s.handle(
-                &ctx,
-                &ProtocolEvent::DwellComplete { at: t(20 + k * 20) },
-                &mut out,
-            );
-        }
-        assert!(s.tracked().is_some());
-
-        let state = ProtocolState::Silent(s);
-        let mut buf = Vec::new();
-        state.encode(&mut buf);
-        let mut cur = &buf[..];
-        let back = ProtocolState::decode(&mut cur, &ctx.codebook).unwrap();
-        assert!(cur.is_empty());
-        assert_eq!(back, state);
-        // Canonical: re-encoding the decoded state is byte-identical.
-        let mut buf2 = Vec::new();
-        back.encode(&mut buf2);
-        assert_eq!(buf, buf2);
-    }
-
-    #[test]
-    fn reactive_state_round_trips_through_wire() {
-        let ctx = ctx();
-        let mut r = ReactiveState::initial(&ctx, BeamId(4));
-        let mut out = Vec::new();
-        r.handle(
-            &ctx,
-            &ProtocolEvent::ServingRss {
-                at: t(1),
-                rss: Dbm(-60.0),
-            },
-            &mut out,
-        );
-        r.handle(&ctx, &ProtocolEvent::ServingLinkLost { at: t(5) }, &mut out);
-        assert!(r.in_outage());
-        let state = ProtocolState::Reactive(r);
-        let mut buf = Vec::new();
-        state.encode(&mut buf);
-        let mut cur = &buf[..];
-        let back = ProtocolState::decode(&mut cur, &ctx.codebook).unwrap();
-        assert!(cur.is_empty());
-        assert_eq!(back, state);
-    }
-
-    #[test]
     fn event_codec_round_trips_every_variant() {
         let events = vec![
             ProtocolEvent::ServingRss {
@@ -2014,31 +1847,6 @@ mod tests {
             prev = anchor;
         }
         assert!(cur.is_empty());
-    }
-
-    #[test]
-    fn samples_since_acquisition_past_u32_are_corrupt_not_truncated() {
-        let cb = Codebook::for_class(BeamwidthClass::Narrow);
-        let tracked = |samples: u64| {
-            let mut buf = Vec::new();
-            buf.put_u16(1);
-            buf.put_u16(2);
-            buf.put_u16(3);
-            LinkMonitor::with_reference_decay(0.4, 0.75).encode(&mut buf);
-            BeamTable::new(0.4).encode(&mut buf);
-            wire::put_varu64(&mut buf, 0);
-            wire::put_varu64(&mut buf, samples);
-            wire::put_time(&mut buf, t(5));
-            TrackedNeighbor::decode(&mut &buf[..], &cb)
-        };
-        assert_eq!(
-            tracked((1 << 32) + 1),
-            Err(WireError::Corrupt("varint overflows u32"))
-        );
-        assert_eq!(
-            tracked(u64::from(u32::MAX)).map(|t| t.samples_since_acq),
-            Ok(u32::MAX)
-        );
     }
 
     /// Which variant `a` is: a match without a wildcard, so a new

@@ -43,17 +43,9 @@ impl EwmaRss {
     }
 
     pub(crate) fn encode<B: bytes::BufMut>(&self, buf: &mut B) {
-        crate::wire::put_f64(buf, self.alpha);
-        crate::wire::put_opt_f64(buf, self.value.map(|d| d.0));
-    }
-
-    pub(crate) fn decode(buf: &mut &[u8]) -> Result<EwmaRss, crate::wire::WireError> {
-        let alpha = crate::wire::get_f64(buf)?;
-        if !(alpha > 0.0 && alpha <= 1.0) {
-            return Err(crate::wire::WireError::Corrupt("ewma alpha"));
-        }
-        let value = crate::wire::get_opt_f64(buf)?.map(Dbm);
-        Ok(EwmaRss { alpha, value })
+        let Self { alpha, value } = *self;
+        crate::wire::put_f64(buf, alpha);
+        crate::wire::put_opt_f64(buf, value.map(|d| d.0));
     }
 }
 
@@ -121,11 +113,6 @@ impl LinkMonitor {
         self.ewma.get()
     }
 
-    /// Best smoothed level since the beam pair was selected.
-    pub fn reference(&self) -> Option<Dbm> {
-        self.reference
-    }
-
     pub fn last_update(&self) -> Option<SimTime> {
         self.last_update
     }
@@ -146,29 +133,18 @@ impl LinkMonitor {
 
     /// Canonical binary encoding (exact: floats as bit patterns).
     pub fn encode<B: bytes::BufMut>(&self, buf: &mut B) {
-        self.ewma.encode(buf);
-        crate::wire::put_opt_f64(buf, self.reference.map(|d| d.0));
-        crate::wire::put_opt_time(buf, self.last_update);
-        crate::wire::put_varu64(buf, u64::from(self.samples));
-        crate::wire::put_f64(buf, self.reference_decay);
-    }
-
-    pub fn decode(buf: &mut &[u8]) -> Result<LinkMonitor, crate::wire::WireError> {
-        let ewma = EwmaRss::decode(buf)?;
-        let reference = crate::wire::get_opt_f64(buf)?.map(Dbm);
-        let last_update = crate::wire::get_opt_time(buf)?;
-        let samples = crate::wire::get_varu32(buf)?;
-        let reference_decay = crate::wire::get_f64(buf)?;
-        if reference_decay < 0.0 {
-            return Err(crate::wire::WireError::Corrupt("reference decay"));
-        }
-        Ok(LinkMonitor {
+        let Self {
             ewma,
             reference,
             last_update,
             samples,
             reference_decay,
-        })
+        } = *self;
+        ewma.encode(buf);
+        crate::wire::put_opt_f64(buf, reference.map(|d| d.0));
+        crate::wire::put_opt_time(buf, last_update);
+        crate::wire::put_varu64(buf, u64::from(samples));
+        crate::wire::put_f64(buf, reference_decay);
     }
 }
 
@@ -242,39 +218,15 @@ impl BeamTable {
             .max_by(|a, b| a.1 .0.total_cmp(&b.1 .0))
     }
 
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     pub(crate) fn encode<B: bytes::BufMut>(&self, buf: &mut B) {
-        crate::wire::put_f64(buf, self.alpha);
-        crate::wire::put_varu64(buf, self.entries.len() as u64);
-        for (beam, ewma, at) in &self.entries {
+        let Self { entries, alpha } = self;
+        crate::wire::put_f64(buf, *alpha);
+        crate::wire::put_varu64(buf, entries.len() as u64);
+        for (beam, ewma, at) in entries {
             buf.put_u16(beam.0);
             ewma.encode(buf);
             crate::wire::put_time(buf, *at);
         }
-    }
-
-    pub(crate) fn decode(buf: &mut &[u8]) -> Result<BeamTable, crate::wire::WireError> {
-        let alpha = crate::wire::get_f64(buf)?;
-        let n = crate::wire::get_varu64(buf)? as usize;
-        let mut entries = Vec::with_capacity(n.min(buf.len()));
-        for _ in 0..n {
-            let beam = BeamId(crate::wire::get_u16(buf)?);
-            let ewma = EwmaRss::decode(buf)?;
-            let at = crate::wire::get_time(buf)?;
-            entries.push((beam, ewma, at));
-        }
-        Ok(BeamTable { entries, alpha })
     }
 }
 
@@ -285,27 +237,6 @@ mod tests {
 
     fn t(ms: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_millis(ms)
-    }
-
-    #[test]
-    fn monitor_samples_past_u32_are_corrupt_not_truncated() {
-        let monitor = |samples: u64| {
-            let mut buf = Vec::new();
-            EwmaRss::new(0.5).encode(&mut buf);
-            crate::wire::put_opt_f64(&mut buf, None);
-            crate::wire::put_opt_time(&mut buf, Some(t(3)));
-            crate::wire::put_varu64(&mut buf, samples);
-            crate::wire::put_f64(&mut buf, 0.75);
-            LinkMonitor::decode(&mut &buf[..])
-        };
-        assert_eq!(
-            monitor((1 << 32) + 1),
-            Err(crate::wire::WireError::Corrupt("varint overflows u32"))
-        );
-        assert_eq!(
-            monitor(u64::from(u32::MAX)).map(|m| m.samples()),
-            Ok(u32::MAX)
-        );
     }
 
     #[test]
@@ -335,10 +266,9 @@ mod tests {
     fn monitor_tracks_reference_and_drop() {
         let mut m = LinkMonitor::new(1.0); // alpha 1: no smoothing, exact arithmetic
         assert_eq!(m.on_sample(t(0), Dbm(-60.0)), Db::ZERO);
-        // Improvement raises the reference.
+        // Improvement raises the reference...
         assert_eq!(m.on_sample(t(1), Dbm(-58.0)), Db::ZERO);
-        assert_eq!(m.reference(), Some(Dbm(-58.0)));
-        // A fall is reported relative to the best seen.
+        // ...so a fall is reported relative to the best seen.
         let drop = m.on_sample(t(2), Dbm(-62.5));
         assert!((drop.0 - 4.5).abs() < 1e-12);
         assert_eq!(m.level(), Some(Dbm(-62.5)));
@@ -352,10 +282,10 @@ mod tests {
         m.on_sample(t(1), Dbm(-65.0));
         m.rebase();
         assert_eq!(m.level(), None);
-        assert_eq!(m.reference(), None);
-        // First sample after rebase defines the new reference.
+        // First sample after rebase defines the new reference: the old
+        // −50 dBm one is gone.
         assert_eq!(m.on_sample(t(2), Dbm(-64.0)), Db::ZERO);
-        assert_eq!(m.reference(), Some(Dbm(-64.0)));
+        assert_eq!(m.on_sample(t(3), Dbm(-66.0)), Db(2.0));
     }
 
     #[test]
@@ -387,10 +317,9 @@ mod tests {
         let mut bt = BeamTable::new(0.5);
         bt.observe(t(0), BeamId(3), Dbm(-60.0));
         bt.observe(t(1), BeamId(3), Dbm(-70.0));
-        assert_eq!(bt.len(), 1);
+        // One entry, smoothed over both samples: a second entry for the
+        // beam would leave the first sample's −60 dBm here.
         assert!((bt.get(BeamId(3)).unwrap().0 + 65.0).abs() < 1e-9);
         assert_eq!(bt.last_seen(BeamId(3)), Some(t(1)));
-        bt.clear();
-        assert!(bt.is_empty());
     }
 }

@@ -28,7 +28,7 @@ use st_mac::timing::TxBeamIndex;
 use st_phy::codebook::{AdjacentBeams, BeamId, Codebook};
 use st_phy::units::Dbm;
 
-use crate::wire::{self, WireError};
+use crate::wire;
 
 /// A detected neighbor-cell beam.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,29 +42,18 @@ pub struct Discovery {
 
 impl Discovery {
     pub(crate) fn encode<B: bytes::BufMut>(&self, buf: &mut B) {
-        buf.put_u16(self.cell.0);
-        buf.put_u16(self.tx_beam);
-        buf.put_u16(self.rx_beam.0);
-        wire::put_f64(buf, self.rss.0);
-        wire::put_time(buf, self.at);
-    }
-
-    /// Decode a discovery a search pass holds: its receive beam must lie
-    /// in `codebook`, as the pass refines around it.
-    fn decode(buf: &mut &[u8], codebook: &Codebook) -> Result<Discovery, WireError> {
-        let cell = CellId(wire::get_u16(buf)?);
-        let tx_beam = wire::get_u16(buf)?;
-        let rx_beam = BeamId(wire::get_u16(buf)?);
-        if usize::from(rx_beam.0) >= codebook.len() {
-            return Err(WireError::Corrupt("discovery beam outside codebook"));
-        }
-        Ok(Discovery {
+        let Self {
             cell,
             tx_beam,
             rx_beam,
-            rss: Dbm(wire::get_f64(buf)?),
-            at: wire::get_time(buf)?,
-        })
+            rss,
+            at,
+        } = *self;
+        buf.put_u16(cell.0);
+        buf.put_u16(tx_beam);
+        buf.put_u16(rx_beam.0);
+        wire::put_f64(buf, rss.0);
+        wire::put_time(buf, at);
     }
 }
 
@@ -85,8 +74,8 @@ pub enum SearchStep {
 /// of (codebook size, hint), computed element by element, and the
 /// refinement queue of (codebook, detected beam), so the codebook is
 /// passed into [`SearchController::on_dwell_complete`] instead of being
-/// captured — which keeps the controller a plain value that serializes
-/// into a protocol-state snapshot.
+/// captured — which keeps the controller a plain value inside the
+/// protocol state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchController {
     hint: BeamId,
@@ -216,76 +205,44 @@ impl SearchController {
     }
 
     /// Canonical binary encoding. Only the hint and the position are
-    /// stored for the dwell order, and only the detected beam for the
-    /// refinement queue — both are rebuilt from the codebook at decode
-    /// time.
+    /// written for the dwell order, and only the detected beam for the
+    /// refinement queue: the rest of each is a function of the codebook,
+    /// which the protocol context carries.
     pub(crate) fn encode<B: bytes::BufMut>(&self, buf: &mut B) {
-        buf.put_u16(self.hint.0);
-        wire::put_varu64(buf, self.pos as u64);
-        wire::put_varu64(buf, self.dwells_used as u64);
-        wire::put_varu64(buf, self.max_dwells as u64);
-        match &self.pending {
+        let Self {
+            hint,
+            // The codebook's size.
+            beams: _,
+            pos,
+            dwells_used,
+            max_dwells,
+            pending,
+            refine,
+        } = self;
+        buf.put_u16(hint.0);
+        wire::put_varu64(buf, *pos as u64);
+        wire::put_varu64(buf, *dwells_used as u64);
+        wire::put_varu64(buf, *max_dwells as u64);
+        match pending {
             None => buf.put_u8(0),
             Some(d) => {
                 buf.put_u8(1);
                 d.encode(buf);
             }
         }
-        match &self.refine {
+        match refine {
             None => buf.put_u8(0),
-            Some(r) => {
+            Some(Refinement {
+                best,
+                // The codebook's neighbors of `best.rx_beam`.
+                queue: _,
+                next,
+            }) => {
                 buf.put_u8(1);
-                r.best.encode(buf);
-                wire::put_varu64(buf, r.next as u64);
+                best.encode(buf);
+                wire::put_varu64(buf, *next as u64);
             }
         }
-    }
-
-    pub(crate) fn decode(
-        buf: &mut &[u8],
-        codebook: &Codebook,
-    ) -> Result<SearchController, WireError> {
-        let hint = BeamId(wire::get_u16(buf)?);
-        if (hint.0 as usize) >= codebook.len() {
-            return Err(WireError::Corrupt("search hint outside codebook"));
-        }
-        let pos = wire::get_varu64(buf)?;
-        if pos >= codebook.len() as u64 {
-            return Err(WireError::Corrupt("search position outside codebook"));
-        }
-        let pos = pos as usize;
-        let dwells_used = wire::get_varu64(buf)? as usize;
-        let max_dwells = wire::get_varu64(buf)? as usize;
-        if max_dwells == 0 {
-            return Err(WireError::Corrupt("zero dwell budget"));
-        }
-        let pending = match wire::get_u8(buf)? {
-            0 => None,
-            1 => Some(Discovery::decode(buf, codebook)?),
-            _ => return Err(WireError::Corrupt("option tag")),
-        };
-        let refine = match wire::get_u8(buf)? {
-            0 => None,
-            1 => {
-                let best = Discovery::decode(buf, codebook)?;
-                let next = wire::get_varu64(buf)? as usize;
-                let queue = codebook.adjacent(best.rx_beam);
-                if queue.is_empty() || next > queue.len() {
-                    return Err(WireError::Corrupt("refinement queue"));
-                }
-                Some(Refinement { best, queue, next })
-            }
-            _ => return Err(WireError::Corrupt("option tag")),
-        };
-        Ok(SearchController {
-            hint,
-            beams: codebook.len(),
-            pos,
-            dwells_used,
-            max_dwells,
-            pending,
-            refine,
-        })
     }
 }
 
@@ -328,46 +285,6 @@ mod tests {
                 assert_eq!(closed, order, "{n} beams, hint {hint}");
             }
         }
-    }
-
-    #[test]
-    fn a_search_position_past_the_codebook_is_corrupt() {
-        let cb = Codebook::for_class(BeamwidthClass::Wide); // 6 beams
-        let mut s = SearchController::new(&cb, BeamId(2), 20);
-        for _ in 0..5 {
-            s.on_dwell_complete(&cb);
-        }
-        let mut buf = Vec::new();
-        s.encode(&mut buf);
-        // Hint (two bytes), then the position varint: 5, the last one.
-        assert_eq!(buf[2], 5);
-        assert_eq!(
-            SearchController::decode(&mut &buf[..], &cb).map(|d| d.current_beam()),
-            Ok(s.current_beam())
-        );
-        buf[2] = 6;
-        assert_eq!(
-            SearchController::decode(&mut &buf[..], &cb),
-            Err(WireError::Corrupt("search position outside codebook"))
-        );
-    }
-
-    #[test]
-    fn a_discovery_beam_past_the_codebook_is_corrupt() {
-        let cb = narrow();
-        let mut s = SearchController::new(&cb, BeamId(3), 40);
-        s.on_detection(disc(BeamId(3), -70.0));
-        let mut buf = Vec::new();
-        s.encode(&mut buf);
-        assert!(SearchController::decode(&mut &buf[..], &cb).is_ok());
-        // Hint, three one-byte varints, the pending tag, then the
-        // discovery: cell, tx beam, rx beam.
-        assert_eq!(&buf[10..12], &[0, 3]);
-        buf[11] = 18;
-        assert_eq!(
-            SearchController::decode(&mut &buf[..], &cb),
-            Err(WireError::Corrupt("discovery beam outside codebook"))
-        );
     }
 
     fn disc(rx: BeamId, rss: f64) -> Discovery {
@@ -505,28 +422,5 @@ mod tests {
     #[should_panic(expected = "hint outside codebook")]
     fn bad_hint_panics() {
         SearchController::new(&Codebook::for_class(BeamwidthClass::Wide), BeamId(9), 5);
-    }
-
-    #[test]
-    fn mid_pass_snapshot_round_trips_exactly() {
-        let cb = narrow();
-        let mut s = SearchController::new(&cb, BeamId(7), 40);
-        assert!(matches!(s.on_dwell_complete(&cb), SearchStep::Continue(_)));
-        let beam = s.current_beam();
-        s.on_detection(disc(beam, -70.0));
-        // Enter refinement so the snapshot carries the lazy queue.
-        assert!(matches!(s.on_dwell_complete(&cb), SearchStep::Continue(_)));
-        let mut buf = Vec::new();
-        s.encode(&mut buf);
-        let mut cur = &buf[..];
-        let restored = SearchController::decode(&mut cur, &cb).unwrap();
-        assert!(cur.is_empty());
-        assert_eq!(restored, s);
-        // And the restored controller finishes the pass identically.
-        let mut a = s.clone();
-        let mut b = restored;
-        for _ in 0..3 {
-            assert_eq!(a.on_dwell_complete(&cb), b.on_dwell_complete(&cb));
-        }
     }
 }

@@ -27,19 +27,20 @@
 
 use std::fmt;
 
-/// Protocol macro-states (Fig. 2b nodes).
+/// Protocol macro-states (Fig. 2b nodes). The discriminants are the
+/// states' wire tags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrackerState {
     /// Edge Operation.
-    Eo,
+    Eo = 0,
     /// Serving-cell receive beam adaptation.
-    SRba,
+    SRba = 1,
     /// Cell-assisted beam management.
-    Cabm,
+    Cabm = 2,
     /// Neighbor-cell acquisition / re-acquisition.
-    NAr,
+    NAr = 3,
     /// Neighbor-cell receive beam adaptation.
-    NRba,
+    NRba = 4,
 }
 
 impl fmt::Display for TrackerState {
@@ -55,26 +56,27 @@ impl fmt::Display for TrackerState {
     }
 }
 
-/// Edge labels (Fig. 2b arrows).
+/// Edge labels (Fig. 2b arrows). The discriminants are the edges' wire
+/// tags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Edge {
     /// Serving connectivity stable (ΔRSS < 3 dB): return to EO.
-    A,
+    A = 0,
     /// Initiate neighbor cell beam search.
-    B,
+    B = 1,
     /// Found a neighbor cell beam.
-    C,
+    C = 2,
     /// Lost the tracked neighbor beam (ΔRSS > 10 dB): re-acquire.
-    D,
+    D = 3,
     /// Handover trigger: RSS_N > RSS_S + T (or serving link lost with a
     /// tracked neighbor available).
-    E,
+    E = 4,
     /// Cell-assisted adaptation: serving BS switches its transmit beam.
-    F,
+    F = 5,
     /// Cell assistance delayed or lost: fall back to mobile-side S-RBA.
-    G,
+    G = 6,
     /// Neighbor RSS dropped 3 dB: adapt the neighbor receive beam.
-    H,
+    H = 7,
 }
 
 impl fmt::Display for Edge {
@@ -139,50 +141,6 @@ impl Transition {
     }
 }
 
-impl TrackerState {
-    pub(crate) fn to_wire(self) -> u8 {
-        match self {
-            TrackerState::Eo => 0,
-            TrackerState::SRba => 1,
-            TrackerState::Cabm => 2,
-            TrackerState::NAr => 3,
-            TrackerState::NRba => 4,
-        }
-    }
-
-    pub(crate) fn from_wire(v: u8) -> Result<TrackerState, crate::wire::WireError> {
-        Ok(match v {
-            0 => TrackerState::Eo,
-            1 => TrackerState::SRba,
-            2 => TrackerState::Cabm,
-            3 => TrackerState::NAr,
-            4 => TrackerState::NRba,
-            _ => return Err(crate::wire::WireError::Corrupt("tracker state tag")),
-        })
-    }
-}
-
-impl Edge {
-    pub(crate) fn to_wire(self) -> u8 {
-        self as u8
-    }
-
-    pub(crate) fn from_wire(v: u8) -> Result<Edge, crate::wire::WireError> {
-        use Edge::*;
-        Ok(match v {
-            0 => A,
-            1 => B,
-            2 => C,
-            3 => D,
-            4 => E,
-            5 => F,
-            6 => G,
-            7 => H,
-            _ => return Err(crate::wire::WireError::Corrupt("edge tag")),
-        })
-    }
-}
-
 /// A bounded log of transitions with timestamps, for tests and traces.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TransitionLog {
@@ -219,32 +177,14 @@ impl TransitionLog {
     }
 
     pub(crate) fn encode<B: bytes::BufMut>(&self, buf: &mut B) {
-        crate::wire::put_varu64(buf, self.entries.len() as u64);
-        for (at, tr) in &self.entries {
+        let Self { entries } = self;
+        crate::wire::put_varu64(buf, entries.len() as u64);
+        for (at, Transition { from, edge, to }) in entries {
             crate::wire::put_time(buf, *at);
-            buf.put_u8(tr.from.to_wire());
-            buf.put_u8(tr.edge.to_wire());
-            buf.put_u8(tr.to.to_wire());
+            buf.put_u8(*from as u8);
+            buf.put_u8(*edge as u8);
+            buf.put_u8(*to as u8);
         }
-    }
-
-    pub(crate) fn decode(buf: &mut &[u8]) -> Result<TransitionLog, crate::wire::WireError> {
-        use crate::wire::{get_time, get_u8, get_varu64, WireError};
-        let n = get_varu64(buf)? as usize;
-        let mut entries = Vec::with_capacity(n.min(buf.len()));
-        for _ in 0..n {
-            let at = get_time(buf)?;
-            let tr = Transition {
-                from: TrackerState::from_wire(get_u8(buf)?)?,
-                edge: Edge::from_wire(get_u8(buf)?)?,
-                to: TrackerState::from_wire(get_u8(buf)?)?,
-            };
-            if !tr.is_legal() {
-                return Err(WireError::Corrupt("illegal transition in log"));
-            }
-            entries.push((at, tr));
-        }
-        Ok(TransitionLog { entries })
     }
 }
 
@@ -293,27 +233,6 @@ mod tests {
                 assert_ne!(a, b, "duplicate arrow in TRANSITION_TABLE");
             }
         }
-    }
-
-    #[test]
-    fn wire_tags_round_trip() {
-        for s in [Eo, SRba, Cabm, NAr, NRba] {
-            assert_eq!(TrackerState::from_wire(s.to_wire()), Ok(s));
-        }
-        for e in [
-            Edge::A,
-            Edge::B,
-            Edge::C,
-            Edge::D,
-            Edge::E,
-            Edge::F,
-            Edge::G,
-            Edge::H,
-        ] {
-            assert_eq!(Edge::from_wire(e.to_wire()), Ok(e));
-        }
-        assert!(TrackerState::from_wire(9).is_err());
-        assert!(Edge::from_wire(8).is_err());
     }
 
     #[test]

@@ -293,6 +293,54 @@ fn edge_e_handover_when_neighbor_beats_serving_plus_t() {
         .is_empty());
 }
 
+/// The paper keeps the target beam aligned "until handover completion":
+/// after the directive, random access is still in flight, so the
+/// neighbor loop keeps adapting. A 3 dB drop on the tracked beam, with a
+/// fresh probe of an adjacent beam at a better level, still switches the
+/// receive beam silently (edge H), and the directive stays issued.
+#[test]
+fn edge_h_keeps_the_target_beam_aligned_after_the_directive() {
+    let mut tr = tracker();
+    tr.handle(ProtocolEvent::ServingRss {
+        at: t(5),
+        rss: Dbm(-70.0),
+    });
+    let d = acquire_neighbor(&mut tr, 10, -75.0);
+    let ssb = |ms: u64, rx_beam: BeamId, rss: f64| ProtocolEvent::NeighborSsb {
+        at: t(ms),
+        cell: CellId(1),
+        tx_beam: 2,
+        rx_beam,
+        rss: Dbm(rss),
+    };
+    for ms in [40, 50] {
+        tr.handle(ssb(ms, d.rx_beam, -75.0));
+    }
+    let ho = tr
+        .handle(ssb(60, d.rx_beam, -66.0))
+        .iter()
+        .find_map(|a| match a {
+            Action::ExecuteHandover(h) => Some(*h),
+            _ => None,
+        })
+        .expect("handover expected");
+    assert_eq!(tr.stats().nrba_switches, 0);
+
+    // A probe dwell hears an adjacent beam 1 dB below the tracked level:
+    // not enough to move on its own.
+    let adjacent = Codebook::for_class(BeamwidthClass::Narrow).adjacent(d.rx_beam);
+    assert!(tr.handle(ssb(70, adjacent[0], -67.0)).is_empty());
+    // The tracked beam drops 5 dB (4.25 dB below its decayed reference).
+    let acts = tr.handle(ssb(80, d.rx_beam, -71.0));
+    assert_eq!(acts, [Action::SetGapRxBeam(adjacent[0])]);
+    assert_eq!(tr.tracked(), Some((CellId(1), 2, adjacent[0])));
+    assert_eq!(tr.stats().nrba_switches, 1);
+    assert_eq!(tr.handover(), Some(ho));
+    // The neighbor loop logs the switch after the trigger.
+    let edges: Vec<Edge> = tr.neighbor_log().iter().map(|(_, tr)| tr.edge).collect();
+    assert_eq!(edges[edges.len() - 2..], [Edge::E, Edge::H]);
+}
+
 #[test]
 fn no_handover_within_hysteresis() {
     let mut tr = tracker();

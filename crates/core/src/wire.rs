@@ -182,14 +182,6 @@ pub fn get_bool(buf: &mut &[u8]) -> Result<bool, WireError> {
     }
 }
 
-pub fn get_opt_f64(buf: &mut &[u8]) -> Result<Option<f64>, WireError> {
-    match get_u8(buf)? {
-        0 => Ok(None),
-        1 => Ok(Some(get_f64(buf)?)),
-        _ => Err(WireError::Corrupt("option tag")),
-    }
-}
-
 #[inline]
 pub fn get_time(buf: &mut &[u8]) -> Result<SimTime, WireError> {
     Ok(SimTime::from_nanos(get_varu64(buf)?))

@@ -1,15 +1,19 @@
-//! The protocol's two untrusted-input decoders are total.
+//! The protocol crate's two untrusted-input decoders are total.
 //!
-//! `ProtocolEvent::decode_from` and `ProtocolState::decode` read trace
-//! files from disk (`replay_run`, `autopsy`). On random bytes, on every
-//! truncation and on every single-bit flip of a valid encoding, each call
-//! must return `Ok` or `Err` — never panic — and a corrupt length prefix
-//! must not reserve memory the remaining bytes cannot fill: no single
-//! allocation during a decode may exceed `ALLOC_PER_BYTE` bytes per input
-//! byte, with no fixed margin on top: no decoder makes an allocation
-//! whose size does not follow the input (a search state's dwell order is
-//! computed beam by beam, not rebuilt), and one that did would fail on
-//! the short inputs every truncation reaches.
+//! A trace file read from disk carries event records and interruption
+//! marks: the refold (`st_net::replay_run`) reads the records through
+//! `ProtocolEvent::decode_from`, and the trace container, which
+//! `replay_eval` and `autopsy` load, reads each mark through
+//! `InterruptionMarks::decode`. A trace also stores each segment's final
+//! protocol state, but only as bytes that the refold compares with its
+//! own encoding: nothing decodes a state. On random bytes, and on every
+//! truncation and every single-bit flip of a valid event encoding, each
+//! call must return `Ok` or `Err` — never panic — and a corrupt length
+//! prefix must not reserve memory the remaining bytes cannot fill: no
+//! single allocation during a decode may exceed `ALLOC_PER_BYTE` bytes
+//! per input byte, with no fixed margin on top: no decoder makes an
+//! allocation whose size does not follow the input, and one that did
+//! would fail on the short inputs every truncation reaches.
 //!
 //! A tracking global allocator (this test binary only) records the
 //! largest allocation the measuring thread makes while armed. A
@@ -21,15 +25,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 
 use proptest::prelude::*;
-use silent_tracker::{
-    step_mut, ProtocolCtx, ProtocolEvent, ProtocolState, ReactiveState, SilentState, TrackerConfig,
-};
+use silent_tracker::{InterruptionMarks, ProtocolEvent};
 use st_des::{SimDuration, SimTime};
-use st_mac::pdu::{CellId, Pdu, UeId};
-use st_phy::codebook::{BeamId, BeamwidthClass, Codebook};
+use st_mac::pdu::{CellId, Pdu};
+use st_phy::codebook::BeamId;
 use st_phy::units::Dbm;
 
 struct Tracking;
@@ -62,8 +63,8 @@ unsafe impl GlobalAlloc for Tracking {
 #[global_allocator]
 static GLOBAL: Tracking = Tracking;
 
-/// Bytes a decode may allocate per input byte: a decoded table entry is
-/// at most this large in memory and at least one byte on the wire.
+/// Bytes a decode may allocate per input byte: a decoded entry is at
+/// most this large in memory and at least one byte on the wire.
 const ALLOC_PER_BYTE: usize = 64;
 
 /// Run `decode` on `input`: it must not panic, and its largest single
@@ -85,20 +86,18 @@ fn total<T, E>(what: &str, input: &[u8], decode: impl FnOnce(&mut &[u8]) -> Resu
     ok
 }
 
-fn codebook() -> Arc<Codebook> {
-    Arc::new(Codebook::for_class(BeamwidthClass::Narrow))
-}
-
 fn decode_event(input: &[u8]) -> bool {
     total("ProtocolEvent::decode_from", input, |buf| {
         ProtocolEvent::decode_from(buf, SimTime::from_nanos(5))
     })
 }
 
-fn decode_state(input: &[u8], codebook: &Codebook) -> bool {
-    total("ProtocolState::decode", input, |buf| {
-        ProtocolState::decode(buf, codebook)
-    })
+fn decode_marks(input: &[u8]) -> bool {
+    total(
+        "InterruptionMarks::decode",
+        input,
+        InterruptionMarks::decode,
+    )
 }
 
 /// Every truncation and every single-bit flip of `bytes`.
@@ -165,31 +164,6 @@ fn event() -> impl Strategy<Value = ProtocolEvent> {
             }
         }),
     ]
-}
-
-/// The state after folding `events` (sorted by time) from a cold start
-/// of either arm, encoded.
-fn encoded_state(silent: bool, mut events: Vec<ProtocolEvent>) -> Vec<u8> {
-    events.sort_by_key(ProtocolEvent::at);
-    let ctx = ProtocolCtx::new(
-        TrackerConfig::paper_defaults(),
-        UeId(1),
-        CellId(0),
-        codebook(),
-    );
-    let mut state = if silent {
-        ProtocolState::Silent(SilentState::initial(&ctx, BeamId(0)))
-    } else {
-        ProtocolState::Reactive(ReactiveState::initial(&ctx, BeamId(0)))
-    };
-    let mut out = Vec::new();
-    for ev in &events {
-        out.clear();
-        step_mut(&ctx, &mut state, ev, &mut out);
-    }
-    let mut bytes = Vec::new();
-    state.encode(&mut bytes);
-    bytes
 }
 
 #[test]
@@ -284,16 +258,8 @@ proptest! {
     fn random_bytes_never_panic_either_decoder(
         bytes in proptest::collection::vec(any::<u8>(), 0..96),
     ) {
-        let cb = codebook();
         decode_event(&bytes);
-        decode_state(&bytes, &cb);
-        // A leading version byte and arm tag get random bytes past the
-        // state's header checks.
-        for arm in [0u8, 1] {
-            let mut state = vec![silent_tracker::machine::WIRE_VERSION, arm];
-            state.extend_from_slice(&bytes);
-            decode_state(&state, &cb);
-        }
+        decode_marks(&bytes);
     }
 
     #[test]
@@ -303,19 +269,6 @@ proptest! {
         prop_assert!(decode_event(&bytes), "a valid event decodes");
         for corrupt in corruptions(&bytes) {
             decode_event(&corrupt);
-        }
-    }
-
-    #[test]
-    fn corrupted_states_never_panic(
-        silent: bool,
-        events in proptest::collection::vec(event(), 0..60),
-    ) {
-        let cb = codebook();
-        let bytes = encoded_state(silent, events);
-        prop_assert!(decode_state(&bytes, &cb), "a valid state decodes");
-        for corrupt in corruptions(&bytes) {
-            decode_state(&corrupt, &cb);
         }
     }
 }

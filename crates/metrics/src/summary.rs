@@ -2,7 +2,7 @@
 //! experiments (each figure is regenerated from N seeded trials).
 
 /// Streaming mean/variance accumulator (Welford).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Accumulator {
     n: u64,
     mean: f64,
@@ -80,6 +80,14 @@ impl Accumulator {
                 0.0
             },
         }
+    }
+}
+
+/// The empty accumulator, as [`Accumulator::new`]: its extremes start at
+/// ±∞, so the first sample sets both.
+impl Default for Accumulator {
+    fn default() -> Accumulator {
+        Accumulator::new()
     }
 }
 
@@ -169,6 +177,14 @@ mod tests {
         assert!((acc.variance() - 32.0 / 7.0).abs() < 1e-12);
         assert_eq!(acc.min(), 2.0);
         assert_eq!(acc.max(), 9.0);
+    }
+
+    #[test]
+    fn default_starts_empty_like_new() {
+        let mut acc = Accumulator::default();
+        acc.push(5.0);
+        acc.push(7.0);
+        assert_eq!((acc.min(), acc.max()), (5.0, 7.0));
     }
 
     #[test]

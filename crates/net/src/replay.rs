@@ -221,7 +221,7 @@ pub fn replay_run_with_config(
 mod tests {
     use super::*;
     use crate::config::ProtocolKind;
-    use crate::trace::FleetTrace;
+    use crate::trace::{FleetTrace, SegmentTrace};
     use st_des::{SimDuration, SimTime};
     use st_phy::codebook::BeamwidthClass;
     use st_phy::units::{Db, Dbm};
@@ -475,13 +475,41 @@ mod tests {
         assert_eq!(rep.events, run.n_events());
     }
 
+    /// Each tampering of the recorded segment is exactly one mismatch:
+    /// a changed action digest, and a final state with one byte flipped
+    /// or its last byte dropped. The verified refold is the only reader
+    /// of the final-state bytes.
     #[test]
     fn tampered_traces_fail_verification() {
-        let mut run = record_one(ProtocolKind::SilentTracker);
-        run.ues[0].segments[0].action_digest ^= 1;
-        let rep = replay_run(&run, 1);
-        assert_eq!(rep.mismatches.len(), 1);
-        assert!(rep.mismatches[0].contains("action stream diverged"));
+        type Tamper = fn(&mut SegmentTrace);
+        let cases: [(Tamper, &str); 3] = [
+            (|seg| seg.action_digest ^= 1, "action stream diverged ("),
+            (
+                |seg| {
+                    let mid = seg.final_state.len() / 2;
+                    seg.final_state[mid] ^= 0x01;
+                },
+                "final state diverged",
+            ),
+            (
+                |seg| {
+                    seg.final_state.pop().expect("a recorded final state");
+                },
+                "final state diverged",
+            ),
+        ];
+        for (tamper, what) in cases {
+            let mut run = record_one(ProtocolKind::SilentTracker);
+            assert_eq!(run.ues[0].segments.len(), 1);
+            tamper(&mut run.ues[0].segments[0]);
+            let rep = replay_run(&run, 1);
+            assert_eq!(rep.mismatches.len(), 1, "{what}: {:?}", rep.mismatches);
+            assert!(
+                rep.mismatches[0].starts_with(&format!("ue 0 seg 0: {what}")),
+                "{what}: {:?}",
+                rep.mismatches
+            );
+        }
     }
 
     /// A handover closes the open segment and re-anchors the protocol

@@ -59,7 +59,9 @@ pub struct SegmentTrace {
     pub action_count: u64,
     /// FNV-1a 64 digest over the canonical encodings of those actions.
     pub action_digest: u64,
-    /// Byte-exact final [`ProtocolState`] snapshot.
+    /// Byte-exact final [`ProtocolState`] snapshot
+    /// ([`ProtocolState::encode`]). The verified refold compares its own
+    /// final state's encoding with it; nothing decodes it.
     pub final_state: Vec<u8>,
     /// Causal-attribution marks of handovers recorded while this
     /// segment was open (in practice: the handover whose completion

@@ -8,6 +8,20 @@
 //! (`./target/release/fig2a > tests/golden/fig2a.txt`, …) in the same
 //! change and say why they moved. All eight take about 5 s in a debug
 //! build on two cores.
+//!
+//! The eight examples are pinned the same way, by CI instead of by this
+//! test: `tests/golden/examples/<name>.txt` is each example's stdout, and
+//! the CI examples step `cmp`s a release run against it. A change that
+//! moves a realization on purpose regenerates them from the repository
+//! root in the same change:
+//!
+//! ```text
+//! cargo build --release --examples
+//! for src in examples/*.rs; do
+//!     ex=$(basename "$src" .rs)
+//!     ./target/release/examples/"$ex" > tests/golden/examples/"$ex".txt
+//! done
+//! ```
 
 use silent_tracker_repro::st_bench;
 
