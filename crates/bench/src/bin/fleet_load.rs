@@ -19,18 +19,20 @@
 //! the live run entirely and refolds a previously recorded trace (see
 //! also the dedicated `replay_eval` binary).
 //!
-//! Either mode also writes the `BENCH_fleet.json` perf artifact (per-run
-//! wall-clock, UE-seconds simulated per wall-second, barrier overhead and
-//! the run-profiler counters/wall spans) to `--json PATH` (default
-//! `BENCH_fleet.json`); the artifact goes to a file so the smoke stdout
-//! stays byte-comparable.
+//! `--json PATH` writes the perf artifact (per-run wall-clock,
+//! UE-seconds simulated per wall-second, barrier overhead and the
+//! run-profiler counters/wall spans; the repository keeps one as
+//! `BENCH_fleet.json`) to PATH; the artifact goes to a file so the smoke
+//! stdout stays byte-comparable. Every artifact is written only to the
+//! path its flag names: a run without `--json` writes no perf artifact.
 //!
 //! `--snapshot-s S` arms the streaming telemetry timeline: each fleet
 //! pushes a constant-memory snapshot slice every S simulated seconds,
-//! and the merged per-interval series is written to `--timeline PATH`
-//! (default `BENCH_fleet_timeline.json`). The timeline file contains no
-//! wall-clock values, so CI `cmp`s it byte-for-byte across worker
-//! counts. Arming snapshots does not change the smoke summary bytes.
+//! and `--timeline PATH` writes the merged per-interval series to PATH
+//! (the repository keeps one as `BENCH_fleet_timeline.json`). The
+//! timeline file contains no wall-clock values, so CI `cmp`s it
+//! byte-for-byte across worker counts. Arming snapshots does not change
+//! the smoke summary bytes.
 //!
 //! `--explain-top N` prints the N worst interruptions of each arm with
 //! their full causal phase breakdowns (the same formatter the `autopsy`
@@ -51,8 +53,8 @@ fn main() {
     let mut workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
-    let mut json_path = String::from("BENCH_fleet.json");
-    let mut timeline_path = String::from("BENCH_fleet_timeline.json");
+    let mut json_path: Option<String> = None;
+    let mut timeline_path: Option<String> = None;
     let mut snapshot_s: Option<f64> = None;
     let mut record_path: Option<String> = None;
     let mut replay_path: Option<String> = None;
@@ -82,10 +84,10 @@ fn main() {
                     .expect("--workers N");
             }
             "--json" => {
-                json_path = args.next().expect("--json PATH");
+                json_path = Some(args.next().expect("--json PATH"));
             }
             "--timeline" => {
-                timeline_path = args.next().expect("--timeline PATH");
+                timeline_path = Some(args.next().expect("--timeline PATH"));
             }
             "--snapshot-s" => {
                 snapshot_s = Some(
@@ -163,13 +165,23 @@ fn main() {
         }
     };
     let save_timeline = |load: &st_bench::fleet_load::FleetLoad| {
-        if snapshot_s.is_none() {
+        let (Some(_), Some(path)) = (snapshot_s, &timeline_path) else {
             return;
-        }
-        match st_bench::fleet_load::write_timeline_json(&timeline_path, load) {
-            Ok(true) => eprintln!("timeline artifact: {timeline_path}"),
+        };
+        match st_bench::fleet_load::write_timeline_json(path, load) {
+            Ok(true) => eprintln!("timeline artifact: {path}"),
             Ok(false) => eprintln!("warning: snapshots armed but no timeline survived the merge"),
-            Err(e) => eprintln!("warning: could not write {timeline_path}: {e}"),
+            Err(e) => eprintln!("warning: could not write {path}: {e}"),
+        }
+    };
+    let save_json = |load: &st_bench::fleet_load::FleetLoad, mode: &str| {
+        let Some(path) = &json_path else {
+            return;
+        };
+        match st_bench::fleet_load::write_bench_json(path, load, mode) {
+            Ok(()) if mode == "sweep" => println!("perf artifact: {path}"),
+            Ok(()) => eprintln!("perf artifact: {path}"),
+            Err(e) => eprintln!("warning: could not write {path}: {e}"),
         }
     };
     if smoke {
@@ -184,9 +196,7 @@ fn main() {
         if record {
             load.replay = st_bench::fleet_load::replay_arms(&load, workers);
         }
-        if let Err(e) = st_bench::fleet_load::write_bench_json(&json_path, &load, "smoke") {
-            eprintln!("warning: could not write {json_path}: {e}");
-        }
+        save_json(&load, "smoke");
         return;
     }
     if populations.is_empty() && scale_ues.is_empty() {
@@ -225,12 +235,5 @@ fn main() {
     } else {
         "sweep"
     };
-    if let Err(e) = st_bench::fleet_load::write_bench_json(&json_path, &r, mode) {
-        eprintln!("warning: could not write {json_path}: {e}");
-    }
-    if !populations.is_empty() {
-        println!("perf artifact: {json_path}");
-    } else {
-        eprintln!("perf artifact: {json_path}");
-    }
+    save_json(&r, mode);
 }

@@ -8,8 +8,13 @@
 //! UE-seconds refolded per wall-second, and the speedup over the recorded
 //! live wall-clock. Exits nonzero if any run's action stream or final
 //! state diverges from the recording. Before each refold it prints the
-//! run's record mix: records and encoded bytes per event kind, from one
-//! decode pass outside the timed refold.
+//! run's record mix, from one decode pass outside the timed refold: the
+//! events of each kind, with their records' encoded bytes, and the tick
+//! runs the refold synthesises from the tick grid, which have no record
+//! of their own, so that the rows sum to the refold's event count. Its
+//! header gives the run's trace bytes per UE-second: the bytes of a trace
+//! file holding the run alone, as perfbench's
+//! `st_net.trace_bytes_per_ue_s` counts them.
 //!
 //! `--live-agg` / `--replay-agg` write matching aggregate files — one
 //! line per run, the live line derived from the digests *recorded in the
@@ -27,8 +32,8 @@ use silent_tracker::ProtocolEvent;
 use st_des::SimTime;
 use st_net::{replay_run_timed, FleetTrace, RunTrace};
 
-/// Event kinds in wire-tag order.
-const KINDS: [&str; 9] = [
+/// Event kinds in wire-tag order, then the synthesised tick runs.
+const KINDS: [&str; 10] = [
     "serving_rss",
     "serving_probe",
     "neighbor_ssb",
@@ -38,13 +43,17 @@ const KINDS: [&str; 9] = [
     "rach_failed",
     "tick",
     "tick_run",
+    "synthesised_run",
 ];
 
-/// Records and encoded bytes per event kind (indexed as [`KINDS`]) over
+/// Events and encoded bytes per event kind (indexed as [`KINDS`]) over
 /// every segment of `run`. A segment stops at its first undecodable
-/// record, which the refold reports as a mismatch.
-fn record_mix(run: &RunTrace) -> [(u64, u64); 9] {
-    let mut mix = [(0, 0); 9];
+/// record, which the refold reports as a mismatch. A record counts as
+/// one event (an explicit tick as the run it ends); the last row counts
+/// the recorded events no record holds, the tick runs the refold
+/// synthesises before a record or at a segment's end.
+fn record_mix(run: &RunTrace) -> [(u64, u64); 10] {
+    let mut mix = [(0, 0); 10];
     for seg in run.ues.iter().flat_map(|u| &u.segments) {
         let (mut buf, mut prev) = (&seg.events[..], SimTime::ZERO);
         while !buf.is_empty() {
@@ -68,19 +77,27 @@ fn record_mix(run: &RunTrace) -> [(u64, u64); 9] {
             mix[kind].1 += (before - buf.len()) as u64;
         }
     }
+    let records: u64 = mix.iter().map(|m| m.0).sum();
+    mix[9].0 = run.n_events().saturating_sub(records);
     mix
 }
 
 /// The record-mix table of one run: a total line, then one line per
-/// event kind with its share of the records.
-fn print_record_mix(label: &str, mix: &[(u64, u64); 9]) {
-    let records: u64 = mix.iter().map(|m| m.0).sum();
+/// event kind with its share of the events and of the event bytes.
+fn print_record_mix(run: &RunTrace, mix: &[(u64, u64); 10]) {
+    let events: u64 = mix.iter().map(|m| m.0).sum();
     let bytes: u64 = mix.iter().map(|m| m.1).sum();
-    println!("record mix {label}: {records} records, {bytes} bytes");
+    println!(
+        "record mix {}: {events} events, {} records, {bytes} event bytes; \
+         {:.0} trace bytes per UE-second",
+        run.label,
+        events - mix[9].0,
+        run.file_len() as f64 / run.ue_seconds().max(1e-9),
+    );
     for (name, &(n, b)) in KINDS.iter().zip(mix) {
         println!(
-            "  {name:<17} {n:>10} records ({:>5.1}%) {b:>11} bytes ({:>5.1}%)",
-            100.0 * n as f64 / records.max(1) as f64,
+            "  {name:<17} {n:>10} events ({:>5.1}%) {b:>11} bytes ({:>5.1}%)",
+            100.0 * n as f64 / events.max(1) as f64,
             100.0 * b as f64 / bytes.max(1) as f64,
         );
     }
@@ -140,7 +157,7 @@ fn main() {
     let mut json_rows = String::new();
     let mut failed = false;
     for (i, run) in trace.runs.iter().enumerate() {
-        print_record_mix(&run.label, &record_mix(run));
+        print_record_mix(run, &record_mix(run));
         // Best-of-3: the refold is deterministic, so the minimum wall
         // time is the noise-robust throughput estimate.
         let (rep, wall_s) = replay_run_timed(run, workers, 3);

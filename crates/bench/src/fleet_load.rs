@@ -55,7 +55,7 @@ pub struct FleetLoad {
 pub struct ReplayRow {
     pub label: String,
     pub ues: u64,
-    /// Event records folded (tick runs count as one).
+    /// Events folded (each synthesised tick run counts as one).
     pub events: u64,
     pub wall_s: f64,
     pub ue_seconds_per_wall_second: f64,

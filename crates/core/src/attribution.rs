@@ -181,8 +181,12 @@ impl InterruptionMarks {
         out.put_u8(self.rach_rounds);
     }
 
+    /// Inverse of [`InterruptionMarks::encode`]. Marks whose end
+    /// (`connected` + penalty) lies past the clock's range are `Corrupt`,
+    /// checked after the record's last field: [`Self::done_at`] and every
+    /// breakdown add the two.
     pub fn decode(buf: &mut &[u8]) -> Result<InterruptionMarks, WireError> {
-        Ok(InterruptionMarks {
+        let m = InterruptionMarks {
             ue: get_varu64(buf)?,
             from_cell: get_u16(buf)?,
             to_cell: get_u16(buf)?,
@@ -196,7 +200,11 @@ impl InterruptionMarks {
             connected: get_time(buf)?,
             penalty_ns: get_varu64(buf)?,
             rach_rounds: get_u8(buf)?,
-        })
+        };
+        m.connected
+            .checked_add(SimDuration::from_nanos(m.penalty_ns))
+            .ok_or(WireError::Corrupt("interruption end overflow"))?;
+        Ok(m)
     }
 }
 
@@ -443,6 +451,33 @@ mod tests {
         let back = InterruptionMarks::decode(&mut slice).unwrap();
         assert!(slice.is_empty());
         assert_eq!(back, m);
+    }
+
+    /// Marks whose end overflows the clock used to decode and then
+    /// panic the breakdown's add (or wrap it in release, to a 0.000084 ms
+    /// interruption). They are corrupt; an end on the clock's last
+    /// nanosecond still decodes and breaks down.
+    #[test]
+    fn marks_ending_past_the_clock_are_corrupt() {
+        let encoded = |connected: u64, penalty_ns: u64| {
+            let mut m = soft_marks();
+            m.connected = SimTime::from_nanos(connected);
+            m.penalty_ns = penalty_ns;
+            let mut buf = Vec::new();
+            m.encode(&mut buf);
+            buf
+        };
+        let over = encoded(u64::MAX - 5, 100);
+        assert_eq!(
+            InterruptionMarks::decode(&mut &over[..]),
+            Err(WireError::Corrupt("interruption end overflow"))
+        );
+        let edge = encoded(u64::MAX - 100, 100);
+        let m = InterruptionMarks::decode(&mut &edge[..]).unwrap();
+        assert_eq!(m.done_at(), SimTime::from_nanos(u64::MAX));
+        let b = InterruptionBreakdown::from_marks(&m);
+        assert_eq!(b.end, m.done_at());
+        assert_eq!(b.phase_sum_ms().to_bits(), b.total_ms.to_bits());
     }
 
     #[test]

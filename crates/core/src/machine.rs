@@ -32,12 +32,15 @@
 //!
 //! # Timer compression
 //!
-//! Replay feeds timers as [`ProtocolEvent::TickRun`] — a compressed run
-//! of periodic [`ProtocolEvent::Tick`]s folded in O(1). This is sound
-//! because ticks only ever arm one thing (the CABM assistance deadline):
-//! the first tick strictly past the deadline fires the fallback and every
-//! later tick in the run is a no-op, so the fold can compute that first
-//! firing tick directly instead of iterating.
+//! A live driver feeds each periodic timer tick as a
+//! [`ProtocolEvent::Tick`] on a fixed grid. A recorded trace stores none
+//! of them: replay synthesises each stretch of grid ticks between two
+//! recorded events as one [`ProtocolEvent::TickRun`], folded in O(1)
+//! however long it is (`st_net::trace` says how the grid is recorded).
+//! This is sound because ticks only ever arm one thing (the CABM
+//! assistance deadline): the first tick strictly past the deadline fires
+//! the fallback and every later tick in the run is a no-op, so the fold
+//! can compute that first firing tick directly instead of iterating.
 
 use std::sync::Arc;
 
@@ -100,9 +103,10 @@ pub enum ProtocolEvent {
     /// Periodic timer tick for deadline checks.
     Tick { at: SimTime },
     /// `count` periodic ticks at `start`, `start + period`, …, folded in
-    /// O(1). Live drivers emit [`ProtocolEvent::Tick`]; recorded traces
-    /// compress consecutive ticks into runs. Folding a `TickRun` is
-    /// exactly equivalent to folding its ticks one by one.
+    /// O(1). Live drivers emit [`ProtocolEvent::Tick`]; trace replay
+    /// folds each stretch of them between two recorded events as one run.
+    /// Folding a `TickRun` is exactly equivalent to folding its ticks one
+    /// by one.
     TickRun {
         start: SimTime,
         period: SimDuration,

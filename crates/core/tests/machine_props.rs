@@ -133,7 +133,7 @@ proptest! {
     }
 
     /// The O(1) tick-run fold equals folding each tick individually —
-    /// the soundness lemma behind trace tick compression.
+    /// the soundness lemma behind the tick runs trace replay synthesises.
     #[test]
     fn tick_run_equals_individual_ticks(
         silent: bool,

@@ -18,7 +18,7 @@ pub struct SimDuration(u64);
 impl SimTime {
     pub const ZERO: SimTime = SimTime(0);
 
-    pub fn from_nanos(ns: u64) -> SimTime {
+    pub const fn from_nanos(ns: u64) -> SimTime {
         SimTime(ns)
     }
 
@@ -72,7 +72,7 @@ impl SimDuration {
         SimDuration((s * 1e9).round() as u64)
     }
 
-    pub fn as_nanos(self) -> u64 {
+    pub const fn as_nanos(self) -> u64 {
         self.0
     }
 

@@ -54,6 +54,12 @@ use crate::proto::Proto;
 use crate::radio::{LinkSet, LinkStats, Sites};
 use crate::stage::{RachAttemptMsg, RachReply, RachReq};
 
+/// The protocol timer: every UE folds a [`ProtocolEvent::Tick`] at
+/// `FIRST_TICK` and then every `TICK_PERIOD`. A recording assumes this
+/// grid, so its ticks leave no record ([`crate::trace`]).
+pub(crate) const FIRST_TICK: SimTime = SimTime::from_nanos(500_000);
+pub(crate) const TICK_PERIOD: SimDuration = SimDuration::from_millis(1);
+
 /// Over-the-air plus processing delay of one PDU.
 pub(crate) const AIR_DELAY: SimDuration = SimDuration::from_micros(500);
 /// BS processing before the random-access response (Msg2).
@@ -452,7 +458,7 @@ impl<O: Observer> Driver<O> {
             Ev::DwellEnd,
         );
         ex.schedule_in(SimDuration::from_millis(1), Ev::ServingMeas);
-        ex.schedule_in(SimDuration::from_micros(500), Ev::Tick);
+        ex.schedule_at(FIRST_TICK, Ev::Tick);
     }
 
     pub fn cfg(&self) -> &ScenarioConfig {
@@ -566,7 +572,7 @@ impl<O: Observer> Driver<O> {
                     self.feed(ex, now, i, ProtocolEvent::Tick { at: now });
                     self.poll_rach(ex, now, i);
                 }
-                ex.schedule_in(SimDuration::from_millis(1), Ev::Tick);
+                ex.schedule_in(TICK_PERIOD, Ev::Tick);
             }
             Ev::UeRx {
                 ue,

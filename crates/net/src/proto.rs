@@ -144,7 +144,9 @@ impl Proto {
 
     /// Attach a fresh recorder and open the first segment (anchored at
     /// the protocol's current serving cell and receive beam). Call right
-    /// after construction, before any event is folded.
+    /// after construction, before any event is folded. The protocol must
+    /// then be fed every tick of the driver's timer grid and no other
+    /// tick (see [`UeRecorder::record_event`]).
     pub fn start_recording(&mut self) {
         let mut rec = Box::new(UeRecorder::new());
         rec.open_segment(self.serving_cell().0, self.serving_rx_beam().0);

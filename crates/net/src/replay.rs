@@ -4,8 +4,11 @@
 //! Because the protocol core is a pure fold ([`step_mut`]), replay is
 //! just: rebuild each segment's [`ProtocolCtx`], anchor the arm's initial
 //! state on the recorded serving cell and beam (every incarnation starts
-//! cold), decode the recorded events and fold them. For the **recorded**
-//! configuration the refold is byte-identical to the live run —
+//! cold), decode the recorded events and fold them, with the timer ticks
+//! synthesised from the driver's tick grid: before each record, the grid
+//! ticks up to its instant as one [`ProtocolEvent::TickRun`] (see
+//! [`crate::trace`]). For the **recorded** configuration the refold is
+//! byte-identical to the live run —
 //! [`replay_run`] proves it by re-deriving each segment's action digest
 //! and final-state snapshot and comparing them byte for byte.
 //!
@@ -21,12 +24,17 @@
 use std::sync::Arc;
 
 use silent_tracker::wire::Fnv64;
-use silent_tracker::{step_mut, ProtocolCtx, ProtocolEvent, TrackerConfig};
+use silent_tracker::{step_mut, Action, ProtocolCtx, ProtocolEvent, ProtocolState, TrackerConfig};
+use st_des::SimTime;
 use st_mac::pdu::{CellId, UeId};
 use st_phy::codebook::{BeamId, Codebook};
 
+use crate::driver::TICK_PERIOD;
 use crate::proto::anchored_state;
 use crate::trace::{RunTrace, UeTrace};
+
+/// [`TICK_PERIOD`] in nanoseconds.
+const PERIOD: u64 = TICK_PERIOD.as_nanos();
 
 /// Aggregate of one replayed run.
 #[derive(Debug, Clone)]
@@ -34,7 +42,7 @@ pub struct ReplayReport {
     pub label: String,
     pub ues: u64,
     pub segments: u64,
-    /// Event records folded (tick runs count as one).
+    /// Events folded (each synthesised tick run counts as one).
     pub events: u64,
     /// Actions the refold emitted.
     pub actions: u64,
@@ -60,6 +68,47 @@ struct UeReplay {
     mismatches: Vec<String>,
 }
 
+/// The next event of a segment's tick grid: `count` ticks from `start`
+/// as one event (a [`ProtocolEvent::Tick`] for one), and the grid tick
+/// after them. `None` when that tick lies past the clock's range. The
+/// caller passes `count > 0`.
+#[inline(always)]
+fn tick_run(start: u64, count: u64) -> Option<(ProtocolEvent, u64)> {
+    let next = PERIOD.checked_mul(count)?.checked_add(start)?;
+    let start = SimTime::from_nanos(start);
+    let ev = if count == 1 {
+        ProtocolEvent::Tick { at: start }
+    } else {
+        ProtocolEvent::TickRun {
+            start,
+            period: TICK_PERIOD,
+            count,
+        }
+    };
+    Some((ev, next))
+}
+
+/// Fold one event into `state` and digest the actions it emits,
+/// returning how many. The refold calls it twice, for a synthesised tick
+/// run and for the record after it: each call inlines its own copy of
+/// the fold's dispatch, so the run's copy knows its variant and the
+/// record's is entered straight from the decoder's match on the tag.
+#[inline(always)]
+fn fold(
+    ctx: &ProtocolCtx,
+    state: &mut ProtocolState,
+    ev: &ProtocolEvent,
+    out: &mut Vec<Action>,
+    digest: &mut Fnv64,
+) -> u64 {
+    out.clear();
+    step_mut(ctx, state, ev, out);
+    for a in out.iter() {
+        a.encode(digest);
+    }
+    out.len() as u64
+}
+
 fn replay_ue(cfg: TrackerConfig, codebook: &Arc<Codebook>, ut: &UeTrace, verify: bool) -> UeReplay {
     let mut r = UeReplay {
         events: 0,
@@ -81,27 +130,69 @@ fn replay_ue(cfg: TrackerConfig, codebook: &Arc<Codebook>, ut: &UeTrace, verify:
         let mut buf: &[u8] = &seg.events;
         let mut events = 0u64;
         let mut failed = false;
-        let mut prev = st_des::SimTime::ZERO;
-        while !buf.is_empty() {
-            let ev = match ProtocolEvent::decode_from(&mut buf, prev) {
-                Ok((ev, anchor)) => {
-                    prev = anchor;
-                    ev
+        let mut prev = SimTime::ZERO;
+        // The next grid tick not yet folded.
+        let mut next = seg.first_tick.as_nanos();
+        let mut trailing = seg.trailing_ticks;
+        loop {
+            // The grid ticks before the next record's instant (through it,
+            // for an explicit tick), or those after the last record.
+            let (ticks, record) = if !buf.is_empty() {
+                let ev = match ProtocolEvent::decode_from(&mut buf, prev) {
+                    Ok((ev, anchor)) => {
+                        prev = anchor;
+                        ev
+                    }
+                    Err(e) => {
+                        r.mismatches
+                            .push(format!("ue {} seg {k}: event decode: {e}", ut.id));
+                        failed = true;
+                        break;
+                    }
+                };
+                let at = ev.at().as_nanos();
+                let gap = at.saturating_sub(next);
+                match ev {
+                    // `gap / PERIOD` is far below `u64::MAX`, so the add
+                    // cannot overflow.
+                    ProtocolEvent::Tick { .. } if at >= next && gap % PERIOD == 0 => {
+                        (gap / PERIOD + 1, None)
+                    }
+                    ProtocolEvent::Tick { .. } | ProtocolEvent::TickRun { .. } => {
+                        r.mismatches.push(format!(
+                            "ue {} seg {k}: tick grid: a tick record at {} is not the \
+                             grid tick after {}",
+                            ut.id,
+                            ev.at(),
+                            SimTime::from_nanos(next)
+                        ));
+                        failed = true;
+                        break;
+                    }
+                    _ => (gap.div_ceil(PERIOD), Some(ev)),
                 }
-                Err(e) => {
-                    r.mismatches
-                        .push(format!("ue {} seg {k}: event decode: {e}", ut.id));
+            } else if trailing > 0 {
+                (std::mem::take(&mut trailing), None)
+            } else {
+                break;
+            };
+            if ticks > 0 {
+                let Some((run, after)) = tick_run(next, ticks) else {
+                    r.mismatches.push(format!(
+                        "ue {} seg {k}: tick grid overflows the clock",
+                        ut.id
+                    ));
                     failed = true;
                     break;
-                }
-            };
-            events += 1;
-            out.clear();
-            step_mut(&ctx, &mut state, &ev, &mut out);
-            for a in &out {
-                a.encode(&mut digest);
+                };
+                next = after;
+                actions += fold(&ctx, &mut state, &run, &mut out, &mut digest);
+                events += 1;
             }
-            actions += out.len() as u64;
+            if let Some(ev) = record {
+                actions += fold(&ctx, &mut state, &ev, &mut out, &mut digest);
+                events += 1;
+            }
         }
         let digest = digest.finish();
         r.events += events;
@@ -221,8 +312,9 @@ pub fn replay_run_with_config(
 mod tests {
     use super::*;
     use crate::config::ProtocolKind;
+    use crate::proto::Proto;
     use crate::trace::{FleetTrace, SegmentTrace};
-    use st_des::{SimDuration, SimTime};
+    use st_des::SimDuration;
     use st_phy::codebook::BeamwidthClass;
     use st_phy::units::{Db, Dbm};
 
@@ -230,50 +322,53 @@ mod tests {
         SimTime::ZERO + SimDuration::from_millis(ms)
     }
 
-    /// Record a little protocol history by hand (no simulator), then
-    /// replay it and check byte equality end to end.
+    /// Grid tick `k` of the driver's timer: at `k` ms and 500 µs.
+    fn tick(k: u64) -> SimTime {
+        t(k) + SimDuration::from_micros(500)
+    }
+
+    /// `us` microseconds after grid tick `k`.
+    fn after(k: u64, us: u64) -> SimTime {
+        tick(k) + SimDuration::from_micros(us)
+    }
+
+    fn one_ue_run(label: &str, duration: SimDuration, ue: UeTrace) -> RunTrace {
+        RunTrace {
+            label: label.into(),
+            seed: 1,
+            duration,
+            live_wall_s: 0.01,
+            tracker: TrackerConfig::paper_defaults(),
+            codebook: BeamwidthClass::Narrow,
+            ues: vec![ue],
+        }
+    }
+
+    /// Record a little protocol history by hand (no simulator): records
+    /// on grid ticks, each tick folded before the records at its instant.
     fn record_one(kind: ProtocolKind) -> RunTrace {
-        let cfg = TrackerConfig::paper_defaults();
-        let codebook = Arc::new(Codebook::for_class(BeamwidthClass::Narrow));
-        let mut proto = crate::proto::Proto::new(
-            kind,
-            cfg,
-            UeId(5),
-            CellId(0),
-            Arc::clone(&codebook),
-            BeamId(4),
-        );
-        proto.start_recording();
+        let mut s = Scripted::new(kind);
         for k in 0..40u64 {
-            proto.handle(silent_tracker::ProtocolEvent::Tick { at: t(k) });
+            s.tick_through(k);
             if k % 5 == 0 {
-                proto.handle(silent_tracker::ProtocolEvent::ServingRss {
-                    at: t(k),
+                s.feed(ProtocolEvent::ServingRss {
+                    at: tick(k),
                     rss: Dbm(-60.0 - k as f64 * 0.3),
                 });
             }
             if k % 10 == 3 {
-                proto.handle(silent_tracker::ProtocolEvent::NeighborSsb {
-                    at: t(k),
+                let rx_beam = s.proto.gap_rx_beam();
+                s.feed(ProtocolEvent::NeighborSsb {
+                    at: tick(k),
                     cell: CellId(1),
                     tx_beam: 2,
-                    rx_beam: proto.gap_rx_beam(),
+                    rx_beam,
                     rss: Dbm(-58.0),
                 });
-                proto.handle(silent_tracker::ProtocolEvent::DwellComplete { at: t(k + 1) });
+                s.feed(ProtocolEvent::DwellComplete { at: tick(k + 1) });
             }
         }
-        let rec = proto.finish_recording().unwrap();
-        let ue = rec.into_trace(0, 5, kind);
-        RunTrace {
-            label: "unit".into(),
-            seed: 1,
-            duration: SimDuration::from_millis(40),
-            live_wall_s: 0.01,
-            tracker: cfg,
-            codebook: BeamwidthClass::Narrow,
-            ues: vec![ue],
-        }
+        s.finish("unit").0
     }
 
     #[test]
@@ -295,130 +390,332 @@ mod tests {
         }
     }
 
-    /// Fold one scripted history per arm through a recording `Proto`,
-    /// with every event kind where it acts: a serving probe, a CABM
-    /// request answered by a `BeamSwitchCommand`, a lone tick, a tick run
-    /// across the assistance deadline, a neighbor found by search,
-    /// serving-link loss and a RACH failure after the handover directive.
-    /// The verified refold, which decodes and folds each record in one
-    /// loop, must reproduce the live fold byte for byte.
+    /// A recording `Proto` fed the driver's grid ticks. [`Scripted::feed`]
+    /// folds the grid ticks before an event's instant, then the event.
+    /// Beside the recording it counts the events a trace that stored each
+    /// stretch of ticks between two records as one run would hold, which
+    /// the refold must match.
+    struct Scripted {
+        proto: Proto,
+        /// The next grid tick to fold.
+        next: u64,
+        /// Ticks were folded since the last record.
+        in_stretch: bool,
+        expected_events: u64,
+    }
+
+    impl Scripted {
+        fn new(kind: ProtocolKind) -> Scripted {
+            let mut proto = Proto::new(
+                kind,
+                TrackerConfig::paper_defaults(),
+                UeId(5),
+                CellId(0),
+                Arc::new(Codebook::for_class(BeamwidthClass::Narrow)),
+                BeamId(4),
+            );
+            proto.start_recording();
+            Scripted {
+                proto,
+                next: 0,
+                in_stretch: false,
+                expected_events: 0,
+            }
+        }
+
+        /// Fold the grid ticks up to and including tick `k`.
+        fn tick_through(&mut self, k: u64) {
+            while self.next <= k {
+                self.proto.handle(ProtocolEvent::Tick {
+                    at: tick(self.next),
+                });
+                self.expected_events += u64::from(!self.in_stretch);
+                self.in_stretch = true;
+                self.next += 1;
+            }
+        }
+
+        /// Fold the grid ticks before `ev`'s instant, then `ev`; the
+        /// actions it emitted.
+        fn feed(&mut self, ev: ProtocolEvent) -> Vec<Action> {
+            let at = ev.at();
+            while tick(self.next) < at {
+                self.tick_through(self.next);
+            }
+            self.in_stretch = false;
+            self.expected_events += 1;
+            self.proto.handle(ev).to_vec()
+        }
+
+        fn reanchor(&mut self, cell: u16, beam: u16) {
+            self.proto.reanchor(CellId(cell), BeamId(beam));
+            self.in_stretch = false;
+        }
+
+        /// The recorded run, and the event count it must refold to.
+        fn finish(mut self, label: &str) -> (RunTrace, u64) {
+            let kind = self.proto.kind();
+            let ue = self
+                .proto
+                .finish_recording()
+                .unwrap()
+                .into_trace(0, 5, kind);
+            let run = one_ue_run(label, t(self.next).since(SimTime::ZERO), ue);
+            (run, self.expected_events)
+        }
+    }
+
+    /// Explicit tick records in a segment.
+    fn tick_records(seg: &SegmentTrace) -> usize {
+        let (mut buf, mut prev, mut n) = (&seg.events[..], SimTime::ZERO, 0);
+        while !buf.is_empty() {
+            let (ev, anchor) = ProtocolEvent::decode_from(&mut buf, prev).unwrap();
+            prev = anchor;
+            n += usize::from(matches!(ev, ProtocolEvent::Tick { .. }));
+        }
+        n
+    }
+
+    /// A serving sample at `at`.
+    fn sample(at: SimTime) -> ProtocolEvent {
+        ProtocolEvent::ServingRss {
+            at,
+            rss: Dbm(-61.0),
+        }
+    }
+
+    /// The grid's edge cases, each a hand-built recording that must
+    /// refold byte-exactly, through the file codec, to the event count
+    /// a trace that stored every tick stretch as one run records. Each
+    /// case names the explicit tick records it must write: only a grid
+    /// tick folded at a record's instant, before that record.
+    #[test]
+    fn grid_edge_cases_refold_byte_exactly_with_the_recorded_event_count() {
+        type Script = fn(&mut Scripted);
+        let cases: [(&str, Script, usize); 6] = [
+            (
+                "a grid tick before a record at its instant",
+                |s| {
+                    s.feed(sample(tick(0)));
+                    s.tick_through(3);
+                    s.feed(sample(tick(3)));
+                    s.feed(sample(tick(5)));
+                },
+                1,
+            ),
+            (
+                "a grid tick after a record at its instant",
+                |s| {
+                    s.feed(sample(tick(2)));
+                    s.tick_through(2);
+                    s.feed(sample(tick(4)));
+                    s.feed(sample(after(4, 500)));
+                },
+                0,
+            ),
+            (
+                "a tick between two records at one instant",
+                |s| {
+                    s.feed(sample(tick(3)));
+                    s.tick_through(3);
+                    s.feed(ProtocolEvent::DwellComplete { at: tick(3) });
+                    s.feed(sample(tick(6)));
+                },
+                1,
+            ),
+            (
+                "trailing ticks",
+                |s| {
+                    s.feed(sample(after(1, 200)));
+                    s.tick_through(9);
+                },
+                0,
+            ),
+            (
+                "a segment with no ticks",
+                |s| {
+                    s.feed(sample(after(1, 100)));
+                    s.tick_through(2);
+                    s.reanchor(1, 6);
+                    s.feed(sample(after(2, 300)));
+                    s.feed(sample(after(2, 700)));
+                    s.reanchor(0, 4);
+                    s.feed(sample(after(4, 100)));
+                },
+                0,
+            ),
+            (
+                "a segment reanchor opens between grid ticks",
+                |s| {
+                    s.feed(sample(after(3, 100)));
+                    s.reanchor(1, 6);
+                    s.feed(sample(after(3, 600)));
+                    s.tick_through(5);
+                    s.feed(sample(after(5, 900)));
+                    s.tick_through(7);
+                },
+                0,
+            ),
+        ];
+        for (what, script, explicit) in cases {
+            for kind in [ProtocolKind::SilentTracker, ProtocolKind::Reactive] {
+                let mut s = Scripted::new(kind);
+                script(&mut s);
+                let (run, expected) = s.finish(what);
+                let segs = &run.ues[0].segments;
+                assert_eq!(
+                    segs.iter().map(tick_records).sum::<usize>(),
+                    explicit,
+                    "{what}"
+                );
+                let trace = FleetTrace { runs: vec![run] };
+                let back = FleetTrace::from_bytes(&trace.to_bytes()).unwrap();
+                assert_eq!(back, trace, "{what}");
+                let rep = replay_run(&back.runs[0], 1);
+                assert_eq!(rep.mismatches, Vec::<String>::new(), "{what} {kind:?}");
+                assert_eq!(rep.events, expected, "{what} {kind:?}");
+            }
+        }
+    }
+
+    /// Three segments: the first ends on a trailing tick, the second
+    /// opens after grid tick 2 and closes before the next, so it holds
+    /// no tick, and the third folds that next tick before its
+    /// record.
+    #[test]
+    fn segments_carry_their_first_grid_tick_and_trailing_count() {
+        let mut s = Scripted::new(ProtocolKind::SilentTracker);
+        s.feed(sample(after(1, 100)));
+        s.tick_through(2);
+        s.reanchor(1, 6);
+        s.feed(sample(after(2, 300)));
+        s.reanchor(0, 4);
+        s.feed(sample(after(3, 100)));
+        let (run, _) = s.finish("segments");
+        let grid: Vec<_> = run.ues[0]
+            .segments
+            .iter()
+            .map(|seg| (seg.first_tick, seg.trailing_ticks, seg.n_events))
+            .collect();
+        // Ticks 0 and 1 fold before the first record, 2 after it.
+        assert_eq!(grid, [(tick(0), 1, 3), (tick(3), 0, 1), (tick(3), 0, 2)]);
+    }
+
+    /// Fold one scripted history per arm through a recording `Proto` on
+    /// the driver's grid, with every event kind where it acts: a
+    /// serving probe, a CABM request answered by a `BeamSwitchCommand`,
+    /// lone ticks, a tick stretch across the assistance deadline, a
+    /// neighbor found by search, serving-link loss, a RACH failure after
+    /// the handover directive, a grid tick folded before a record at its
+    /// instant and trailing ticks. The verified refold, which decodes and
+    /// folds each record and synthesises each tick run in one loop, must
+    /// reproduce the live fold byte for byte.
     #[test]
     fn every_record_kind_refolds_byte_exactly_in_both_arms() {
-        use crate::proto::Proto;
-        use silent_tracker::{Action, ProtocolEvent};
         use st_mac::pdu::Pdu;
 
         for kind in [ProtocolKind::SilentTracker, ProtocolKind::Reactive] {
             let silent = kind == ProtocolKind::SilentTracker;
-            let cfg = TrackerConfig::paper_defaults();
-            let codebook = Arc::new(Codebook::for_class(BeamwidthClass::Narrow));
-            let mut proto = Proto::new(
-                kind,
-                cfg,
-                UeId(5),
-                CellId(0),
-                Arc::clone(&codebook),
-                BeamId(4),
-            );
-            proto.start_recording();
+            let mut s = Scripted::new(kind);
+            let codebook = Codebook::for_class(BeamwidthClass::Narrow);
             let rss = |ms: u64, dbm: f64| ProtocolEvent::ServingRss {
-                at: t(ms),
+                at: tick(ms),
                 rss: Dbm(dbm),
             };
-            let cabm_requests = |p: &Proto| p.stats().map(|s| s.cabm_requests);
-            let assist_lost = |p: &Proto| p.stats().map(|s| s.assist_lost);
+            let cabm_requests = |s: &Scripted| s.proto.stats().map(|s| s.cabm_requests);
+            let assist_lost = |s: &Scripted| s.proto.stats().map(|s| s.assist_lost);
             let request = Action::SendToServing(Pdu::BeamSwitchRequest {
                 cell: CellId(0),
                 ue: UeId(5),
                 suggested_tx_beam: u16::MAX,
             });
 
+            // Lone ticks between the first samples.
             for ms in 0..3 {
-                proto.handle(rss(ms, -60.0));
+                s.feed(rss(ms, -60.0));
             }
             // An adjacent beam too weak to switch to.
-            proto.handle(ProtocolEvent::ServingProbe {
-                at: t(3),
+            s.feed(ProtocolEvent::ServingProbe {
+                at: tick(3),
                 rx_beam: codebook.adjacent(BeamId(4))[0],
                 rss: Dbm(-90.0),
             });
             // A 7 dB drop starts mobile-side adaptation; still down a
-            // settle time later, it asks the cell for help (deadline 110 ms).
-            proto.handle(rss(5, -80.0));
-            let acts = proto.handle(rss(50, -80.0)).to_vec();
+            // settle time later, it asks the cell for help (deadline 110.5 ms).
+            s.feed(rss(5, -80.0));
+            let acts = s.feed(rss(50, -80.0));
             assert_eq!(acts.contains(&request), silent, "{kind:?}");
-            proto.handle(ProtocolEvent::FromServing {
-                at: t(60),
+            s.feed(ProtocolEvent::FromServing {
+                at: tick(60),
                 pdu: Pdu::BeamSwitchCommand {
                     cell: CellId(0),
                     tx_beam: 3,
                 },
             });
-            proto.handle(ProtocolEvent::Tick { at: t(61) });
             // The answered request left CABM, so a second drop asks again
-            // (deadline 170 ms).
+            // (deadline 170.5 ms).
             for (ms, dbm) in [(62, -80.0), (63, -90.0), (110, -90.0)] {
-                proto.handle(rss(ms, dbm));
+                s.feed(rss(ms, dbm));
             }
-            assert_eq!(cabm_requests(&proto), silent.then_some(2), "{kind:?}");
-            assert_eq!(assist_lost(&proto), silent.then_some(0), "{kind:?}");
-            // Ticks every millisecond past the deadline: recorded as one run.
-            for ms in 111..=200 {
-                proto.handle(ProtocolEvent::Tick { at: t(ms) });
-            }
-            assert_eq!(assist_lost(&proto), silent.then_some(1), "{kind:?}");
+            assert_eq!(cabm_requests(&s), silent.then_some(2), "{kind:?}");
+            assert_eq!(assist_lost(&s), silent.then_some(0), "{kind:?}");
+            // Ticks every millisecond past the deadline, one stretch.
+            s.tick_through(200);
+            assert_eq!(assist_lost(&s), silent.then_some(1), "{kind:?}");
 
             // Silent Tracker finds and tracks a neighbor too weak to hand
             // over to; the reactive arm is not searching and ignores it.
             let mut ms = 201;
-            let dwell = |proto: &mut Proto, ms: &mut u64| {
-                proto.handle(ProtocolEvent::NeighborSsb {
-                    at: t(*ms),
+            let dwell = |s: &mut Scripted, ms: &mut u64| {
+                let rx_beam = s.proto.gap_rx_beam();
+                s.feed(ProtocolEvent::NeighborSsb {
+                    at: tick(*ms),
                     cell: CellId(1),
                     tx_beam: 2,
-                    rx_beam: proto.gap_rx_beam(),
+                    rx_beam,
                     rss: Dbm(-95.0),
                 });
                 *ms += 1;
-                let acts = proto.handle(ProtocolEvent::DwellComplete { at: t(*ms) });
+                let acts = s.feed(ProtocolEvent::DwellComplete { at: tick(*ms) });
                 *ms += 1;
-                acts.to_vec()
+                acts
             };
             for _ in 0..6 {
-                dwell(&mut proto, &mut ms);
+                dwell(&mut s, &mut ms);
             }
-            assert_eq!(proto.tracked().is_some(), silent, "{kind:?}");
+            assert_eq!(s.proto.tracked().is_some(), silent, "{kind:?}");
 
             // Losing the serving link hands Silent Tracker over to the
             // tracked beam; the reactive arm starts a cold search, which
             // the same neighbor ends with a directive.
-            let acts = proto
-                .handle(ProtocolEvent::ServingLinkLost { at: t(ms) })
-                .to_vec();
+            let acts = s.feed(ProtocolEvent::ServingLinkLost { at: tick(ms) });
             ms += 1;
             let handover = |a: &[Action]| a.iter().any(|a| matches!(a, Action::ExecuteHandover(_)));
             assert_eq!(handover(&acts), silent, "{kind:?}");
             if !silent {
-                let found = (0..8).any(|_| handover(&dwell(&mut proto, &mut ms)));
+                let found = (0..8).any(|_| handover(&dwell(&mut s, &mut ms)));
                 assert!(found, "the reactive search finds the neighbor");
             }
             // Random access fails: both arms search again.
-            let acts = proto
-                .handle(ProtocolEvent::RachFailed { at: t(ms) })
-                .to_vec();
+            let acts = s.feed(ProtocolEvent::RachFailed { at: tick(ms) });
             assert!(
                 acts.iter().any(|a| matches!(a, Action::SetGapRxBeam(_))),
                 "{kind:?}: {acts:?}"
             );
-            proto.handle(rss(ms + 1, -70.0));
+            // The grid tick at the last sample's instant folds before it,
+            // and two ticks trail it.
+            s.tick_through(ms + 1);
+            s.feed(rss(ms + 1, -70.0));
+            s.tick_through(ms + 3);
 
-            let rec = proto.finish_recording().unwrap();
-            let ue = rec.into_trace(0, 5, kind);
-            assert_eq!(ue.segments.len(), 1);
-            // Every event kind was recorded, the ticks past the deadline
-            // as one run.
+            let (run, expected) = s.finish("every kind");
+            assert_eq!(run.ues[0].segments.len(), 1);
+            let seg = &run.ues[0].segments[0];
+            assert_eq!(seg.trailing_ticks, 2);
+            // Every record kind but the tick run was recorded; the one
+            // tick record is the grid tick at the last sample's instant.
             let mut seen = [false; 9];
-            let (mut buf, mut prev) = (&ue.segments[0].events[..], SimTime::ZERO);
+            let (mut buf, mut prev) = (&seg.events[..], SimTime::ZERO);
             while !buf.is_empty() {
                 let (ev, anchor) = ProtocolEvent::decode_from(&mut buf, prev).unwrap();
                 prev = anchor;
@@ -431,35 +728,19 @@ mod tests {
                     ProtocolEvent::ServingLinkLost { .. } => 5,
                     ProtocolEvent::RachFailed { .. } => 6,
                     ProtocolEvent::Tick { at } => {
-                        assert_eq!(at, t(61));
+                        assert_eq!(at, tick(ms + 1));
                         7
                     }
-                    ProtocolEvent::TickRun {
-                        start,
-                        period,
-                        count,
-                    } => {
-                        assert_eq!(
-                            (start, period, count),
-                            (t(111), SimDuration::from_millis(1), 90)
-                        );
-                        8
-                    }
+                    ProtocolEvent::TickRun { .. } => 8,
                 }] = true;
             }
-            assert_eq!(seen, [true; 9], "{kind:?}");
+            let mut want = [true; 9];
+            want[8] = false;
+            assert_eq!(seen, want, "{kind:?}");
 
-            let run = RunTrace {
-                label: "every kind".into(),
-                seed: 1,
-                duration: SimDuration::from_millis(ms + 1),
-                live_wall_s: 0.01,
-                tracker: cfg,
-                codebook: BeamwidthClass::Narrow,
-                ues: vec![ue],
-            };
             let rep = replay_run(&run, 1);
             assert_eq!(rep.mismatches, Vec::<String>::new(), "{kind:?}");
+            assert_eq!(rep.events, expected, "{kind:?}");
         }
     }
 
@@ -476,13 +757,14 @@ mod tests {
     }
 
     /// Each tampering of the recorded segment is exactly one mismatch:
-    /// a changed action digest, and a final state with one byte flipped
-    /// or its last byte dropped. The verified refold is the only reader
-    /// of the final-state bytes.
+    /// a changed action digest, a final state with one byte flipped or
+    /// its last byte dropped, a tick grid that starts a tick late, and
+    /// trailing ticks dropped. The verified refold is the only reader of the
+    /// final-state bytes.
     #[test]
     fn tampered_traces_fail_verification() {
         type Tamper = fn(&mut SegmentTrace);
-        let cases: [(Tamper, &str); 3] = [
+        let cases: [(Tamper, &str); 5] = [
             (|seg| seg.action_digest ^= 1, "action stream diverged ("),
             (
                 |seg| {
@@ -496,6 +778,14 @@ mod tests {
                     seg.final_state.pop().expect("a recorded final state");
                 },
                 "final state diverged",
+            ),
+            (
+                |seg| seg.first_tick = tick(1),
+                "tick grid: a tick record at 0.500 ms is not the grid tick after 1.500 ms",
+            ),
+            (
+                |seg| seg.trailing_ticks = 0,
+                "folded 28 events, trace recorded 29",
             ),
         ];
         for (tamper, what) in cases {
@@ -520,11 +810,17 @@ mod tests {
     fn reanchored_segment_restarts_cold_and_round_trips_through_replay() {
         let cfg = TrackerConfig::paper_defaults();
         let codebook = Arc::new(Codebook::for_class(BeamwidthClass::Narrow));
-        let serving_rss = |k: u64| silent_tracker::ProtocolEvent::ServingRss {
-            at: t(k),
-            rss: Dbm(-60.0 - k as f64),
+        // Each grid tick with a serving sample at its instant, before it.
+        let step = |k: u64| {
+            [
+                ProtocolEvent::ServingRss {
+                    at: tick(k),
+                    rss: Dbm(-60.0 - k as f64),
+                },
+                ProtocolEvent::Tick { at: tick(k) },
+            ]
         };
-        let mut proto = crate::proto::Proto::new(
+        let mut proto = Proto::new(
             ProtocolKind::SilentTracker,
             cfg,
             UeId(5),
@@ -533,13 +829,13 @@ mod tests {
             BeamId(4),
         );
         proto.start_recording();
-        for k in 0..5u64 {
-            proto.handle(serving_rss(k));
+        for ev in (0..5).flat_map(step) {
+            proto.handle(ev);
         }
         // Hand over to cell 1 on beam 6, as `Driver::complete_handover` does.
         proto.reanchor(CellId(1), BeamId(6));
-        for k in 5..10u64 {
-            proto.handle(serving_rss(k));
+        for ev in (5..10).flat_map(step) {
+            proto.handle(ev);
         }
         let rec = proto.finish_recording().unwrap();
         let ue = rec.into_trace(0, 5, ProtocolKind::SilentTracker);
@@ -553,8 +849,10 @@ mod tests {
             (1, 6)
         );
 
-        // The second incarnation is exactly a fresh protocol on cell 1.
-        let mut fresh = crate::proto::Proto::new(
+        // The second incarnation starts on grid tick 5 and acts exactly
+        // as a fresh protocol on cell 1 fed the same events.
+        assert_eq!(ue.segments[1].first_tick, tick(5));
+        let mut fresh = Proto::new(
             ProtocolKind::SilentTracker,
             cfg,
             UeId(5),
@@ -562,24 +860,21 @@ mod tests {
             Arc::clone(&codebook),
             BeamId(6),
         );
-        fresh.start_recording();
-        for k in 5..10u64 {
-            fresh.handle(serving_rss(k));
+        let (mut digest, mut actions) = (Fnv64::new(), 0);
+        for ev in (5..10).flat_map(step) {
+            for a in fresh.handle(ev) {
+                a.encode(&mut digest);
+                actions += 1;
+            }
         }
-        let fresh = fresh.finish_recording().unwrap();
-        let fresh = fresh.into_trace(0, 5, ProtocolKind::SilentTracker);
-        assert_eq!(ue.segments[1], fresh.segments[0]);
+        assert_eq!(
+            (ue.segments[1].action_count, ue.segments[1].action_digest),
+            (actions, digest.finish())
+        );
 
-        let run = RunTrace {
-            label: "handover".into(),
-            seed: 1,
-            duration: SimDuration::from_millis(10),
-            live_wall_s: 0.01,
-            tracker: cfg,
-            codebook: BeamwidthClass::Narrow,
-            ues: vec![ue],
+        let trace = FleetTrace {
+            runs: vec![one_ue_run("handover", SimDuration::from_millis(10), ue)],
         };
-        let trace = FleetTrace { runs: vec![run] };
         let back = FleetTrace::from_bytes(&trace.to_bytes()).unwrap();
         assert_eq!(back, trace);
         let rep = replay_run(&back.runs[0], 1);

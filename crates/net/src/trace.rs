@@ -14,12 +14,28 @@
 //! dispatch path, so the shared UE driver records through one hook
 //! whichever loop runs it. The format is a compact custom binary built
 //! on the `silent_tracker::wire` primitives (LEB128 varints, bit-exact
-//! floats), with consecutive timer ticks compressed into
-//! [`ProtocolEvent::TickRun`] records — ticks dominate the raw event
-//! count but carry one timestamp of information each — and event
-//! timestamps delta-encoded against the previous record
-//! ([`ProtocolEvent::encode_from`]), since a monotone stream's deltas
-//! fit in one to three varint bytes where absolute times take five.
+//! floats), with event timestamps delta-encoded against the previous
+//! record ([`ProtocolEvent::encode_from`]), since a monotone stream's
+//! deltas fit in one to three varint bytes where absolute times take
+//! five.
+//!
+//! Timer ticks leave no record. The driver feeds every UE a
+//! [`ProtocolEvent::Tick`] on one fixed grid (500 µs, then every
+//! millisecond), so a tick says nothing the grid does not. The recorder
+//! checks each tick against the grid and drops it; each segment stores
+//! its first grid tick and the number of ticks folded after its last
+//! record. Replay ([`crate::replay`]) synthesises the ticks back: before each
+//! record, the grid ticks from the next unfolded one up to, but not
+//! including, the record's instant, folded as one
+//! [`ProtocolEvent::TickRun`] (a [`ProtocolEvent::Tick`] for a stretch
+//! of one). Those are the live fold's ticks, grouped one run per stretch
+//! between two records, and each run counts as one event. The one tick
+//! the grid cannot place is a grid tick the live run folded at a
+//! record's own instant, before that record: it is written as an
+//! explicit `Tick`, and replay folds it with the stretch before it, as
+//! one run through that instant. A tick off the grid, or a grid tick the
+//! live run skipped, panics the recorder and names its instant, since
+//! replay would synthesise other ticks than the live run folded.
 
 use bytes::BufMut;
 use silent_tracker::attribution::InterruptionMarks;
@@ -30,13 +46,16 @@ use st_phy::codebook::{BeamwidthClass, Codebook};
 use st_phy::units::Db;
 
 use crate::config::ProtocolKind;
+use crate::driver::{FIRST_TICK, TICK_PERIOD};
 
 /// Magic + version prefix of a serialized [`FleetTrace`] file. Version 2
 /// appended per-segment [`InterruptionMarks`] (causal attribution of the
 /// handover that ended the segment) after the final-state snapshot;
 /// version 3 dropped the per-segment seed tag and the tracker-config flag
-/// of the retired warm-start option, since every segment starts cold.
-pub const TRACE_MAGIC: &[u8; 8] = b"STTRACE3";
+/// of the retired warm-start option, since every segment starts cold;
+/// version 4 stopped recording grid ticks (each segment carries its first
+/// grid tick and trailing tick count, and replay synthesises the ticks).
+pub const TRACE_MAGIC: &[u8; 8] = b"STTRACE4";
 
 /// One protocol incarnation of one UE: from (re-)anchoring on a serving
 /// cell until the next handover completes (or the run ends). Every
@@ -48,12 +67,20 @@ pub struct SegmentTrace {
     pub serving_cell: u16,
     /// Initial serving receive beam (an index into the run's codebook).
     pub serving_rx: u16,
-    /// Concatenated canonical [`ProtocolEvent`] encodings, in fold
-    /// order, with delta timestamps ([`ProtocolEvent::encode_from`]
-    /// threaded from `SimTime::ZERO`).
+    /// Concatenated canonical [`ProtocolEvent`] encodings of the
+    /// recorded events, in fold order, with delta timestamps
+    /// ([`ProtocolEvent::encode_from`] threaded from `SimTime::ZERO`).
+    /// Grid ticks are not among them (see the module docs).
     pub events: Vec<u8>,
-    /// Number of encoded event records in `events` (tick runs count as
-    /// one record).
+    /// The segment's first grid tick: the next one the protocol had not
+    /// folded when the segment opened. Replay synthesises the segment's
+    /// ticks from here, a millisecond apart.
+    pub first_tick: SimTime,
+    /// Grid ticks folded after the segment's last record.
+    pub trailing_ticks: u64,
+    /// Events the protocol folded over the segment: each record, and each
+    /// stretch of ticks between two records (or after the last) as one
+    /// tick run.
     pub n_events: u64,
     /// Actions the protocol emitted over the segment.
     pub action_count: u64,
@@ -85,7 +112,7 @@ pub struct UeTrace {
 }
 
 impl UeTrace {
-    /// Event records across all segments.
+    /// Events folded across all segments (tick runs count as one).
     pub fn n_events(&self) -> u64 {
         self.segments.iter().map(|s| s.n_events).sum()
     }
@@ -123,6 +150,14 @@ impl RunTrace {
     /// UE-seconds of simulated radio time the trace covers.
     pub fn ue_seconds(&self) -> f64 {
         self.ues.len() as f64 * self.duration.as_secs_f64()
+    }
+
+    /// Bytes of a trace file that holds this run alone.
+    pub fn file_len(&self) -> usize {
+        let mut len = ByteCount(TRACE_MAGIC.len());
+        wire::put_varu64(&mut len, 1);
+        self.encode(&mut len);
+        len.0
     }
 }
 
@@ -237,6 +272,8 @@ impl SegmentTrace {
         buf.put_u16(self.serving_cell);
         buf.put_u16(self.serving_rx);
         put_bytes(buf, &self.events);
+        wire::put_time(buf, self.first_tick);
+        wire::put_varu64(buf, self.trailing_ticks);
         wire::put_varu64(buf, self.n_events);
         wire::put_varu64(buf, self.action_count);
         buf.put_u64(self.action_digest);
@@ -248,8 +285,9 @@ impl SegmentTrace {
     }
 
     /// Decode one segment of a run whose codebook has `n_beams` beams:
-    /// the anchor beam must lie inside it, as replay rebuilds the initial
-    /// state around it.
+    /// the anchor beam must lie inside the codebook, as replay rebuilds
+    /// the initial state around it, and the trailing ticks counted from
+    /// the first tick must end within the clock's range.
     fn decode(buf: &mut &[u8], n_beams: usize) -> Result<SegmentTrace, WireError> {
         let serving_cell = wire::get_u16(buf)?;
         let serving_rx = wire::get_u16(buf)?;
@@ -257,6 +295,13 @@ impl SegmentTrace {
             return Err(WireError::Corrupt("serving beam outside codebook"));
         }
         let events = get_bytes(buf)?;
+        let first_tick = wire::get_time(buf)?;
+        let trailing_ticks = wire::get_varu64(buf)?;
+        TICK_PERIOD
+            .as_nanos()
+            .checked_mul(trailing_ticks.saturating_sub(1))
+            .and_then(|span| first_tick.checked_add(SimDuration::from_nanos(span)))
+            .ok_or(WireError::Corrupt("trailing ticks overflow the clock"))?;
         let n_events = wire::get_varu64(buf)?;
         let action_count = wire::get_varu64(buf)?;
         let action_digest = wire::get_u64(buf)?;
@@ -270,6 +315,8 @@ impl SegmentTrace {
             serving_cell,
             serving_rx,
             events,
+            first_tick,
+            trailing_ticks,
             n_events,
             action_count,
             action_digest,
@@ -407,16 +454,6 @@ impl FleetTrace {
 
 // ----- recorder -------------------------------------------------------------
 
-/// Consecutive-tick compression state: ticks at `start`, `start+period`,
-/// …, most recently `last`.
-#[derive(Debug, Clone, Copy)]
-struct PendingTicks {
-    start: SimTime,
-    period: SimDuration,
-    count: u64,
-    last: SimTime,
-}
-
 /// One segment being recorded.
 #[derive(Debug, Clone)]
 struct OpenSegment {
@@ -424,10 +461,12 @@ struct OpenSegment {
     serving_rx: u16,
     events: Vec<u8>,
     n_events: u64,
-    /// Delta-timestamp anchor: the last instant the encoded stream
-    /// covers (see [`ProtocolEvent::encode_from`]).
+    /// Delta-timestamp anchor: the instant of the last record (see
+    /// [`ProtocolEvent::encode_from`]).
     prev: SimTime,
-    ticks: Option<PendingTicks>,
+    first_tick: SimTime,
+    /// Grid ticks folded since the last record.
+    ticks: u64,
     digest: Fnv64,
     action_count: u64,
     marks: Vec<InterruptionMarks>,
@@ -436,18 +475,31 @@ struct OpenSegment {
 /// Per-UE event/action recorder, attached to a
 /// [`crate::proto::Proto`] via [`Proto::start_recording`]
 /// (see [`crate::proto`]). It captures every event the protocol folds
-/// (compressing consecutive timer ticks into [`ProtocolEvent::TickRun`]
-/// records, which fold identically) and digests every action the
-/// protocol emits. One segment covers one protocol incarnation: handover
-/// re-anchoring ([`Proto::reanchor`]) closes the open segment on the old
-/// state and opens the next at the new anchor.
+/// except the grid ticks, which replay synthesises (see the module
+/// docs), and digests every action the protocol emits. One
+/// segment covers one protocol incarnation: handover re-anchoring
+/// ([`Proto::reanchor`]) closes the open segment on the old state and
+/// opens the next at the new anchor, whose first grid tick is the next
+/// one the UE has not folded.
 ///
 /// [`Proto::start_recording`]: crate::proto::Proto::start_recording
 /// [`Proto::reanchor`]: crate::proto::Proto::reanchor
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct UeRecorder {
+    /// The next grid tick the protocol has not folded.
+    next_tick: SimTime,
     segments: Vec<SegmentTrace>,
     cur: Option<OpenSegment>,
+}
+
+impl Default for UeRecorder {
+    fn default() -> UeRecorder {
+        UeRecorder {
+            next_tick: FIRST_TICK,
+            segments: Vec::new(),
+            cur: None,
+        }
+    }
 }
 
 impl UeRecorder {
@@ -465,7 +517,8 @@ impl UeRecorder {
             events: Vec::new(),
             n_events: 0,
             prev: SimTime::ZERO,
-            ticks: None,
+            first_tick: self.next_tick,
+            ticks: 0,
             digest: Fnv64::new(),
             action_count: 0,
             marks: Vec::new(),
@@ -474,17 +527,18 @@ impl UeRecorder {
 
     /// Close the open segment with the protocol's final state snapshot.
     pub fn close_segment(&mut self, final_state: &ProtocolState) {
-        let Some(mut seg) = self.cur.take() else {
+        let Some(seg) = self.cur.take() else {
             return;
         };
-        flush_ticks(&mut seg);
         let mut state_bytes = Vec::new();
         final_state.encode(&mut state_bytes);
         self.segments.push(SegmentTrace {
             serving_cell: seg.serving_cell,
             serving_rx: seg.serving_rx,
             events: seg.events,
-            n_events: seg.n_events,
+            first_tick: seg.first_tick,
+            trailing_ticks: seg.ticks,
+            n_events: seg.n_events + u64::from(seg.ticks > 0),
             action_count: seg.action_count,
             action_digest: seg.digest.finish(),
             final_state: state_bytes,
@@ -502,44 +556,52 @@ impl UeRecorder {
         }
     }
 
-    /// Record one event about to be folded into the protocol.
+    /// Record one event about to be folded into the protocol. A tick is
+    /// only counted, and must be the next tick of the grid; any other
+    /// event must come before the next unfolded grid tick.
+    ///
+    /// # Panics
+    ///
+    /// On a tick off the grid, on a grid tick skipped (by a later tick or
+    /// a later event), and on a tick folded before an event that precedes
+    /// it: replay would fold other ticks than the live run did. Each
+    /// message names the instant.
     pub fn record_event(&mut self, ev: &ProtocolEvent) {
         let Some(seg) = &mut self.cur else { return };
+        let next = self.next_tick;
         if let ProtocolEvent::Tick { at } = *ev {
-            // Merge into a run when the inter-tick period is constant and
-            // strictly positive (a zero period would change TickRun
-            // semantics, so equal-instant ticks are never merged).
-            match &mut seg.ticks {
-                None => {
-                    seg.ticks = Some(PendingTicks {
-                        start: at,
-                        period: SimDuration::ZERO,
-                        count: 1,
-                        last: at,
-                    });
-                    return;
+            if at != next {
+                let on_grid = at > next && at.since(next).as_nanos() % TICK_PERIOD.as_nanos() == 0;
+                if on_grid {
+                    panic!("grid tick at {next} skipped: the next tick came at {at}");
                 }
-                Some(p) => {
-                    let gap = at.since(p.last);
-                    if gap.as_nanos() > 0 && (p.count == 1 || gap.as_nanos() == p.period.as_nanos())
-                    {
-                        p.period = gap;
-                        p.count += 1;
-                        p.last = at;
-                        return;
-                    }
-                }
+                panic!("tick at {at} is off the grid (the next grid tick is at {next})");
             }
-            flush_ticks(seg);
-            seg.ticks = Some(PendingTicks {
-                start: at,
-                period: SimDuration::ZERO,
-                count: 1,
-                last: at,
-            });
+            self.next_tick = at + TICK_PERIOD;
+            seg.ticks += 1;
             return;
         }
-        flush_ticks(seg);
+        let at = ev.at();
+        assert!(
+            next >= at,
+            "grid tick at {next} skipped: an event at {at} came first"
+        );
+        if seg.ticks > 0 {
+            // The stretch since the last record is one event. Its last
+            // tick, at `next - period`, lies at or before `at`; at `at`
+            // itself, replay would place it after this record, so it is
+            // written out.
+            let last = SimTime::from_nanos(next.as_nanos() - TICK_PERIOD.as_nanos());
+            assert!(
+                last <= at,
+                "tick at {last} folded before the earlier event at {at}"
+            );
+            if last == at {
+                seg.prev = ProtocolEvent::Tick { at }.encode_from(seg.prev, &mut seg.events);
+            }
+            seg.n_events += 1;
+            seg.ticks = 0;
+        }
         seg.prev = ev.encode_from(seg.prev, &mut seg.events);
         seg.n_events += 1;
     }
@@ -567,21 +629,6 @@ impl UeRecorder {
     }
 }
 
-fn flush_ticks(seg: &mut OpenSegment) {
-    let Some(p) = seg.ticks.take() else { return };
-    let ev = if p.count == 1 {
-        ProtocolEvent::Tick { at: p.start }
-    } else {
-        ProtocolEvent::TickRun {
-            start: p.start,
-            period: p.period,
-            count: p.count,
-        }
-    };
-    seg.prev = ev.encode_from(seg.prev, &mut seg.events);
-    seg.n_events += 1;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -591,11 +638,16 @@ mod tests {
         SimTime::ZERO + SimDuration::from_millis(ms)
     }
 
+    /// Grid tick `k`: at `k` ms and 500 µs.
+    fn tick(k: u64) -> SimTime {
+        t(k) + SimDuration::from_micros(500)
+    }
+
     fn sample_trace() -> FleetTrace {
         let mut rec = UeRecorder::new();
         rec.open_segment(0, 4);
         for k in 0..5 {
-            rec.record_event(&ProtocolEvent::Tick { at: t(k) });
+            rec.record_event(&ProtocolEvent::Tick { at: tick(k) });
         }
         rec.record_event(&ProtocolEvent::ServingRss {
             at: t(5),
@@ -627,27 +679,17 @@ mod tests {
     }
 
     #[test]
-    fn consecutive_ticks_compress_into_one_run() {
+    fn grid_ticks_are_synthesised_not_recorded() {
         let trace = sample_trace();
         let seg = &trace.runs[0].ues[0].segments[0];
-        // 5 ticks + 1 RSS sample → 1 TickRun record + 1 RSS record.
+        // 5 ticks + 1 RSS sample → 1 RSS record; the ticks are one event
+        // that replay synthesises from the grid.
         assert_eq!(seg.n_events, 2);
+        assert_eq!((seg.first_tick, seg.trailing_ticks), (tick(0), 0));
         let mut buf: &[u8] = &seg.events;
-        let (first, anchor) = ProtocolEvent::decode_from(&mut buf, SimTime::ZERO).unwrap();
+        let (only, _) = ProtocolEvent::decode_from(&mut buf, SimTime::ZERO).unwrap();
         assert_eq!(
-            first,
-            ProtocolEvent::TickRun {
-                start: t(0),
-                period: SimDuration::from_millis(1),
-                count: 5,
-            }
-        );
-        // The anchor lands on the run's final tick, so the next delta is
-        // small.
-        assert_eq!(anchor, t(4));
-        let (second, _) = ProtocolEvent::decode_from(&mut buf, anchor).unwrap();
-        assert_eq!(
-            second,
+            only,
             ProtocolEvent::ServingRss {
                 at: t(5),
                 rss: Dbm(-61.5),
@@ -657,54 +699,41 @@ mod tests {
         assert_eq!(seg.action_count, 1);
     }
 
-    #[test]
-    fn irregular_ticks_split_runs() {
+    /// A recorder that has folded the grid ticks `ticks`.
+    fn ticked(ticks: &[u64]) -> UeRecorder {
         let mut rec = UeRecorder::new();
         rec.open_segment(0, 0);
-        // 1 ms, 1 ms, then a 3 ms gap: run of 3, then a fresh run of 2.
-        for &ms in &[0u64, 1, 2, 5, 6] {
-            rec.record_event(&ProtocolEvent::Tick { at: t(ms) });
+        for &k in ticks {
+            rec.record_event(&ProtocolEvent::Tick { at: tick(k) });
         }
-        rec.record_event(&ProtocolEvent::DwellComplete { at: t(7) });
-        rec.record_actions(&[]);
-        let state = ProtocolState::Reactive(silent_tracker::ReactiveState::initial(
-            &silent_tracker::ProtocolCtx::new(
-                TrackerConfig::paper_defaults(),
-                st_mac::pdu::UeId(1),
-                st_mac::pdu::CellId(0),
-                st_phy::codebook::Codebook::for_class(BeamwidthClass::Narrow),
-            ),
-            st_phy::codebook::BeamId(0),
-        ));
-        rec.close_segment(&state);
-        let ue = rec.into_trace(0, 1, ProtocolKind::Reactive);
-        let seg = &ue.segments[0];
-        assert_eq!(seg.n_events, 3);
-        let mut buf: &[u8] = &seg.events;
-        let (first, anchor) = ProtocolEvent::decode_from(&mut buf, SimTime::ZERO).unwrap();
-        assert_eq!(
-            first,
-            ProtocolEvent::TickRun {
-                start: t(0),
-                period: SimDuration::from_millis(1),
-                count: 3,
-            }
-        );
-        let (second, _) = ProtocolEvent::decode_from(&mut buf, anchor).unwrap();
-        assert_eq!(
-            second,
-            ProtocolEvent::TickRun {
-                start: t(5),
-                period: SimDuration::from_millis(1),
-                count: 2,
-            }
-        );
+        rec
+    }
+
+    #[test]
+    #[should_panic(expected = "tick at 2.000 ms is off the grid")]
+    fn an_off_grid_tick_panics_naming_its_instant() {
+        let mut rec = ticked(&[0, 1]);
+        rec.record_event(&ProtocolEvent::Tick { at: t(2) });
+    }
+
+    #[test]
+    #[should_panic(expected = "grid tick at 2.500 ms skipped")]
+    fn a_skipped_grid_tick_panics_naming_its_instant() {
+        ticked(&[0, 1, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "grid tick at 1.500 ms skipped: an event at 2.000 ms came first")]
+    fn an_event_past_an_unfolded_grid_tick_panics() {
+        let mut rec = ticked(&[0]);
+        rec.record_event(&ProtocolEvent::DwellComplete { at: t(2) });
     }
 
     #[test]
     fn trace_round_trips_byte_exactly() {
         let trace = sample_trace();
         let bytes = trace.to_bytes();
+        assert_eq!(trace.runs[0].file_len(), bytes.len());
         let back = FleetTrace::from_bytes(&bytes).unwrap();
         assert_eq!(back, trace);
         // Canonical: re-encoding the decoded trace is byte-identical.

@@ -133,11 +133,11 @@ fn street_fleet_matches_the_pinned_digest() {
 #[test]
 fn smoke_fleet_trace_matches_the_pinned_digest() {
     let d = smoke().trace;
-    assert_eq!(d, 0x4560_b2eb_a2f3_3c54, "trace digest {d:#018x}");
+    assert_eq!(d, 0x371b_552e_524c_d6c3, "trace digest {d:#018x}");
 }
 
 #[test]
 fn street_fleet_trace_matches_the_pinned_digest() {
     let d = streets().trace;
-    assert_eq!(d, 0x4319_9ac7_2970_9dfc, "trace digest {d:#018x}");
+    assert_eq!(d, 0x660c_1cb5_04da_3a52, "trace digest {d:#018x}");
 }

@@ -9,19 +9,23 @@
 //!   physical layer or event executive in the loop.
 //! * Replay is total on decodable input: a corrupted trace file either
 //!   fails to decode or decodes to a trace that replays without
-//!   panicking.
+//!   panicking, and a forged tick grid is a decode error or a replay
+//!   mismatch, found at once.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use silent_tracker_repro::silent_tracker::{ProtocolEvent, TrackerConfig, WireError};
+use silent_tracker_repro::silent_tracker::{wire, ProtocolEvent, TrackerConfig, WireError};
 use silent_tracker_repro::st_des::{SimDuration, SimTime};
 use silent_tracker_repro::st_fleet::{
     run_fleet_with_workers, Deployment, FleetConfig, MobilityKind,
 };
+use silent_tracker_repro::st_mac::pdu::{CellId, UeId};
 use silent_tracker_repro::st_net::{
-    replay_run, FleetTrace, ProtocolKind, RunTrace, SegmentTrace, UeTrace,
+    replay_run, FleetTrace, Proto, ProtocolKind, RunTrace, SegmentTrace, UeTrace,
 };
-use silent_tracker_repro::st_phy::{BeamId, BeamwidthClass, Dbm};
+use silent_tracker_repro::st_phy::{BeamId, BeamwidthClass, Codebook, Dbm};
 
 fn smoke_fleet(seed: u64, record: bool) -> FleetConfig {
     Deployment::new()
@@ -100,7 +104,10 @@ fn replay_equals_live_byte_for_byte() {
 
 /// A recording small enough to corrupt exhaustively: four UEs spawned
 /// at the cell boundary for 0.4 s, two of which hand over, so the trace
-/// holds multi-segment UEs of both arms.
+/// holds multi-segment UEs of both arms and segments that end on
+/// trailing ticks. A fifth UE, recorded by hand on the fleet's tick
+/// grid, adds a grid tick folded at a record's instant before it, the
+/// one tick a trace stores.
 fn small_trace() -> FleetTrace {
     let cfg = Deployment::new()
         .street(200.0, 30.0)
@@ -114,8 +121,53 @@ fn small_trace() -> FleetTrace {
         .record_traces(true)
         .build()
         .unwrap();
-    let (_, run) = recorded_run(&cfg, 1);
+    let (_, mut run) = recorded_run(&cfg, 1);
+    run.ues.push(hand_recorded_ue(4));
     FleetTrace { runs: vec![run] }
+}
+
+/// UE `id` of the Silent Tracker arm, recorded through a `Proto` fed
+/// ticks on the fleet's grid (500 µs, then every millisecond): serving
+/// samples on whole milliseconds, one at 3.5 ms after the tick there,
+/// and two trailing ticks.
+fn hand_recorded_ue(id: u64) -> UeTrace {
+    let ms = |us: u64| SimTime::ZERO + SimDuration::from_micros(us);
+    let mut proto = Proto::new(
+        ProtocolKind::SilentTracker,
+        TrackerConfig::paper_defaults(),
+        UeId(id as u32 + 1),
+        CellId(0),
+        Arc::new(Codebook::for_class(BeamwidthClass::Narrow)),
+        BeamId(4),
+    );
+    proto.start_recording();
+    let sample = |us: u64| ProtocolEvent::ServingRss {
+        at: ms(us),
+        rss: Dbm(-60.0 - us as f64 * 1e-3),
+    };
+    for k in 0..6 {
+        proto.handle(sample(1_000 * k));
+        proto.handle(ProtocolEvent::Tick {
+            at: ms(1_000 * k + 500),
+        });
+        if k == 3 {
+            proto.handle(sample(3_500));
+        }
+    }
+    proto.handle(ProtocolEvent::Tick { at: ms(6_500) });
+    let rec = proto.finish_recording().expect("recording is on");
+    rec.into_trace(id, id as u32 + 1, ProtocolKind::SilentTracker)
+}
+
+/// Explicit tick records in a segment.
+fn tick_records(seg: &SegmentTrace) -> usize {
+    let (mut buf, mut prev, mut n) = (&seg.events[..], SimTime::ZERO, 0);
+    while !buf.is_empty() {
+        let (ev, anchor) = ProtocolEvent::decode_from(&mut buf, prev).unwrap();
+        prev = anchor;
+        n += usize::from(matches!(ev, ProtocolEvent::Tick { .. }));
+    }
+    n
 }
 
 /// Replay what a corruption changed: every segment of `trace` except
@@ -166,14 +218,17 @@ fn corrupted_traces_fail_to_decode_or_replay_without_panicking() {
     let bytes = original.to_bytes();
     assert_eq!(
         original.runs[0].n_segments(),
-        6,
-        "two of four UEs hand over"
+        7,
+        "two of four fleet UEs hand over, and the hand-recorded UE"
     );
+    let segments = || original.runs[0].ues.iter().flat_map(|u| &u.segments);
+    assert!(segments().any(|seg| seg.trailing_ticks > 0));
+    assert_eq!(segments().map(tick_records).sum::<usize>(), 1);
     assert!(replay_run(&original.runs[0], 1).mismatches.is_empty());
 
     // A file in the previous format fails on its magic.
     let mut old = bytes.clone();
-    old[..8].copy_from_slice(b"STTRACE2");
+    old[..8].copy_from_slice(b"STTRACE3");
     assert_eq!(
         FleetTrace::from_bytes(&old),
         Err(WireError::Corrupt("trace magic"))
@@ -218,9 +273,10 @@ fn corrupted_traces_fail_to_decode_or_replay_without_panicking() {
 }
 
 /// A one-segment trace whose second event's time delta overflows the
-/// clock (a 5 ns tick, then tag 7 with a ten-byte varint of `u64::MAX`)
-/// replays to a reported mismatch: the event decoder's checked add turns
-/// the overflow into a decode error instead of a panic or a silent wrap.
+/// clock (a 5 ns tick, the first of its grid, then tag 7 with a ten-byte
+/// varint of `u64::MAX`) replays to a reported mismatch: the event
+/// decoder's checked add turns the overflow into a decode error instead
+/// of a panic or a silent wrap.
 #[test]
 fn an_overflowing_event_time_is_a_replay_mismatch_not_a_panic() {
     let mut run = small_trace().runs.remove(0);
@@ -231,13 +287,14 @@ fn an_overflowing_event_time_is_a_replay_mismatch_not_a_panic() {
     let template = &run.ues[0];
     run.ues = vec![UeTrace {
         id: 0,
-        uid: template.uid,
-        kind: template.kind,
         segments: vec![SegmentTrace {
             events,
+            first_tick: SimTime::from_nanos(5),
+            trailing_ticks: 0,
             n_events: 2,
             ..template.segments[0].clone()
         }],
+        ..template.clone()
     }];
     // The crafted trace survives the file codec, so it reaches replay.
     let bytes = FleetTrace { runs: vec![run] }.to_bytes();
@@ -249,6 +306,123 @@ fn an_overflowing_event_time_is_a_replay_mismatch_not_a_panic() {
         report.mismatches[0].contains("event time overflow"),
         "{:?}",
         report.mismatches
+    );
+}
+
+/// What a forged trace gives: the decode error, or the replay
+/// mismatches of its run. The forgery and its refold must take under a
+/// second: synthesising a tick run is O(1) however far apart its ticks
+/// lie.
+fn decode_or_replay(trace: &FleetTrace) -> Result<Vec<String>, WireError> {
+    let started = Instant::now();
+    let result = FleetTrace::from_bytes(&trace.to_bytes()).map(|back| {
+        let run = &back.runs[0];
+        catch_unwind(AssertUnwindSafe(|| replay_run(run, 1)))
+            .expect("replay must not panic")
+            .mismatches
+    });
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "took {:?}",
+        started.elapsed()
+    );
+    result
+}
+
+/// `seg`'s records with the first one `by` nanoseconds later; the later
+/// records move with it, as their times are deltas.
+fn delayed(seg: &SegmentTrace, by: u64) -> Vec<u8> {
+    let mut rest = &seg.events[1..];
+    let delta = wire::get_varu64(&mut rest).unwrap();
+    let mut events = vec![seg.events[0]];
+    wire::put_varu64(&mut events, delta + by);
+    events.extend_from_slice(rest);
+    events
+}
+
+/// `seg`'s records replaced by one tick record at `at`.
+fn lone_tick(seg: &mut SegmentTrace, at: u64) {
+    seg.events.clear();
+    ProtocolEvent::Tick {
+        at: SimTime::from_nanos(at),
+    }
+    .encode_from(SimTime::ZERO, &mut seg.events);
+}
+
+/// Each forged tick grid, on every segment of the small trace in turn,
+/// is a decode error or a replay mismatch: a first tick near the end of
+/// the clock, a trailing count of `u64::MAX`, a 2^60 ns gap before a
+/// record, whose tick run a loop would take centuries to synthesise, and
+/// a tick record at `u64::MAX`, off the grid.
+#[test]
+fn a_forged_tick_grid_is_a_decode_error_or_a_replay_mismatch() {
+    let original = small_trace();
+    let run = &original.runs[0];
+    for (u, ue) in run.ues.iter().enumerate() {
+        for k in 0..ue.segments.len() {
+            type Forge = fn(&mut SegmentTrace);
+            let forgeries: [(&str, Forge); 4] = [
+                ("first tick near the end of the clock", |seg| {
+                    seg.first_tick = SimTime::from_nanos(u64::MAX - 10)
+                }),
+                ("trailing count of u64::MAX", |seg| {
+                    seg.trailing_ticks = u64::MAX
+                }),
+                ("2^60 ns gap before the first record", |seg| {
+                    seg.events = delayed(seg, 1 << 60)
+                }),
+                ("tick record at u64::MAX", |seg| lone_tick(seg, u64::MAX)),
+            ];
+            for (what, forge) in forgeries {
+                let mut forged = original.clone();
+                forge(&mut forged.runs[0].ues[u].segments[k]);
+                let result = decode_or_replay(&forged);
+                assert!(
+                    result.as_ref().map_or(true, |m| !m.is_empty()),
+                    "ue {u} seg {k}, {what}: {result:?}"
+                );
+            }
+        }
+    }
+}
+
+/// A lone tick record on the last grid instant of the clock folds as one
+/// run through it, after which the next grid tick lies past the clock:
+/// a reported mismatch, in debug and release alike, not an overflow
+/// panic or a count that wraps and drops the record.
+#[test]
+fn a_tick_on_the_clocks_last_grid_instant_is_a_replay_mismatch() {
+    let mut trace = small_trace();
+    let ue = &mut trace.runs[0].ues[0];
+    let seg = &mut ue.segments[0];
+    let first = seg.first_tick.as_nanos();
+    lone_tick(seg, first + (u64::MAX - first) / 1_000_000 * 1_000_000);
+    let id = ue.id;
+    assert_eq!(
+        decode_or_replay(&trace),
+        Ok(vec![format!(
+            "ue {id} seg 0: tick grid overflows the clock"
+        )])
+    );
+}
+
+/// Attribution marks whose end (`connected` + penalty) overflows the
+/// clock used to decode and then panic `autopsy`'s breakdown; the trace
+/// codec rejects them.
+#[test]
+fn marks_ending_past_the_clock_fail_to_decode() {
+    let mut trace = small_trace();
+    let seg = trace.runs[0]
+        .ues
+        .iter_mut()
+        .flat_map(|u| &mut u.segments)
+        .find(|seg| !seg.marks.is_empty())
+        .expect("a handover left marks");
+    seg.marks[0].connected = SimTime::from_nanos(u64::MAX - 5);
+    seg.marks[0].penalty_ns = 100;
+    assert_eq!(
+        FleetTrace::from_bytes(&trace.to_bytes()),
+        Err(WireError::Corrupt("interruption end overflow"))
     );
 }
 
@@ -305,6 +479,9 @@ fn forged_probe_run(beam3: &[f64]) -> RunTrace {
                 serving_cell: 0,
                 serving_rx: 4,
                 events: bytes,
+                // The grid starts after the last record: no ticks.
+                first_tick: at(10_500),
+                trailing_ticks: 0,
                 n_events: events.len() as u64,
                 action_count: 0,
                 action_digest: 0,
