@@ -1,7 +1,7 @@
 //! Fleet-scale PRACH load sweep: soft vs hard handover under contention.
 //! Usage: `fleet_load [--smoke] [--workers N] [--json PATH]
 //!                    [--snapshot-s S] [--timeline PATH] [--explain-top N]
-//!                    [--causes PATH] [--record PATH | --replay PATH]
+//!                    [--causes PATH] [--record PATH]
 //!                    [--ues N]... [--interest-radius M] [POPULATIONS...]`
 //!
 //! `--smoke` prints the deterministic aggregate summary of a small fixed
@@ -12,12 +12,9 @@
 //! counts as well as worker counts. `--workers N` runs on at most N
 //! threads.
 //!
-//! `--record PATH` arms per-UE protocol trace recording, saves the
-//! recorded [`st_net::FleetTrace`] to PATH, then immediately replays it
-//! in-process so the replay UE-seconds-per-wall-second lands in the table
-//! and the perf artifact next to the live number. `--replay PATH` skips
-//! the live run entirely and refolds a previously recorded trace (see
-//! also the dedicated `replay_eval` binary).
+//! `--record PATH` arms per-UE protocol trace recording and saves the
+//! recorded [`st_net::FleetTrace`] to PATH; recording does not change
+//! the summary. `replay_eval --trace PATH` refolds it.
 //!
 //! `--json PATH` writes the perf artifact (per-run wall-clock,
 //! UE-seconds simulated per wall-second, barrier overhead and the
@@ -57,7 +54,6 @@ fn main() {
     let mut timeline_path: Option<String> = None;
     let mut snapshot_s: Option<f64> = None;
     let mut record_path: Option<String> = None;
-    let mut replay_path: Option<String> = None;
     let mut explain_top: usize = 0;
     let mut causes_path: Option<String> = None;
     let mut populations: Vec<u64> = Vec::new();
@@ -100,9 +96,6 @@ fn main() {
             "--record" => {
                 record_path = Some(args.next().expect("--record PATH"));
             }
-            "--replay" => {
-                replay_path = Some(args.next().expect("--replay PATH"));
-            }
             "--explain-top" => {
                 explain_top = args
                     .next()
@@ -114,34 +107,6 @@ fn main() {
             }
             other => populations.push(other.parse().expect("population size")),
         }
-    }
-
-    if let Some(path) = replay_path {
-        let trace = st_net::FleetTrace::load(std::path::Path::new(&path))
-            .unwrap_or_else(|e| panic!("could not load trace {path}: {e}"));
-        let mut failed = false;
-        for run in &trace.runs {
-            let (rep, wall_s) = st_net::replay_run_timed(run, workers, 3);
-            println!(
-                "replay {}: {} ues, {} events, {:.1} ms wall, {:.0} ue_s/wall_s \
-                 ({:.0}x live), verified={}",
-                rep.label,
-                rep.ues,
-                rep.events,
-                wall_s * 1e3,
-                rep.ue_seconds / wall_s,
-                rep.live_wall_s / wall_s,
-                rep.mismatches.is_empty(),
-            );
-            for m in &rep.mismatches {
-                eprintln!("  mismatch: {m}");
-                failed = true;
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        return;
     }
 
     let record = record_path.is_some();
@@ -185,7 +150,7 @@ fn main() {
         }
     };
     if smoke {
-        let (summary, mut load) = st_bench::fleet_load::smoke_timed(workers, record, snapshot_s);
+        let (summary, load) = st_bench::fleet_load::smoke_timed(workers, record, snapshot_s);
         print!("{summary}");
         if explain_top > 0 {
             print!("{}", st_bench::fleet_load::explain_top(&load, explain_top));
@@ -193,9 +158,6 @@ fn main() {
         save_trace(&load);
         save_timeline(&load);
         save_causes(&load);
-        if record {
-            load.replay = st_bench::fleet_load::replay_arms(&load, workers);
-        }
         save_json(&load, "smoke");
         return;
     }
@@ -215,9 +177,6 @@ fn main() {
     save_trace(&r);
     save_timeline(&r);
     save_causes(&r);
-    if record {
-        r.replay = st_bench::fleet_load::replay_arms(&r, workers);
-    }
     if populations.is_empty() {
         // Scale-only invocation: deterministic aggregate summaries only
         // (no wall-clock on stdout), so CI can `cmp` worker counts.

@@ -2,11 +2,12 @@
 //! Usage: `replay_eval --trace PATH [--workers N] [--json PATH]
 //!                     [--live-agg PATH] [--replay-agg PATH]`
 //!
-//! Loads the [`st_net::FleetTrace`] at `--trace`, refolds every recorded
-//! run under its recorded configuration with byte-equality verification,
-//! and prints one line per run: UEs, event records, replay wall-clock,
-//! UE-seconds refolded per wall-second, and the speedup over the recorded
-//! live wall-clock. Exits nonzero if any run's action stream or final
+//! The one command that refolds a trace (`fleet_load --record PATH`
+//! writes one). Loads the [`st_net::FleetTrace`] at `--trace`, refolds
+//! every recorded run under its recorded configuration with
+//! byte-equality verification, and prints one line per run: UEs, event
+//! records, replay wall-clock, UE-seconds refolded per wall-second, and
+//! the speedup over the recorded live wall-clock. Exits nonzero if any run's action stream or final
 //! state diverges from the recording. Before each refold it prints the
 //! run's record mix, from one decode pass outside the timed refold: the
 //! events of each kind, with their records' encoded bytes, and the tick
@@ -21,7 +22,7 @@
 //! trace*, the replay line from the refolded digests — so CI can `cmp`
 //! them byte for byte.
 //!
-//! `--json` appends a machine-readable replay section (same rows) for
+//! `--json PATH` writes the same rows to PATH as one JSON document, for
 //! perf tracking.
 
 use std::fmt::Write as _;
@@ -33,7 +34,7 @@ use st_des::SimTime;
 use st_net::{replay_run_timed, FleetTrace, RunTrace};
 
 /// Event kinds in wire-tag order, then the synthesised tick runs.
-const KINDS: [&str; 10] = [
+const KINDS: [&str; 9] = [
     "serving_rss",
     "serving_probe",
     "neighbor_ssb",
@@ -42,7 +43,6 @@ const KINDS: [&str; 10] = [
     "serving_link_lost",
     "rach_failed",
     "tick",
-    "tick_run",
     "synthesised_run",
 ];
 
@@ -52,16 +52,16 @@ const KINDS: [&str; 10] = [
 /// one event (an explicit tick as the run it ends); the last row counts
 /// the recorded events no record holds, the tick runs the refold
 /// synthesises before a record or at a segment's end.
-fn record_mix(run: &RunTrace) -> [(u64, u64); 10] {
-    let mut mix = [(0, 0); 10];
+fn record_mix(run: &RunTrace) -> [(u64, u64); 9] {
+    let mut mix = [(0, 0); 9];
     for seg in run.ues.iter().flat_map(|u| &u.segments) {
         let (mut buf, mut prev) = (&seg.events[..], SimTime::ZERO);
         while !buf.is_empty() {
             let before = buf.len();
-            let Ok((ev, anchor)) = ProtocolEvent::decode_from(&mut buf, prev) else {
+            let Ok(ev) = ProtocolEvent::decode_from(&mut buf, prev) else {
                 break;
             };
-            prev = anchor;
+            prev = ev.at();
             let kind = match ev {
                 ProtocolEvent::ServingRss { .. } => 0,
                 ProtocolEvent::ServingProbe { .. } => 1,
@@ -71,27 +71,27 @@ fn record_mix(run: &RunTrace) -> [(u64, u64); 10] {
                 ProtocolEvent::ServingLinkLost { .. } => 5,
                 ProtocolEvent::RachFailed { .. } => 6,
                 ProtocolEvent::Tick { .. } => 7,
-                ProtocolEvent::TickRun { .. } => 8,
+                ProtocolEvent::TickRun { .. } => unreachable!("a tick run is never recorded"),
             };
             mix[kind].0 += 1;
             mix[kind].1 += (before - buf.len()) as u64;
         }
     }
     let records: u64 = mix.iter().map(|m| m.0).sum();
-    mix[9].0 = run.n_events().saturating_sub(records);
+    mix[8].0 = run.n_events().saturating_sub(records);
     mix
 }
 
 /// The record-mix table of one run: a total line, then one line per
 /// event kind with its share of the events and of the event bytes.
-fn print_record_mix(run: &RunTrace, mix: &[(u64, u64); 10]) {
+fn print_record_mix(run: &RunTrace, mix: &[(u64, u64); 9]) {
     let events: u64 = mix.iter().map(|m| m.0).sum();
     let bytes: u64 = mix.iter().map(|m| m.1).sum();
     println!(
         "record mix {}: {events} events, {} records, {bytes} event bytes; \
          {:.0} trace bytes per UE-second",
         run.label,
-        events - mix[9].0,
+        events - mix[8].0,
         run.file_len() as f64 / run.ue_seconds().max(1e-9),
     );
     for (name, &(n, b)) in KINDS.iter().zip(mix) {

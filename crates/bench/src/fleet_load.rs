@@ -45,47 +45,6 @@ impl Arm {
 #[derive(Debug, Clone)]
 pub struct FleetLoad {
     pub arms: Vec<Arm>,
-    /// Replay throughput rows ([`replay_arms`]) for the perf artifact.
-    pub replay: Vec<ReplayRow>,
-}
-
-/// Replay throughput of one recorded arm, for the table and the perf
-/// artifact: the same protocol history refolded without `st_phy`/`st_des`.
-#[derive(Debug, Clone)]
-pub struct ReplayRow {
-    pub label: String,
-    pub ues: u64,
-    /// Events folded (each synthesised tick run counts as one).
-    pub events: u64,
-    pub wall_s: f64,
-    pub ue_seconds_per_wall_second: f64,
-    /// Live wall-clock of the recorded run over replay wall-clock.
-    pub speedup_vs_live: f64,
-    /// Replay action streams and final states matched the recording
-    /// byte for byte.
-    pub verified: bool,
-}
-
-/// Replay every recorded arm of `load` under its recorded config,
-/// verifying byte equality and timing the refold. Appends nothing for
-/// arms run without recording.
-pub fn replay_arms(load: &FleetLoad, workers: usize) -> Vec<ReplayRow> {
-    load.arms
-        .iter()
-        .filter_map(|a| a.trace.as_ref())
-        .map(|run| {
-            let (rep, wall_s) = st_net::replay_run_timed(run, workers, 5);
-            ReplayRow {
-                label: rep.label.clone(),
-                ues: rep.ues,
-                events: rep.events,
-                wall_s,
-                ue_seconds_per_wall_second: rep.ue_seconds / wall_s,
-                speedup_vs_live: rep.live_wall_s / wall_s,
-                verified: rep.mismatches.is_empty(),
-            }
-        })
-        .collect()
 }
 
 /// The shared deployment at a given population size: four cells down a
@@ -175,10 +134,7 @@ pub fn run(
             });
         }
     }
-    FleetLoad {
-        arms,
-        replay: Vec::new(),
-    }
+    FleetLoad { arms }
 }
 
 fn arm_label(p: ProtocolKind) -> &'static str {
@@ -280,27 +236,6 @@ pub fn bench_json(r: &FleetLoad, mode: &str) -> String {
         .unwrap();
     }
     writeln!(s, "  ],").unwrap();
-    if !r.replay.is_empty() {
-        writeln!(s, "  \"replay\": [").unwrap();
-        for (i, row) in r.replay.iter().enumerate() {
-            let sep = if i + 1 == r.replay.len() { "" } else { "," };
-            writeln!(
-                s,
-                "    {{\"run\": \"{}\", \"ues\": {}, \"events\": {}, \"wall_s\": {:.4}, \
-                 \"ue_seconds_per_wall_second\": {:.0}, \"speedup_vs_live\": {:.1}, \
-                 \"verified\": {}}}{sep}",
-                row.label,
-                row.ues,
-                row.events,
-                row.wall_s,
-                row.ue_seconds_per_wall_second,
-                row.speedup_vs_live,
-                row.verified,
-            )
-            .unwrap();
-        }
-        writeln!(s, "  ],").unwrap();
-    }
     // Causal attribution, per arm: deterministic per-cause ledgers and
     // worst-k exemplars — the same document `--causes` writes standalone
     // (no wall-clock values, so the section is worker-invariant).
@@ -517,35 +452,7 @@ pub fn render(r: &FleetLoad) -> String {
             format!("{:.0}", a.ue_seconds_per_wall_second()),
         ]);
     }
-    let mut out = t.render();
-    if !r.replay.is_empty() {
-        let mut rt = Table::new(
-            "Trace replay: same histories refolded without phy/DES",
-            &[
-                "run",
-                "ues",
-                "events",
-                "wall_ms",
-                "ue_s/wall_s",
-                "speedup",
-                "verified",
-            ],
-        );
-        for row in &r.replay {
-            rt.row(&[
-                row.label.clone(),
-                format!("{}", row.ues),
-                format!("{}", row.events),
-                format!("{:.1}", row.wall_s * 1e3),
-                format!("{:.0}", row.ue_seconds_per_wall_second),
-                format!("{:.0}x", row.speedup_vs_live),
-                format!("{}", row.verified),
-            ]);
-        }
-        out.push('\n');
-        out.push_str(&rt.render());
-    }
-    out
+    t.render()
 }
 
 /// The deterministic smoke fleet for the CI byte-identical check, with
@@ -598,7 +505,6 @@ pub fn smoke_timed(workers: usize, record: bool, snapshot_s: Option<f64>) -> (St
             wall_s,
             trace,
         }],
-        replay: Vec::new(),
     };
     (summary, load)
 }

@@ -103,10 +103,11 @@ pub enum ProtocolEvent {
     /// Periodic timer tick for deadline checks.
     Tick { at: SimTime },
     /// `count` periodic ticks at `start`, `start + period`, …, folded in
-    /// O(1). Live drivers emit [`ProtocolEvent::Tick`]; trace replay
-    /// folds each stretch of them between two recorded events as one run.
-    /// Folding a `TickRun` is exactly equivalent to folding its ticks one
-    /// by one.
+    /// O(1): a fold event, never recorded. Live drivers emit
+    /// [`ProtocolEvent::Tick`]; trace replay synthesises one run for each
+    /// stretch of grid ticks between two records, and
+    /// [`ProtocolEvent::encode_from`] panics on one. Folding a `TickRun`
+    /// is exactly equivalent to folding its ticks one by one.
     TickRun {
         start: SimTime,
         period: SimDuration,
@@ -131,13 +132,17 @@ impl ProtocolEvent {
     }
 
     /// Canonical binary encoding: a one-byte tag, then the payload, with
-    /// the time field written as nanoseconds since `prev`. Event streams
-    /// (traces) are monotone, so deltas are small — one to three varint
-    /// bytes instead of the five an absolute mid-run timestamp costs —
-    /// and decode touches proportionally fewer bytes. Returns the anchor
-    /// to thread as `prev` into the next call; `prev == SimTime::ZERO`
-    /// writes absolute times.
-    pub fn encode_from<B: BufMut>(&self, prev: SimTime, buf: &mut B) -> SimTime {
+    /// the time field written as nanoseconds since `prev`, the instant of
+    /// the event before it (`SimTime::ZERO` for a stream's first). Event
+    /// streams (traces) are monotone, so deltas are small — one to three
+    /// varint bytes instead of the five an absolute mid-run timestamp
+    /// costs — and decode touches proportionally fewer bytes.
+    ///
+    /// # Panics
+    ///
+    /// On a [`ProtocolEvent::TickRun`]: a run is what replay synthesises
+    /// from the tick grid, and no trace records one.
+    pub fn encode_from<B: BufMut>(&self, prev: SimTime, buf: &mut B) {
         debug_assert!(self.at() >= prev, "delta-encoded streams are monotone");
         match self {
             ProtocolEvent::ServingRss { at, rss } => {
@@ -188,27 +193,17 @@ impl ProtocolEvent {
                 buf.put_u8(7);
                 wire::put_dur(buf, at.since(prev));
             }
-            ProtocolEvent::TickRun {
-                start,
-                period,
-                count,
-            } => {
-                buf.put_u8(8);
-                wire::put_dur(buf, start.since(prev));
-                wire::put_dur(buf, *period);
-                wire::put_varu64(buf, *count);
-            }
+            ProtocolEvent::TickRun { .. } => panic!("a tick run is a fold event, never recorded"),
         }
-        self.delta_anchor()
-            .expect("an encoded event ends within the clock's range")
     }
 
     /// Inverse of [`ProtocolEvent::encode_from`]: decode one event whose
-    /// time field is a delta from `prev`, returning the absolute event
-    /// and the anchor for the next call. A delta or a tick run that
-    /// overflows the clock is `Corrupt`, never a panic or a wrap.
+    /// time field is a delta from `prev`, the instant of the event before
+    /// it. Tags 0–7 are the events a run records; any other tag, a tick
+    /// run's included, is `Corrupt("event tag")`. A delta that overflows
+    /// the clock is `Corrupt`, never a panic or a wrap.
     ///
-    /// The record is read from one 32-byte window (see the [`wire`]
+    /// The record is read from one 25-byte window (see the [`wire`]
     /// module docs): fixed-layout fields by array index, and only an
     /// embedded PDU's body from `buf` itself. Each field's end is
     /// checked against the real length in field order, so a record is
@@ -216,10 +211,7 @@ impl ProtocolEvent {
     /// the delta's clock overflow is reported before its payload is
     /// checked. A NaN or infinite RSS is `Corrupt`. On `Err` the cursor
     /// is left where it was.
-    pub fn decode_from(
-        buf: &mut &[u8],
-        prev: SimTime,
-    ) -> Result<(ProtocolEvent, SimTime), WireError> {
+    pub fn decode_from(buf: &mut &[u8], prev: SimTime) -> Result<ProtocolEvent, WireError> {
         let mut padded = [0u8; wire::WINDOW];
         let w = match buf.first_chunk() {
             Some(w) => w,
@@ -228,9 +220,9 @@ impl ProtocolEvent {
                 &padded
             }
         };
-        let (ev, anchor, used) = Self::decode_window(w, buf, prev)?;
+        let (ev, used) = Self::decode_window(w, buf, prev)?;
         *buf = &buf[used..];
-        Ok((ev, anchor))
+        Ok(ev)
     }
 
     /// [`ProtocolEvent::decode_from`] on the window `w` of `input`,
@@ -240,7 +232,7 @@ impl ProtocolEvent {
         w: &wire::Window,
         input: &[u8],
         prev: SimTime,
-    ) -> Result<(ProtocolEvent, SimTime, usize), WireError> {
+    ) -> Result<(ProtocolEvent, usize), WireError> {
         let fits = |end: usize| {
             if end <= input.len() {
                 Ok(end)
@@ -250,7 +242,7 @@ impl ProtocolEvent {
         };
         fits(1)?;
         let tag = w[0];
-        if tag > 8 {
+        if tag > 7 {
             return Err(WireError::Corrupt("event tag"));
         }
         // Every event's first field is its time delta.
@@ -261,7 +253,7 @@ impl ProtocolEvent {
             .ok_or(WireError::Corrupt("event time overflow"))?;
         // An RSS record's end is checked before its level: a cut record's
         // zero-padded window can read as NaN, and it is `Truncated`.
-        let (ev, end) = match tag {
+        Ok(match tag {
             0 => {
                 let end = fits(p + 8)?;
                 let rss = win_rss(w, p)?;
@@ -298,38 +290,8 @@ impl ProtocolEvent {
             }
             5 => (ProtocolEvent::ServingLinkLost { at }, p),
             6 => (ProtocolEvent::RachFailed { at }, p),
-            7 => (ProtocolEvent::Tick { at }, p),
-            _ => {
-                let (period, p) = wire::win_varu64(w, p)?;
-                let p = fits(p)?;
-                let (count, p) = wire::win_varu64(w, p)?;
-                let p = fits(p)?;
-                let period = SimDuration::from_nanos(period);
-                let end =
-                    last_tick(at, period, count).ok_or(WireError::Corrupt("tick run overflow"))?;
-                let run = ProtocolEvent::TickRun {
-                    start: at,
-                    period,
-                    count,
-                };
-                return Ok((run, end, p));
-            }
-        };
-        Ok((ev, at, end))
-    }
-
-    /// Where a delta-encoded stream's cursor lands after this event: the
-    /// last covered instant (a run's final tick, otherwise `at`), or
-    /// `None` when that instant is past the clock's range.
-    fn delta_anchor(&self) -> Option<SimTime> {
-        match *self {
-            ProtocolEvent::TickRun {
-                start,
-                period,
-                count,
-            } => last_tick(start, period, count),
-            _ => Some(self.at()),
-        }
+            _ => (ProtocolEvent::Tick { at }, p),
+        })
     }
 }
 
@@ -344,12 +306,6 @@ fn win_rss(w: &wire::Window, at: usize) -> Result<Dbm, WireError> {
     } else {
         Err(WireError::Corrupt("non-finite rss"))
     }
-}
-
-/// The instant of a tick run's last tick, or `None` past the clock's range.
-fn last_tick(start: SimTime, period: SimDuration, count: u64) -> Option<SimTime> {
-    let span = period.as_nanos().checked_mul(count.saturating_sub(1))?;
-    start.checked_add(SimDuration::from_nanos(span))
 }
 
 // ---------------------------------------------------------------------------
@@ -934,9 +890,12 @@ impl SilentState {
                         suggested_tx_beam: u16::MAX, // "try adjacent", mobile cannot know BS beams
                     }));
                     self.stats.cabm_requests += 1;
-                    self.serving_phase = ServingPhase::CellAssist {
-                        deadline: at + ctx.config.assist_timeout,
-                    };
+                    // A deadline past the clock saturates at its last
+                    // nanosecond, where no tick is strictly past it.
+                    let deadline = at
+                        .checked_add(ctx.config.assist_timeout)
+                        .unwrap_or(SimTime::from_nanos(u64::MAX));
+                    self.serving_phase = ServingPhase::CellAssist { deadline };
                 }
             }
             ServingPhase::CellAssist { .. } => {
@@ -1804,6 +1763,7 @@ mod tests {
         }
     }
 
+    /// Every event a run records; a tick run is only ever folded.
     #[test]
     fn event_codec_round_trips_every_variant() {
         let events = vec![
@@ -1834,21 +1794,17 @@ mod tests {
             ProtocolEvent::ServingLinkLost { at: t(6) },
             ProtocolEvent::RachFailed { at: t(7) },
             ProtocolEvent::Tick { at: t(8) },
-            ProtocolEvent::TickRun {
-                start: t(9),
-                period: SimDuration::from_millis(1),
-                count: 42,
-            },
         ];
         let (mut buf, mut prev) = (Vec::new(), SimTime::ZERO);
         for e in &events {
-            prev = e.encode_from(prev, &mut buf);
+            e.encode_from(prev, &mut buf);
+            prev = e.at();
         }
         let (mut cur, mut prev) = (&buf[..], SimTime::ZERO);
         for e in &events {
-            let (got, anchor) = ProtocolEvent::decode_from(&mut cur, prev).unwrap();
+            let got = ProtocolEvent::decode_from(&mut cur, prev).unwrap();
             assert_eq!(&got, e);
-            prev = anchor;
+            prev = got.at();
         }
         assert!(cur.is_empty());
     }

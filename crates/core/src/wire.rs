@@ -15,7 +15,7 @@
 //! Trace replay decodes millions of event records per run, so the event
 //! decoder ([`crate::ProtocolEvent::decode_from`]) does not read through
 //! the cursor readers below, which check and advance the slice once per
-//! byte. It reads a record from a window: the next 32 bytes of the input
+//! byte. It reads a record from a window: the next 25 bytes of the input
 //! as one fixed-size array, indexed directly, with each field's end
 //! compared against the input's real length afterwards. The last bytes
 //! of an input, fewer than a window, are copied into a zero-padded
@@ -23,11 +23,13 @@
 //! stops at the first padding byte, and the end check then reports
 //! [`WireError::Truncated`], exactly as the cursor readers would.
 //!
-//! Why 32 bytes: the longest fixed-layout record is a tick run, a tag
-//! and three varints of at most ten bytes each, 31 bytes. Every field of
-//! every record therefore lies inside one window; only the body of an
-//! embedded PDU, whose length is a prefix, is read from the input slice
-//! itself.
+//! Why 25 bytes: the longest fixed-layout record is a neighbor SSB, a
+//! tag, a time delta of at most ten bytes and a 14-byte payload (cell,
+//! transmit beam and receive beam, then the RSS). Every field of every
+//! record therefore lies inside one window; only the body of an embedded
+//! PDU, whose length is a prefix, is read from the input slice itself.
+//! A tick run is never recorded (replay synthesises it), so it has no
+//! record to fit.
 
 use bytes::BufMut;
 use st_des::{SimDuration, SimTime};
@@ -237,10 +239,10 @@ impl BufMut for Fnv64 {
 
 // ----- window readers -------------------------------------------------------
 
-/// Bytes in a decoding [`Window`]: one more than the longest
-/// fixed-layout event record (a tick run: a tag and three ten-byte
-/// varints, 31 bytes).
-pub(crate) const WINDOW: usize = 32;
+/// Bytes in a decoding [`Window`]: the longest fixed-layout event
+/// record (a neighbor SSB: a tag, a ten-byte delta and a 14-byte
+/// payload).
+pub(crate) const WINDOW: usize = 25;
 
 /// The next [`WINDOW`] bytes of an input, zero-padded past its end (see
 /// the module docs). Readers take a field's start offset, and the caller

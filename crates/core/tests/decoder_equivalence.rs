@@ -1,16 +1,17 @@
 //! The windowed event decoder returns exactly what the byte-by-byte
 //! decoder it replaced returned.
 //!
-//! `ProtocolEvent::decode_from` reads each record through a 32-byte
+//! `ProtocolEvent::decode_from` reads each record through a 25-byte
 //! window and checks every field's end against the input's length
 //! afterwards. The decoder before it read through the `wire::get_*`
 //! cursor readers, one checked byte at a time; it is kept here as
-//! [`reference_decode_from`], verbatim but for the finite-RSS check both
-//! decoders gained since. On over a million inputs (every prefix,
-//! lengths 0–64 around the window edge, of records of every tag with
-//! embedded PDUs, ten- and eleven-byte varints and random bytes, decoded
-//! from anchors up to `u64::MAX`) both must agree: on `Ok`, equal events
-//! (compared by their encodings), anchors and consumed
+//! [`reference_decode_from`], verbatim but for what both decoders
+//! changed since: the finite-RSS check, and the tick-run record (tag 8)
+//! that no trace writes, now a corrupt tag. On over a million inputs
+//! (every prefix, lengths 0–64 around the window edge, of records of
+//! every tag with embedded PDUs, ten- and eleven-byte varints and random
+//! bytes, decoded from anchors up to `u64::MAX`) both must agree: on
+//! `Ok`, equal events (compared by their encodings) and consumed
 //! lengths; on `Err`, the same error. That includes the order of the
 //! checks: a record cut inside its payload whose delta overflows the
 //! clock is `Corrupt("event time overflow")`, not `Truncated`, and a
@@ -20,26 +21,24 @@
 use proptest::test_runner::TestRng;
 use silent_tracker::wire::{self, WireError};
 use silent_tracker::ProtocolEvent;
-use st_des::{SimDuration, SimTime};
+use st_des::SimTime;
 use st_mac::pdu::{CellId, Pdu, UeId};
 use st_phy::codebook::BeamId;
 use st_phy::units::Dbm;
 
 /// The event decoder before the decoding window, verbatim apart from
-/// its name and the finite-RSS check ([`get_rss`]).
-fn reference_decode_from(
-    buf: &mut &[u8],
-    prev: SimTime,
-) -> Result<(ProtocolEvent, SimTime), WireError> {
+/// its name, the finite-RSS check ([`get_rss`]) and the tick-run tag
+/// it no longer accepts.
+fn reference_decode_from(buf: &mut &[u8], prev: SimTime) -> Result<ProtocolEvent, WireError> {
     let tag = wire::get_u8(buf)?;
-    if tag > 8 {
+    if tag > 7 {
         return Err(WireError::Corrupt("event tag"));
     }
     // Every event's first field is its time delta.
     let at = prev
         .checked_add(wire::get_dur(buf)?)
         .ok_or(WireError::Corrupt("event time overflow"))?;
-    let ev = match tag {
+    Ok(match tag {
         0 => ProtocolEvent::ServingRss {
             at,
             rss: get_rss(buf)?,
@@ -68,20 +67,8 @@ fn reference_decode_from(
         }
         5 => ProtocolEvent::ServingLinkLost { at },
         6 => ProtocolEvent::RachFailed { at },
-        7 => ProtocolEvent::Tick { at },
-        _ => {
-            let (period, count) = (wire::get_dur(buf)?, wire::get_varu64(buf)?);
-            let end =
-                last_tick(at, period, count).ok_or(WireError::Corrupt("tick run overflow"))?;
-            let run = ProtocolEvent::TickRun {
-                start: at,
-                period,
-                count,
-            };
-            return Ok((run, end));
-        }
-    };
-    Ok((ev, at))
+        _ => ProtocolEvent::Tick { at },
+    })
 }
 
 /// An RSS field, `Corrupt` unless finite.
@@ -92,12 +79,6 @@ fn get_rss(buf: &mut &[u8]) -> Result<Dbm, WireError> {
     } else {
         Err(WireError::Corrupt("non-finite rss"))
     }
-}
-
-/// The instant of a tick run's last tick, or `None` past the clock's range.
-fn last_tick(start: SimTime, period: SimDuration, count: u64) -> Option<SimTime> {
-    let span = period.as_nanos().checked_mul(count.saturating_sub(1))?;
-    start.checked_add(SimDuration::from_nanos(span))
 }
 
 fn encoded(ev: &ProtocolEvent) -> Vec<u8> {
@@ -113,9 +94,7 @@ fn agree(input: &[u8], prev: SimTime) {
     let got = ProtocolEvent::decode_from(&mut got_rest, prev);
     let want = reference_decode_from(&mut want_rest, prev);
     let same = match (&got, &want) {
-        (Ok((g, g_anchor)), Ok((w, w_anchor))) => {
-            encoded(g) == encoded(w) && g_anchor == w_anchor && got_rest.len() == want_rest.len()
-        }
+        (Ok(g), Ok(w)) => encoded(g) == encoded(w) && got_rest.len() == want_rest.len(),
         (Err(g), Err(w)) => g == w,
         _ => false,
     };
@@ -158,49 +137,40 @@ fn pdu(rng: &mut TestRng) -> Pdu {
         UeId(rng.next_u64() as u32),
         rng.next_u64(),
     );
-    match rng.below(9) {
-        0 => Pdu::KeepAlive {
-            cell,
-            seq: r as u32,
-        },
-        1 => Pdu::BeamSwitchRequest {
+    match rng.below(6) {
+        0 => Pdu::BeamSwitchRequest {
             cell,
             ue,
             suggested_tx_beam: r as u16,
         },
-        2 => Pdu::BeamSwitchCommand {
+        1 => Pdu::BeamSwitchCommand {
             cell,
             tx_beam: r as u16,
         },
-        3 => Pdu::RachPreamble {
+        2 => Pdu::RachPreamble {
             preamble: r as u8,
             ssb_beam: (r >> 8) as u16,
         },
-        4 => Pdu::RachResponse {
+        3 => Pdu::RachResponse {
             preamble: r as u8,
             timing_advance_ns: (r >> 8) as u32,
             temp_ue: ue,
         },
-        5 => Pdu::ConnectionRequest {
+        4 => Pdu::ConnectionRequest {
             ue,
             context_token: r,
         },
-        6 => Pdu::ContentionResolution {
+        _ => Pdu::ContentionResolution {
             ue,
             accepted: r & 1 == 1,
         },
-        7 => Pdu::HandoverContext {
-            ue,
-            context_token: r,
-            payload_len: (r >> 48) as u16,
-        },
-        _ => Pdu::HandoverComplete { ue },
     }
 }
 
-/// One record: a tag (now and then one past the last), a delta and the
-/// tag's payload, with random field bytes, so NaNs, beams outside any
-/// codebook, overflowing runs and corrupt PDU frames all occur.
+/// One record: a tag (one in nine the retired tick-run tag 8, now and
+/// then any byte), a delta and the tag's payload, with random field
+/// bytes, so NaNs, beams outside any codebook and corrupt PDU frames
+/// all occur.
 fn record(rng: &mut TestRng, out: &mut Vec<u8>) {
     let tag = if rng.below(16) == 0 {
         rng.next_u64() as u8
@@ -229,10 +199,6 @@ fn record(rng: &mut TestRng, out: &mut Vec<u8>) {
                 wire::put_varu64(out, frame.len() as u64);
             }
             out.extend_from_slice(&frame);
-        }
-        8 => {
-            varint(rng, out);
-            varint(rng, out);
         }
         _ => {}
     }

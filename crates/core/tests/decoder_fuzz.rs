@@ -27,9 +27,9 @@ use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use proptest::prelude::*;
-use silent_tracker::{InterruptionMarks, ProtocolEvent};
+use silent_tracker::{wire, InterruptionMarks, ProtocolEvent};
 use st_des::{SimDuration, SimTime};
-use st_mac::pdu::{CellId, Pdu};
+use st_mac::pdu::{CellId, Pdu, UeId};
 use st_phy::codebook::BeamId;
 use st_phy::units::Dbm;
 
@@ -139,12 +139,15 @@ fn event() -> impl Strategy<Value = ProtocolEvent> {
             }
         ),
         (0u64..2000).prop_map(|ms| ProtocolEvent::DwellComplete { at: at(ms) }),
-        (0u64..2000, 0u32..5000).prop_map(|(ms, seq)| ProtocolEvent::FromServing {
-            at: at(ms),
-            pdu: Pdu::KeepAlive {
-                cell: CellId(0),
-                seq,
-            },
+        (0u64..2000, any::<u8>(), 0u32..5000).prop_map(|(ms, preamble, ta)| {
+            ProtocolEvent::FromServing {
+                at: at(ms),
+                pdu: Pdu::RachResponse {
+                    preamble,
+                    timing_advance_ns: ta,
+                    temp_ue: UeId(7),
+                },
+            }
         }),
         (0u64..2000, 0u16..8).prop_map(|(ms, tx)| ProtocolEvent::FromServing {
             at: at(ms),
@@ -156,13 +159,6 @@ fn event() -> impl Strategy<Value = ProtocolEvent> {
         (0u64..2000).prop_map(|ms| ProtocolEvent::ServingLinkLost { at: at(ms) }),
         (0u64..2000).prop_map(|ms| ProtocolEvent::RachFailed { at: at(ms) }),
         (0u64..2000).prop_map(|ms| ProtocolEvent::Tick { at: at(ms) }),
-        (0u64..2000, 1u64..5000, 1u64..300).prop_map(|(ms, us, count)| {
-            ProtocolEvent::TickRun {
-                start: at(ms),
-                period: SimDuration::from_micros(us),
-                count,
-            }
-        }),
     ]
 }
 
@@ -181,18 +177,68 @@ fn a_delta_past_the_clock_is_corrupt_not_a_panic() {
     // The same delta from the zero anchor is a valid (if absurd) instant.
     assert!(ProtocolEvent::decode_from(&mut &crafted[..], SimTime::ZERO).is_ok());
 
-    // A tick run whose last tick lies past the clock.
-    let run = ProtocolEvent::TickRun {
-        start: SimTime::from_nanos(5),
-        period: SimDuration::from_nanos(u64::MAX / 2),
-        count: 3,
-    };
-    let mut bytes = Vec::new();
-    wire_tick_run(&run, &mut bytes);
+    // Tag 8, the tick run no trace records, whose last tick would lie
+    // past the clock: the tag alone is corrupt.
+    let mut bytes = vec![8];
+    wire::put_varu64(&mut bytes, 5);
+    wire::put_varu64(&mut bytes, u64::MAX / 2);
+    wire::put_varu64(&mut bytes, 3);
     assert_eq!(
         ProtocolEvent::decode_from(&mut &bytes[..], SimTime::ZERO),
-        Err(silent_tracker::WireError::Corrupt("tick run overflow"))
+        Err(silent_tracker::WireError::Corrupt("event tag"))
     );
+}
+
+/// CRC-16/CCITT-FALSE, the checksum that closes a `st_mac` PDU frame.
+fn crc16(data: &[u8]) -> u16 {
+    let mut crc = 0xffffu16;
+    for &x in data {
+        crc ^= u16::from(x) << 8;
+        for _ in 0..8 {
+            crc = if crc & 0x8000 != 0 {
+                (crc << 1) ^ 0x1021
+            } else {
+                crc << 1
+            };
+        }
+    }
+    crc
+}
+
+/// A serving-cell record that embeds a CRC-valid frame of a PDU type no
+/// run sends (the keep-alive 0x01 and the backhaul context transfer
+/// 0x20 / 0x21, in their old layouts) is corrupt.
+#[test]
+fn an_embedded_pdu_no_run_sends_is_corrupt() {
+    // A frame as `Pdu::encode` writes it: type, length, payload, CRC.
+    let frame = |ty: u8, payload: &[u8]| {
+        let mut f = vec![ty];
+        f.extend_from_slice(&(payload.len() as u16).to_be_bytes());
+        f.extend_from_slice(payload);
+        let ck = crc16(&f);
+        f.extend_from_slice(&ck.to_be_bytes());
+        f
+    };
+    let command = Pdu::BeamSwitchCommand {
+        cell: CellId(0),
+        tx_beam: 3,
+    };
+    assert_eq!(
+        frame(0x03, &[0, 0, 0, 3]),
+        command.encode().to_vec(),
+        "the layout"
+    );
+    for (ty, payload) in [(0x01, &[0u8; 6][..]), (0x20, &[0; 14]), (0x21, &[0; 4])] {
+        let frame = frame(ty, payload);
+        let mut bytes = vec![4, 1];
+        wire::put_varu64(&mut bytes, frame.len() as u64);
+        bytes.extend_from_slice(&frame);
+        assert_eq!(
+            ProtocolEvent::decode_from(&mut &bytes[..], SimTime::ZERO),
+            Err(silent_tracker::WireError::Corrupt("embedded pdu")),
+            "type {ty:#04x}"
+        );
+    }
 }
 
 #[test]
@@ -232,23 +278,6 @@ fn a_non_finite_rss_is_corrupt_and_a_cut_one_truncated() {
             }
         }
     }
-}
-
-/// The encoding of a tick run, written field by field: `encode` itself
-/// refuses a run that ends past the clock.
-fn wire_tick_run(run: &ProtocolEvent, buf: &mut Vec<u8>) {
-    let ProtocolEvent::TickRun {
-        start,
-        period,
-        count,
-    } = *run
-    else {
-        unreachable!("a tick run")
-    };
-    buf.push(8);
-    silent_tracker::wire::put_dur(buf, start.since(SimTime::ZERO));
-    silent_tracker::wire::put_dur(buf, period);
-    silent_tracker::wire::put_varu64(buf, count);
 }
 
 proptest! {

@@ -67,12 +67,15 @@ fn event(n_beams: u16) -> impl Strategy<Value = ProtocolEvent> {
             }
         ),
         (0u64..2000).prop_map(move |ms| ProtocolEvent::DwellComplete { at: at(ms) }),
-        (0u64..2000, 0u32..5000).prop_map(move |(ms, seq)| ProtocolEvent::FromServing {
-            at: at(ms),
-            pdu: Pdu::KeepAlive {
-                cell: CellId(0),
-                seq,
-            },
+        (0u64..2000, any::<u8>(), 0u32..5000).prop_map(move |(ms, preamble, ta)| {
+            ProtocolEvent::FromServing {
+                at: at(ms),
+                pdu: Pdu::RachResponse {
+                    preamble,
+                    timing_advance_ns: ta,
+                    temp_ue: UeId(1),
+                },
+            }
         }),
         (0u64..2000, 0u16..8).prop_map(move |(ms, tx)| ProtocolEvent::FromServing {
             at: at(ms),

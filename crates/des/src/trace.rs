@@ -49,14 +49,17 @@ pub struct Trace {
 
 impl Default for Trace {
     fn default() -> Self {
-        Trace::with_capacity(65_536)
+        Trace::bounded(65_536)
     }
 }
 
 impl Trace {
-    pub fn with_capacity(capacity: usize) -> Trace {
+    /// An empty trace that keeps at most `capacity` entries, evicting the
+    /// oldest. Nothing is reserved up front: a trial records a handful of
+    /// milestones.
+    pub fn bounded(capacity: usize) -> Trace {
         Trace {
-            entries: VecDeque::with_capacity(capacity.min(4096)),
+            entries: VecDeque::new(),
             capacity,
             dropped: 0,
             min_level: TraceLevel::Debug,
@@ -135,7 +138,7 @@ mod tests {
 
     #[test]
     fn capacity_evicts_oldest() {
-        let mut tr = Trace::with_capacity(3);
+        let mut tr = Trace::bounded(3);
         for i in 0..5 {
             tr.record(at(i), TraceLevel::Info, format!("m{i}"));
         }

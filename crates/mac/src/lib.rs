@@ -5,9 +5,10 @@
 //! * [`timing`] — SSB beam-sweep burst sets (NR-FR2-style 20 ms periods;
 //!   64 beams × 20 ms reproduces the paper's 1.28 s worst-case initial
 //!   search) and timing-advance arithmetic.
-//! * [`pdu`] — strict binary wire formats for every control PDU, with
-//!   CRC-16 integrity checking (fault injection corrupts frames and
-//!   receivers must reject them deterministically).
+//! * [`pdu`] — strict binary wire formats for the six control PDUs a
+//!   run sends, with CRC-16 integrity checking (a trace file embeds the
+//!   PDUs the protocol received, and a corrupted frame read back from it
+//!   is rejected deterministically).
 //! * [`rach`] — PRACH occasions bound to SSB beams and the sans-IO 4-step
 //!   random-access state machine (UE side), including the soft-handover
 //!   context token in Msg3.

@@ -1,8 +1,8 @@
 //! Wire formats for the control-plane PDUs.
 //!
-//! Every message exchanged over the air (beam reports, RACH messages,
-//! keep-alives) or over the inter-BS backhaul (handover context) has an
-//! explicit binary encoding:
+//! Every message a run exchanges over the air (the CABM beam-switch
+//! request and command, the four RACH messages) has an explicit binary
+//! encoding:
 //!
 //! ```text
 //! +------+-------------+-----------+------------+
@@ -12,8 +12,10 @@
 //!
 //! with a CRC-16/CCITT checksum over type, length and payload. The codec is
 //! deliberately strict — truncation, bad checksums, unknown types and
-//! trailing bytes are all errors — because the fault-injection layer
-//! corrupts frames and the receiver must reject them deterministically.
+//! trailing bytes are all errors — because frames are read back from
+//! untrusted bytes: a trace file embeds every PDU the protocol received
+//! from its serving cell, and the CRC rejects a corrupted one
+//! deterministically. No code corrupts frames in flight.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -40,8 +42,6 @@ impl std::fmt::Display for UeId {
 /// Control-plane message bodies.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Pdu {
-    /// Downlink keep-alive / data placeholder on the serving link.
-    KeepAlive { cell: CellId, seq: u32 },
     /// Mobile → serving BS: mobile-side receive-beam adjustment no longer
     /// suffices, please switch your transmit beam (BeamSurfer step ii).
     BeamSwitchRequest {
@@ -72,15 +72,6 @@ pub enum Pdu {
     ConnectionRequest { ue: UeId, context_token: u64 },
     /// Target BS → mobile (Msg4): contention resolution & admission.
     ContentionResolution { ue: UeId, accepted: bool },
-    /// Backhaul, serving BS → target BS: the session context for a soft
-    /// handover (identified by the token the mobile presents in Msg3).
-    HandoverContext {
-        ue: UeId,
-        context_token: u64,
-        payload_len: u16,
-    },
-    /// Backhaul, target BS → serving BS: context received, release the UE.
-    HandoverComplete { ue: UeId },
 }
 
 /// Decoding failures.
@@ -107,15 +98,12 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-const T_KEEPALIVE: u8 = 0x01;
 const T_BEAM_SWITCH_REQ: u8 = 0x02;
 const T_BEAM_SWITCH_CMD: u8 = 0x03;
 const T_RACH_PREAMBLE: u8 = 0x10;
 const T_RACH_RESPONSE: u8 = 0x11;
 const T_CONN_REQUEST: u8 = 0x12;
 const T_CONTENTION_RES: u8 = 0x13;
-const T_HO_CONTEXT: u8 = 0x20;
-const T_HO_COMPLETE: u8 = 0x21;
 
 /// CRC-16/CCITT-FALSE. (Fletcher-16 was rejected: it cannot distinguish
 /// 0x00 from 0xFF bytes, so a whole-byte corruption could slip through.)
@@ -137,15 +125,12 @@ fn crc16(data: &[u8]) -> u16 {
 impl Pdu {
     fn type_byte(&self) -> u8 {
         match self {
-            Pdu::KeepAlive { .. } => T_KEEPALIVE,
             Pdu::BeamSwitchRequest { .. } => T_BEAM_SWITCH_REQ,
             Pdu::BeamSwitchCommand { .. } => T_BEAM_SWITCH_CMD,
             Pdu::RachPreamble { .. } => T_RACH_PREAMBLE,
             Pdu::RachResponse { .. } => T_RACH_RESPONSE,
             Pdu::ConnectionRequest { .. } => T_CONN_REQUEST,
             Pdu::ContentionResolution { .. } => T_CONTENTION_RES,
-            Pdu::HandoverContext { .. } => T_HO_CONTEXT,
-            Pdu::HandoverComplete { .. } => T_HO_COMPLETE,
         }
     }
 
@@ -153,10 +138,6 @@ impl Pdu {
     pub fn encode(&self) -> Bytes {
         let mut payload = BytesMut::with_capacity(16);
         match *self {
-            Pdu::KeepAlive { cell, seq } => {
-                payload.put_u16(cell.0);
-                payload.put_u32(seq);
-            }
             Pdu::BeamSwitchRequest {
                 cell,
                 ue,
@@ -190,18 +171,6 @@ impl Pdu {
             Pdu::ContentionResolution { ue, accepted } => {
                 payload.put_u32(ue.0);
                 payload.put_u8(accepted as u8);
-            }
-            Pdu::HandoverContext {
-                ue,
-                context_token,
-                payload_len,
-            } => {
-                payload.put_u32(ue.0);
-                payload.put_u64(context_token);
-                payload.put_u16(payload_len);
-            }
-            Pdu::HandoverComplete { ue } => {
-                payload.put_u32(ue.0);
             }
         }
         let mut out = BytesMut::with_capacity(payload.len() + 5);
@@ -241,13 +210,6 @@ impl Pdu {
             }
         };
         let pdu = match ty {
-            T_KEEPALIVE => {
-                need(6, &b)?;
-                Pdu::KeepAlive {
-                    cell: CellId(b.get_u16()),
-                    seq: b.get_u32(),
-                }
-            }
             T_BEAM_SWITCH_REQ => {
                 need(8, &b)?;
                 Pdu::BeamSwitchRequest {
@@ -292,20 +254,6 @@ impl Pdu {
                     accepted: b.get_u8() != 0,
                 }
             }
-            T_HO_CONTEXT => {
-                need(14, &b)?;
-                Pdu::HandoverContext {
-                    ue: UeId(b.get_u32()),
-                    context_token: b.get_u64(),
-                    payload_len: b.get_u16(),
-                }
-            }
-            T_HO_COMPLETE => {
-                need(4, &b)?;
-                Pdu::HandoverComplete {
-                    ue: UeId(b.get_u32()),
-                }
-            }
             other => return Err(DecodeError::UnknownType(other)),
         };
         if b.has_remaining() {
@@ -321,10 +269,6 @@ mod tests {
 
     fn all_samples() -> Vec<Pdu> {
         vec![
-            Pdu::KeepAlive {
-                cell: CellId(3),
-                seq: 12345,
-            },
             Pdu::BeamSwitchRequest {
                 cell: CellId(1),
                 ue: UeId(77),
@@ -351,12 +295,6 @@ mod tests {
                 ue: UeId(1001),
                 accepted: true,
             },
-            Pdu::HandoverContext {
-                ue: UeId(1001),
-                context_token: 0xDEAD_BEEF_CAFE_F00D,
-                payload_len: 512,
-            },
-            Pdu::HandoverComplete { ue: UeId(1001) },
         ]
     }
 
@@ -384,7 +322,11 @@ mod tests {
 
     #[test]
     fn truncation_fails() {
-        let wire = Pdu::HandoverComplete { ue: UeId(5) }.encode();
+        let wire = Pdu::ContentionResolution {
+            ue: UeId(5),
+            accepted: true,
+        }
+        .encode();
         for cut in 0..wire.len() {
             assert!(Pdu::decode(&wire[..cut]).is_err(), "cut at {cut}");
         }
@@ -392,19 +334,24 @@ mod tests {
 
     #[test]
     fn unknown_type_reported() {
-        // Build a frame with an unknown type and a valid checksum.
-        let mut frame = vec![0x7Fu8, 0x00, 0x00];
-        let ck = crc16(&frame);
-        frame.extend_from_slice(&ck.to_be_bytes());
-        assert_eq!(Pdu::decode(&frame), Err(DecodeError::UnknownType(0x7F)));
+        // Frames with an unknown type and a valid checksum, among them
+        // the keep-alive and backhaul types no run ever sent (0x01, 0x20,
+        // 0x21).
+        for ty in [0x01, 0x20, 0x21, 0x7F] {
+            let mut frame = vec![ty, 0x00, 0x00];
+            let ck = crc16(&frame);
+            frame.extend_from_slice(&ck.to_be_bytes());
+            assert_eq!(Pdu::decode(&frame), Err(DecodeError::UnknownType(ty)));
+        }
     }
 
     #[test]
     fn length_mismatch_detected() {
-        // KeepAlive frame whose declared length is larger than the body.
-        let good = Pdu::KeepAlive {
+        // BeamSwitchCommand frame whose declared length is larger than
+        // the body.
+        let good = Pdu::BeamSwitchCommand {
             cell: CellId(1),
-            seq: 2,
+            tx_beam: 2,
         }
         .encode();
         let mut bad = good.to_vec();

@@ -15,10 +15,6 @@ use st_mac::PrachConfig;
 
 fn arb_pdu() -> impl Strategy<Value = Pdu> {
     prop_oneof![
-        (any::<u16>(), any::<u32>()).prop_map(|(c, s)| Pdu::KeepAlive {
-            cell: CellId(c),
-            seq: s
-        }),
         (any::<u16>(), any::<u32>(), any::<u16>()).prop_map(|(c, u, b)| {
             Pdu::BeamSwitchRequest {
                 cell: CellId(c),
@@ -47,12 +43,6 @@ fn arb_pdu() -> impl Strategy<Value = Pdu> {
             ue: UeId(u),
             accepted: a
         }),
-        (any::<u32>(), any::<u64>(), any::<u16>()).prop_map(|(u, t, l)| Pdu::HandoverContext {
-            ue: UeId(u),
-            context_token: t,
-            payload_len: l,
-        }),
-        any::<u32>().prop_map(|u| Pdu::HandoverComplete { ue: UeId(u) }),
     ]
 }
 

@@ -139,10 +139,7 @@ fn replay_ue(cfg: TrackerConfig, codebook: &Arc<Codebook>, ut: &UeTrace, verify:
             // for an explicit tick), or those after the last record.
             let (ticks, record) = if !buf.is_empty() {
                 let ev = match ProtocolEvent::decode_from(&mut buf, prev) {
-                    Ok((ev, anchor)) => {
-                        prev = anchor;
-                        ev
-                    }
+                    Ok(ev) => ev,
                     Err(e) => {
                         r.mismatches
                             .push(format!("ue {} seg {k}: event decode: {e}", ut.id));
@@ -150,7 +147,8 @@ fn replay_ue(cfg: TrackerConfig, codebook: &Arc<Codebook>, ut: &UeTrace, verify:
                         break;
                     }
                 };
-                let at = ev.at().as_nanos();
+                prev = ev.at();
+                let at = prev.as_nanos();
                 let gap = at.saturating_sub(next);
                 match ev {
                     // `gap / PERIOD` is far below `u64::MAX`, so the add
@@ -158,7 +156,7 @@ fn replay_ue(cfg: TrackerConfig, codebook: &Arc<Codebook>, ut: &UeTrace, verify:
                     ProtocolEvent::Tick { .. } if at >= next && gap % PERIOD == 0 => {
                         (gap / PERIOD + 1, None)
                     }
-                    ProtocolEvent::Tick { .. } | ProtocolEvent::TickRun { .. } => {
+                    ProtocolEvent::Tick { .. } => {
                         r.mismatches.push(format!(
                             "ue {} seg {k}: tick grid: a tick record at {} is not the \
                              grid tick after {}",
@@ -469,8 +467,8 @@ mod tests {
     fn tick_records(seg: &SegmentTrace) -> usize {
         let (mut buf, mut prev, mut n) = (&seg.events[..], SimTime::ZERO, 0);
         while !buf.is_empty() {
-            let (ev, anchor) = ProtocolEvent::decode_from(&mut buf, prev).unwrap();
-            prev = anchor;
+            let ev = ProtocolEvent::decode_from(&mut buf, prev).unwrap();
+            prev = ev.at();
             n += usize::from(matches!(ev, ProtocolEvent::Tick { .. }));
         }
         n
@@ -712,13 +710,13 @@ mod tests {
             assert_eq!(run.ues[0].segments.len(), 1);
             let seg = &run.ues[0].segments[0];
             assert_eq!(seg.trailing_ticks, 2);
-            // Every record kind but the tick run was recorded; the one
-            // tick record is the grid tick at the last sample's instant.
-            let mut seen = [false; 9];
+            // Every record kind was recorded; the one tick record is the
+            // grid tick at the last sample's instant.
+            let mut seen = [false; 8];
             let (mut buf, mut prev) = (&seg.events[..], SimTime::ZERO);
             while !buf.is_empty() {
-                let (ev, anchor) = ProtocolEvent::decode_from(&mut buf, prev).unwrap();
-                prev = anchor;
+                let ev = ProtocolEvent::decode_from(&mut buf, prev).unwrap();
+                prev = ev.at();
                 seen[match ev {
                     ProtocolEvent::ServingRss { .. } => 0,
                     ProtocolEvent::ServingProbe { .. } => 1,
@@ -731,12 +729,10 @@ mod tests {
                         assert_eq!(at, tick(ms + 1));
                         7
                     }
-                    ProtocolEvent::TickRun { .. } => 8,
+                    ProtocolEvent::TickRun { .. } => unreachable!("a tick run is never recorded"),
                 }] = true;
             }
-            let mut want = [true; 9];
-            want[8] = false;
-            assert_eq!(seen, want, "{kind:?}");
+            assert_eq!(seen, [true; 8], "{kind:?}");
 
             let rep = replay_run(&run, 1);
             assert_eq!(rep.mismatches, Vec::<String>::new(), "{kind:?}");

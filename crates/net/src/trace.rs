@@ -15,9 +15,9 @@
 //! whichever loop runs it. The format is a compact custom binary built
 //! on the `silent_tracker::wire` primitives (LEB128 varints, bit-exact
 //! floats), with event timestamps delta-encoded against the previous
-//! record ([`ProtocolEvent::encode_from`]), since a monotone stream's
-//! deltas fit in one to three varint bytes where absolute times take
-//! five.
+//! record's instant ([`ProtocolEvent::encode_from`]), since a monotone
+//! stream's deltas fit in one to three varint bytes where absolute times
+//! take five.
 //!
 //! Timer ticks leave no record. The driver feeds every UE a
 //! [`ProtocolEvent::Tick`] on one fixed grid (500 µs, then every
@@ -28,10 +28,11 @@
 //! record, the grid ticks from the next unfolded one up to, but not
 //! including, the record's instant, folded as one
 //! [`ProtocolEvent::TickRun`] (a [`ProtocolEvent::Tick`] for a stretch
-//! of one). Those are the live fold's ticks, grouped one run per stretch
-//! between two records, and each run counts as one event. The one tick
-//! the grid cannot place is a grid tick the live run folded at a
-//! record's own instant, before that record: it is written as an
+//! of one); a run itself is never recorded. Those are the live fold's
+//! ticks, grouped one run per stretch between two records, and each run
+//! counts as one event. The one tick the grid cannot place is a grid
+//! tick the live run folded at a record's own instant, before that
+//! record: it is written as an
 //! explicit `Tick`, and replay folds it with the stretch before it, as
 //! one run through that instant. A tick off the grid, or a grid tick the
 //! live run skipped, panics the recorder and names its instant, since
@@ -68,8 +69,9 @@ pub struct SegmentTrace {
     /// Initial serving receive beam (an index into the run's codebook).
     pub serving_rx: u16,
     /// Concatenated canonical [`ProtocolEvent`] encodings of the
-    /// recorded events, in fold order, with delta timestamps
-    /// ([`ProtocolEvent::encode_from`] threaded from `SimTime::ZERO`).
+    /// recorded events, in fold order, each timestamp a delta from the
+    /// record before it (the first from `SimTime::ZERO`; see
+    /// [`ProtocolEvent::encode_from`]).
     /// Grid ticks are not among them (see the module docs).
     pub events: Vec<u8>,
     /// The segment's first grid tick: the next one the protocol had not
@@ -597,12 +599,14 @@ impl UeRecorder {
                 "tick at {last} folded before the earlier event at {at}"
             );
             if last == at {
-                seg.prev = ProtocolEvent::Tick { at }.encode_from(seg.prev, &mut seg.events);
+                ProtocolEvent::Tick { at }.encode_from(seg.prev, &mut seg.events);
+                seg.prev = at;
             }
             seg.n_events += 1;
             seg.ticks = 0;
         }
-        seg.prev = ev.encode_from(seg.prev, &mut seg.events);
+        ev.encode_from(seg.prev, &mut seg.events);
+        seg.prev = at;
         seg.n_events += 1;
     }
 
@@ -687,7 +691,7 @@ mod tests {
         assert_eq!(seg.n_events, 2);
         assert_eq!((seg.first_tick, seg.trailing_ticks), (tick(0), 0));
         let mut buf: &[u8] = &seg.events;
-        let (only, _) = ProtocolEvent::decode_from(&mut buf, SimTime::ZERO).unwrap();
+        let only = ProtocolEvent::decode_from(&mut buf, SimTime::ZERO).unwrap();
         assert_eq!(
             only,
             ProtocolEvent::ServingRss {
@@ -727,6 +731,27 @@ mod tests {
     fn an_event_past_an_unfolded_grid_tick_panics() {
         let mut rec = ticked(&[0]);
         rec.record_event(&ProtocolEvent::DwellComplete { at: t(2) });
+    }
+
+    /// A tick run is what replay synthesises; a live protocol is fed
+    /// single ticks, and the recorder refuses to write a run.
+    #[test]
+    #[should_panic(expected = "a tick run is a fold event, never recorded")]
+    fn a_recording_proto_refuses_a_tick_run() {
+        let mut proto = crate::proto::Proto::new(
+            ProtocolKind::SilentTracker,
+            TrackerConfig::paper_defaults(),
+            st_mac::pdu::UeId(1),
+            st_mac::pdu::CellId(0),
+            std::sync::Arc::new(Codebook::for_class(BeamwidthClass::Narrow)),
+            st_phy::codebook::BeamId(4),
+        );
+        proto.start_recording();
+        proto.handle(ProtocolEvent::TickRun {
+            start: SimTime::ZERO,
+            period: TICK_PERIOD,
+            count: 3,
+        });
     }
 
     #[test]

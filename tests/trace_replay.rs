@@ -16,7 +16,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use silent_tracker_repro::silent_tracker::{wire, ProtocolEvent, TrackerConfig, WireError};
+use silent_tracker_repro::silent_tracker::{
+    step_mut, wire, ProtocolCtx, ProtocolEvent, ProtocolState, SilentState, TrackerConfig,
+    WireError,
+};
 use silent_tracker_repro::st_des::{SimDuration, SimTime};
 use silent_tracker_repro::st_fleet::{
     run_fleet_with_workers, Deployment, FleetConfig, MobilityKind,
@@ -163,8 +166,8 @@ fn hand_recorded_ue(id: u64) -> UeTrace {
 fn tick_records(seg: &SegmentTrace) -> usize {
     let (mut buf, mut prev, mut n) = (&seg.events[..], SimTime::ZERO, 0);
     while !buf.is_empty() {
-        let (ev, anchor) = ProtocolEvent::decode_from(&mut buf, prev).unwrap();
-        prev = anchor;
+        let ev = ProtocolEvent::decode_from(&mut buf, prev).unwrap();
+        prev = ev.at();
         n += usize::from(matches!(ev, ProtocolEvent::Tick { .. }));
     }
     n
@@ -349,11 +352,21 @@ fn lone_tick(seg: &mut SegmentTrace, at: u64) {
     .encode_from(SimTime::ZERO, &mut seg.events);
 }
 
+/// `seg`'s records replaced by one tick-run record (tag 8): three ticks
+/// a millisecond apart from its first grid tick.
+fn tick_run_record(seg: &mut SegmentTrace) {
+    seg.events = vec![8];
+    wire::put_varu64(&mut seg.events, seg.first_tick.as_nanos());
+    wire::put_varu64(&mut seg.events, 1_000_000);
+    wire::put_varu64(&mut seg.events, 3);
+}
+
 /// Each forged tick grid, on every segment of the small trace in turn,
 /// is a decode error or a replay mismatch: a first tick near the end of
 /// the clock, a trailing count of `u64::MAX`, a 2^60 ns gap before a
-/// record, whose tick run a loop would take centuries to synthesise, and
-/// a tick record at `u64::MAX`, off the grid.
+/// record, whose tick run a loop would take centuries to synthesise, a
+/// tick record at `u64::MAX`, off the grid, and a tick-run record, which
+/// no recorder writes.
 #[test]
 fn a_forged_tick_grid_is_a_decode_error_or_a_replay_mismatch() {
     let original = small_trace();
@@ -361,7 +374,7 @@ fn a_forged_tick_grid_is_a_decode_error_or_a_replay_mismatch() {
     for (u, ue) in run.ues.iter().enumerate() {
         for k in 0..ue.segments.len() {
             type Forge = fn(&mut SegmentTrace);
-            let forgeries: [(&str, Forge); 4] = [
+            let forgeries: [(&str, Forge); 5] = [
                 ("first tick near the end of the clock", |seg| {
                     seg.first_tick = SimTime::from_nanos(u64::MAX - 10)
                 }),
@@ -372,6 +385,7 @@ fn a_forged_tick_grid_is_a_decode_error_or_a_replay_mismatch() {
                     seg.events = delayed(seg, 1 << 60)
                 }),
                 ("tick record at u64::MAX", |seg| lone_tick(seg, u64::MAX)),
+                ("tick-run record", tick_run_record),
             ];
             for (what, forge) in forgeries {
                 let mut forged = original.clone();
@@ -427,10 +441,47 @@ fn marks_ending_past_the_clock_fail_to_decode() {
 }
 
 /// A forged one-segment silent trace on the narrow codebook, serving
-/// beam 4: twenty serving samples at −60 dBm, probes of beam 3 reading
-/// `beam3` (dBm), a probe of beam 5 at −75 dBm and a serving sample at
-/// −90 dBm. Folded, the fade sends the mobile to pick the strongest
-/// probed beam, ordering beam 3's filtered level against beam 5's.
+/// beam 4, holding `events`, with its grid from `first_tick` and
+/// `trailing_ticks` trailing ticks, and no recorded digests.
+fn forged_run(events: &[ProtocolEvent], first_tick: SimTime, trailing_ticks: u64) -> RunTrace {
+    let mut bytes = Vec::new();
+    let mut prev = SimTime::ZERO;
+    for ev in events {
+        ev.encode_from(prev, &mut bytes);
+        prev = ev.at();
+    }
+    RunTrace {
+        label: "forged".into(),
+        seed: 0,
+        duration: SimDuration::from_millis(10),
+        live_wall_s: 0.0,
+        tracker: TrackerConfig::paper_defaults(),
+        codebook: BeamwidthClass::Narrow,
+        ues: vec![UeTrace {
+            id: 0,
+            uid: 1,
+            kind: ProtocolKind::SilentTracker,
+            segments: vec![SegmentTrace {
+                serving_cell: 0,
+                serving_rx: 4,
+                events: bytes,
+                first_tick,
+                trailing_ticks,
+                n_events: events.len() as u64 + u64::from(trailing_ticks > 0),
+                action_count: 0,
+                action_digest: 0,
+                final_state: Vec::new(),
+                marks: Vec::new(),
+            }],
+        }],
+    }
+}
+
+/// Twenty serving samples at −60 dBm, probes of beam 3 reading `beam3`
+/// (dBm), a probe of beam 5 at −75 dBm and a serving sample at −90 dBm,
+/// forged with no ticks (the grid starts after the last record).
+/// Folded, the fade sends the mobile to pick the strongest probed beam,
+/// ordering beam 3's filtered level against beam 5's.
 fn forged_probe_run(beam3: &[f64]) -> RunTrace {
     let at = |us: u64| SimTime::ZERO + SimDuration::from_micros(us);
     let mut events: Vec<_> = (0..20)
@@ -459,37 +510,7 @@ fn forged_probe_run(beam3: &[f64]) -> RunTrace {
             rss: Dbm(-90.0),
         },
     ]);
-    let mut bytes = Vec::new();
-    let mut prev = SimTime::ZERO;
-    for ev in &events {
-        prev = ev.encode_from(prev, &mut bytes);
-    }
-    RunTrace {
-        label: "forged".into(),
-        seed: 0,
-        duration: SimDuration::from_millis(10),
-        live_wall_s: 0.0,
-        tracker: TrackerConfig::paper_defaults(),
-        codebook: BeamwidthClass::Narrow,
-        ues: vec![UeTrace {
-            id: 0,
-            uid: 1,
-            kind: ProtocolKind::SilentTracker,
-            segments: vec![SegmentTrace {
-                serving_cell: 0,
-                serving_rx: 4,
-                events: bytes,
-                // The grid starts after the last record: no ticks.
-                first_tick: at(10_500),
-                trailing_ticks: 0,
-                n_events: events.len() as u64,
-                action_count: 0,
-                action_digest: 0,
-                final_state: Vec::new(),
-                marks: Vec::new(),
-            }],
-        }],
-    }
+    forged_run(&events, at(10_500), 0)
 }
 
 /// A NaN probe used to reach the fold and panic it there; the event
@@ -521,4 +542,51 @@ fn an_rss_at_the_edge_of_f64_replays_without_panicking() {
         "{:?}",
         report.mismatches
     );
+}
+
+/// Serving samples at 0, 5 and 50 ms past `u64::MAX − 100 ms` (−60, −80
+/// and −80 dBm) send a silent mobile to ask its cell for help 50 ms
+/// before the clock ends, so the assistance deadline lies past it. The
+/// deadline saturates at the clock's last nanosecond, where it never
+/// fires: the forged trace decodes and refolds without an overflow, and
+/// the grid tick 1 ms after the request loses no assistance. The
+/// segment's digests are those of the same events folded directly, so
+/// the verified refold matches them byte for byte.
+#[test]
+fn a_cabm_deadline_past_the_clock_never_fires() {
+    let base = u64::MAX - 100_000_000;
+    let at = |ms: u64| SimTime::from_nanos(base + ms * 1_000_000);
+    let samples =
+        [(0, -60.0), (5, -80.0), (50, -80.0)].map(|(ms, dbm)| ProtocolEvent::ServingRss {
+            at: at(ms),
+            rss: Dbm(dbm),
+        });
+    let mut run = forged_run(&samples, at(51), 1);
+
+    let ctx = ProtocolCtx::new(
+        run.tracker,
+        UeId(1),
+        CellId(0),
+        Arc::new(Codebook::for_class(BeamwidthClass::Narrow)),
+    );
+    let mut state = ProtocolState::Silent(SilentState::initial(&ctx, BeamId(4)));
+    let (mut out, mut digest, mut actions) = (Vec::new(), wire::Fnv64::new(), 0);
+    for ev in samples.iter().chain([&ProtocolEvent::Tick { at: at(51) }]) {
+        out.clear();
+        step_mut(&ctx, &mut state, ev, &mut out);
+        out.iter().for_each(|a| a.encode(&mut digest));
+        actions += out.len() as u64;
+    }
+    let stats = state.stats().expect("the silent arm");
+    assert_eq!((stats.cabm_requests, stats.assist_lost), (1, 0));
+    let seg = &mut run.ues[0].segments[0];
+    seg.action_count = actions;
+    seg.action_digest = digest.finish();
+    state.encode(&mut seg.final_state);
+
+    let bytes = FleetTrace { runs: vec![run] }.to_bytes();
+    let decoded = FleetTrace::from_bytes(&bytes).expect("the container is well formed");
+    let report = catch_unwind(AssertUnwindSafe(|| replay_run(&decoded.runs[0], 1)))
+        .expect("replay must not panic");
+    assert_eq!(report.mismatches, Vec::<String>::new());
 }
